@@ -90,14 +90,13 @@ class BlanusaSeed:
         return self.c_edges[4:8]
 
 
-def _cycle_start(seed_graph: Multigraph, orientation: dict[str, tuple[str, str]],
-                 edges: tuple[str, ...]) -> str:
+def _cycle_start(orientation: dict[str, tuple[str, str]], edges: tuple[str, ...]) -> str:
     return orientation[edges[0]][0]
 
 
 def seed_circuits(seed: BlanusaSeed) -> tuple[DirectedCircuit, DirectedCircuit]:
-    a = DirectedCircuit(seed.circuit_a, _cycle_start(seed.graph, seed.orientation, seed.circuit_a))
-    b = DirectedCircuit(seed.circuit_b, _cycle_start(seed.graph, seed.orientation, seed.circuit_b))
+    a = DirectedCircuit(seed.circuit_a, _cycle_start(seed.orientation, seed.circuit_a))
+    b = DirectedCircuit(seed.circuit_b, _cycle_start(seed.orientation, seed.circuit_b))
     return a, b
 
 
@@ -619,21 +618,17 @@ def _golden_path() -> Path:
 _seed_cache: BlanusaSeed | None = None
 
 
-def load_or_find_seed(force_regenerate: bool = False) -> BlanusaSeed:
+def load_or_find_seed() -> BlanusaSeed:
+    """The packaged seed, re-validated; searched in memory if the file is missing."""
     global _seed_cache
-    if _seed_cache is not None and not force_regenerate:
-        return _seed_cache
-    path = _golden_path()
-    if path.exists() and not force_regenerate:
-        seed = seed_from_json(path.read_text())
-        validate_seed(seed)
-        _seed_cache = seed
-        return seed
-    seed = find_seed()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(seed_to_json(seed))
-    _seed_cache = seed
-    return seed
+    if _seed_cache is None:
+        path = _golden_path()
+        if path.exists():
+            _seed_cache = seed_from_json(path.read_text())
+            validate_seed(_seed_cache)
+        else:
+            _seed_cache = find_seed()
+    return _seed_cache
 
 
 # -- the chain -------------------------------------------------------------------

@@ -138,7 +138,9 @@ def reverify(cert: Certificate, g: Multigraph) -> bool:
     """Re-check a certificate against its graph using the cheap path.
 
     Positive verdicts are reproduced by re-running witness verification.
-    Negative class-property verdicts re-run the bounded refutation search.
+    Class-2 entries of class-property certificates re-run the matching
+    cover, and a chromatic index above the maximum degree re-runs the search
+    one color short.
     Raises on hash mismatch or unknown claim kind.
     """
     if cert.graph_sha256 != graph_hash(g):

@@ -1,7 +1,7 @@
 """Command line interface: construction, solving, verification, demo pipelines.
 
-Exit codes: 0 verified, 1 refuted, 2 inconclusive or budget exhausted,
-3 usage error.
+Exit codes: 0 verified, 1 refuted, 2 inconclusive, budget exhausted or an
+internal error in a demo row, 3 usage error.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import argparse
 import random
 import sys
 import time
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -131,7 +132,7 @@ def _cmd_build_flow(args) -> int:
         data = flows.build_flower_flow(args.n)
         graph, flow = data.graph, data.flow
     elif args.family == "blanusa-chain":
-        data = flows.build_blanusa_chain_flow(args.n)
+        data = blanusa.build_chain(args.n)
         graph, flow = data.chain.graph, data.flow
     elif args.family == "bipartite":
         graph = _read_graph(args.graph)
@@ -232,19 +233,20 @@ class _Report:
         t0 = time.monotonic()
         try:
             verdict = fn()
-        except Exception as exc:  # demo keeps going; failures surface in the exit code
-            self.add(f"{claim}: {exc}", "refuted", time.monotonic() - t0)
+        except Exception as exc:  # an internal fault, not a mathematical refutation
+            traceback.print_exc()
+            self.add(f"{claim}: {type(exc).__name__}: {exc}", "error", time.monotonic() - t0)
             return
         self.add(claim, verdict, time.monotonic() - t0)
 
-    def save(self, g: Multigraph | None, name: str, text: str) -> None:
+    def save(self, name: str, text: str) -> None:
         (self.out_dir / name).write_text(text)
 
     def exit_code(self) -> int:
         verdicts = {v for _, v, _ in self.rows}
         if "refuted" in verdicts:
             return EXIT_REFUTED
-        if "inconclusive" in verdicts:
+        if verdicts & {"inconclusive", "error"}:
             return EXIT_INCONCLUSIVE
         return EXIT_VERIFIED
 
@@ -262,7 +264,7 @@ def _demo_flows(report: _Report, budget: float | None) -> None:
                           ("Petersen", families.petersen(), Fraction(5))):
         def claim(g=g, want=want, name=name):
             result = flows.circular_flow_number(g)
-            report.save(g, f"phi_c_{name}.cert.json",
+            report.save(f"phi_c_{name}.cert.json",
                         flows.phi_c_certificate(g, result).to_json())
             return "verified" if result.value == want else "refuted"
         report.run(f"phi_c({name})", claim)
@@ -270,18 +272,18 @@ def _demo_flows(report: _Report, budget: float | None) -> None:
         def claim(n=n):
             data = flows.build_flower_flow(n)
             cert = flows.verify_flow(data.graph, data.flow)
-            report.save(data.graph, f"flower_{n}.graph", serialize(data.graph))
-            report.save(data.graph, f"flower_{n}.flow", flows.write_flow(data.flow))
-            report.save(data.graph, f"flower_{n}.cert.json", cert.to_json())
+            report.save(f"flower_{n}.graph", serialize(data.graph))
+            report.save(f"flower_{n}.flow", flows.write_flow(data.flow))
+            report.save(f"flower_{n}.cert.json", cert.to_json())
             return cert.verdict
         report.run(f"flower flow J{2 * n + 1} at 4+1/{n}", claim)
     for n in (1, 2, 3):
         def claim(n=n):
-            data = flows.build_blanusa_chain_flow(n)
+            data = blanusa.build_chain(n)
             cert = flows.verify_flow(data.chain.graph, data.flow)
-            report.save(None, f"blanusa_{n}.graph", serialize(data.chain.graph))
-            report.save(None, f"blanusa_{n}.flow", flows.write_flow(data.flow))
-            report.save(None, f"blanusa_{n}.cert.json", cert.to_json())
+            report.save(f"blanusa_{n}.graph", serialize(data.chain.graph))
+            report.save(f"blanusa_{n}.flow", flows.write_flow(data.flow))
+            report.save(f"blanusa_{n}.cert.json", cert.to_json())
             return cert.verdict
         report.run(f"Blanusa chain flow G{n} at 4+1/{n + 1}", claim)
 
@@ -301,20 +303,20 @@ def _demo_class2(report: _Report, budget: float | None) -> None:
         def claim(tag=tag, g=g, m=m):
             cert = colorings.class_property(g, m, 2, [2], budget_s=budget)
             certs.append(cert)
-            report.save(g, f"petersen_{tag}_class2.cert.json", cert.to_json())
+            report.save(f"petersen_{tag}_class2.cert.json", cert.to_json())
             return cert.verdict
         report.run(f"Petersen ({tag} factor) + 2M is class 2", claim)
 
     def prover_claim():
         cert = colorings.dot_product_class2_prover(product, certs[0], certs[1], 2)
-        report.save(product.graph, "dot_product_class2.cert.json", cert.to_json())
+        report.save("dot_product_class2.cert.json", cert.to_json())
         return cert.verdict
     report.run("dot product + 2M class 2 (parity prover)", prover_claim)
 
     def direct_claim():
         cert = colorings.class_property(product.graph, sorted(product.matching), 2, [2],
                                         budget_s=budget)
-        report.save(product.graph, "dot_product_class2_direct.cert.json", cert.to_json())
+        report.save("dot_product_class2_direct.cert.json", cert.to_json())
         return cert.verdict
     report.run("dot product + 2M class 2 (direct refutation)", direct_claim)
 
@@ -325,20 +327,20 @@ def _demo_section3(report: _Report, budget: float | None) -> None:
         g = fam.graph
         ok = all(g.degree(c) == 15 for c in fam.junctions) and g.degree("w") == 13
         ok = ok and all(g.degree(v) in (13, 15) for v in g.vertices)
-        report.save(g, "m3.graph", serialize(g))
+        report.save("m3.graph", serialize(g))
         return "verified" if ok else "refuted"
     report.run("M_3 degrees match the construction", degrees_claim)
 
     def prime_claim():
         data = mp_coloring.mp_prime_coloring(1)
-        report.save(None, "m3_prime.coloring", colorings.write_coloring(data.coloring))
+        report.save("m3_prime.coloring", colorings.write_coloring(data.coloring))
         return "verified"
     report.run("M_3' sees-odd 13-coloring", prime_claim)
 
     def tilde_claim():
         g, col = mp_coloring.mp_tilde_coloring(1)
-        report.save(g, "m3_tilde.graph", serialize(g))
-        report.save(g, "m3_tilde.coloring", colorings.write_coloring(col))
+        report.save("m3_tilde.graph", serialize(g))
+        report.save("m3_tilde.coloring", colorings.write_coloring(col))
         ok, _ = colorings.is_proper(g, col)
         return "verified" if ok and g.is_regular(13) else "refuted"
     report.run("M~_3 is 13-regular and properly 13-colored", tilde_claim)
@@ -365,7 +367,10 @@ def _demo_appendix(report: _Report, budget: float | None) -> None:
         pms = sorted(perfect_matchings(g), key=sorted)
         rng = random.Random(7)
         for pm in rng.sample(pms, 20):
-            flower_coloring.flower_plus_m_coloring(3, sorted(pm))
+            try:
+                flower_coloring.flower_plus_m_coloring(3, sorted(pm))
+            except flower_coloring.FlowerColoringCounterexample:
+                return "refuted"
         return "verified"
     report.run("4-coloring of J7+M for 20 random matchings", j7_claim)
 

@@ -1,8 +1,10 @@
 """Proper edge colorings, exact chromatic index and class certificates.
 
-Class-1/class-2 decisions for regular graphs go through 1-factor peeling
-(a Delta-regular graph is Delta-edge-colorable iff it 1-factorizes), with
-memoization on edge-set remainders; everything else is exact backtracking.
+A Delta-regular multigraph is Delta-edge-colorable iff it 1-factorizes, and
+parallel edges are interchangeable in a 1-factorization.  So class-1/class-2
+decisions for regular graphs cover the edge multiplicities of the simple
+support graph with Delta perfect matchings, memoizing failed multiplicity
+vectors (the matching cover); everything else is exact backtracking.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .multigraph import (
     EdgeCut,
     GraphError,
     Multigraph,
+    _matchings_of,
     add_matching_copies,
     is_perfect_matching,
 )
@@ -98,100 +101,56 @@ class _Deadline:
             raise SearchBudgetExceeded("search budget exhausted")
 
 
-def _perfect_matchings_in(idx: _Indexed, allowed: frozenset[int],
-                          forced: int | None = None):
-    """Perfect matchings (frozensets of edge indices) inside ``allowed``."""
-    n = len(idx.verts)
-    out: list[frozenset[int]] = []
-    chosen: list[int] = []
-    covered = 0
-    if forced is not None:
-        a, b = idx.ends[forced]
-        covered |= (1 << a) | (1 << b)
-        chosen.append(forced)
+def _matching_cover(h: Multigraph, deadline: _Deadline) -> dict[str, int] | None:
+    """A proper d-edge-coloring of the d-regular multigraph h, or None.
 
-    def rec() -> None:
-        nonlocal covered
-        if covered == (1 << n) - 1:
-            out.append(frozenset(chosen))
-            return
-        v = (~covered & -~covered).bit_length() - 1  # lowest uncovered vertex
-        for e in idx.inc[v]:
-            if e not in allowed or (forced is not None and e == forced):
-                continue
-            a, b = idx.ends[e]
-            w = b if a == v else a
-            if covered & (1 << w):
-                continue
-            covered |= (1 << v) | (1 << w)
-            chosen.append(e)
-            rec()
-            chosen.pop()
-            covered &= ~((1 << v) | (1 << w))
+    Such a coloring is a 1-factorization.  Parallel edges are interchangeable,
+    so the search runs on h's simple support graph and covers the multiplicity
+    of every support edge with d perfect matchings.  The state is the tuple of
+    multiplicities still in demand; each step takes a perfect matching through
+    the lowest-index support edge still in demand, and a state that failed
+    once is not searched again.  Color c goes to the c-th matching and, within
+    each support edge, to the parallel edges of h in their order.
+    """
+    pos = {v: i for i, v in enumerate(h.vertices)}
+    copies: dict[frozenset[str], list[str]] = {}
+    for e in h.edges():
+        copies.setdefault(e.ends, []).append(e.eid)
+    support = list(copies.values())
+    ends = [(pos[h.edge(ids[0]).u], pos[h.edge(ids[0]).v]) for ids in support]
+    at: list[list[tuple[int, int]]] = [[] for _ in pos]
+    for s, (a, b) in enumerate(ends):
+        at[a].append((s, b))
+        at[b].append((s, a))
+    failed: set[tuple[int, ...]] = set()
 
-    if n % 2 == 0:
-        rec()
-    return out
-
-
-def _two_factorize(idx: _Indexed, allowed: frozenset[int]) -> list[frozenset[int]] | None:
-    """Split a 2-regular remainder into two perfect matchings, or None."""
-    first: set[int] = set()
-    second: set[int] = set()
-    seen_e: set[int] = set()
-    for start_e in allowed:
-        if start_e in seen_e:
-            continue
-        cycle = [start_e]
-        seen_e.add(start_e)
-        a, b = idx.ends[start_e]
-        base, cur = a, b
-        while cur != base:
-            nxt = next(e for e in idx.inc[cur] if e in allowed and e not in seen_e)
-            cycle.append(nxt)
-            seen_e.add(nxt)
-            x, y = idx.ends[nxt]
-            cur = y if x == cur else x
-        if len(cycle) % 2:
+    def cover(need: tuple[int, ...]) -> list[list[int]] | None:
+        deadline.tick()
+        pivot = next((s for s, k in enumerate(need) if k), None)
+        if pivot is None:
+            return []
+        if need in failed:
             return None
-        first.update(cycle[0::2])
-        second.update(cycle[1::2])
-    return [frozenset(first), frozenset(second)]
+        a, b = ends[pivot]
+        inc = [[(s, w) for s, w in at_v if need[s]] for at_v in at]
+        for pm in _matchings_of(inc, 1 << a | 1 << b):
+            pm.append(pivot)
+            rest = list(need)
+            for s in pm:
+                rest[s] -= 1
+            found = cover(tuple(rest))
+            if found is not None:
+                return [pm] + found
+        failed.add(need)
+        return None
 
-
-def _factorize(idx: _Indexed, allowed: frozenset[int], d: int,
-               memo: dict, deadline: _Deadline) -> list[frozenset[int]] | None:
-    """1-factorization of a d-regular remainder, or None; memoized."""
-    deadline.tick()
-    if d == 0:
-        return []
-    hit = memo.get(allowed, "miss")
-    if hit != "miss":
-        return hit
-    if d == 1:
-        covered: set[int] = set()
-        for e in allowed:
-            a, b = idx.ends[e]
-            if a in covered or b in covered:
-                memo[allowed] = None
-                return None
-            covered.update((a, b))
-        result = [allowed] if len(covered) == len(idx.verts) else None
-        memo[allowed] = result
-        return result
-    if d == 2:
-        result = _two_factorize(idx, allowed)
-        memo[allowed] = result
-        return result
-    pivot = min(allowed)
-    for pm in _perfect_matchings_in(idx, allowed, forced=pivot):
-        rest = _factorize(idx, allowed - pm, d - 1, memo, deadline)
-        if rest is not None:
-            result = [pm] + rest
-            memo[allowed] = result
-            return result
-    memo[allowed] = None
-    return None
+    if len(pos) % 2 and support:
+        return None  # odd order: no perfect matching exists
+    factors = cover(tuple(len(ids) for ids in support))
+    if factors is None:
+        return None
+    unused = [iter(ids) for ids in support]
+    return {next(unused[s]): c for c, pm in enumerate(factors) for s in pm}
 
 
 def _backtrack_coloring(g: Multigraph, k: int, deadline: _Deadline,
@@ -256,6 +215,14 @@ def _backtrack_coloring(g: Multigraph, k: int, deadline: _Deadline,
     return None
 
 
+def _k_coloring(g: Multigraph, k: int, deadline: _Deadline) -> tuple[dict[str, int] | None, str]:
+    """A proper k-edge-coloring of g or None, and the method that decided it:
+    the matching cover for a k-regular graph, backtracking otherwise."""
+    if g.is_regular(k):
+        return _matching_cover(g, deadline), "one-factor-peeling"
+    return _backtrack_coloring(g, k, deadline), "backtracking"
+
+
 @dataclass(frozen=True)
 class ChromaticIndexResult:
     exact: int | None
@@ -274,9 +241,10 @@ class ChromaticIndexResult:
 def chromatic_index(g: Multigraph, budget_s: float | None = None) -> ChromaticIndexResult:
     """Exact chromatic index with witness coloring and refuted palettes.
 
-    Regular graphs decide the class-1 question by 1-factor peeling; other
-    palette sizes use exhaustive backtracking.  On budget exhaustion the
-    result degrades to honest lower/upper bounds.
+    A d-regular graph is d-colorable exactly when its edge multiplicities
+    are covered by d perfect matchings, which the matching cover decides;
+    other palette sizes use exhaustive backtracking.  On budget exhaustion
+    the result degrades to honest lower/upper bounds.
     """
     if g.num_edges() == 0:
         return ChromaticIndexResult(0, EdgeColoring({}, 0), 0, 0, "empty", (), 0)
@@ -284,32 +252,13 @@ def chromatic_index(g: Multigraph, budget_s: float | None = None) -> ChromaticIn
     mu = g.max_multiplicity()
     deadline = _Deadline(budget_s)
     refuted: list[int] = []
-    best: dict[str, int] | None = None
     k = delta
     try:
         while True:
-            if g.is_regular(delta) and k == delta:
-                idx = _Indexed(g)
-                if len(idx.verts) % 2 == 1:
-                    factors = None  # odd order: no perfect matching exists
-                else:
-                    factors = _factorize(idx, frozenset(range(len(idx.eids))), delta,
-                                         {}, deadline)
-                if factors is not None:
-                    best = {}
-                    for c, pm in enumerate(factors):
-                        for e in pm:
-                            best[idx.eids[e]] = c
-                    method = "one-factor-peeling"
-                    break
-                refuted.append(k)
-            else:
-                found = _backtrack_coloring(g, k, deadline)
-                if found is not None:
-                    best = found
-                    method = "backtracking"
-                    break
-                refuted.append(k)
+            best, method = _k_coloring(g, k, deadline)
+            if best is not None:
+                break
+            refuted.append(k)
             k += 1
             if k > delta + mu:
                 raise ColoringError("internal error: chromatic index above the Vizing window")
@@ -339,6 +288,8 @@ def chromatic_index_certificate(g: Multigraph, result: ChromaticIndexResult,
 
 
 def reverify_chromatic_index(cert: Certificate, g: Multigraph) -> bool:
+    """Re-check the witness coloring and, above the maximum degree, re-run
+    the search one color short, which must find nothing."""
     if cert.verdict == "inconclusive":
         return True
     value = int(cert.witness["value"])
@@ -346,7 +297,9 @@ def reverify_chromatic_index(cert: Certificate, g: Multigraph) -> bool:
     ok, _ = is_proper(g, coloring)
     if not ok or len(set(coloring.colors.values())) > value:
         return False
-    return value == max(cert.witness["refuted_palettes"], default=value - 1) + 1
+    if value != max(cert.witness["refuted_palettes"], default=value - 1) + 1:
+        return False
+    return value <= g.max_degree() or _k_coloring(g, value - 1, _Deadline(None))[0] is None
 
 
 # -- Parity Lemma -----------------------------------------------------------------
@@ -405,8 +358,11 @@ def class_property(g: Multigraph, matching: Iterable[str], which: int,
                    t_range: Sequence[int], budget_s: float | None = None) -> Certificate:
     """Decide whether g + (2t-2)M is class ``which`` for each tested t.
 
-    Only the listed t are decided; the certificate records explicitly that
-    the quantification over all t is out of reach of the test.
+    H = g + (2t-2)M is (2t+1)-regular, so it is class 1 exactly when the
+    matching cover finds 2t+1 perfect matchings of g that use each edge of
+    g - M once and each edge of M 2t-1 times.  Only the listed t are
+    decided; the certificate records explicitly that the quantification
+    over all t is out of reach of the test.
     """
     if which not in (1, 2):
         raise ColoringError("which must be 1 or 2")
@@ -424,22 +380,17 @@ def class_property(g: Multigraph, matching: Iterable[str], which: int,
             raise ColoringError("t must be positive")
         h = add_matching_copies(g, m, 2 * t - 2)
         degree = 2 * t + 1
-        idx = _Indexed(h)
         deadline = _Deadline(budget_s)
         try:
-            factors = _factorize(idx, frozenset(range(len(idx.eids))), degree, {}, deadline)
+            colors = _matching_cover(h, deadline)
         except SearchBudgetExceeded:
             per_t.append({"t": t, "status": "budget-exhausted"})
             if verdict == "verified":
                 verdict = "inconclusive"
             continue
-        observed = 1 if factors is not None else 2
+        observed = 1 if colors is not None else 2
         entry = {"t": t, "class": observed, "nodes": deadline.nodes}
-        if factors is not None:
-            colors: dict[str, int] = {}
-            for c, pm in enumerate(factors):
-                for e in pm:
-                    colors[idx.eids[e]] = c
+        if colors is not None:
             ok, clash = is_proper(h, EdgeColoring(colors, degree))
             if not ok:
                 raise ColoringError(f"internal error: bad factorization: {clash}")
@@ -456,8 +407,8 @@ def class_property(g: Multigraph, matching: Iterable[str], which: int,
 
 
 def reverify_class_property(cert: Certificate, g: Multigraph) -> bool:
-    """Positive entries re-check the recorded factorization coloring; class-2
-    entries re-run the bounded refutation search."""
+    """Class-1 entries re-check the recorded coloring; class-2 entries re-run
+    the matching cover, which must find no coloring."""
     m = list(cert.parameters["matching"])
     for entry in cert.witness["per_t"]:
         if entry.get("status") == "budget-exhausted":
@@ -470,12 +421,8 @@ def reverify_class_property(cert: Certificate, g: Multigraph) -> bool:
             ok, _ = is_proper(h, coloring)
             if not ok or len(set(coloring.colors.values())) > 2 * t + 1:
                 return False
-        else:
-            idx = _Indexed(h)
-            factors = _factorize(idx, frozenset(range(len(idx.eids))), 2 * t + 1,
-                                 {}, _Deadline(None))
-            if factors is not None:
-                return False
+        elif _matching_cover(h, _Deadline(None)) is not None:
+            return False
     return True
 
 

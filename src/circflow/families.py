@@ -84,13 +84,6 @@ def flower_snark(n: int) -> FlowerSnark:
     return FlowerSnark(n, g)
 
 
-def flower_cut_edges(n: int, i: int) -> tuple[str, str, str]:
-    """Edge ids of E_{i,i+1} = {a_i a_{i+1}, c_i d_{i+1}, c_{i+1} d_i}."""
-    mod = 2 * n + 1
-    i %= mod
-    return (f"aa{i}", f"cd{i}", f"dc{i}")
-
-
 # -- dot products -------------------------------------------------------------
 
 

@@ -55,10 +55,6 @@ class _Cut:
     m: frozenset  # matched families
 
 
-def _original_cut(i: int) -> _Cut:
-    return _Cut({fam: f"{fam}{i}" for fam in FAMILIES}, frozenset())
-
-
 def _matching_structure(n: int, matching: frozenset[str]):
     mod = 2 * n + 1
     internal: dict[int, str] = {}
@@ -183,23 +179,19 @@ def _golden_path() -> Path:
 _gadget_cache: dict[str, dict | None] | None = None
 
 
-def load_gadget_table(force_regenerate: bool = False) -> dict[str, dict | None]:
+def load_gadget_table() -> dict[str, dict | None]:
+    """The packaged gadget table; built in memory if the file is missing."""
     global _gadget_cache
-    if _gadget_cache is not None and not force_regenerate:
-        return _gadget_cache
-    path = _golden_path()
-    if path.exists() and not force_regenerate:
-        doc = json.loads(path.read_text())
-        if doc.get("schema") != GADGET_SCHEMA:
-            raise ColoringError("unsupported gadget table schema")
-        _gadget_cache = {k: v for k, v in doc["table"].items()}
-        return _gadget_cache
-    table = build_gadget_table()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({"schema": GADGET_SCHEMA, "table": table},
-                               indent=1, sort_keys=True) + "\n")
-    _gadget_cache = table
-    return table
+    if _gadget_cache is None:
+        path = _golden_path()
+        if path.exists():
+            doc = json.loads(path.read_text())
+            if doc.get("schema") != GADGET_SCHEMA:
+                raise ColoringError("unsupported gadget table schema")
+            _gadget_cache = doc["table"]
+        else:
+            _gadget_cache = build_gadget_table()
+    return _gadget_cache
 
 
 # -- recursion ---------------------------------------------------------------------

@@ -76,14 +76,6 @@ class Orientation:
         return self._dir == other._dir
 
 
-def orientation_from_bits(g: Multigraph, bits: int) -> Orientation:
-    """Bit ``i`` flips edge ``i`` (in edge order) from its stored (u, v)."""
-    dirs = {}
-    for i, e in enumerate(g.edges()):
-        dirs[e.eid] = (e.v, e.u) if (bits >> i) & 1 else (e.u, e.v)
-    return Orientation(dirs)
-
-
 @dataclass(frozen=True)
 class RationalFlow:
     orientation: Orientation
@@ -658,21 +650,6 @@ def matched_flow_witness(g: Multigraph, flow: RationalFlow, matching: Sequence[s
     if not ok:
         raise FlowError(f"balancedness violated at X={sorted(witness)!r}: no flow at the bound value")
     return witness
-
-
-# -- Blanusa chain entry points (implementation in blanusa.py) ------------------
-
-
-def build_blanusa_seed(force_regenerate: bool = False):
-    from . import blanusa  # deferred: blanusa builds on this module
-
-    return blanusa.load_or_find_seed(force_regenerate=force_regenerate)
-
-
-def build_blanusa_chain_flow(n: int):
-    from . import blanusa  # deferred
-
-    return blanusa.build_chain(n)
 
 
 # -- flow file format -----------------------------------------------------------

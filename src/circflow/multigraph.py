@@ -8,7 +8,7 @@ after construction; all operations return new graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class GraphError(ValueError):
@@ -232,50 +232,45 @@ def is_perfect_matching(g: Multigraph, eids: Iterable[str]) -> bool:
     return covered == set(g.vertices)
 
 
-def matching_partner(g: Multigraph, matching: Iterable[str]) -> dict[str, str]:
-    """Vertex -> matched vertex map for a matching given by edge ids."""
-    out: dict[str, str] = {}
-    for eid in matching:
-        e = g.edge(eid)
-        out[e.u] = e.v
-        out[e.v] = e.u
-    return out
+def _matchings_of(inc: Sequence[Sequence[tuple[int, int]]], covered: int) -> Iterator[list[int]]:
+    """Perfect matchings of the vertices outside the bitmask ``covered``.
+
+    ``inc[v]`` lists the (edge index, other end) pairs at vertex ``v`` in
+    incidence order.  The lowest uncovered vertex is always matched next, so
+    the matchings come out in one fixed order; each is a list of edge indices.
+    """
+    full = (1 << len(inc)) - 1
+    chosen: list[int] = []
+
+    def rec(covered: int) -> Iterator[list[int]]:
+        if covered == full:
+            yield list(chosen)
+            return
+        v = (~covered & (covered + 1)).bit_length() - 1
+        for e, w in inc[v]:
+            if covered >> w & 1:
+                continue
+            chosen.append(e)
+            yield from rec(covered | 1 << v | 1 << w)
+            chosen.pop()
+
+    return rec(covered)
 
 
-def perfect_matchings(g: Multigraph, required_edge: str | None = None,
-                      limit: int | None = None) -> list[frozenset[str]]:
+def perfect_matchings(g: Multigraph, required_edge: str | None = None) -> list[frozenset[str]]:
     """All perfect matchings (as edge-id sets), optionally through one edge."""
     if g.num_vertices() % 2:
         return []
-    order = {v: i for i, v in enumerate(g.vertices)}
-    found: list[frozenset[str]] = []
-    base: list[str] = []
-    covered: set[str] = set()
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    eids = g.edge_ids
+    index = {eid: i for i, eid in enumerate(eids)}
+    inc = [[(index[eid], pos[g.edge(eid).other(v)]) for eid in g.incident_edges(v)]
+           for v in g.vertices]
+    covered, base = 0, []
     if required_edge is not None:
         e = g.edge(required_edge)
-        base.append(required_edge)
-        covered.update(e.ends)
-
-    def rec(chosen: list[str]) -> bool:
-        if len(covered) == g.num_vertices():
-            found.append(frozenset(chosen))
-            return limit is not None and len(found) >= limit
-        v = min((w for w in g.vertices if w not in covered), key=order.__getitem__)
-        for eid in g.incident_edges(v):
-            w = g.edge(eid).other(v)
-            if w in covered:
-                continue
-            covered.update((v, w))
-            chosen.append(eid)
-            stop = rec(chosen)
-            chosen.pop()
-            covered.difference_update((v, w))
-            if stop:
-                return True
-        return False
-
-    rec(base)
-    return found
+        covered, base = 1 << pos[e.u] | 1 << pos[e.v], [required_edge]
+    return [frozenset(base + [eids[i] for i in pm]) for pm in _matchings_of(inc, covered)]
 
 
 # -- structural operations -------------------------------------------------
@@ -408,10 +403,6 @@ def connected_components(g: Multigraph) -> list[set[str]]:
         seen |= comp
         comps.append(comp)
     return comps
-
-
-def is_connected(g: Multigraph) -> bool:
-    return len(connected_components(g)) <= 1
 
 
 def bridges(g: Multigraph) -> set[str]:

@@ -331,7 +331,7 @@ def matched_bipartition_inequality_check(g: Multigraph, flow, matching: Iterable
                 return make_certificate(
                     "inequality-check", h,
                     {"t": t, "r": r, "bound": r_bound, "matching": m},
-                    {"violating_subset": subset},
+                    {"violating_subset": subset, "black": sorted(bip.black)},
                     "refuted", time.monotonic() - start)
 
     witness_flow = flows.matched_flow_witness(g, flow, m, t)
@@ -340,7 +340,8 @@ def matched_bipartition_inequality_check(g: Multigraph, flow, matching: Iterable
         return make_certificate(
             "inequality-check", h,
             {"t": t, "r": r, "bound": r_bound, "matching": m},
-            {"witness_failure": witness_check.witness},
+            {"witness_failure": witness_check.witness,
+             "flow": flows.flow_to_witness(witness_flow)},
             "refuted", time.monotonic() - start)
 
     return make_certificate(
@@ -355,11 +356,35 @@ def matched_bipartition_inequality_check(g: Multigraph, flow, matching: Iterable
 
 
 def reverify_inequality(cert: Certificate, h: Multigraph) -> bool:
+    """A verified certificate's flow must be valid at the bound value.  A
+    refuted one must carry a flow that fails, or a subset Y that, with the
+    recorded black side, violates |cut(Y) ∩ M| >= |b_Y - w_Y| or
+    |cut_H(Y)| >= (r/(r-2) + 2t-2)|b_Y - w_Y|."""
     from . import flows  # deferred
 
+    if cert.verdict == "refuted" and "witness_failure" in cert.witness:
+        flow = flows.flow_from_witness(h, cert.witness["flow"])
+        return flows.verify_flow(h, flow).verdict != "verified"
     if cert.verdict == "refuted":
-        return True  # refutation subsets are re-checkable only with the cubic base graph
+        return _recorded_violation_holds(cert, h)
     flow = flows.flow_from_witness(h, cert.witness["flow"])
     if flow.r != unrat(cert.parameters["bound"]):
         return False
     return flows.verify_flow(h, flow).verdict == "verified"
+
+
+def _recorded_violation_holds(cert: Certificate, h: Multigraph) -> bool:
+    black = set(cert.witness.get("black", ()))
+    m = set(cert.parameters["matching"])
+    if 2 * len(black) != h.num_vertices() or not black <= set(h.vertices):
+        return False
+    if any((h.edge(eid).u in black) == (h.edge(eid).v in black) for eid in m):
+        return False
+    subset = set(cert.witness["violating_subset"])
+    try:
+        cut = edge_cut(h, subset).edges
+    except GraphError:
+        return False
+    t, r = int(cert.parameters["t"]), unrat(cert.parameters["r"])
+    diff = abs(2 * len(subset & black) - len(subset))
+    return len(cut & m) < diff or len(cut) < (r / (r - 2) + 2 * t - 2) * diff

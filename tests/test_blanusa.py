@@ -45,6 +45,10 @@ def test_seed_regeneration_is_deterministic(seed):
     assert fresh.circuit_b == seed.circuit_b
 
 
+def test_seed_file_is_the_serialized_seed(seed):
+    assert blanusa.seed_to_json(seed) == blanusa._golden_path().read_text()
+
+
 def test_seed_half_circuits_give_nine_halves_flow(seed):
     base = seed.base_flow()
     a, b = blanusa.seed_circuits(seed)
@@ -148,6 +152,5 @@ def test_chain_marked_path_on_exactly_one_circuit():
 
 def test_blanusa_g1_is_class2_and_has_class2_property():
     data = blanusa.build_chain(1)
-    cert = colorings.class_property(data.chain.graph, sorted(data.matching), 2, [1, 2],
-                                    budget_s=600)
+    cert = colorings.class_property(data.chain.graph, sorted(data.matching), 2, [1, 2, 3])
     assert cert.verdict == "verified"

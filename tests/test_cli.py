@@ -131,3 +131,24 @@ def test_paper_demo_appendix_reports_the_false_base_case(tmp_path):
     assert code == cli.EXIT_REFUTED
     report = (out / "report.txt").read_text()
     assert "refuted" in report and "verified" in report
+
+
+def test_paper_demo_section2_verifies_every_row(tmp_path):
+    out = tmp_path / "demo"
+    assert run("paper-demo", "--scope", "section-2", "--out", out) == 0
+    rows = (out / "report.txt").read_text().splitlines()[1:]
+    assert len(rows) == 4 and all("  verified  " in row for row in rows)
+    assert (out / "dot_product_class2_direct.cert.json").exists()
+
+
+def test_demo_row_that_raises_is_an_error_not_a_refutation(tmp_path):
+    def boom():
+        raise RuntimeError("internal fault")
+
+    report = cli._Report(tmp_path)
+    report.run("a verified claim", lambda: "verified")
+    report.run("a faulty claim", boom)
+    assert [v for _, v, _ in report.rows] == ["verified", "error"]
+    assert report.exit_code() == cli.EXIT_INCONCLUSIVE
+    report.run("a refuted claim", lambda: "refuted")
+    assert report.exit_code() == cli.EXIT_REFUTED

@@ -1,12 +1,15 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from circflow import blanusa, colorings, families
 from circflow.colorings import (
     ColoringError,
     EdgeColoring,
     chromatic_index,
+    chromatic_index_certificate,
     class_property,
     dot_product_class2_prover,
     is_proper,
@@ -15,6 +18,7 @@ from circflow.colorings import (
     transition_claim_check,
     write_coloring,
 )
+from circflow.certificates import make_certificate, reverify
 from circflow.multigraph import Multigraph, add_matching_copies, edge_cut, perfect_matchings
 
 
@@ -61,6 +65,19 @@ def test_chromatic_index_reports_refutations():
     result = chromatic_index(families.petersen())
     assert result.refuted == (3,)
     assert result.method in ("backtracking", "one-factor-peeling")
+
+
+def test_reverify_chromatic_index_re_runs_the_search():
+    k4 = families.complete_graph(4)
+    coloring = dict(chromatic_index(k4).coloring.colors)
+    coloring[sorted(coloring)[0]] = 3  # a proper 4-coloring of the class-1 K4
+    assert is_proper(k4, EdgeColoring(coloring, 4))[0]
+    forged = make_certificate("chromatic-index", k4, {"kind": "exact"},
+                              {"value": 4, "coloring": coloring, "refuted_palettes": [3],
+                               "method": "backtracking", "nodes": 0}, "verified")
+    assert not reverify(forged, k4)
+    p = families.petersen()
+    assert reverify(chromatic_index_certificate(p, chromatic_index(p)), p)
 
 
 def test_chromatic_index_budget_bounds():
@@ -113,8 +130,9 @@ def test_class_property_flower_matching_is_class_1_from_t2():
     # property of the flower matching starts at t=2, where J5+2M 5-regular
     # inherits a 1-factorization from the 4-regular class-1 graph J5+M
     data = __import__("circflow.flows", fromlist=["build_flower_flow"]).build_flower_flow(2)
-    cert = class_property(data.graph, sorted(data.matching), 1, [2, 3])
+    cert = class_property(data.graph, sorted(data.matching), 1, [2, 3, 4])
     assert cert.verdict == "verified"
+    assert [e["class"] for e in cert.witness["per_t"]] == [1, 1, 1]
     assert cert.parameters["scope"] == "tested-range-only"
     snark_cert = class_property(data.graph, sorted(data.matching), 2, [1])
     assert snark_cert.verdict == "verified"
@@ -125,6 +143,38 @@ def test_class_property_petersen_class_2():
     for pm in perfect_matchings(p):
         cert = class_property(p, sorted(pm), 2, [1, 2])
         assert cert.verdict == "verified"
+
+
+@st.composite
+def cubic_with_matching(draw):
+    """A random loopless cubic multigraph on 4-10 vertices and one of its
+    perfect matchings; parallel edges make class-2 cases common."""
+    n = draw(st.sampled_from([4, 6, 8, 10]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    while True:  # configuration model, rejecting loops
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        pairs = [stubs[i:i + 2] for i in range(0, 3 * n, 2)]
+        if all(u != v for u, v in pairs):
+            break
+    g = Multigraph([f"v{i}" for i in range(n)],
+                   [(f"e{i}", f"v{u}", f"v{v}") for i, (u, v) in enumerate(pairs)])
+    pms = perfect_matchings(g)
+    assume(pms)
+    return g, sorted(draw(st.sampled_from(pms)))
+
+
+@given(cubic_with_matching(), st.sampled_from([1, 2]))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_matching_cover_agrees_with_backtracking(case, t):
+    g, m = case
+    h = add_matching_copies(g, m, 2 * t - 2)
+    found = colorings._matching_cover(h, colorings._Deadline(None))
+    expected = colorings._backtrack_coloring(h, 2 * t + 1, colorings._Deadline(None))
+    assert (found is None) == (expected is None)
+    if found is not None:
+        assert is_proper(h, EdgeColoring(found, 2 * t + 1))[0]
+        assert set(found.values()) <= set(range(2 * t + 1))
 
 
 def test_class_property_refutes_wrong_class():

@@ -180,6 +180,37 @@ def test_matched_inequality_flower(n, t):
     assert unrat(cert.parameters["bound"]) == bound_formula(data.flow.r, t)
 
 
+def test_reverify_rechecks_refuted_inequality_certificates():
+    import copy
+
+    from circflow.certificates import make_certificate, reverify
+    from circflow.multigraph import add_matching_copies
+
+    data = flows.build_flower_flow(1)
+    m = sorted(data.matching)
+    h = add_matching_copies(data.graph, m, 2)
+    honest = matched_bipartition_inequality_check(data.graph, data.flow, m, 2)
+    assert reverify(honest, h)
+    black = sorted(flow_to_bipartition(data.graph, data.flow).black)
+
+    def refuted(witness, r=None):
+        params = {**honest.parameters, "r": r or honest.parameters["r"]}
+        return make_certificate("inequality-check", h, params, witness, "refuted")
+
+    one_vertex = {"violating_subset": [black[0]], "black": black}
+    # at r = 5 a single vertex has |cut_H| = 5 >= 11/3 and |cut ∩ M| = 1 = |b - w|
+    assert not reverify(refuted(one_vertex), h)
+    # at r = 9/4 the same subset violates 5 >= (9 + 2) * 1
+    assert reverify(refuted(one_vertex, r="9/4"), h)
+    assert not reverify(refuted({"violating_subset": [black[0]]}, r="9/4"), h)
+
+    flow = honest.witness["flow"]
+    assert not reverify(refuted({"witness_failure": {}, "flow": flow}), h)
+    broken = copy.deepcopy(flow)
+    broken["edges"][m[0]]["value"] = "7/1"
+    assert reverify(refuted({"witness_failure": {}, "flow": broken}), h)
+
+
 @pytest.mark.parametrize("n,t", [(1, 2), (1, 3), (2, 2), (2, 3)])
 def test_matched_inequality_blanusa(n, t):
     data = blanusa.build_chain(n)
