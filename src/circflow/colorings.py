@@ -289,9 +289,16 @@ def chromatic_index_certificate(g: Multigraph, result: ChromaticIndexResult,
 
 def reverify_chromatic_index(cert: Certificate, g: Multigraph) -> bool:
     """Re-check the witness coloring and, above the maximum degree, re-run
-    the search one color short, which must find nothing."""
+    the search one color short, which must find nothing.  Bounds must
+    satisfy max degree <= lower <= upper, with upper at least Vizing's
+    bound max degree + max multiplicity; a lower bound above the maximum
+    degree is re-checked by the same one-color-short search."""
     if cert.verdict == "inconclusive":
-        return True
+        delta = g.max_degree()
+        lower, upper = int(cert.witness["lower"]), int(cert.witness["upper"])
+        if not delta <= lower <= upper or upper < delta + g.max_multiplicity():
+            return False
+        return lower == delta or _k_coloring(g, lower - 1, _Deadline(None))[0] is None
     value = int(cert.witness["value"])
     coloring = EdgeColoring({e: int(c) for e, c in cert.witness["coloring"].items()}, value)
     ok, _ = is_proper(g, coloring)

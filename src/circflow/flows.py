@@ -23,6 +23,7 @@ from .certificates import Certificate, make_certificate, rat, unrat
 from .multigraph import (
     GraphError,
     Multigraph,
+    _max_flow,
     add_matching_copies,
     bridges,
     connected_components,
@@ -225,51 +226,6 @@ def sum_signed_circuits(flow: RationalFlow,
 
 
 # -- circulation feasibility --------------------------------------------------
-
-
-def _max_flow(nodes: list[str], arcs: list[tuple[str, str, Fraction]],
-              source: str, sink: str) -> tuple[Fraction, list[Fraction], set[str]]:
-    """Edmonds-Karp with exact capacities.
-
-    Returns (value, per-arc flow, residual-reachable set from source).
-    """
-    adj: dict[str, list[int]] = {v: [] for v in nodes}
-    cap: list[Fraction] = []
-    to: list[str] = []
-    frm: list[str] = []
-    for u, v, c in arcs:
-        for a, b, cc in ((u, v, c), (v, u, Fraction(0))):
-            adj[a].append(len(cap))
-            frm.append(a)
-            to.append(b)
-            cap.append(cc)
-    flow = [Fraction(0)] * len(cap)
-    total = Fraction(0)
-    while True:
-        prev: dict[str, int] = {source: -1}
-        queue = deque([source])
-        while queue and sink not in prev:
-            u = queue.popleft()
-            for idx in adj[u]:
-                if to[idx] not in prev and cap[idx] - flow[idx] > 0:
-                    prev[to[idx]] = idx
-                    queue.append(to[idx])
-        if sink not in prev:
-            return total, [flow[2 * i] for i in range(len(arcs))], set(prev)
-        bottleneck = None
-        v = sink
-        while v != source:
-            idx = prev[v]
-            avail = cap[idx] - flow[idx]
-            bottleneck = avail if bottleneck is None or avail < bottleneck else bottleneck
-            v = frm[idx]
-        v = sink
-        while v != source:
-            idx = prev[v]
-            flow[idx] += bottleneck
-            flow[idx ^ 1] -= bottleneck
-            v = frm[idx]
-        total += bottleneck
 
 
 def circulation_feasible(g: Multigraph, d: Orientation, r: Fraction):

@@ -2,12 +2,15 @@
 
 Every vertex and edge is addressed by a string id that survives subgraph
 operations, matching duplication and vertex expansion.  Graphs are immutable
-after construction; all operations return new graphs.
+after construction; all operations return new graphs.  The module also holds
+the one exact max-flow kernel, which flows and valuations share.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -271,6 +274,54 @@ def perfect_matchings(g: Multigraph, required_edge: str | None = None) -> list[f
         e = g.edge(required_edge)
         covered, base = 1 << pos[e.u] | 1 << pos[e.v], [required_edge]
     return [frozenset(base + [eids[i] for i in pm]) for pm in _matchings_of(inc, covered)]
+
+
+# -- maximum flow ------------------------------------------------------------
+
+
+def _max_flow(nodes: list[str], arcs: list[tuple[str, str, Fraction]],
+              source: str, sink: str) -> tuple[Fraction, list[Fraction], set[str]]:
+    """Edmonds-Karp with exact capacities.
+
+    Returns (value, per-arc flow, residual-reachable set from source).
+    """
+    adj: dict[str, list[int]] = {v: [] for v in nodes}
+    cap: list[Fraction] = []
+    to: list[str] = []
+    frm: list[str] = []
+    for u, v, c in arcs:
+        for a, b, cc in ((u, v, c), (v, u, Fraction(0))):
+            adj[a].append(len(cap))
+            frm.append(a)
+            to.append(b)
+            cap.append(cc)
+    flow = [Fraction(0)] * len(cap)
+    total = Fraction(0)
+    while True:
+        prev: dict[str, int] = {source: -1}
+        queue = deque([source])
+        while queue and sink not in prev:
+            u = queue.popleft()
+            for idx in adj[u]:
+                if to[idx] not in prev and cap[idx] - flow[idx] > 0:
+                    prev[to[idx]] = idx
+                    queue.append(to[idx])
+        if sink not in prev:
+            return total, [flow[2 * i] for i in range(len(arcs))], set(prev)
+        bottleneck = None
+        v = sink
+        while v != source:
+            idx = prev[v]
+            avail = cap[idx] - flow[idx]
+            bottleneck = avail if bottleneck is None or avail < bottleneck else bottleneck
+            v = frm[idx]
+        v = sink
+        while v != source:
+            idx = prev[v]
+            flow[idx] += bottleneck
+            flow[idx ^ 1] -= bottleneck
+            v = frm[idx]
+        total += bottleneck
 
 
 # -- structural operations -------------------------------------------------

@@ -4,6 +4,14 @@ A balanced valuation assigns each vertex a weight k_v * r/(r-2) with
 k_v = deg(v) mod 2, subject to |sum over X| <= |cut(X)| for every vertex
 subset.  For cubic graphs with an all-positive nowhere-zero flow the
 natural valuation is +-r/(r-2) according to the in-degree bipartition.
+
+Every inequality over all vertex subsets is decided exactly by s-t minimum
+cuts through the one max-flow kernel, ``multigraph._max_flow``: the largest
+excess of w(X) - |cut(X)| over all X is one minimum cut, so a balanced check
+takes one cut, the least balancing r of a bipartition follows by Dinkelbach
+iteration over such cuts, and the matched inequality on g + (2t-2)M takes
+two.  Weights that sum to zero need no second cut for the opposite sign:
+X and V - X have opposite weights and the same cut.
 """
 
 from __future__ import annotations
@@ -13,18 +21,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .certificates import Certificate, make_certificate, rat, unrat
-from .multigraph import GraphError, Multigraph, add_matching_copies, edge_cut, is_perfect_matching
-
-SUBSET_ENUMERATION_CAP = 22
+from .certificates import Certificate, make_certificate, unrat
+from .multigraph import (
+    GraphError,
+    Multigraph,
+    _max_flow,
+    add_matching_copies,
+    edge_cut,
+    is_perfect_matching,
+)
 
 
 class ValuationError(ValueError):
     pass
-
-
-class SubsetCapExceeded(ValuationError):
-    """Instance too large for exact subset enumeration."""
 
 
 class _NoFiniteR:
@@ -90,81 +99,59 @@ def valuation_from_bipartition(g: Multigraph, bip: Bipartition, r: Fraction) -> 
     return BalancedValuation(Fraction(r), k)
 
 
-def _indexed(g: Multigraph) -> tuple[list[str], list[tuple[int, int]]]:
-    order = list(g.vertices)
-    pos = {v: i for i, v in enumerate(order)}
-    return order, [(pos[e.u], pos[e.v]) for e in g.edges()]
+def _violating_subset(g: Multigraph, k: dict[str, int], unit: Fraction,
+                      edges: Iterable[tuple[str, str]] | None = None) -> list[str] | None:
+    """A vertex set X with |k(X)| * unit > |cut(X)|, or None; k sums to zero.
 
-
-def _gray_sweep(n: int, toggles):
-    """Enumerate nonempty subsets of range(n) by gray code.
-
-    ``toggles(j, now_in)`` is called per flipped element; after each call the
-    current subset mask is yielded.
+    The cut counts ``edges`` (default: all of g).  X and V - X have opposite
+    weights and the same cut, so it suffices to maximize w(X) - |cut(X)| for
+    w = unit * k, which is one s-t minimum cut: the source feeds every
+    positive weight, every negative weight drains to the sink, and each edge
+    is a pair of unit arcs, so a cut with source side {s} + X costs
+    sum(w+) - w(X) + |cut(X)|.  X = {} gives 0, so a positive maximum comes
+    with a nonempty X: the residual-reachable side, which is the least
+    maximizer and so independent of vertex and edge order.
     """
-    mask = 0
-    for i in range(1, 1 << n):
-        gray = i ^ (i >> 1)
-        prev = (i - 1) ^ ((i - 1) >> 1)
-        j = (gray ^ prev).bit_length() - 1
-        mask ^= 1 << j
-        toggles(j, bool(mask & (1 << j)))
-        yield mask
+    source, sink = "source node", "sink node"  # whitespace: never a vertex id
+    edges = [(e.u, e.v) for e in g.edges()] if edges is None else edges
+    arcs = [arc for u, v in edges for arc in ((u, v, Fraction(1)), (v, u, Fraction(1)))]
+    positive = Fraction(0)
+    for v in g.vertices:
+        w = unit * k[v]
+        if w > 0:
+            arcs.append((source, v, w))
+            positive += w
+        elif w < 0:
+            arcs.append((v, sink, -w))
+    value, _, reachable = _max_flow(list(g.vertices) + [source, sink], arcs, source, sink)
+    return sorted(reachable - {source}) if positive > value else None
 
 
-def check_balanced(g: Multigraph, omega: BalancedValuation,
-                   cap: int = SUBSET_ENUMERATION_CAP) -> Certificate:
-    """Verify |sum over X of omega| <= |cut(X)| on every vertex subset."""
-    n = g.num_vertices()
-    if n > cap:
-        raise SubsetCapExceeded(f"|V|={n} exceeds enumeration cap {cap}")
+def check_balanced(g: Multigraph, omega: BalancedValuation) -> Certificate:
+    """Verify |sum over X of omega| <= |cut(X)| on every vertex subset X.
+
+    X = V(G) needs the weights to sum to zero; every other X is covered by
+    one minimum cut.  A verified certificate records the 2^n - 1 nonempty
+    subsets the verdict covers; a refuted one names the least X of the
+    largest excess of omega(X) - |cut(X)|.
+    """
     for v in g.vertices:
         if v not in omega.k:
             raise ValuationError(f"valuation misses vertex {v!r}")
         if omega.k[v] % 2 != g.degree(v) % 2:
             raise ValuationError(f"k_{v!r} must have the parity of deg({v!r})")
-
-    order, edges = _indexed(g)
-    incident: list[list[int]] = [[] for _ in order]
-    for idx, (a, b) in enumerate(edges):
-        incident[a].append(idx)
-        incident[b].append(idx)
-    kvec = [omega.k[v] for v in order]
-    unit = omega.unit
-
-    in_x = [False] * n
-    cut = 0
-    ksum = 0
-    worst: tuple[int, int] | None = None  # (popcount, mask) of a violating X
-
-    def toggle(j: int, now_in: bool) -> None:
-        nonlocal cut, ksum
-        in_x[j] = now_in
-        sign = 1 if now_in else -1
-        ksum += sign * kvec[j]
-        for idx in incident[j]:
-            a, b = edges[idx]
-            other = b if a == j else a
-            if in_x[other]:
-                cut -= sign
-            else:
-                cut += sign
-
-    total_k = sum(kvec)
-    for mask in _gray_sweep(n, toggle):
-        if abs(ksum) * unit > cut:
-            pc = bin(mask).count("1")
-            if worst is None or (pc, mask) < worst:
-                worst = (pc, mask)
+    order = list(g.vertices)
     params = {"r": omega.r, "k": {v: omega.k[v] for v in order}}
+    total_k = sum(omega.k[v] for v in order)
     if total_k != 0:
         # X = V(G): the cut is empty, so the weights must sum to zero.
         return make_certificate("balanced", g, params,
                                 {"violating_subset": sorted(order), "total_k": total_k},
                                 "refuted")
-    if worst is None:
-        return make_certificate("balanced", g, params, {"subsets_checked": (1 << n) - 1}, "verified")
-    subset = sorted(order[j] for j in range(n) if worst[1] & (1 << j))
+    subset = _violating_subset(g, omega.k, omega.unit)
+    if subset is None:
+        return make_certificate("balanced", g, params, {"subsets_checked": (1 << len(order)) - 1},
+                                "verified")
     return make_certificate("balanced", g, params, {"violating_subset": subset}, "refuted")
 
 
@@ -182,55 +169,27 @@ def reverify_balanced(cert: Certificate, g: Multigraph) -> bool:
     return fresh.verdict == cert.verdict
 
 
-def bipartition_to_flow_bound(g: Multigraph, bip: Bipartition,
-                              cap: int = SUBSET_ENUMERATION_CAP):
+def bipartition_to_flow_bound(g: Multigraph, bip: Bipartition):
     """Least r making the +-r/(r-2) valuation balanced, or NO_FINITE_R.
 
-    Minimizes |cut(X)| / |b_X - w_X| over all subsets; r = 2q/(q-1) for the
-    minimum ratio q when q > 1.
+    The minimum ratio q of |cut(X)| / |b_X - w_X| over vertex subsets X with
+    b_X != w_X is found by Dinkelbach iteration: start at q = 3, the ratio of
+    a single vertex, and while a minimum cut finds an X with
+    q|b_X - w_X| > |cut(X)|, move q down to that X's ratio.  The ratios
+    strictly decrease, and the last q is the exact minimum.  Then
+    r = 2q/(q-1) when q > 1.
     """
-    n = g.num_vertices()
-    if n > cap:
-        raise SubsetCapExceeded(f"|V|={n} exceeds enumeration cap {cap}")
     if not g.is_regular(3):
         raise ValuationError("flow bounds from bipartitions are computed for cubic graphs")
-    if len(bip.black) != len(bip.white):
+    k = {v: 1 if v in bip.black else -1 for v in g.vertices}
+    if sum(k.values()) != 0:  # X = V(G) has an empty cut
         return NO_FINITE_R
-
-    order, edges = _indexed(g)
-    incident: list[list[int]] = [[] for _ in order]
-    for idx, (a, b) in enumerate(edges):
-        incident[a].append(idx)
-        incident[b].append(idx)
-    kvec = [1 if v in bip.black else -1 for v in order]
-
-    in_x = [False] * n
-    cut = 0
-    ksum = 0
-    best: Fraction | None = None
-
-    def toggle(j: int, now_in: bool) -> None:
-        nonlocal cut, ksum
-        in_x[j] = now_in
-        sign = 1 if now_in else -1
-        ksum += sign * kvec[j]
-        for idx in incident[j]:
-            a, b = edges[idx]
-            other = b if a == j else a
-            if in_x[other]:
-                cut -= sign
-            else:
-                cut += sign
-
-    for mask in _gray_sweep(n, toggle):
-        if mask == (1 << n) - 1 or ksum == 0:
-            continue
-        q = Fraction(cut, abs(ksum))
-        if best is None or q < best:
-            best = q
-    if best is None or best <= 1:
+    q = Fraction(3)
+    while (x := _violating_subset(g, k, q)) is not None:
+        q = Fraction(len(edge_cut(g, x).edges), abs(sum(k[v] for v in x)))
+    if q <= 1:
         return NO_FINITE_R
-    return 2 * best / (best - 1)
+    return 2 * q / (q - 1)
 
 
 def bound_formula(r: Fraction, t: int) -> Fraction:
@@ -256,13 +215,14 @@ def asymptotic_bound(r: Fraction, t: int) -> Fraction:
 
 
 def matched_bipartition_inequality_check(g: Multigraph, flow, matching: Iterable[str],
-                                         t: int, cap: int = SUBSET_ENUMERATION_CAP) -> Certificate:
+                                         t: int) -> Certificate:
     """Certify |cut_H(Y)| >= (r/(r-2) + 2t-2)|b_Y - w_Y| for H = g + (2t-2)M.
 
     The matching must pair black with white vertices of the flow bipartition.
-    Small instances are checked by full subset enumeration (together with the
-    intermediate bound d >= |b_Y - w_Y|); every instance additionally gets an
-    explicit nowhere-zero flow witness on H at the asymptotic bound value.
+    Every vertex set Y of H is covered, together with the intermediate bound
+    |cut(Y) ∩ M| >= |b_Y - w_Y|, by two minimum cuts, one on M and one on H.
+    Every instance additionally gets an explicit nowhere-zero flow
+    witness on H at the asymptotic bound value.
     """
     from . import flows  # deferred: flows imports this module
 
@@ -287,104 +247,70 @@ def matched_bipartition_inequality_check(g: Multigraph, flow, matching: Iterable
 
     start = time.monotonic()
     h = add_matching_copies(g, m, 2 * t - 2)
-    r_bound = bound_formula(r, t)
-    q = r / (r - 2)
-
-    enumerated = False
-    n = g.num_vertices()
-    if n <= cap:
-        enumerated = True
-        order, edges = _indexed(h)
-        incident: list[list[int]] = [[] for _ in order]
-        for idx, (a, b) in enumerate(edges):
-            incident[a].append(idx)
-            incident[b].append(idx)
-        m_ids = set(m)
-        edge_ids = [e.eid for e in h.edges()]
-        is_m = [edge_ids[i] in m_ids for i in range(len(edge_ids))]
-        kvec = [1 if v in bip.black else -1 for v in order]
-
-        in_x = [False] * len(order)
-        cut_h = 0
-        cut_m = 0
-        ksum = 0
-
-        def toggle(j: int, now_in: bool) -> None:
-            nonlocal cut_h, cut_m, ksum
-            in_x[j] = now_in
-            sign = 1 if now_in else -1
-            ksum += sign * kvec[j]
-            for idx in incident[j]:
-                a, b = edges[idx]
-                other = b if a == j else a
-                delta = -sign if in_x[other] else sign
-                cut_h += delta
-                if is_m[idx]:
-                    cut_m += delta
-
-        for mask in _gray_sweep(len(order), toggle):
-            if mask == (1 << len(order)) - 1:
-                continue
-            diff = abs(ksum)
-            if cut_m < diff or cut_h < (q + 2 * t - 2) * diff:
-                subset = sorted(order[j] for j in range(len(order)) if mask & (1 << j))
-                return make_certificate(
-                    "inequality-check", h,
-                    {"t": t, "r": r, "bound": r_bound, "matching": m},
-                    {"violating_subset": subset, "black": sorted(bip.black)},
-                    "refuted", time.monotonic() - start)
+    params = {"t": t, "r": r, "bound": bound_formula(r, t), "matching": m}
+    black = sorted(bip.black)
+    subset = _matched_violation(h, bip.black, m, r, t)
+    if subset is not None:
+        return make_certificate("inequality-check", h, params,
+                                {"violating_subset": subset, "black": black},
+                                "refuted", time.monotonic() - start)
 
     witness_flow = flows.matched_flow_witness(g, flow, m, t)
     witness_check = flows.verify_flow(h, witness_flow)
     if witness_check.verdict != "verified":
         return make_certificate(
-            "inequality-check", h,
-            {"t": t, "r": r, "bound": r_bound, "matching": m},
+            "inequality-check", h, params,
             {"witness_failure": witness_check.witness,
              "flow": flows.flow_to_witness(witness_flow)},
             "refuted", time.monotonic() - start)
 
     return make_certificate(
-        "inequality-check", h,
-        {"t": t, "r": r, "bound": r_bound, "matching": m},
-        {
-            "enumerated": enumerated,
-            "pairing": "black-white",
-            "flow": flows.flow_to_witness(witness_flow),
-        },
+        "inequality-check", h, params,
+        {"black": black, "pairing": "black-white", "flow": flows.flow_to_witness(witness_flow)},
         "verified", time.monotonic() - start)
 
 
+def _matched_violation(h: Multigraph, black: set[str] | frozenset[str], m: Iterable[str],
+                       r: Fraction, t: int) -> list[str] | None:
+    """A vertex set Y of h with |cut(Y) ∩ M| < |b_Y - w_Y| or
+    |cut_H(Y)| < (r/(r-2) + 2t-2)|b_Y - w_Y|, or None."""
+    k = {v: 1 if v in black else -1 for v in h.vertices}
+    m_edges = [(h.edge(eid).u, h.edge(eid).v) for eid in m]
+    subset = _violating_subset(h, k, Fraction(1), m_edges)
+    return subset if subset is not None else _violating_subset(h, k, r / (r - 2) + 2 * t - 2)
+
+
 def reverify_inequality(cert: Certificate, h: Multigraph) -> bool:
-    """A verified certificate's flow must be valid at the bound value.  A
-    refuted one must carry a flow that fails, or a subset Y that, with the
-    recorded black side, violates |cut(Y) ∩ M| >= |b_Y - w_Y| or
-    |cut_H(Y)| >= (r/(r-2) + 2t-2)|b_Y - w_Y|."""
+    """A refuted certificate must carry a flow that fails, or a subset Y that,
+    with the recorded black side, violates |cut(Y) ∩ M| >= |b_Y - w_Y| or
+    |cut_H(Y)| >= (r/(r-2) + 2t-2)|b_Y - w_Y|.  A verified one must carry
+    the bound formula's value at (r, t), a black side that M pairs with the
+    white side, no Y violating either inequality (the two minimum cuts are
+    re-run), and a valid flow at the bound value."""
     from . import flows  # deferred
 
     if cert.verdict == "refuted" and "witness_failure" in cert.witness:
         flow = flows.flow_from_witness(h, cert.witness["flow"])
         return flows.verify_flow(h, flow).verdict != "verified"
-    if cert.verdict == "refuted":
-        return _recorded_violation_holds(cert, h)
-    flow = flows.flow_from_witness(h, cert.witness["flow"])
-    if flow.r != unrat(cert.parameters["bound"]):
-        return False
-    return flows.verify_flow(h, flow).verdict == "verified"
-
-
-def _recorded_violation_holds(cert: Certificate, h: Multigraph) -> bool:
     black = set(cert.witness.get("black", ()))
     m = set(cert.parameters["matching"])
+    t, r = int(cert.parameters["t"]), unrat(cert.parameters["r"])
+    if r <= 2 or t < 1:
+        return False
     if 2 * len(black) != h.num_vertices() or not black <= set(h.vertices):
         return False
     if any((h.edge(eid).u in black) == (h.edge(eid).v in black) for eid in m):
         return False
-    subset = set(cert.witness["violating_subset"])
-    try:
-        cut = edge_cut(h, subset).edges
-    except GraphError:
+    if cert.verdict == "refuted":
+        subset = set(cert.witness["violating_subset"])
+        try:
+            cut = edge_cut(h, subset).edges
+        except GraphError:
+            return False
+        diff = abs(2 * len(subset & black) - len(subset))
+        return len(cut & m) < diff or len(cut) < (r / (r - 2) + 2 * t - 2) * diff
+    bound = unrat(cert.parameters["bound"])
+    if bound != bound_formula(r, t) or _matched_violation(h, black, m, r, t) is not None:
         return False
-    t, r = int(cert.parameters["t"]), unrat(cert.parameters["r"])
-    diff = abs(2 * len(subset & black) - len(subset))
-    return len(cut & m) < diff or len(cut) < (r / (r - 2) + 2 * t - 2) * diff
+    flow = flows.flow_from_witness(h, cert.witness["flow"])
+    return flow.r == bound and flows.verify_flow(h, flow).verdict == "verified"

@@ -80,6 +80,20 @@ def test_reverify_chromatic_index_re_runs_the_search():
     assert reverify(chromatic_index_certificate(p, chromatic_index(p)), p)
 
 
+def test_reverify_chromatic_index_rechecks_bounds():
+    k4 = families.complete_graph(4)
+
+    def bounds(lower, upper):
+        return make_certificate("chromatic-index", k4, {"kind": "bounds"},
+                                {"lower": lower, "upper": upper, "nodes": 0}, "inconclusive")
+
+    assert reverify(bounds(3, 4), k4)
+    assert not reverify(bounds(9, 12), k4)  # K4 is 3-edge-colorable
+    assert not reverify(bounds(4, 4), k4)
+    assert not reverify(bounds(3, 3), k4)  # below Vizing's bound 3 + 1
+    assert not reverify(bounds(2, 4), k4)
+
+
 def test_chromatic_index_budget_bounds():
     g = blanusa.build_chain(1).chain.graph
     h = add_matching_copies(g, sorted(blanusa.build_chain(1).matching), 2)
@@ -87,6 +101,7 @@ def test_chromatic_index_budget_bounds():
     if not result.is_exact:
         assert result.lower <= result.upper
         assert result.lower >= 5
+    assert reverify(chromatic_index_certificate(h, result), h)
 
 
 def test_parity_lemma_vertex_and_four_cuts():

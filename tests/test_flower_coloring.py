@@ -14,26 +14,43 @@ from circflow.multigraph import add_matching_copies, perfect_matchings
 
 
 def brute_force_4_colorable(g):
-    """Independent oracle: plain recursive exhaustive 4-edge-coloring."""
-    edges = [(e.eid, e.u, e.v) for e in g.edges()]
+    """Independent oracle: plain recursive exhaustive 4-edge-coloring.
+
+    Edges are taken in breadth-first order, so each one meets colored
+    neighbours early.  Colors not used yet are interchangeable, so only the
+    lowest of them is tried: the colors in use are always 0..top-1.
+    """
+    edges, seen = [], set()
+    for root in g.vertices:
+        queue, reached = [root], {root}
+        for u in queue:
+            for eid in g.incident_edges(u):
+                e = g.edge(eid)
+                if eid not in seen:
+                    seen.add(eid)
+                    edges.append((e.u, e.v))
+                w = e.other(u)
+                if w not in reached:
+                    reached.add(w)
+                    queue.append(w)
     used = {v: set() for v in g.vertices}
 
-    def rec(i):
+    def rec(i, top):
         if i == len(edges):
             return True
-        _, u, v = edges[i]
-        for c in range(4):
+        u, v = edges[i]
+        for c in range(min(top + 1, 4)):
             if c in used[u] or c in used[v]:
                 continue
             used[u].add(c)
             used[v].add(c)
-            if rec(i + 1):
+            if rec(i + 1, max(top, c + 1)):
                 return True
             used[u].remove(c)
             used[v].remove(c)
         return False
 
-    return rec(0)
+    return rec(0, 0)
 
 
 def test_gadget_table_regenerates_identically():
