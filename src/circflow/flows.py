@@ -1,27 +1,25 @@
 """Orientations, exact rational flows, circulation feasibility and circular
 flow numbers.
 
-All verdict arithmetic is exact: values are ``fractions.Fraction`` and cut
-counts are integers.  Floating point appears only inside the orientation
-enumeration to preselect the extremal cut, and the selected optimum is then
-re-proved with integer arithmetic before anything is reported.
+All arithmetic is exact: values are ``fractions.Fraction`` and cut counts
+are integers.  The circular flow number comes from the balanced-valuation
+search in ``valuations``; its witness is an orientation with the optimal
+out-minus-in degrees, found by one max-flow, and the flow that
+``circulation_feasible`` puts on it, which ``verify_flow`` re-checks.
 """
 
 from __future__ import annotations
 
-import itertools
-import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Mapping, Sequence
 
 from . import valuations
 from .certificates import Certificate, make_certificate, rat, unrat
 from .multigraph import (
-    GraphError,
+    FLOW_SINK,
+    FLOW_SOURCE,
     Multigraph,
     _max_flow,
     add_matching_copies,
@@ -33,7 +31,7 @@ from .multigraph import (
 NOWHERE_ZERO = "nowhere-zero"
 INTEGER_ONE_ZERO = "integer-4-flow-one-zero"
 
-PHI_C_EDGE_CAP = 16
+PHI_C_EDGE_CAP = 18
 
 
 class FlowError(ValueError):
@@ -240,7 +238,6 @@ def circulation_feasible(g: Multigraph, d: Orientation, r: Fraction):
     if not d.covers(g):
         raise FlowError("orientation does not cover the graph")
     lo, hi = Fraction(1), r - 1
-    source, sink = "__source__", "__sink__"
     excess: dict[str, Fraction] = {v: Fraction(0) for v in g.vertices}
     arcs: list[tuple[str, str, Fraction]] = []
     arc_for_edge: dict[str, int] = {}
@@ -253,12 +250,12 @@ def circulation_feasible(g: Multigraph, d: Orientation, r: Fraction):
     need = Fraction(0)
     for v, x in excess.items():
         if x > 0:
-            arcs.append((source, v, x))
+            arcs.append((FLOW_SOURCE, v, x))
             need += x
         elif x < 0:
-            arcs.append((v, sink, -x))
-    nodes = list(g.vertices) + [source, sink]
-    total, arc_flow, reachable = _max_flow(nodes, arcs, source, sink)
+            arcs.append((v, FLOW_SINK, -x))
+    nodes = list(g.vertices) + [FLOW_SOURCE, FLOW_SINK]
+    total, arc_flow, reachable = _max_flow(nodes, arcs, FLOW_SOURCE, FLOW_SINK)
     if total == need:
         values = {eid: lo + arc_flow[arc_for_edge[eid]] for eid in g.edge_ids}
         return True, RationalFlow(d, values, r)
@@ -285,101 +282,49 @@ class PhiCResult:
     flow: RationalFlow
 
 
-def _phi_c_connected(g: Multigraph) -> tuple[Fraction, int]:
-    """Exact min over orientations of the max cut ratio, as (value, best bits)."""
-    verts = list(g.vertices)
-    pos = {v: i for i, v in enumerate(verts)}
-    n, m = len(verts), g.num_edges()
-    ui = np.array([pos[e.u] for e in g.edges()])
-    vi = np.array([pos[e.v] for e in g.edges()])
+def _orientation_with_excess(g: Multigraph, k: Mapping[str, int]) -> Orientation:
+    """An orientation with out-degree minus in-degree k[v] at every vertex v.
 
-    masks = np.arange(1, (1 << n) - 1, dtype=np.int64)
-    X = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
-    u_in = X[:, ui]
-    v_in = X[:, vi]
-    A = (u_in & ~v_in).astype(np.int64)  # edge crosses out of X when oriented u->v
-    B = (~u_in & v_in).astype(np.int64)
-    S = A.shape[0]
-
-    total_orients = 1 << max(m - 1, 0)  # first edge direction fixed (reversal symmetry)
-    chunk = max(1, min(1 << 14, (1 << 24) // max(S, 1)))
-    best_num, best_den, best_bits = None, None, None
-    for start in range(0, total_orients, chunk):
-        o = np.arange(start, min(start + chunk, total_orients), dtype=np.int64)
-        beta = np.zeros((len(o), m), dtype=np.int64)
-        if m > 1:
-            beta[:, 1:] = (o[:, None] >> np.arange(m - 1)[None, :]) & 1
-        plus = A @ (1 - beta).T + B @ beta.T  # (S, C)
-        minus = A @ beta.T + B @ (1 - beta).T
-        valid = (minus > 0).all(axis=0)
-        if not valid.any():
-            continue
-        # Float ratios only preselect the extremal cut; the winning orientation
-        # is re-proved with integer arithmetic below.
-        ratios = plus / np.maximum(minus, 1)
-        ratios[minus == 0] = np.inf
-        rows = np.argmax(ratios, axis=0)
-        cols = np.arange(len(o))
-        num = plus[rows, cols]
-        den = minus[rows, cols]
-        for c in np.flatnonzero(valid):
-            nc, dc = int(num[c]), int(den[c])
-            if best_num is None or nc * best_den < best_num * dc:
-                best_num, best_den, best_bits = nc, dc, (int(o[c]) << 1)
-    if best_num is None:
-        raise FlowError("no orientation admits a circulation (graph is bridged?)")
-
-    # Integer re-proof: the reported max ratio for the winner must match an
-    # exhaustive exact scan, which also certifies global optimality.
-    bits = best_bits >> 1
-    beta = np.zeros(m, dtype=np.int64)
-    if m > 1:
-        beta[1:] = (bits >> np.arange(m - 1)) & 1
-    plus = A @ (1 - beta) + B @ beta
-    minus = A @ beta + B @ (1 - beta)
-    exact_num, exact_den = 0, 1
-    for p, q in zip(plus.tolist(), minus.tolist()):
-        if q == 0:
-            raise FlowError("internal error: selected orientation has a sourceless cut")
-        if p * exact_den > exact_num * q:
-            exact_num, exact_den = p, q
-    if Fraction(exact_num, exact_den) != Fraction(best_num, best_den):
-        raise FlowError("internal error: float preselection disagreed with exact scan")
-    return 1 + Fraction(best_num, best_den), best_bits
+    From u -> v on every edge, one max-flow reverses the edges it uses, each
+    moving 2 of out-minus-in from u to v; it saturates (Hakimi) when k has
+    the parity of the degrees and |k(X)| <= |cut(X)| for every X."""
+    half = {v: (sum(1 if g.edge(eid).u == v else -1 for eid in g.incident_edges(v)) - k[v]) // 2
+            for v in g.vertices}
+    arcs = [(e.u, e.v, Fraction(1)) for e in g.edges()]
+    arcs += [(FLOW_SOURCE, v, Fraction(x)) for v, x in half.items() if x > 0]
+    arcs += [(v, FLOW_SINK, Fraction(-x)) for v, x in half.items() if x < 0]
+    total, arc_flow, _ = _max_flow(list(g.vertices) + [FLOW_SOURCE, FLOW_SINK], arcs, FLOW_SOURCE, FLOW_SINK)
+    if total != sum(x for x in half.values() if x > 0):
+        raise FlowError("internal error: no orientation has the optimal degree excess")
+    return Orientation({e.eid: (e.v, e.u) if arc_flow[i] else (e.u, e.v)
+                        for i, e in enumerate(g.edges())})
 
 
 def circular_flow_number(g: Multigraph, cap: int = PHI_C_EDGE_CAP) -> PhiCResult:
     """Exact circular flow number with a verified optimal witness flow.
 
-    Full orientation enumeration; errors on bridged graphs and on graphs
+    Each component's value and out-minus-in degrees come from
+    ``valuations._phi_c_valuation``; errors on bridged graphs and on graphs
     above the edge cap.
     """
-    if g.num_edges() == 0:
-        empty = Orientation({})
-        return PhiCResult(Fraction(2), empty, RationalFlow(empty, {}, Fraction(2)))
     bridge_ids = bridges(g)
     if bridge_ids:
         raise BridgedGraphError(f"graph has bridges {sorted(bridge_ids)!r}: no nowhere-zero flow exists")
     if g.num_edges() > cap:
-        raise SizeCapExceeded(f"|E|={g.num_edges()} exceeds enumeration cap {cap}")
+        raise SizeCapExceeded(f"|E|={g.num_edges()} exceeds the search cap {cap}")
 
-    comps = connected_components(g)
     value = Fraction(2)
-    directions: dict[str, tuple[str, str]] = {}
-    for comp in comps:
+    k: dict[str, int] = {}
+    for comp in connected_components(g):
         sub = Multigraph(sorted(comp), [(e.eid, e.u, e.v) for e in g.edges() if e.u in comp])
-        if sub.num_edges() == 0:
-            continue
-        comp_value, bits = _phi_c_connected(sub)
+        comp_value, comp_k = valuations._phi_c_valuation(sub)
         value = max(value, comp_value)
-        for i, e in enumerate(sub.edges()):
-            directions[e.eid] = (e.v, e.u) if (bits >> i) & 1 else (e.u, e.v)
-    orientation = Orientation(directions)
+        k.update(comp_k)
+    orientation = _orientation_with_excess(g, k)
     ok, witness = circulation_feasible(g, orientation, value)
     if not ok:
         raise FlowError("internal error: optimal orientation rejected its own flow value")
-    check = verify_flow(g, witness)
-    if check.verdict != "verified":
+    if verify_flow(g, witness).verdict != "verified":
         raise FlowError("internal error: witness flow failed verification")
     return PhiCResult(value, orientation, witness)
 

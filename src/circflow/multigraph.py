@@ -278,6 +278,9 @@ def perfect_matchings(g: Multigraph, required_edge: str | None = None) -> list[f
 
 # -- maximum flow ------------------------------------------------------------
 
+# Terminal names for every flow network: whitespace makes them invalid vertex ids.
+FLOW_SOURCE, FLOW_SINK = "flow source", "flow sink"
+
 
 def _max_flow(nodes: list[str], arcs: list[tuple[str, str, Fraction]],
               source: str, sink: str) -> tuple[Fraction, list[Fraction], set[str]]:
@@ -339,12 +342,14 @@ def add_matching_copies(g: Multigraph, matching: Iterable[str], k: int) -> Multi
     if not is_matching(g, m):
         raise GraphError("edge set is not a matching of the graph")
     new_edges = []
+    taken = set(g.edge_ids)
     for eid in m:
         e = g.edge(eid)
         j = 1
         for _ in range(k):
-            while g.has_edge(f"{eid}@c{j}") or any(x[0] == f"{eid}@c{j}" for x in new_edges):
+            while f"{eid}@c{j}" in taken:
                 j += 1
+            taken.add(f"{eid}@c{j}")
             new_edges.append((f"{eid}@c{j}", e.u, e.v))
             j += 1
     return g.with_edges_added(new_edges)

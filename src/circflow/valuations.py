@@ -8,10 +8,16 @@ natural valuation is +-r/(r-2) according to the in-degree bipartition.
 Every inequality over all vertex subsets is decided exactly by s-t minimum
 cuts through the one max-flow kernel, ``multigraph._max_flow``: the largest
 excess of w(X) - |cut(X)| over all X is one minimum cut, so a balanced check
-takes one cut, the least balancing r of a bipartition follows by Dinkelbach
+takes one cut, the least balancing r of a valuation follows by Dinkelbach
 iteration over such cuts, and the matched inequality on g + (2t-2)M takes
-two.  Weights that sum to zero need no second cut for the opposite sign:
-X and V - X have opposite weights and the same cut.
+one cut on H.  Weights that sum to zero need no second cut for the opposite
+sign: X and V - X have opposite weights and the same cut.
+
+The circular flow number is the least r at which some k is balanced
+(Jaeger): by Hoffman, an orientation with out-minus-in degrees k carries a
+flow in [1, r-1] exactly when |k(X)| * r/(r-2) <= |cut(X)| for every X, so
+phi_c = 2q/(q-1) for the largest q(k) = min over X of |cut(X)| / |k(X)|,
+searched over k with the parity of the degrees, |k_v| < deg(v) and sum 0.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from typing import Iterable
 
 from .certificates import Certificate, make_certificate, unrat
 from .multigraph import (
+    FLOW_SINK,
+    FLOW_SOURCE,
     GraphError,
     Multigraph,
     _max_flow,
@@ -99,32 +107,78 @@ def valuation_from_bipartition(g: Multigraph, bip: Bipartition, r: Fraction) -> 
     return BalancedValuation(Fraction(r), k)
 
 
-def _violating_subset(g: Multigraph, k: dict[str, int], unit: Fraction,
-                      edges: Iterable[tuple[str, str]] | None = None) -> list[str] | None:
+def _violating_subset(g: Multigraph, k: dict[str, int], unit: Fraction) -> list[str] | None:
     """A vertex set X with |k(X)| * unit > |cut(X)|, or None; k sums to zero.
 
-    The cut counts ``edges`` (default: all of g).  X and V - X have opposite
-    weights and the same cut, so it suffices to maximize w(X) - |cut(X)| for
-    w = unit * k, which is one s-t minimum cut: the source feeds every
-    positive weight, every negative weight drains to the sink, and each edge
-    is a pair of unit arcs, so a cut with source side {s} + X costs
-    sum(w+) - w(X) + |cut(X)|.  X = {} gives 0, so a positive maximum comes
-    with a nonempty X: the residual-reachable side, which is the least
-    maximizer and so independent of vertex and edge order.
+    X and V - X have opposite weights and the same cut, so it suffices to
+    maximize w(X) - |cut(X)| for w = unit * k, which is one s-t minimum cut:
+    the source feeds every positive weight, every negative weight drains to
+    the sink, and each edge is a pair of unit arcs, so a cut with source side
+    {s} + X costs sum(w+) - w(X) + |cut(X)|.  X = {} gives 0, so a positive
+    maximum comes with a nonempty X: the residual-reachable side, which is
+    the least maximizer and so independent of vertex and edge order.
     """
-    source, sink = "source node", "sink node"  # whitespace: never a vertex id
-    edges = [(e.u, e.v) for e in g.edges()] if edges is None else edges
-    arcs = [arc for u, v in edges for arc in ((u, v, Fraction(1)), (v, u, Fraction(1)))]
+    arcs = [arc for e in g.edges() for arc in ((e.u, e.v, Fraction(1)), (e.v, e.u, Fraction(1)))]
     positive = Fraction(0)
     for v in g.vertices:
         w = unit * k[v]
         if w > 0:
-            arcs.append((source, v, w))
+            arcs.append((FLOW_SOURCE, v, w))
             positive += w
         elif w < 0:
-            arcs.append((v, sink, -w))
-    value, _, reachable = _max_flow(list(g.vertices) + [source, sink], arcs, source, sink)
-    return sorted(reachable - {source}) if positive > value else None
+            arcs.append((v, FLOW_SINK, -w))
+    value, _, reachable = _max_flow(list(g.vertices) + [FLOW_SOURCE, FLOW_SINK], arcs, FLOW_SOURCE, FLOW_SINK)
+    return sorted(reachable - {FLOW_SOURCE}) if positive > value else None
+
+
+def _min_ratio(g: Multigraph, k: dict[str, int], floor: Fraction) -> Fraction:
+    """min over X with k(X) != 0 of |cut(X)| / |k(X)| if it exceeds ``floor``,
+    else some value <= floor; k sums to zero and is not all zero.
+
+    Dinkelbach iteration from the least ratio deg(v) / |k_v| of one vertex:
+    while a minimum cut finds an X with q|k(X)| > |cut(X)|, q moves down to
+    that X's ratio, so the last q is the exact minimum."""
+    q = min(Fraction(g.degree(v), abs(k[v])) for v in g.vertices if k[v])
+    while q > floor and (x := _violating_subset(g, k, q)) is not None:
+        q = Fraction(len(edge_cut(g, x).edges), abs(sum(k[v] for v in x)))
+    return q
+
+
+def _phi_c_valuation(g: Multigraph) -> tuple[Fraction, dict[str, int]]:
+    """The least r at which some k gives a balanced valuation, with that k.
+
+    Depth-first over k in vertex order.  k and -k give the same q, so k is
+    positive on the first odd-degree vertex; a prefix whose sum can no longer
+    reach 0 is pruned, and so is a k_v with deg(v) / |k_v| <= the best q."""
+    order = list(g.vertices)
+    odd = [v for v in order if g.degree(v) % 2]
+    if not odd:
+        return Fraction(2), {v: 0 for v in order}
+    slack = [0] * (len(order) + 1)  # slack[i]: the largest |k| sum over order[i:]
+    for i in reversed(range(len(order))):
+        slack[i] = slack[i + 1] + max(g.degree(order[i]) - 2, 0)
+    best_q, best_k = Fraction(1), None
+    k: dict[str, int] = {}
+
+    def search(i: int, total: int) -> None:
+        nonlocal best_q, best_k
+        if abs(total) > slack[i]:
+            return
+        if i == len(order):
+            q = _min_ratio(g, k, best_q)
+            if q > best_q:
+                best_q, best_k = q, dict(k)
+            return
+        v, d = order[i], g.degree(order[i])
+        for kv in sorted(range(-d, d + 1, 2), key=abs):
+            if (kv == 0 or abs(kv) * best_q < d) and (v != odd[0] or kv > 0):
+                k[v] = kv
+                search(i + 1, total + kv)
+
+    search(0, 0)
+    if best_k is None:
+        raise ValuationError("no valuation is balanced at a finite r: the graph has a bridge")
+    return 2 * best_q / (best_q - 1), best_k
 
 
 def check_balanced(g: Multigraph, omega: BalancedValuation) -> Certificate:
@@ -173,23 +227,16 @@ def bipartition_to_flow_bound(g: Multigraph, bip: Bipartition):
     """Least r making the +-r/(r-2) valuation balanced, or NO_FINITE_R.
 
     The minimum ratio q of |cut(X)| / |b_X - w_X| over vertex subsets X with
-    b_X != w_X is found by Dinkelbach iteration: start at q = 3, the ratio of
-    a single vertex, and while a minimum cut finds an X with
-    q|b_X - w_X| > |cut(X)|, move q down to that X's ratio.  The ratios
-    strictly decrease, and the last q is the exact minimum.  Then
-    r = 2q/(q-1) when q > 1.
+    b_X != w_X comes from ``_min_ratio``, starting at q = 3, the ratio of a
+    single vertex.  Then r = 2q/(q-1) when q > 1.
     """
     if not g.is_regular(3):
         raise ValuationError("flow bounds from bipartitions are computed for cubic graphs")
     k = {v: 1 if v in bip.black else -1 for v in g.vertices}
     if sum(k.values()) != 0:  # X = V(G) has an empty cut
         return NO_FINITE_R
-    q = Fraction(3)
-    while (x := _violating_subset(g, k, q)) is not None:
-        q = Fraction(len(edge_cut(g, x).edges), abs(sum(k[v] for v in x)))
-    if q <= 1:
-        return NO_FINITE_R
-    return 2 * q / (q - 1)
+    q = _min_ratio(g, k, Fraction(1))
+    return 2 * q / (q - 1) if q > 1 else NO_FINITE_R
 
 
 def bound_formula(r: Fraction, t: int) -> Fraction:
@@ -219,8 +266,7 @@ def matched_bipartition_inequality_check(g: Multigraph, flow, matching: Iterable
     """Certify |cut_H(Y)| >= (r/(r-2) + 2t-2)|b_Y - w_Y| for H = g + (2t-2)M.
 
     The matching must pair black with white vertices of the flow bipartition.
-    Every vertex set Y of H is covered, together with the intermediate bound
-    |cut(Y) ∩ M| >= |b_Y - w_Y|, by two minimum cuts, one on M and one on H.
+    Every vertex set Y of H is covered by one minimum cut on H.
     Every instance additionally gets an explicit nowhere-zero flow
     witness on H at the asymptotic bound value.
     """
@@ -249,7 +295,7 @@ def matched_bipartition_inequality_check(g: Multigraph, flow, matching: Iterable
     h = add_matching_copies(g, m, 2 * t - 2)
     params = {"t": t, "r": r, "bound": bound_formula(r, t), "matching": m}
     black = sorted(bip.black)
-    subset = _matched_violation(h, bip.black, m, r, t)
+    subset = _matched_violation(h, bip.black, r, t)
     if subset is not None:
         return make_certificate("inequality-check", h, params,
                                 {"violating_subset": subset, "black": black},
@@ -270,23 +316,23 @@ def matched_bipartition_inequality_check(g: Multigraph, flow, matching: Iterable
         "verified", time.monotonic() - start)
 
 
-def _matched_violation(h: Multigraph, black: set[str] | frozenset[str], m: Iterable[str],
+def _matched_violation(h: Multigraph, black: set[str] | frozenset[str],
                        r: Fraction, t: int) -> list[str] | None:
-    """A vertex set Y of h with |cut(Y) ∩ M| < |b_Y - w_Y| or
-    |cut_H(Y)| < (r/(r-2) + 2t-2)|b_Y - w_Y|, or None."""
+    """A vertex set Y of h with |cut_H(Y)| < (r/(r-2) + 2t-2)|b_Y - w_Y|, or None.
+
+    |cut(Y) ∩ M| >= |b_Y - w_Y| needs no cut: with M pairing black and white,
+    every vertex of Y matched outside Y puts one M edge in the cut."""
     k = {v: 1 if v in black else -1 for v in h.vertices}
-    m_edges = [(h.edge(eid).u, h.edge(eid).v) for eid in m]
-    subset = _violating_subset(h, k, Fraction(1), m_edges)
-    return subset if subset is not None else _violating_subset(h, k, r / (r - 2) + 2 * t - 2)
+    return _violating_subset(h, k, r / (r - 2) + 2 * t - 2)
 
 
 def reverify_inequality(cert: Certificate, h: Multigraph) -> bool:
     """A refuted certificate must carry a flow that fails, or a subset Y that,
-    with the recorded black side, violates |cut(Y) ∩ M| >= |b_Y - w_Y| or
+    with the recorded black side, violates
     |cut_H(Y)| >= (r/(r-2) + 2t-2)|b_Y - w_Y|.  A verified one must carry
     the bound formula's value at (r, t), a black side that M pairs with the
-    white side, no Y violating either inequality (the two minimum cuts are
-    re-run), and a valid flow at the bound value."""
+    white side, no Y violating the inequality (the minimum cut is re-run),
+    and a valid flow at the bound value."""
     from . import flows  # deferred
 
     if cert.verdict == "refuted" and "witness_failure" in cert.witness:
@@ -308,9 +354,9 @@ def reverify_inequality(cert: Certificate, h: Multigraph) -> bool:
         except GraphError:
             return False
         diff = abs(2 * len(subset & black) - len(subset))
-        return len(cut & m) < diff or len(cut) < (r / (r - 2) + 2 * t - 2) * diff
+        return len(cut) < (r / (r - 2) + 2 * t - 2) * diff
     bound = unrat(cert.parameters["bound"])
-    if bound != bound_formula(r, t) or _matched_violation(h, black, m, r, t) is not None:
+    if bound != bound_formula(r, t) or _matched_violation(h, black, r, t) is not None:
         return False
     flow = flows.flow_from_witness(h, cert.witness["flow"])
     return flow.r == bound and flows.verify_flow(h, flow).verdict == "verified"

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from circflow import families, flows, valuations
 from circflow.flows import (
@@ -20,7 +21,7 @@ from circflow.flows import (
     verify_flow,
     write_flow,
 )
-from circflow.multigraph import Multigraph, perfect_matchings
+from circflow.multigraph import Multigraph, bridges, perfect_matchings
 
 
 def cycle_graph(k):
@@ -131,12 +132,14 @@ def test_petersen_best_orientation_feasible_at_5():
     assert verify_flow(p, witness).verdict == "verified"
 
 
-# frozen expected values; K_{2t+2} values are 2 + 2/t, Petersen by enumeration
+# frozen expected values; K_{2t+2} values are 2 + 2/t, Petersen by enumeration,
+# and J3 (18 edges) meets the flower bound 4 + 1/n at n = 1
 PHI_EXPECTED = [
     ("K4", lambda: families.complete_graph(4), Fraction(4)),
     ("K6", lambda: families.complete_graph(6), Fraction(3)),
     ("K33", k33, Fraction(3)),
     ("Petersen", families.petersen, Fraction(5)),
+    ("J3", lambda: families.flower_snark(1).graph, Fraction(5)),
 ]
 
 
@@ -161,6 +164,14 @@ def test_circular_flow_number_relabel_invariant():
         rng.shuffle(shuffled)
         h = g.relabeled(dict(zip(names, shuffled)))
         assert circular_flow_number(h).value == base
+
+
+def test_circular_flow_number_with_terminal_like_vertex_ids():
+    k4 = families.complete_graph(4)
+    g = k4.relabeled({k4.vertices[0]: "__source__", k4.vertices[1]: "__sink__"})
+    result = circular_flow_number(g)
+    assert result.value == 4
+    assert verify_flow(g, result.flow).verdict == "verified"
 
 
 def test_circular_flow_number_bridge_and_cap_errors():
@@ -273,3 +284,54 @@ def test_base_flower_flow_integer_mode():
     # exactly one zero edge, and it is flagged
     zeros = [e for e, v in data.base_flow.values.items() if v == 0]
     assert zeros == ["ab0"] == [data.base_flow.zero_edge]
+
+
+@st.composite
+def bridgeless_multigraphs(draw):
+    """A random loopless bridgeless multigraph on at most 6 vertices and 9
+    edges; parallel edges, isolated vertices and several components may
+    occur."""
+    n = draw(st.integers(2, 6))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(pairs, min_size=2, max_size=9))
+    g = Multigraph([f"v{i}" for i in range(n)],
+                   [(f"e{i}", f"v{u}", f"v{v}") for i, (u, v) in enumerate(edges)])
+    assume(not bridges(g))
+    return g
+
+
+def _phi_c_by_orientations(g):
+    """1 + min over orientations of max over cuts of |out| / |in|, with
+    edge i reversed when bit i of the orientation is set."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    cuts = []  # per vertex set X: the edges leaving X and entering X under u -> v
+    for mask in range(1, (1 << len(pos)) - 1):
+        leave = enter = 0
+        for i, e in enumerate(g.edges()):
+            u_in, v_in = mask >> pos[e.u] & 1, mask >> pos[e.v] & 1
+            leave |= (u_in and not v_in) << i
+            enter |= (v_in and not u_in) << i
+        if leave | enter:
+            cuts.append((leave, enter))
+    best = None
+    for bits in range(1 << (g.num_edges() - 1)):
+        bits <<= 1  # edge 0 keeps u -> v: reversing everything keeps every ratio
+        worst = Fraction(0)
+        for leave, enter in cuts:
+            out = (leave & ~bits | enter & bits).bit_count()
+            inn = (enter & ~bits | leave & bits).bit_count()
+            if inn == 0:
+                break
+            worst = max(worst, Fraction(out, inn))
+        else:
+            best = worst if best is None else min(best, worst)
+    return 1 + best
+
+
+@given(bridgeless_multigraphs())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_circular_flow_number_agrees_with_orientation_enumeration(g):
+    result = circular_flow_number(g)
+    assert result.value == _phi_c_by_orientations(g)
+    assert result.flow.r == result.value
+    assert verify_flow(g, result.flow).verdict == "verified"
