@@ -61,6 +61,8 @@ def read_valuation(text: str) -> valuations.BalancedValuation:
         name, value = ln.split()
         if name == "r":
             r = unrat(value)
+            if r <= 2:
+                raise UsageError("a valuation needs r > 2")
             continue
         if r is None:
             raise UsageError("valuation file must state r before vertex weights")

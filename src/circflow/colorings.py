@@ -74,22 +74,6 @@ def sees_odd_violation(g: Multigraph, coloring: EdgeColoring):
     return None
 
 
-# -- indexed view used by the solvers -------------------------------------------
-
-
-class _Indexed:
-    def __init__(self, g: Multigraph):
-        self.g = g
-        self.verts = list(g.vertices)
-        self.pos = {v: i for i, v in enumerate(self.verts)}
-        self.eids = list(g.edge_ids)
-        self.ends = [(self.pos[g.edge(e).u], self.pos[g.edge(e).v]) for e in self.eids]
-        self.inc: list[list[int]] = [[] for _ in self.verts]
-        for idx, (a, b) in enumerate(self.ends):
-            self.inc[a].append(idx)
-            self.inc[b].append(idx)
-
-
 class _Deadline:
     def __init__(self, seconds: float | None):
         self.t_end = None if seconds is None else time.monotonic() + seconds
@@ -112,13 +96,13 @@ def _matching_cover(h: Multigraph, deadline: _Deadline) -> dict[str, int] | None
     once is not searched again.  Color c goes to the c-th matching and, within
     each support edge, to the parallel edges of h in their order.
     """
-    pos = {v: i for i, v in enumerate(h.vertices)}
-    copies: dict[frozenset[str], list[str]] = {}
-    for e in h.edges():
-        copies.setdefault(e.ends, []).append(e.eid)
+    view = h.indexed
+    copies: dict[frozenset[int], list[int]] = {}
+    for e, pair in enumerate(view.ends):
+        copies.setdefault(frozenset(pair), []).append(e)
     support = list(copies.values())
-    ends = [(pos[h.edge(ids[0]).u], pos[h.edge(ids[0]).v]) for ids in support]
-    at: list[list[tuple[int, int]]] = [[] for _ in pos]
+    ends = [view.ends[ids[0]] for ids in support]
+    at: list[list[tuple[int, int]]] = [[] for _ in view.vertices]
     for s, (a, b) in enumerate(ends):
         at[a].append((s, b))
         at[b].append((s, a))
@@ -144,35 +128,32 @@ def _matching_cover(h: Multigraph, deadline: _Deadline) -> dict[str, int] | None
         failed.add(need)
         return None
 
-    if len(pos) % 2 and support:
+    if len(view.vertices) % 2 and support:
         return None  # odd order: no perfect matching exists
     factors = cover(tuple(len(ids) for ids in support))
     if factors is None:
         return None
     unused = [iter(ids) for ids in support]
-    return {next(unused[s]): c for c, pm in enumerate(factors) for s in pm}
+    return {view.edge_ids[next(unused[s])]: c for c, pm in enumerate(factors) for s in pm}
 
 
 def _backtrack_coloring(g: Multigraph, k: int, deadline: _Deadline,
                         fixed: Mapping[str, int] | None = None) -> dict[str, int] | None:
     """Exact proper k-edge-coloring search (None = refuted by exhaustion)."""
-    idx = _Indexed(g)
+    view = g.indexed
+    ends = view.ends
     colors: dict[int, int] = {}
-    used: list[set[int]] = [set() for _ in idx.verts]
-    fixed_idx: dict[int, int] = {}
-    if fixed:
-        for eid, c in fixed.items():
-            e = idx.eids.index(eid)
-            fixed_idx[e] = c
+    used: list[set[int]] = [set() for _ in view.vertices]
+    fixed_idx = {view.edge_ids.index(eid): c for eid, c in (fixed or {}).items()}
     for e, c in fixed_idx.items():
-        a, b = idx.ends[e]
+        a, b = ends[e]
         if c in used[a] or c in used[b] or c >= k:
             return None
         colors[e] = c
         used[a].add(c)
         used[b].add(c)
 
-    free = [e for e in range(len(idx.eids)) if e not in fixed_idx]
+    free = [e for e in range(len(view.edge_ids)) if e not in fixed_idx]
     symmetry_free = not fixed  # allow "first unseen color only" pruning
 
     def choose() -> int | None:
@@ -180,7 +161,7 @@ def _backtrack_coloring(g: Multigraph, k: int, deadline: _Deadline,
         for e in free:
             if e in colors:
                 continue
-            a, b = idx.ends[e]
+            a, b = ends[e]
             avail = k - len(used[a] | used[b])
             if avail == 0:
                 return e
@@ -193,7 +174,7 @@ def _backtrack_coloring(g: Multigraph, k: int, deadline: _Deadline,
         e = choose()
         if e is None:
             return True
-        a, b = idx.ends[e]
+        a, b = ends[e]
         taken = used[a] | used[b]
         cap = min(k, (max_used + 1) if symmetry_free else k)
         for c in range(cap):
@@ -211,7 +192,7 @@ def _backtrack_coloring(g: Multigraph, k: int, deadline: _Deadline,
 
     start_max = max(fixed_idx.values(), default=-1) + 1
     if rec(start_max):
-        return {idx.eids[e]: c for e, c in colors.items()}
+        return {view.edge_ids[e]: c for e, c in colors.items()}
     return None
 
 

@@ -1,11 +1,12 @@
 """Orientations, exact rational flows, circulation feasibility and circular
 flow numbers.
 
-All arithmetic is exact: values are ``fractions.Fraction`` and cut counts
-are integers.  The circular flow number comes from the balanced-valuation
-search in ``valuations``; its witness is an orientation with the optimal
-out-minus-in degrees, found by one max-flow, and the flow that
-``circulation_feasible`` puts on it, which ``verify_flow`` re-checks.
+All arithmetic is exact: values are ``fractions.Fraction``, cut counts are
+integers, and max-flows run on capacities scaled to integers.  The circular
+flow number comes from the balanced-valuation search in ``valuations``; its
+witness is an orientation with the optimal out-minus-in degrees, found by
+one max-flow, and the flow that ``circulation_feasible`` puts on it, which
+``verify_flow`` re-checks.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from typing import Mapping, Sequence
 from . import valuations
 from .certificates import Certificate, make_certificate, rat, unrat
 from .multigraph import (
-    FLOW_SINK,
-    FLOW_SOURCE,
     Multigraph,
     _max_flow,
     add_matching_copies,
@@ -230,46 +229,37 @@ def circulation_feasible(g: Multigraph, d: Orientation, r: Fraction):
     """Does ``d`` carry a flow with every value in [1, r-1]?
 
     Returns (True, RationalFlow) or (False, violating vertex set X with
-    |out(X)| > (r-1)|in(X)|).  Exact rational max-flow underneath.
+    |out(X)| > (r-1)|in(X)|).  One integer max-flow decides it: with D the
+    denominator of r, an edge carries 1 + f/D with 0 <= f <= (r-2)D.
     """
     r = Fraction(r)
     if r < 2:
         raise FlowError("feasibility is defined for r >= 2")
     if not d.covers(g):
         raise FlowError("orientation does not cover the graph")
-    lo, hi = Fraction(1), r - 1
-    excess: dict[str, Fraction] = {v: Fraction(0) for v in g.vertices}
-    arcs: list[tuple[str, str, Fraction]] = []
-    arc_for_edge: dict[str, int] = {}
-    for eid in g.edge_ids:
-        tail, head = d.direction(eid)
-        arc_for_edge[eid] = len(arcs)
-        arcs.append((tail, head, hi - lo))
-        excess[head] += lo
-        excess[tail] -= lo
-    need = Fraction(0)
-    for v, x in excess.items():
+    view = g.indexed
+    n, den = len(view.vertices), r.denominator
+    excess = [0] * n
+    arcs: list[tuple[int, int, int]] = []
+    for eid in view.edge_ids:
+        tail, head = (view.pos[v] for v in d.direction(eid))
+        arcs.append((tail, head, r.numerator - 2 * den))
+        excess[head] += den
+        excess[tail] -= den
+    need = 0
+    for v, x in enumerate(excess):
         if x > 0:
-            arcs.append((FLOW_SOURCE, v, x))
+            arcs.append((n, v, x))
             need += x
         elif x < 0:
-            arcs.append((v, FLOW_SINK, -x))
-    nodes = list(g.vertices) + [FLOW_SOURCE, FLOW_SINK]
-    total, arc_flow, reachable = _max_flow(nodes, arcs, FLOW_SOURCE, FLOW_SINK)
+            arcs.append((v, n + 1, -x))
+    total, arc_flow, reachable = _max_flow(n, arcs)
     if total == need:
-        values = {eid: lo + arc_flow[arc_for_edge[eid]] for eid in g.edge_ids}
+        values = {eid: 1 + Fraction(arc_flow[i], den) for i, eid in enumerate(view.edge_ids)}
         return True, RationalFlow(d, values, r)
-    inside = frozenset(v for v in g.vertices if v in reachable)
-    for candidate in (frozenset(g.vertices) - inside, inside):
-        if not candidate or candidate == frozenset(g.vertices):
-            continue
-        out = sum(1 for eid in g.edge_ids if d.direction(eid)[0] in candidate
-                  and d.direction(eid)[1] not in candidate)
-        inn = sum(1 for eid in g.edge_ids if d.direction(eid)[1] in candidate
-                  and d.direction(eid)[0] not in candidate)
-        if out > (r - 1) * inn:
-            return False, candidate
-    raise FlowError("internal error: infeasible circulation without a violating cut")
+    # The source side S of a minimum cut has in(S) > (r-1)out(S), since its
+    # cut falls short of the excess; so V - S is the violating set.
+    return False, frozenset(view.vertices[v] for v in range(n) if v not in reachable)
 
 
 # -- circular flow number ------------------------------------------------------
@@ -285,16 +275,19 @@ class PhiCResult:
 def _orientation_with_excess(g: Multigraph, k: Mapping[str, int]) -> Orientation:
     """An orientation with out-degree minus in-degree k[v] at every vertex v.
 
-    From u -> v on every edge, one max-flow reverses the edges it uses, each
-    moving 2 of out-minus-in from u to v; it saturates (Hakimi) when k has
-    the parity of the degrees and |k(X)| <= |cut(X)| for every X."""
-    half = {v: (sum(1 if g.edge(eid).u == v else -1 for eid in g.incident_edges(v)) - k[v]) // 2
-            for v in g.vertices}
-    arcs = [(e.u, e.v, Fraction(1)) for e in g.edges()]
-    arcs += [(FLOW_SOURCE, v, Fraction(x)) for v, x in half.items() if x > 0]
-    arcs += [(v, FLOW_SINK, Fraction(-x)) for v, x in half.items() if x < 0]
-    total, arc_flow, _ = _max_flow(list(g.vertices) + [FLOW_SOURCE, FLOW_SINK], arcs, FLOW_SOURCE, FLOW_SINK)
-    if total != sum(x for x in half.values() if x > 0):
+    From u -> v on every edge, one max-flow with unit capacities reverses
+    the edges it uses, each moving 2 of out-minus-in from u to v; it
+    saturates (Hakimi) when k has the parity of the degrees and
+    |k(X)| <= |cut(X)| for every X."""
+    view = g.indexed
+    n = len(view.vertices)
+    half = [(sum(1 if g.edge(eid).u == v else -1 for eid in g.incident_edges(v)) - k[v]) // 2
+            for v in view.vertices]
+    arcs = [(a, b, 1) for a, b in view.ends]
+    arcs += [(n, v, x) for v, x in enumerate(half) if x > 0]
+    arcs += [(v, n + 1, -x) for v, x in enumerate(half) if x < 0]
+    total, arc_flow, _ = _max_flow(n, arcs)
+    if total != sum(x for x in half if x > 0):
         raise FlowError("internal error: no orientation has the optimal degree excess")
     return Orientation({e.eid: (e.v, e.u) if arc_flow[i] else (e.u, e.v)
                         for i, e in enumerate(g.edges())})

@@ -2,15 +2,16 @@
 
 Every vertex and edge is addressed by a string id that survives subgraph
 operations, matching duplication and vertex expansion.  Graphs are immutable
-after construction; all operations return new graphs.  The module also holds
-the one exact max-flow kernel, which flows and valuations share.
+after construction; all operations return new graphs.  Each graph caches the
+integer-indexed view its solvers share.  The module also holds the one
+max-flow kernel, on integer node ids and capacities: flows and valuations
+scale their rational capacities by one common denominator.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -50,6 +51,18 @@ class Edge:
         return frozenset((self.u, self.v))
 
 
+@dataclass(frozen=True)
+class IndexedView:
+    """Vertices and edges numbered in graph order: ``ends[i]`` are the ends of
+    edge i, ``incident[v]`` the edges at vertex v in incidence order."""
+
+    vertices: tuple[str, ...]
+    pos: dict[str, int]
+    edge_ids: tuple[str, ...]
+    ends: tuple[tuple[int, int], ...]
+    incident: tuple[tuple[int, ...], ...]
+
+
 class Multigraph:
     """Loopless multigraph.  Parallel edges are allowed, loops are not."""
 
@@ -76,6 +89,17 @@ class Multigraph:
         self._vertices = tuple(vs)
         self._edges = es
         self._incident = {v: tuple(ids) for v, ids in incident.items()}
+
+    @cached_property
+    def indexed(self) -> IndexedView:
+        """The integer-indexed view, built once per graph."""
+        pos = {v: i for i, v in enumerate(self._vertices)}
+        edge_ids = tuple(self._edges)
+        index = {eid: i for i, eid in enumerate(edge_ids)}
+        return IndexedView(
+            self._vertices, pos, edge_ids,
+            tuple((pos[e.u], pos[e.v]) for e in self._edges.values()),
+            tuple(tuple(index[eid] for eid in self._incident[v]) for v in self._vertices))
 
     # -- basic queries ---------------------------------------------------
 
@@ -264,66 +288,56 @@ def perfect_matchings(g: Multigraph, required_edge: str | None = None) -> list[f
     """All perfect matchings (as edge-id sets), optionally through one edge."""
     if g.num_vertices() % 2:
         return []
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    eids = g.edge_ids
-    index = {eid: i for i, eid in enumerate(eids)}
-    inc = [[(index[eid], pos[g.edge(eid).other(v)]) for eid in g.incident_edges(v)]
-           for v in g.vertices]
+    view = g.indexed
+    inc = [[(e, sum(view.ends[e]) - v) for e in at] for v, at in enumerate(view.incident)]
     covered, base = 0, []
     if required_edge is not None:
         e = g.edge(required_edge)
-        covered, base = 1 << pos[e.u] | 1 << pos[e.v], [required_edge]
-    return [frozenset(base + [eids[i] for i in pm]) for pm in _matchings_of(inc, covered)]
+        covered, base = 1 << view.pos[e.u] | 1 << view.pos[e.v], [required_edge]
+    return [frozenset(base + [view.edge_ids[i] for i in pm]) for pm in _matchings_of(inc, covered)]
 
 
 # -- maximum flow ------------------------------------------------------------
 
-# Terminal names for every flow network: whitespace makes them invalid vertex ids.
-FLOW_SOURCE, FLOW_SINK = "flow source", "flow sink"
+def _max_flow(n: int, arcs: list[tuple[int, int, int]]) -> tuple[int, list[int], set[int]]:
+    """Edmonds-Karp with integer capacities on nodes 0..n+1: the caller's n
+    nodes, then the source n and the sink n+1.
 
-
-def _max_flow(nodes: list[str], arcs: list[tuple[str, str, Fraction]],
-              source: str, sink: str) -> tuple[Fraction, list[Fraction], set[str]]:
-    """Edmonds-Karp with exact capacities.
-
-    Returns (value, per-arc flow, residual-reachable set from source).
+    Each BFS scans a node's arcs in the order given, so the augmenting paths
+    are fixed by the arc list.  Returns (value, per-arc flow,
+    residual-reachable set from the source).
     """
-    adj: dict[str, list[int]] = {v: [] for v in nodes}
-    cap: list[Fraction] = []
-    to: list[str] = []
-    frm: list[str] = []
+    source, sink = n, n + 1
+    out: list[list[int]] = [[] for _ in range(n + 2)]
+    head: list[int] = []  # arc 2i is arcs[i], arc 2i+1 its reverse
+    residual: list[int] = []
     for u, v, c in arcs:
-        for a, b, cc in ((u, v, c), (v, u, Fraction(0))):
-            adj[a].append(len(cap))
-            frm.append(a)
-            to.append(b)
-            cap.append(cc)
-    flow = [Fraction(0)] * len(cap)
-    total = Fraction(0)
+        out[u].append(len(head))
+        out[v].append(len(head) + 1)
+        head += (v, u)
+        residual += (c, 0)
+    total = 0
     while True:
-        prev: dict[str, int] = {source: -1}
-        queue = deque([source])
-        while queue and sink not in prev:
-            u = queue.popleft()
-            for idx in adj[u]:
-                if to[idx] not in prev and cap[idx] - flow[idx] > 0:
-                    prev[to[idx]] = idx
-                    queue.append(to[idx])
-        if sink not in prev:
-            return total, [flow[2 * i] for i in range(len(arcs))], set(prev)
-        bottleneck = None
-        v = sink
+        prev: list[int | None] = [None] * (n + 2)  # the arc each node was reached by
+        prev[source] = -1
+        queue = [source]
+        for u in queue:
+            if prev[sink] is not None:
+                break
+            for a in out[u]:
+                if prev[head[a]] is None and residual[a] > 0:
+                    prev[head[a]] = a
+                    queue.append(head[a])
+        if prev[sink] is None:
+            return total, residual[1::2], {v for v, a in enumerate(prev) if a is not None}
+        path, v = [], sink
         while v != source:
-            idx = prev[v]
-            avail = cap[idx] - flow[idx]
-            bottleneck = avail if bottleneck is None or avail < bottleneck else bottleneck
-            v = frm[idx]
-        v = sink
-        while v != source:
-            idx = prev[v]
-            flow[idx] += bottleneck
-            flow[idx ^ 1] -= bottleneck
-            v = frm[idx]
+            path.append(prev[v])
+            v = head[prev[v] ^ 1]
+        bottleneck = min(residual[a] for a in path)
+        for a in path:
+            residual[a] -= bottleneck
+            residual[a ^ 1] += bottleneck
         total += bottleneck
 
 

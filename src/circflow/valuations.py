@@ -11,7 +11,8 @@ excess of w(X) - |cut(X)| over all X is one minimum cut, so a balanced check
 takes one cut, the least balancing r of a valuation follows by Dinkelbach
 iteration over such cuts, and the matched inequality on g + (2t-2)M takes
 one cut on H.  Weights that sum to zero need no second cut for the opposite
-sign: X and V - X have opposite weights and the same cut.
+sign: X and V - X have opposite weights and the same cut.  The kernel runs
+in integers: a weight unit a/b is cleared by scaling every capacity by b.
 
 The circular flow number is the least r at which some k is balanced
 (Jaeger): by Hoffman, an orientation with out-minus-in degrees k carries a
@@ -29,8 +30,6 @@ from typing import Iterable
 
 from .certificates import Certificate, make_certificate, unrat
 from .multigraph import (
-    FLOW_SINK,
-    FLOW_SOURCE,
     GraphError,
     Multigraph,
     _max_flow,
@@ -77,6 +76,10 @@ class BalancedValuation:
     r: Fraction
     k: dict[str, int]
 
+    def __post_init__(self):
+        if self.r <= 2:
+            raise ValuationError("a balanced valuation requires r > 2")
+
     @property
     def unit(self) -> Fraction:
         return self.r / (self.r - 2)
@@ -114,21 +117,25 @@ def _violating_subset(g: Multigraph, k: dict[str, int], unit: Fraction) -> list[
     maximize w(X) - |cut(X)| for w = unit * k, which is one s-t minimum cut:
     the source feeds every positive weight, every negative weight drains to
     the sink, and each edge is a pair of unit arcs, so a cut with source side
-    {s} + X costs sum(w+) - w(X) + |cut(X)|.  X = {} gives 0, so a positive
+    {s} + X costs sum(w+) - w(X) + |cut(X)|; scaled by b for unit = a/b, edge
+    arcs get b and weight arcs a * |k_v|.  X = {} gives 0, so a positive
     maximum comes with a nonempty X: the residual-reachable side, which is
     the least maximizer and so independent of vertex and edge order.
     """
-    arcs = [arc for e in g.edges() for arc in ((e.u, e.v, Fraction(1)), (e.v, e.u, Fraction(1)))]
-    positive = Fraction(0)
-    for v in g.vertices:
-        w = unit * k[v]
+    view = g.indexed
+    n = len(view.vertices)
+    a, b = unit.numerator, unit.denominator
+    arcs = [arc for x, y in view.ends for arc in ((x, y, b), (y, x, b))]
+    positive = 0
+    for v, name in enumerate(view.vertices):
+        w = a * k[name]
         if w > 0:
-            arcs.append((FLOW_SOURCE, v, w))
+            arcs.append((n, v, w))
             positive += w
         elif w < 0:
-            arcs.append((v, FLOW_SINK, -w))
-    value, _, reachable = _max_flow(list(g.vertices) + [FLOW_SOURCE, FLOW_SINK], arcs, FLOW_SOURCE, FLOW_SINK)
-    return sorted(reachable - {FLOW_SOURCE}) if positive > value else None
+            arcs.append((v, n + 1, -w))
+    value, _, reachable = _max_flow(n, arcs)
+    return sorted(view.vertices[v] for v in reachable if v < n) if positive > value else None
 
 
 def _min_ratio(g: Multigraph, k: dict[str, int], floor: Fraction) -> Fraction:
@@ -138,9 +145,12 @@ def _min_ratio(g: Multigraph, k: dict[str, int], floor: Fraction) -> Fraction:
     Dinkelbach iteration from the least ratio deg(v) / |k_v| of one vertex:
     while a minimum cut finds an X with q|k(X)| > |cut(X)|, q moves down to
     that X's ratio, so the last q is the exact minimum."""
+    view = g.indexed
     q = min(Fraction(g.degree(v), abs(k[v])) for v in g.vertices if k[v])
     while q > floor and (x := _violating_subset(g, k, q)) is not None:
-        q = Fraction(len(edge_cut(g, x).edges), abs(sum(k[v] for v in x)))
+        side = {view.pos[v] for v in x}
+        cut = sum((a in side) != (b in side) for a, b in view.ends)
+        q = Fraction(cut, abs(sum(k[v] for v in x)))
     return q
 
 
@@ -210,17 +220,16 @@ def check_balanced(g: Multigraph, omega: BalancedValuation) -> Certificate:
 
 
 def reverify_balanced(cert: Certificate, g: Multigraph) -> bool:
-    omega = BalancedValuation(unrat(cert.parameters["r"]),
-                              {v: int(k) for v, k in cert.parameters["k"].items()})
-    if cert.verdict == "refuted":
-        subset = cert.witness["violating_subset"]
-        ksum = sum(omega.k[v] for v in subset)
-        if set(subset) == set(g.vertices):
-            return ksum != 0
-        cut = edge_cut(g, subset)
-        return abs(ksum) * omega.unit > len(cut.edges)
-    fresh = check_balanced(g, omega)
-    return fresh.verdict == cert.verdict
+    """Re-run ``check_balanced``: it must reach the same verdict with the same
+    witness, so a refuted certificate must name the least X of the largest
+    excess.  A valuation that ``check_balanced`` rejects fails."""
+    try:
+        omega = BalancedValuation(unrat(cert.parameters["r"]),
+                                  {v: int(k) for v, k in cert.parameters["k"].items()})
+        fresh = check_balanced(g, omega)
+    except ValuationError:
+        return False
+    return fresh.verdict == cert.verdict and fresh.witness == cert.witness
 
 
 def bipartition_to_flow_bound(g: Multigraph, bip: Bipartition):

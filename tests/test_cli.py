@@ -100,6 +100,18 @@ def test_check_balanced_command(tmp_path):
     assert back.k == omega.k and back.r == omega.r
 
 
+@pytest.mark.parametrize("r", ["1", "3/2", "2"])
+def test_valuation_file_needs_r_above_two(tmp_path, r):
+    k4 = families.complete_graph(4)
+    graph = tmp_path / "k4.graph"
+    graph.write_text(serialize(k4))
+    val = tmp_path / "k4.valuation"
+    val.write_text(f"{cli.VALUATION_HEADER}\nr {r}\nv1 1\nv2 1\nv3 -1\nv4 -1\n")
+    with pytest.raises(cli.UsageError):
+        cli.read_valuation(val.read_text())
+    assert run("check-balanced", graph, val) == cli.EXIT_USAGE
+
+
 def test_asymptotic_bound_command(capsys):
     assert run("asymptotic-bound", "--t", 2, "--r", "9/2") == 0
     assert capsys.readouterr().out.strip() == "19/7"

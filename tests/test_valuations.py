@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from circflow import blanusa, families, flows
-from circflow.certificates import reverify
+from circflow.certificates import make_certificate, reverify
 from circflow.multigraph import Multigraph, add_matching_copies, perfect_matchings
 from circflow.valuations import (
     NO_FINITE_R,
@@ -109,6 +109,40 @@ def test_check_balanced_blanusa_g2_at_its_least_value():
     refuted = check_balanced(g, valuation_from_bipartition(g, bip, Fraction(43, 10)))
     assert refuted.verdict == "refuted"
     assert reverify(refuted, g)
+
+
+K4_K = {"v1": 1, "v2": 1, "v3": -1, "v4": -1}
+
+
+@pytest.mark.parametrize("r", [Fraction(1), Fraction(3, 2), Fraction(2)])
+def test_balanced_valuation_needs_r_above_two(r):
+    k4 = families.complete_graph(4)
+    with pytest.raises(ValuationError):
+        check_balanced(k4, BalancedValuation(r, K4_K))
+
+
+@pytest.mark.parametrize("r, witness, verdict", [
+    (Fraction(1), {"subsets_checked": 15}, "verified"),
+    (Fraction(3, 2), {"violating_subset": ["v3", "v4"]}, "refuted"),
+    (Fraction(2), {"subsets_checked": 15}, "verified"),
+])
+def test_reverify_rejects_balanced_certificate_at_r_two_or_less(r, witness, verdict):
+    k4 = families.complete_graph(4)
+    cert = make_certificate("balanced", k4, {"r": r, "k": K4_K}, witness, verdict)
+    assert not reverify(cert, k4)
+
+
+@pytest.mark.parametrize("subset", [[], ["v1", "nowhere"], ["v1", "v1", "v1", "v1"], ["v1"]])
+def test_reverify_rejects_forged_violating_subset(subset):
+    # at r = 3 the weights are +-3 and X = {v1, v2} breaks 6 <= |cut(X)| = 4;
+    # an empty X, an unknown vertex, a repeated one and a set that does not
+    # break the inequality are forgeries
+    k4 = families.complete_graph(4)
+    params = {"r": Fraction(3), "k": K4_K}
+    cert = check_balanced(k4, BalancedValuation(Fraction(3), K4_K))
+    assert cert.witness == {"violating_subset": ["v1", "v2"]} and reverify(cert, k4)
+    forged = make_certificate("balanced", k4, params, {"violating_subset": subset}, "refuted")
+    assert not reverify(forged, k4)
 
 
 def test_bipartition_to_flow_bound_k33():
