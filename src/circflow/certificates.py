@@ -44,7 +44,10 @@ def rat(x: Fraction | int) -> str:
 
 def unrat(s: str) -> Fraction:
     num, _, den = s.partition("/")
-    return Fraction(int(num), int(den or 1))
+    d = int(den or 1)
+    if d == 0:
+        raise ValueError(f"rational {s!r} has a zero denominator")
+    return Fraction(int(num), d)
 
 
 def graph_hash(g: Multigraph) -> str:

@@ -7,7 +7,6 @@ internal error in a demo row, 3 usage error.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 import time
 import traceback
@@ -172,7 +171,11 @@ def _cmd_color(args) -> int:
         graph, coloring = mp_coloring.mp_tilde_coloring(args.t)
     elif args.construction == "flower-plus-m":
         matching = _read_ids(args.matching)
-        graph, coloring = flower_coloring.flower_plus_m_coloring(args.n, matching)
+        try:
+            graph, coloring = flower_coloring.flower_plus_m_coloring(args.n, matching)
+        except flower_coloring.FlowerColoringCounterexample as exc:
+            print(f"refuted: {exc}")
+            return EXIT_REFUTED
     else:
         raise UsageError(f"unknown construction {args.construction!r}")
     print(f"palette {coloring.palette}, mode {coloring.mode}")
@@ -349,32 +352,30 @@ def _demo_section3(report: _Report, budget: float | None) -> None:
 
 
 def _demo_appendix(report: _Report, budget: float | None) -> None:
-    for n in (1, 2):
-        def claim(n=n):
-            g = families.flower_snark(n).graph
-            pms = perfect_matchings(g)
-            bad = 0
+    for n in (1, 2, 3):
+        g = families.flower_snark(n).graph
+        pms = sorted(perfect_matchings(g), key=sorted)
+        on_triangle = {eid for eid in g.edge_ids
+                       if set(g.neighbors(g.edge(eid).u)) & set(g.neighbors(g.edge(eid).v))}
+        triangle = [pm for pm in pms if pm & on_triangle]
+        name = f"J{2 * n + 1}+M"
+        if triangle:
+            listed = "; ".join(" ".join(sorted(pm)) for pm in triangle)
+            text = (f"4-coloring of {name} exactly for the {len(pms) - len(triangle)} "
+                    f"triangle-free matchings, none for the {len(triangle)} triangle "
+                    f"matchings: {listed}")
+        else:
+            text = f"4-coloring of {name} for all {len(pms)} matchings"
+
+        def claim(n=n, pms=pms, triangle=triangle):
+            refuted = []
             for pm in pms:
                 try:
-                    h, col = flower_coloring.flower_plus_m_coloring(n, sorted(pm))
+                    flower_coloring.flower_plus_m_coloring(n, sorted(pm))
                 except flower_coloring.FlowerColoringCounterexample:
-                    bad += 1
-            if bad:
-                return "refuted"  # the J3 triangle matchings: see the report
-            return "verified"
-        report.run(f"4-coloring of J{2 * n + 1}+M for all {2 ** (2 * n + 1)} matchings", claim)
-
-    def j7_claim():
-        g = families.flower_snark(3).graph
-        pms = sorted(perfect_matchings(g), key=sorted)
-        rng = random.Random(7)
-        for pm in rng.sample(pms, 20):
-            try:
-                flower_coloring.flower_plus_m_coloring(3, sorted(pm))
-            except flower_coloring.FlowerColoringCounterexample:
-                return "refuted"
-        return "verified"
-    report.run("4-coloring of J7+M for 20 random matchings", j7_claim)
+                    refuted.append(pm)
+            return "verified" if refuted == triangle else "refuted"
+        report.run(text, claim)
 
     def claim_scan():
         count = 0

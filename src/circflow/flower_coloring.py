@@ -1,24 +1,22 @@
-"""Recursive proper 4-edge-coloring of a Flower snark plus a 1-factor.
+"""Proper 4-edge-coloring of a Flower snark plus a 1-factor.
 
-The algorithm contracts two consecutive blocks at a time: either both
-boundary cuts next to the pair carry no matching edge, or (when every cut
-carries exactly one) the transition-type scan locates a pair whose dangling
-matching edges share a type and merge into one bridge edge.  The recursion
-bottoms out at three blocks, solved exhaustively, and each unwind extends
-the coloring through an eight-vertex gadget whose colorings, indexed by the
-matching pattern and the boundary colors, are frozen in a golden table.
+J_{2n+1} + M is 4-regular, so a proper 4-edge-coloring of it is a
+1-factorization, and the matching cover of ``colorings`` decides one exactly:
+it either returns a coloring or refutes every coloring by exhaustion.  The
+appendix claims a coloring for every 1-factor M; the cover refutes it for the
+six J_3 one-factors that use a triangle edge.
 
-A needed gadget entry that is absent, or a type sequence with no repeat at
-distance two, would contradict the underlying colorability statement; both
-raise ``FlowerColoringCounterexample`` rather than being papered over.
+The gadget table below belongs to the appendix's block-pair contraction
+argument: it records, for the eight-vertex two-block gadget, which boundary
+colorings extend and how.  It is built exhaustively and frozen as a golden
+resource; the coloring itself does not consult it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import families
 from .colorings import (
@@ -26,8 +24,8 @@ from .colorings import (
     EdgeColoring,
     _backtrack_coloring,
     _Deadline,
+    _matching_cover,
     is_proper,
-    transition_claim_check,
 )
 from .multigraph import Multigraph, add_matching_copies, is_perfect_matching
 
@@ -35,39 +33,14 @@ GADGET_SCHEMA = "circflow-flower-gadget/1"
 _GADGET_RESOURCE = "flower_gadget.json"
 
 FAMILIES = ("aa", "cd", "dc")
-_TYPE_OF = {"cd": "x1", "dc": "x2", "aa": "x3"}
-_FAMILY_OF = {v: k for k, v in _TYPE_OF.items()}
 
 # which block-side vertices a matched cut family covers: (left letter, right letter)
 _COVERS = {"aa": ("a", "a"), "cd": ("c", "d"), "dc": ("d", "c")}
 
 
 class FlowerColoringCounterexample(RuntimeError):
-    """A state the colorability statement says cannot occur."""
-
-
-# -- matching structure -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Cut:
-    keys: dict  # family -> edge key
-    m: frozenset  # matched families
-
-
-def _matching_structure(n: int, matching: frozenset[str]):
-    mod = 2 * n + 1
-    internal: dict[int, str] = {}
-    cuts: list[_Cut] = []
-    for i in range(mod):
-        spokes = [letter for letter, eid in (("a", f"ab{i}"), ("c", f"bc{i}"), ("d", f"bd{i}"))
-                  if eid in matching]
-        if len(spokes) != 1:
-            raise ColoringError("each block must match b internally exactly once")
-        internal[i] = spokes[0]
-        fams = frozenset(fam for fam in FAMILIES if f"{fam}{i}" in matching)
-        cuts.append(_Cut({fam: f"{fam}{i}" for fam in FAMILIES}, fams))
-    return list(range(mod)), cuts, internal
+    """J_{2n+1} + M has no proper 4-edge-coloring: the matching cover
+    refuted every coloring by exhaustion."""
 
 
 # -- the gadget --------------------------------------------------------------------
@@ -194,118 +167,7 @@ def load_gadget_table() -> dict[str, dict | None]:
     return _gadget_cache
 
 
-# -- recursion ---------------------------------------------------------------------
-
-
-_bridge_counter = [0]
-
-
-def _fresh_bridge(m: frozenset[str]) -> _Cut:
-    _bridge_counter[0] += 1
-    d = _bridge_counter[0]
-    return _Cut({fam: f"br{d}:{fam}" for fam in FAMILIES}, m)
-
-
-def _instance_graph(blocks: Sequence[int], cuts: Sequence[_Cut],
-                    internal: dict[int, str]) -> Multigraph:
-    """Concrete graph of a (possibly contracted) flower-plus-matching instance,
-    with the structural keys as edge ids."""
-    vs = [f"{X}{b}" for b in blocks for X in "ABCD"]
-    edges = []
-    m_keys: list[str] = []
-    for b in blocks:
-        for letter, key in (("a", f"ab{b}"), ("c", f"bc{b}"), ("d", f"bd{b}")):
-            edges.append((key, f"B{b}", f"{letter.upper()}{b}"))
-            if internal[b] == letter:
-                m_keys.append(key)
-    for k, cut in enumerate(cuts):
-        x, y = blocks[k], blocks[(k + 1) % len(blocks)]
-        ends = {"aa": (f"A{x}", f"A{y}"), "cd": (f"C{x}", f"D{y}"), "dc": (f"C{y}", f"D{x}")}
-        for fam in FAMILIES:
-            edges.append((cut.keys[fam], *ends[fam]))
-            if fam in cut.m:
-                m_keys.append(cut.keys[fam])
-    for key in m_keys:
-        base = next(e for e in edges if e[0] == key)
-        edges = edges + [(f"{key}@c1", base[1], base[2])]
-    return Multigraph(vs, edges)
-
-
-def _direct_color(blocks: Sequence[int], cuts: Sequence[_Cut], internal: dict[int, str],
-                  colors: dict[str, int]) -> bool:
-    g = _instance_graph(blocks, cuts, internal)
-    got = _backtrack_coloring(g, 4, _Deadline(None))
-    if got is None:
-        return False
-    colors.update(got)
-    return True
-
-
-def _solve(blocks: list[int], cuts: list[_Cut], internal: dict[int, str],
-           colors: dict[str, int], table: dict[str, dict | None]) -> bool:
-    """Color the instance; True on success.
-
-    Follows the block-pair contraction of the colorability proof; because the
-    three-block base genuinely fails for matchings hitting the a-triangle,
-    every admissible contraction is tried and an exhaustive direct coloring
-    backs the recursion up before failure is reported.
-    """
-    L = len(blocks)
-    if L == 3:
-        return _direct_color(blocks, cuts, internal, colors)
-
-    reductions: list[tuple[int, str, str | None]] = []
-    empties = [k for k in range(L) if not cuts[k].m]
-    if empties:
-        for k in empties:
-            if not cuts[(k + 2) % L].m:
-                reductions.append((k, "case1", None))
-    else:
-        types = [_TYPE_OF[next(iter(c.m))] for c in cuts]
-        if transition_claim_check(types) is None:
-            raise FlowerColoringCounterexample("no transition type repeats at distance two")
-        for j in range(L):
-            if types[j] == types[(j + 2) % L]:
-                reductions.append((j, "case2", _FAMILY_OF[types[j]]))
-
-    for k, case, tau in reductions:
-        left, mid, right = cuts[k], cuts[(k + 1) % L], cuts[(k + 2) % L]
-        b1, b2 = blocks[(k + 1) % L], blocks[(k + 2) % L]
-        bridge = _fresh_bridge(frozenset() if case == "case1" else frozenset({tau}))
-        new_blocks = [blocks[(k + 3 + s) % L] for s in range(L - 2)]
-        new_cuts = [cuts[(k + 3 + s) % L] for s in range(L - 3)] + [bridge]
-        if not _solve(new_blocks, new_cuts, internal, colors, table):
-            continue
-
-        sets: dict[str, tuple] = {}
-        for fam in FAMILIES:
-            col = colors[bridge.keys[fam]]
-            colors[left.keys[fam]] = col
-            colors[right.keys[fam]] = col
-            cols = [col]
-            if fam in bridge.m:
-                colc = colors[f"{bridge.keys[fam]}@c1"]
-                colors[f"{left.keys[fam]}@c1"] = colc
-                colors[f"{right.keys[fam]}@c1"] = colc
-                cols.append(colc)
-            sets[fam] = tuple(sorted(cols))
-
-        key = _pattern_key(case, mid.m, tau, sets["aa"], sets["cd"], sets["dc"])
-        entry = table.get(key)
-        if entry is None:
-            continue  # boundary not extendable; try the next contraction
-        rename = {"aa": mid.keys["aa"], "cd": mid.keys["cd"], "dc": mid.keys["dc"]}
-        for s, b in ((1, b1), (2, b2)):
-            rename[f"ab{s}"] = f"ab{b}"
-            rename[f"bc{s}"] = f"bc{b}"
-            rename[f"bd{s}"] = f"bd{b}"
-        for gid, col in entry.items():
-            base, _, copy = gid.partition("@")
-            target = rename[base] + ("@" + copy if copy else "")
-            colors[target] = col
-        return True
-
-    return _direct_color(blocks, cuts, internal, colors)
+# -- the coloring ------------------------------------------------------------------
 
 
 def flower_plus_m_coloring(n: int, matching: Iterable[str]) -> tuple[Multigraph, EdgeColoring]:
@@ -314,19 +176,17 @@ def flower_plus_m_coloring(n: int, matching: Iterable[str]) -> tuple[Multigraph,
     Raises ``FlowerColoringCounterexample`` when no proper 4-coloring exists
     (which happens for the six J_3 one-factors using a triangle edge).
     """
-    snark = families.flower_snark(n)
-    g = snark.graph
+    g = families.flower_snark(n).graph
     m = frozenset(matching)
     if not is_perfect_matching(g, m):
         raise ColoringError("the added edge set must be a perfect matching")
     h = add_matching_copies(g, sorted(m), 1)
-    blocks, cuts, internal = _matching_structure(n, m)
-    colors: dict[str, int] = {}
-    if not _solve(blocks, cuts, internal, colors, load_gadget_table()):
+    colors = _matching_cover(h, _Deadline(None))
+    if colors is None:
         raise FlowerColoringCounterexample(
             f"J_{2 * n + 1} plus this 1-factor admits no proper 4-edge-coloring")
-    coloring = EdgeColoring({eid: colors[eid] for eid in h.edge_ids}, 4)
+    coloring = EdgeColoring(colors, 4)
     ok, clash = is_proper(h, coloring)
     if not ok:
-        raise ColoringError(f"internal error: extension produced an improper coloring: {clash}")
+        raise ColoringError(f"internal error: matching cover produced an improper coloring: {clash}")
     return h, coloring

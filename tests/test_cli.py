@@ -61,6 +61,17 @@ def test_color_command_flower(tmp_path):
     assert out.read_text().startswith("circflow-coloring v1")
 
 
+def test_color_command_refutes_a_j3_triangle_matching(tmp_path, capsys):
+    mfile = tmp_path / "m.txt"
+    mfile.write_text("aa1\nab0\nbc1\nbd2\ncd0\ncd2\n")
+    out = tmp_path / "c.coloring"
+    assert run("color", "--construction", "flower-plus-m", "--n", 1,
+               "--matching", mfile, "--out", out) == cli.EXIT_REFUTED
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("refuted: J_3")
+    assert not out.exists()
+
+
 def test_color_command_mp(tmp_path):
     out = tmp_path / "mp.coloring"
     gout = tmp_path / "mp.graph"
@@ -117,6 +128,22 @@ def test_asymptotic_bound_command(capsys):
     assert capsys.readouterr().out.strip() == "19/7"
 
 
+def test_zero_denominators_are_usage_errors(tmp_path, capsys):
+    assert run("asymptotic-bound", "--t", 2, "--r", "9/0") == cli.EXIT_USAGE
+    k4 = families.complete_graph(4)
+    graph = tmp_path / "k4.graph"
+    graph.write_text(serialize(k4))
+    val = tmp_path / "k4.valuation"
+    val.write_text(f"{cli.VALUATION_HEADER}\nr 1/0\nv1 1\nv2 1\nv3 -1\nv4 -1\n")
+    assert run("check-balanced", graph, val) == cli.EXIT_USAGE
+    flow = tmp_path / "k4.flow"
+    text = flows.write_flow(flows.circular_flow_number(k4).flow)
+    flow.write_text(text.replace("r 4/1", "r 1/0"))
+    assert run("verify-flow", graph, flow) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all("zero denominator" in line for line in err)
+
+
 def test_reverify_command(tmp_path):
     graph = tmp_path / "k4.graph"
     run("construct", "--family", "complete", "--m", 4, "--out", graph)
@@ -138,11 +165,17 @@ def test_paper_demo_section3(tmp_path):
 
 def test_paper_demo_appendix_reports_the_false_base_case(tmp_path):
     out = tmp_path / "demo"
-    code = run("paper-demo", "--scope", "appendix", "--out", out)
-    # J3 has six genuine counterexample matchings: the demo reports refuted
-    assert code == cli.EXIT_REFUTED
-    report = (out / "report.txt").read_text()
-    assert "refuted" in report and "verified" in report
+    assert run("paper-demo", "--scope", "appendix", "--out", out) == 0
+    rows = (out / "report.txt").read_text().splitlines()[1:]
+    assert len(rows) == 4 and all("  verified  " in row for row in rows)
+    # J3 is colorable exactly for its two triangle-free matchings; the row
+    # names the six triangle matchings, the paper's false base case
+    j3 = rows[0]
+    assert "exactly for the 2 triangle-free matchings" in j3
+    assert "none for the 6 triangle matchings" in j3
+    assert j3.count("aa") == 6 and "aa1 ab0 bc1 bd2 cd0 cd2" in j3
+    assert "J5+M for all 32 matchings" in rows[1]
+    assert "J7+M for all 128 matchings" in rows[2]
 
 
 def test_paper_demo_section2_verifies_every_row(tmp_path):

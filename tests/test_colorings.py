@@ -179,17 +179,19 @@ def cubic_with_matching(draw):
     return g, sorted(draw(st.sampled_from(pms)))
 
 
-@given(cubic_with_matching(), st.sampled_from([1, 2]))
+@given(cubic_with_matching(), st.sampled_from([0, 1, 2]))
 @settings(max_examples=300, derandomize=True, deadline=None)
-def test_matching_cover_agrees_with_backtracking(case, t):
+def test_matching_cover_agrees_with_backtracking(case, c):
+    """g + cM with palette 3 + c: c = 1 is the appendix shape g + M, and
+    c = 0, 2 are g + (2t-2)M at t = 1, 2."""
     g, m = case
-    h = add_matching_copies(g, m, 2 * t - 2)
+    h = add_matching_copies(g, m, c)
     found = colorings._matching_cover(h, colorings._Deadline(None))
-    expected = colorings._backtrack_coloring(h, 2 * t + 1, colorings._Deadline(None))
+    expected = colorings._backtrack_coloring(h, 3 + c, colorings._Deadline(None))
     assert (found is None) == (expected is None)
     if found is not None:
-        assert is_proper(h, EdgeColoring(found, 2 * t + 1))[0]
-        assert set(found.values()) <= set(range(2 * t + 1))
+        assert is_proper(h, EdgeColoring(found, 3 + c))[0]
+        assert set(found.values()) <= set(range(3 + c))
 
 
 def test_class_property_refutes_wrong_class():
