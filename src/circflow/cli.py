@@ -170,6 +170,8 @@ def _cmd_color(args) -> int:
     elif args.construction == "mp-tilde":
         graph, coloring = mp_coloring.mp_tilde_coloring(args.t)
     elif args.construction == "flower-plus-m":
+        if args.matching is None:
+            raise UsageError("--construction flower-plus-m needs --matching")
         matching = _read_ids(args.matching)
         try:
             graph, coloring = flower_coloring.flower_plus_m_coloring(args.n, matching)
@@ -336,19 +338,22 @@ def _demo_section3(report: _Report, budget: float | None) -> None:
         return "verified" if ok else "refuted"
     report.run("M_3 degrees match the construction", degrees_claim)
 
-    def prime_claim():
-        data = mp_coloring.mp_prime_coloring(1)
-        report.save("m3_prime.coloring", colorings.write_coloring(data.coloring))
-        return "verified"
-    report.run("M_3' sees-odd 13-coloring", prime_claim)
+    for t in (1, 2):
+        p, k = 2 * t + 1, 8 * t + 5
 
-    def tilde_claim():
-        g, col = mp_coloring.mp_tilde_coloring(1)
-        report.save("m3_tilde.graph", serialize(g))
-        report.save("m3_tilde.coloring", colorings.write_coloring(col))
-        ok, _ = colorings.is_proper(g, col)
-        return "verified" if ok and g.is_regular(13) else "refuted"
-    report.run("M~_3 is 13-regular and properly 13-colored", tilde_claim)
+        def prime_claim(t=t, p=p):
+            data = mp_coloring.mp_prime_coloring(t)
+            report.save(f"m{p}_prime.coloring", colorings.write_coloring(data.coloring))
+            return "verified"
+        report.run(f"M_{p}' sees-odd {k}-coloring", prime_claim)
+
+        def tilde_claim(t=t, p=p, k=k):
+            g, col = mp_coloring.mp_tilde_coloring(t)
+            report.save(f"m{p}_tilde.graph", serialize(g))
+            report.save(f"m{p}_tilde.coloring", colorings.write_coloring(col))
+            ok, _ = colorings.is_proper(g, col)
+            return "verified" if ok and g.is_regular(k) else "refuted"
+        report.run(f"M~_{p} is {k}-regular and properly {k}-colored", tilde_claim)
 
 
 def _demo_appendix(report: _Report, budget: float | None) -> None:

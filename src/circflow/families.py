@@ -13,7 +13,7 @@ from typing import Sequence
 from .multigraph import (
     GraphError,
     Multigraph,
-    expand_vertex,
+    expand_vertices,
     is_matching,
     is_perfect_matching,
     suppress_divalent_with_map,
@@ -312,13 +312,13 @@ def mp_graph(p: int, stage: str = MP_BASE) -> MpFamily:
     if stage == MP_BASE:
         return family
 
-    graph = base
+    expansions = []
     for i in range(1, copies + 1):
         v4p = mp_copy_vertex(p, i, 4 * p)
         replacement_vertices = [f"x@{i}"] + [f"y{k}@{i}" for k in range(1, p - 2)]
         replacement = Multigraph(replacement_vertices, [])
         attachment: dict[str, str] = {}
-        for eid in graph.incident_edges(v4p):
+        for eid in base.incident_edges(v4p):
             if eid.startswith("K"):
                 attachment[eid] = f"x@{i}"
         attachment[f"pz1{i}:1"] = f"x@{i}"
@@ -326,6 +326,6 @@ def mp_graph(p: int, stage: str = MP_BASE) -> MpFamily:
         for k in range(2, p - 1):
             attachment[f"pz1{i}:{k}"] = f"y{k - 1}@{i}"
             attachment[f"pz2{i}:{k}"] = f"y{k - 1}@{i}"
-        graph = expand_vertex(graph, v4p, replacement, attachment)
-    graph, _merges = suppress_divalent_with_map(graph)
+        expansions.append((v4p, replacement, attachment))
+    graph, _merges = suppress_divalent_with_map(expand_vertices(base, expansions))
     return MpFamily(p, MP_PRIME, graph, family.junctions, "w")

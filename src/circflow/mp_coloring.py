@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import families
 from .colorings import EdgeColoring, PROPER, SEES_ODD, ColoringError, is_proper, sees_odd_violation
-from .multigraph import Multigraph, expand_vertex, suppress_divalent_with_map
+from .multigraph import Multigraph, expand_vertices, suppress_divalent_with_map
 
 INF = "inf"
 
@@ -244,6 +244,7 @@ def mp_tilde_coloring(t: int) -> tuple[Multigraph, EdgeColoring]:
     g = family.graph
     colors = dict(data.coloring.colors)
 
+    expansions = []
     for i in range(1, 4 * p + 2):
         v = f"c{i}"
         triple = (i + 4 * t + 7) % palette
@@ -257,9 +258,9 @@ def mp_tilde_coloring(t: int) -> tuple[Multigraph, EdgeColoring]:
         replacement = Multigraph([f"c~{i}", f"cdiv{i}"], [])
         attachment = {eid: (f"cdiv{i}" if eid in rerouted else f"c~{i}")
                       for eid in g.incident_edges(v)}
-        g = expand_vertex(g, v, replacement, attachment)
+        expansions.append((v, replacement, attachment))
 
-    g, merges = suppress_divalent_with_map(g)
+    g, merges = suppress_divalent_with_map(expand_vertices(g, expansions))
     for new_eid, (e1, e2) in merges.items():
         c1, c2 = colors.pop(e1), colors.pop(e2)
         if c1 != c2:

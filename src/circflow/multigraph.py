@@ -2,10 +2,12 @@
 
 Every vertex and edge is addressed by a string id that survives subgraph
 operations, matching duplication and vertex expansion.  Graphs are immutable
-after construction; all operations return new graphs.  Each graph caches the
-integer-indexed view its solvers share.  The module also holds the one
-max-flow kernel, on integer node ids and capacities: flows and valuations
-scale their rational capacities by one common denominator.
+after construction; all operations return new graphs, and the structural
+operations (vertex expansion, divalent suppression, matching copies) are
+linear in |V| + |E|.  Each graph caches the integer-indexed view its solvers
+share.  The module also holds the one max-flow kernel, on integer node ids
+and capacities: flows and valuations scale their rational capacities by one
+common denominator.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ class ParseError(GraphError):
 
 
 def _check_token(kind: str, token: str) -> str:
-    if not token or any(ch.isspace() for ch in token):
+    if token.split() != [token]:  # empty, or split at some whitespace character
         raise GraphError(f"{kind} id {token!r} must be a nonempty token without whitespace")
     return token
 
@@ -377,38 +379,48 @@ def matching_copy_ids(g: Multigraph, matching: Iterable[str], copy: int) -> froz
     return ids
 
 
-def expand_vertex(g: Multigraph, v: str, replacement: Multigraph,
-                  attachment: Mapping[str, str]) -> Multigraph:
-    """Replace vertex ``v`` by a graph, redistributing its edge stubs.
+def expand_vertices(g: Multigraph,
+                    expansions: Sequence[tuple[str, Multigraph, Mapping[str, str]]]) -> Multigraph:
+    """Replace distinct vertices by graphs, redistributing their edge stubs.
 
-    ``attachment`` maps every edge id at ``v`` to a replacement vertex.
+    In each ``(v, replacement, attachment)``, ``attachment`` maps every edge id
+    at ``v`` to a replacement vertex; a replacement vertex may reuse the id
+    ``v`` only.  As if expanded one at a time in list order, each rewired edge
+    is written (anchor, other end): an edge joining two expanded vertices
+    starts at the anchor of the later one.
     """
-    stubs = g.incident_edges(v)
-    if set(attachment) != set(stubs):
-        raise GraphError("attachment must cover exactly the edges at the expanded vertex")
-    for w in replacement.vertices:
-        if g.has_vertex(w) and w != v:
-            raise GraphError(f"replacement vertex id {w!r} collides with the host graph")
-    for eid, w in attachment.items():
-        if not replacement.has_vertex(w):
-            raise GraphError(f"attachment target {w!r} is not a replacement vertex")
-    vertices = [w for w in g.vertices if w != v] + list(replacement.vertices)
+    rank: dict[str, int] = {}
+    attachments: dict[str, Mapping[str, str]] = {}
+    fresh: set[str] = set()
+    for v, replacement, attachment in expansions:
+        stubs = g.incident_edges(v)
+        if v in rank:
+            raise GraphError(f"vertex {v!r} is expanded twice")
+        if set(attachment) != set(stubs):
+            raise GraphError("attachment must cover exactly the edges at the expanded vertex")
+        for w in replacement.vertices:
+            if (g.has_vertex(w) and w != v) or w in fresh:
+                raise GraphError(f"replacement vertex id {w!r} collides with the host graph "
+                                 "or another replacement")
+            fresh.add(w)
+        for w in attachment.values():
+            if not replacement.has_vertex(w):
+                raise GraphError(f"attachment target {w!r} is not a replacement vertex")
+        rank[v] = len(rank)
+        attachments[v] = attachment
+    vertices = [w for w in g.vertices if w not in rank]
     edges: list[tuple[str, str, str]] = []
     for e in g.edges():
-        if v not in e.ends:
-            edges.append((e.eid, e.u, e.v))
-            continue
-        anchor = attachment[e.eid]
-        other = e.other(v)
-        edges.append((e.eid, anchor, other))
-    for e in replacement.edges():
-        edges.append((e.eid, e.u, e.v))
+        a, b = e.u, e.v
+        if rank.get(a, -1) < rank.get(b, -1):
+            a, b = b, a
+        if a in rank:
+            a, b = attachments[a][e.eid], attachments[b][e.eid] if b in rank else b
+        edges.append((e.eid, a, b))
+    for _, replacement, _ in expansions:
+        vertices.extend(replacement.vertices)
+        edges.extend((e.eid, e.u, e.v) for e in replacement.edges())
     return Multigraph(vertices, edges)
-
-
-def suppress_divalent(g: Multigraph) -> Multigraph:
-    graph, _ = suppress_divalent_with_map(g)
-    return graph
 
 
 def suppress_divalent_with_map(g: Multigraph) -> tuple[Multigraph, dict[str, tuple[str, str]]]:
@@ -418,41 +430,37 @@ def suppress_divalent_with_map(g: Multigraph) -> tuple[Multigraph, dict[str, tup
     edge ids it replaced.  A component that is a pure cycle of divalent
     vertices has no smoothing and is an error, as is a divalent vertex with
     both edges to the same neighbor (smoothing would create a loop).
+    Smoothing changes no other vertex's degree, so one pass smooths them all.
     """
-    vertices = list(g.vertices)
-    edges = {e.eid: (e.u, e.v) for e in g.edges()}
+    ends = {e.eid: (e.u, e.v) for e in g.edges()}
+    incident = {v: set(g.incident_edges(v)) for v in g.vertices}
     merges: dict[str, tuple[str, str]] = {}
-
-    def degree_of(v: str) -> int:
-        return sum((u == v) + (w == v) for u, w in edges.values())
-
-    changed = True
-    while changed:
-        changed = False
-        for v in list(vertices):
-            inc = [eid for eid, (u, w) in edges.items() if v in (u, w)]
-            if len(inc) != 2:
-                continue
-            e1, e2 = sorted(inc)
-            a = edges[e1][0] if edges[e1][1] == v else edges[e1][1]
-            b = edges[e2][0] if edges[e2][1] == v else edges[e2][1]
-            if a == v or b == v:
-                raise GraphError("loop encountered during suppression")
-            if a == b:
-                raise GraphError(f"suppressing {v!r} would create a loop at {a!r}")
-            new_id = f"{e1}&{e2}"
-            while new_id in edges:
-                new_id += "'"
-            del edges[e1]
-            del edges[e2]
-            edges[new_id] = (a, b)
-            merges[new_id] = (e1, e2)
-            vertices.remove(v)
-            changed = True
-    for v in vertices:
-        if degree_of(v) == 2:
-            raise GraphError("divalent cycle component: suppression undefined")
-    return Multigraph(vertices, [(eid, u, w) for eid, (u, w) in edges.items()]), merges
+    kept: list[str] = []
+    for v in g.vertices:
+        if len(incident[v]) != 2:
+            kept.append(v)
+            continue
+        e1, e2 = sorted(incident[v])
+        a = ends[e1][0] if ends[e1][1] == v else ends[e1][1]
+        b = ends[e2][0] if ends[e2][1] == v else ends[e2][1]
+        if a == v or b == v:
+            raise GraphError("loop encountered during suppression")
+        if a == b:
+            raise GraphError(f"suppressing {v!r} would create a loop at {a!r}")
+        new_id = f"{e1}&{e2}"
+        while new_id in ends:
+            new_id += "'"
+        del ends[e1], ends[e2]
+        ends[new_id] = (a, b)
+        merges[new_id] = (e1, e2)
+        incident[a].remove(e1)
+        incident[a].add(new_id)
+        incident[b].remove(e2)
+        incident[b].add(new_id)
+    if any(len(incident[v]) == 2 for v in kept):
+        raise GraphError("divalent cycle component: suppression undefined")
+    del incident  # freed before the rebuild, which would otherwise raise peak memory
+    return Multigraph(kept, [(eid, u, w) for eid, (u, w) in ends.items()]), merges
 
 
 def connected_components(g: Multigraph) -> list[set[str]]:

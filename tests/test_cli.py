@@ -72,6 +72,11 @@ def test_color_command_refutes_a_j3_triangle_matching(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_color_command_flower_without_matching_is_a_usage_error(capsys):
+    assert run("color", "--construction", "flower-plus-m", "--n", 1) == cli.EXIT_USAGE
+    assert "needs --matching" in capsys.readouterr().err
+
+
 def test_color_command_mp(tmp_path):
     out = tmp_path / "mp.coloring"
     gout = tmp_path / "mp.graph"
@@ -158,9 +163,14 @@ def test_reverify_command(tmp_path):
 def test_paper_demo_section3(tmp_path):
     out = tmp_path / "demo"
     assert run("paper-demo", "--scope", "section-3", "--out", out) == 0
-    report = (out / "report.txt").read_text()
-    assert "verified" in report
-    assert (out / "m3_tilde.coloring").exists()
+    rows = (out / "report.txt").read_text().splitlines()[1:]
+    assert len(rows) == 5 and all("  verified  " in row for row in rows)
+    assert "M_5' sees-odd 21-coloring" in rows[3]
+    assert "M~_5 is 21-regular and properly 21-colored" in rows[4]
+    for p in (3, 5):
+        assert (out / f"m{p}_prime.coloring").exists()
+        assert (out / f"m{p}_tilde.coloring").exists()
+        assert (out / f"m{p}_tilde.graph").exists()
 
 
 def test_paper_demo_appendix_reports_the_false_base_case(tmp_path):

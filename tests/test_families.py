@@ -127,7 +127,7 @@ def test_mp_graph_p5_degrees():
     assert g.degree("v7@2") == 4 * 5 + 1
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_mp_prime_degrees(p):
     fam = mp_graph(p, families.MP_PRIME)
     g = fam.graph

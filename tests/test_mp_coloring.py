@@ -84,7 +84,7 @@ def test_triangle_pattern_is_the_unique_search_solution(t):
         assert solutions == [derived]
 
 
-@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("t", [1, 2, 3])
 def test_mp_prime_coloring_sees_odd(t):
     data = mp_prime_coloring(t)
     p = 2 * t + 1
@@ -124,7 +124,7 @@ def test_mp_prime_internal_vertices_see_all_once():
         assert got == list(range(13))
 
 
-@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("t", [1, 2, 3])
 def test_mp_tilde_coloring(t):
     p = 2 * t + 1
     g, coloring = mp_tilde_coloring(t)
