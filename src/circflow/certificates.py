@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from .multigraph import Multigraph, canonical_serialize
+from .multigraph import Multigraph
 
 PROVER_VERSION = "circflow/0.1.0"
 SCHEMA_VERSION = "circflow-cert/1"
@@ -38,8 +38,9 @@ class CertificateError(ValueError):
 
 
 def rat(x: Fraction | int) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    if type(x) is not Fraction and type(x) is not int:
+        x = Fraction(x)
+    return "%d/%d" % x.as_integer_ratio()
 
 
 def unrat(s: str) -> Fraction:
@@ -51,19 +52,23 @@ def unrat(s: str) -> Fraction:
 
 
 def graph_hash(g: Multigraph) -> str:
-    return hashlib.sha256(canonical_serialize(g).encode()).hexdigest()
+    return g.content_sha256
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return rat(value)
+    if value is None or type(value) is str or type(value) is int:
+        return value
     if isinstance(value, dict):
+        if all(type(k) is str for k in value):
+            return {k: _jsonable(v) for k, v in sorted(value.items())}
+        # str(k) order: int keys sort as text, so 10 comes before 9
         return {str(k): _jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return [_jsonable(v) for v in sorted(value, key=str)]
-    return value
+    # last: Fraction is an ABC subclass, so isinstance on other types is slow
+    return rat(value) if isinstance(value, Fraction) else value
 
 
 @dataclass

@@ -522,10 +522,16 @@ def read_coloring(text: str) -> EdgeColoring:
     colors: dict[str, int] = {}
     for ln in lines[1:]:
         parts = ln.split()
+        if len(parts) != 2:
+            raise ColoringError(f"malformed coloring line {ln!r}")
         if parts[0] == "palette":
             palette = int(parts[1])
         elif parts[0] == "mode":
+            if parts[1] not in (PROPER, SEES_ODD):
+                raise ColoringError(f"unknown coloring mode {parts[1]!r}")
             mode = parts[1]
+        elif parts[0] in colors:
+            raise ColoringError(f"edge {parts[0]!r} appears twice")
         else:
             colors[parts[0]] = int(parts[1])
     if palette is None:

@@ -2,11 +2,12 @@
 flow numbers.
 
 All arithmetic is exact: values are ``fractions.Fraction``, cut counts are
-integers, and max-flows run on capacities scaled to integers.  The circular
-flow number comes from the balanced-valuation search in ``valuations``; its
-witness is an orientation with the optimal out-minus-in degrees, found by
-one max-flow, and the flow that ``circulation_feasible`` puts on it, which
-``verify_flow`` re-checks.
+integers, and max-flows run on capacities scaled to integers.  A flow is
+checked in one integer pass, with r and every value scaled by one common
+denominator.  The circular flow number comes from the balanced-valuation
+search in ``valuations``; its witness is an orientation with the optimal
+out-minus-in degrees, found by one max-flow, and the flow that
+``circulation_feasible`` puts on it, which ``verify_flow`` re-checks.
 """
 
 from __future__ import annotations
@@ -14,11 +15,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
+from math import lcm
 from typing import Mapping, Sequence
 
 from . import valuations
 from .certificates import Certificate, make_certificate, rat, unrat
 from .multigraph import (
+    IndexedView,
     Multigraph,
     _max_flow,
     add_matching_copies,
@@ -54,16 +58,8 @@ class Orientation:
     def direction(self, eid: str) -> tuple[str, str]:
         return self._dir[eid]
 
-    def edge_ids(self) -> tuple[str, ...]:
-        return tuple(self._dir)
-
     def items(self):
         return self._dir.items()
-
-    def covers(self, g: Multigraph) -> bool:
-        if set(self._dir) != set(g.edge_ids):
-            return False
-        return all(g.edge(eid).ends == frozenset(pair) for eid, pair in self._dir.items())
 
     def reversed(self) -> "Orientation":
         return Orientation({eid: (h, t) for eid, (t, h) in self._dir.items()})
@@ -82,8 +78,9 @@ class RationalFlow:
     mode: str = NOWHERE_ZERO
     zero_edge: str | None = None
 
-    def value(self, eid: str) -> Fraction:
-        return self.values[eid]
+    def __post_init__(self) -> None:
+        if self.mode not in (NOWHERE_ZERO, INTEGER_ONE_ZERO):
+            raise FlowError(f"unknown flow mode {self.mode!r}")
 
     def with_r(self, r: Fraction) -> "RationalFlow":
         return replace(self, r=Fraction(r))
@@ -104,10 +101,11 @@ def flow_to_witness(flow: RationalFlow) -> dict:
 def flow_from_witness(g: Multigraph, witness: dict) -> RationalFlow:
     dirs = {}
     values = {}
+    parse = cache(unrat)  # a flow has few distinct values; Fraction is immutable
     for eid, rec in witness["edges"].items():
         g.edge(eid)
         dirs[eid] = (rec["tail"], rec["head"])
-        values[eid] = unrat(rec["value"])
+        values[eid] = parse(rec["value"])
     return RationalFlow(Orientation(dirs), values, unrat(witness["r"]),
                         witness.get("mode", NOWHERE_ZERO), witness.get("zero_edge"))
 
@@ -115,52 +113,53 @@ def flow_from_witness(g: Multigraph, witness: dict) -> RationalFlow:
 # -- verification ------------------------------------------------------------
 
 
-def conservation_violations(g: Multigraph, flow: RationalFlow) -> list[str]:
-    net: dict[str, Fraction] = {v: Fraction(0) for v in g.vertices}
-    for eid in g.edge_ids:
-        tail, head = flow.orientation.direction(eid)
-        val = flow.values[eid]
-        net[tail] -= val
-        net[head] += val
-    return [v for v, x in net.items() if x != 0]
+def _arc(view: IndexedView, eid: str, pair: tuple[str, str], error: str) -> tuple[int, int]:
+    """The (tail, head) vertex indices of ``pair``, which must hold the ends of edge ``eid``."""
+    t, h = view.pos.get(pair[0]), view.pos.get(pair[1])
+    a, b = view.ends[view.edge_pos[eid]]
+    if not (t == a and h == b or t == b and h == a):
+        raise FlowError(error)
+    return t, h
 
 
 def verify_flow(g: Multigraph, flow: RationalFlow) -> Certificate:
     """Exact validity check: conservation everywhere, values in [1, r-1].
 
     In the intermediate integer mode the flagged edge must carry exactly 0 and
-    every other edge an integer in [1, 3].
+    every other edge an integer in [1, 3].  One integer pass decides it: with
+    r and every value scaled by D, the least common multiple of their
+    denominators, conservation is an integer sum at each vertex and the window
+    is D <= x <= (r-1)D.  A refutation names every unbalanced vertex, or else
+    the first edge out of the window in ``flow.values`` order.
     """
-    if set(flow.orientation.edge_ids()) != set(g.edge_ids) or set(flow.values) != set(g.edge_ids):
+    view, dirs, values = g.indexed, flow.orientation._dir, flow.values
+    if not dirs.keys() == values.keys() == view.edge_pos.keys():
         raise FlowError("flow does not cover exactly the edges of the graph")
-    if not flow.orientation.covers(g):
-        raise FlowError("orientation endpoints disagree with the graph")
-
-    params = {"r": flow.r, "mode": flow.mode}
-    bad = conservation_violations(g, flow)
-    if bad:
-        return make_certificate("flow-valid", g, params,
-                                {"flow": flow_to_witness(flow), "violation": {"conservation_at": sorted(bad)}},
-                                "refuted")
+    den = lcm(flow.r.denominator, *{x.denominator for x in values.values()})
     if flow.mode == INTEGER_ONE_ZERO:
-        if flow.zero_edge is None or not g.has_edge(flow.zero_edge):
-            raise FlowError("integer mode requires a flagged zero edge")
-        for eid, val in flow.values.items():
-            ok = (val == 0) if eid == flow.zero_edge else (val.denominator == 1 and 1 <= val <= 3)
-            if not ok:
-                return make_certificate("flow-valid", g, params,
-                                        {"flow": flow_to_witness(flow),
-                                         "violation": {"edge": eid, "value": rat(val)}},
-                                        "refuted")
+        zero, hi, step = flow.zero_edge, 3 * den, den
     else:
-        lo, hi = Fraction(1), flow.r - 1
-        for eid, val in flow.values.items():
-            if not lo <= val <= hi:
-                return make_certificate("flow-valid", g, params,
-                                        {"flow": flow_to_witness(flow),
-                                         "violation": {"edge": eid, "value": rat(val)}},
-                                        "refuted")
-    return make_certificate("flow-valid", g, params, {"flow": flow_to_witness(flow)}, "verified")
+        zero, hi, step = None, flow.r.numerator * (den // flow.r.denominator) - den, 1
+    net = [0] * len(view.vertices)
+    bad = None
+    for eid, val in values.items():
+        tail, head = _arc(view, eid, dirs[eid], "orientation endpoints disagree with the graph")
+        x = val.numerator * (den // val.denominator)
+        net[tail] -= x
+        net[head] += x
+        if bad is None and (x != 0 if eid == zero else not den <= x <= hi or x % step):
+            bad = eid
+
+    witness = {"flow": flow_to_witness(flow)}
+    unbalanced = sorted(view.vertices[v] for v, x in enumerate(net) if x)
+    if unbalanced:
+        witness["violation"] = {"conservation_at": unbalanced}
+    elif flow.mode == INTEGER_ONE_ZERO and zero not in view.edge_pos:
+        raise FlowError("integer mode requires a flagged zero edge")
+    elif bad is not None:
+        witness["violation"] = {"edge": bad, "value": rat(values[bad])}
+    return make_certificate("flow-valid", g, {"r": flow.r, "mode": flow.mode}, witness,
+                            "refuted" if "violation" in witness else "verified")
 
 
 # -- circuits ----------------------------------------------------------------
@@ -235,14 +234,14 @@ def circulation_feasible(g: Multigraph, d: Orientation, r: Fraction):
     r = Fraction(r)
     if r < 2:
         raise FlowError("feasibility is defined for r >= 2")
-    if not d.covers(g):
-        raise FlowError("orientation does not cover the graph")
     view = g.indexed
+    if d._dir.keys() != view.edge_pos.keys():
+        raise FlowError("orientation does not cover the graph")
     n, den = len(view.vertices), r.denominator
     excess = [0] * n
     arcs: list[tuple[int, int, int]] = []
     for eid in view.edge_ids:
-        tail, head = (view.pos[v] for v in d.direction(eid))
+        tail, head = _arc(view, eid, d._dir[eid], "orientation does not cover the graph")
         arcs.append((tail, head, r.numerator - 2 * den))
         excess[head] += den
         excess[tail] -= den
@@ -255,7 +254,8 @@ def circulation_feasible(g: Multigraph, d: Orientation, r: Fraction):
             arcs.append((v, n + 1, -x))
     total, arc_flow, reachable = _max_flow(n, arcs)
     if total == need:
-        values = {eid: 1 + Fraction(arc_flow[i], den) for i, eid in enumerate(view.edge_ids)}
+        value_of = {f: Fraction(den + f, den) for f in set(arc_flow)}
+        values = {eid: value_of[f] for eid, f in zip(view.edge_ids, arc_flow)}
         return True, RationalFlow(d, values, r)
     # The source side S of a minimum cut has in(S) > (r-1)out(S), since its
     # cut falls short of the excess; so V - S is the violating set.
@@ -564,23 +564,21 @@ def read_flow(text: str) -> RationalFlow:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != FLOW_HEADER:
         raise FlowError(f"expected header {FLOW_HEADER!r}")
-    r: Fraction | None = None
-    mode = NOWHERE_ZERO
-    zero_edge: str | None = None
+    header: dict[str, str] = {}
     dirs: dict[str, tuple[str, str]] = {}
     values: dict[str, Fraction] = {}
+    parse = cache(unrat)  # a flow has few distinct values; Fraction is immutable
     for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "r":
-            r = unrat(parts[1])
-        elif parts[0] == "mode":
-            mode = parts[1]
-        elif parts[0] == "zero-edge":
-            zero_edge = parts[1]
+        key, *rest = ln.split()
+        if len(rest) != (1 if key in ("r", "mode", "zero-edge") else 3):
+            raise FlowError(f"malformed flow line {ln!r}")
+        if len(rest) == 1:
+            header[key] = rest[0]
+        elif key in dirs:
+            raise FlowError(f"edge {key!r} appears twice")
         else:
-            eid, tail, head, val = parts
-            dirs[eid] = (tail, head)
-            values[eid] = unrat(val)
-    if r is None:
+            dirs[key], values[key] = (rest[0], rest[1]), parse(rest[2])
+    if "r" not in header:
         raise FlowError("flow file missing its r header")
-    return RationalFlow(Orientation(dirs), values, r, mode, zero_edge)
+    return RationalFlow(Orientation(dirs), values, unrat(header["r"]),
+                        header.get("mode", NOWHERE_ZERO), header.get("zero-edge"))

@@ -4,14 +4,15 @@ Every vertex and edge is addressed by a string id that survives subgraph
 operations, matching duplication and vertex expansion.  Graphs are immutable
 after construction; all operations return new graphs, and the structural
 operations (vertex expansion, divalent suppression, matching copies) are
-linear in |V| + |E|.  Each graph caches the integer-indexed view its solvers
-share.  The module also holds the one max-flow kernel, on integer node ids
-and capacities: flows and valuations scale their rational capacities by one
-common denominator.
+linear in |V| + |E|.  Each graph caches its content hash and the
+integer-indexed view its solvers share.  The module also holds the one
+max-flow kernel, on integer node ids and capacities: flows and valuations
+scale their rational capacities by one common denominator.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -61,6 +62,7 @@ class IndexedView:
     vertices: tuple[str, ...]
     pos: dict[str, int]
     edge_ids: tuple[str, ...]
+    edge_pos: dict[str, int]
     ends: tuple[tuple[int, int], ...]
     incident: tuple[tuple[int, ...], ...]
 
@@ -99,9 +101,14 @@ class Multigraph:
         edge_ids = tuple(self._edges)
         index = {eid: i for i, eid in enumerate(edge_ids)}
         return IndexedView(
-            self._vertices, pos, edge_ids,
+            self._vertices, pos, edge_ids, index,
             tuple((pos[e.u], pos[e.v]) for e in self._edges.values()),
             tuple(tuple(index[eid] for eid in self._incident[v]) for v in self._vertices))
+
+    @cached_property
+    def content_sha256(self) -> str:
+        """SHA-256 of ``canonical_serialize``, computed once per graph."""
+        return hashlib.sha256(canonical_serialize(self).encode()).hexdigest()
 
     # -- basic queries ---------------------------------------------------
 
@@ -427,9 +434,9 @@ def suppress_divalent_with_map(g: Multigraph) -> tuple[Multigraph, dict[str, tup
     """Smooth every degree-2 vertex into an edge joining its neighbors.
 
     Returns the new graph and a map from each created edge id to the pair of
-    edge ids it replaced.  A component that is a pure cycle of divalent
-    vertices has no smoothing and is an error, as is a divalent vertex with
-    both edges to the same neighbor (smoothing would create a loop).
+    edge ids it replaced.  A divalent vertex with both edges to the same
+    neighbor is an error, since smoothing it would create a loop; a component
+    that is a pure cycle of divalent vertices always reaches that error.
     Smoothing changes no other vertex's degree, so one pass smooths them all.
     """
     ends = {e.eid: (e.u, e.v) for e in g.edges()}
@@ -443,8 +450,6 @@ def suppress_divalent_with_map(g: Multigraph) -> tuple[Multigraph, dict[str, tup
         e1, e2 = sorted(incident[v])
         a = ends[e1][0] if ends[e1][1] == v else ends[e1][1]
         b = ends[e2][0] if ends[e2][1] == v else ends[e2][1]
-        if a == v or b == v:
-            raise GraphError("loop encountered during suppression")
         if a == b:
             raise GraphError(f"suppressing {v!r} would create a loop at {a!r}")
         new_id = f"{e1}&{e2}"
@@ -457,8 +462,6 @@ def suppress_divalent_with_map(g: Multigraph) -> tuple[Multigraph, dict[str, tup
         incident[a].add(new_id)
         incident[b].remove(e2)
         incident[b].add(new_id)
-    if any(len(incident[v]) == 2 for v in kept):
-        raise GraphError("divalent cycle component: suppression undefined")
     del incident  # freed before the rebuild, which would otherwise raise peak memory
     return Multigraph(kept, [(eid, u, w) for eid, (u, w) in ends.items()]), merges
 

@@ -1,11 +1,15 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from circflow import colorings, families, flows
+from circflow import colorings, families, flows, valuations
 from circflow.certificates import (
     Certificate,
     CertificateError,
+    _jsonable,
     certificate_from_json,
     graph_hash,
     make_certificate,
@@ -13,7 +17,31 @@ from circflow.certificates import (
     reverify,
     unrat,
 )
-from circflow.multigraph import add_matching_copies, perfect_matchings
+from circflow.multigraph import Multigraph, add_matching_copies, canonical_serialize, perfect_matchings
+
+
+def _rat_oracle(x):
+    """Rational rendering by re-wrapping in ``Fraction``: the oracle."""
+    f = Fraction(x)
+    return f"{f.numerator}/{f.denominator}"
+
+
+def _jsonable_oracle(value):
+    """Canonical JSON data, every dict sorted by ``str`` of its keys: the oracle."""
+    if isinstance(value, Fraction):
+        return _rat_oracle(value)
+    if isinstance(value, dict):
+        return {str(k): _jsonable_oracle(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable_oracle(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return [_jsonable_oracle(v) for v in sorted(value, key=str)]
+    return value
+
+
+def _graph_hash_oracle(g):
+    """The content hash recomputed from the serialization: the oracle."""
+    return hashlib.sha256(canonical_serialize(g).encode()).hexdigest()
 
 
 def test_rational_strings():
@@ -116,3 +144,85 @@ def test_graph_hash_ignores_construction_order():
     g1 = families.complete_graph(4)
     g2 = g1.relabeled({})  # identity copy
     assert graph_hash(g1) == graph_hash(g2)
+
+
+def _dumps(data):
+    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+
+
+_LEAVES = (st.text(max_size=3) | st.integers(-5, 5) | st.none() | st.booleans()
+           | st.floats(allow_nan=False, width=32)
+           | st.fractions(min_value=-9, max_value=9, max_denominator=7))
+_KEYS = st.text(max_size=2) | st.integers(-3, 12) | st.booleans()
+_NESTED = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.frozensets(st.text(max_size=2) | st.integers(-3, 12), max_size=4)
+                   | st.sets(st.fractions(max_denominator=5), max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=20)
+
+
+@given(_NESTED)
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_jsonable_matches_the_fraction_oracle(data):
+    assert _dumps(_jsonable(data)) == _dumps(_jsonable_oracle(data))
+    assert _jsonable(_jsonable(data)) == _jsonable(data)
+
+
+@given(st.fractions() | st.integers() | st.booleans() | st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_rat_matches_the_fraction_oracle(x):
+    assert rat(x) == _rat_oracle(x)
+
+
+def test_int_and_str_keys_keep_their_sort():
+    # "10" sorts before "9" as text; the canonical form keeps that for int keys
+    data = {9: "a", 10: "b", "x": {2: Fraction(4, 6), "1": (True, None, 1.5)}}
+    assert list(_jsonable(data)) == ["10", "9", "x"]
+    assert _jsonable(data)["x"] == {"1": [True, None, 1.5], "2": "2/3"}
+
+
+def _k33():
+    return Multigraph([f"a{i}" for i in range(3)] + [f"b{i}" for i in range(3)],
+                      [(f"e{i}{j}", f"a{i}", f"b{j}") for i in range(3) for j in range(3)])
+
+
+PINNED_PHI_C = [
+    ("K4", lambda: families.complete_graph(4),
+     "fca095b69f99b19fe3caece0358fc87a488cb0fd96235ef7e6869d5159086307"),
+    ("K33", _k33, "f52440b3f9ccc0460311d524c1ad89f5719dd5e3d5a474e7ffd01c4295c0f041"),
+    ("Petersen", families.petersen, "8eb85eaeda7cfbfadf383bb520e5c7e03ecf83a12c5b7c9348499e50db39d969"),
+    ("J3", lambda: families.flower_snark(1).graph,
+     "1948265c74e4dc7d140e285a07232f9af1e124ab2ccdd5763727a5d923dff7a2"),
+]
+
+
+@pytest.mark.parametrize("name,make,sha", PINNED_PHI_C)
+def test_phi_c_certificate_bytes_are_pinned(name, make, sha):
+    g = make()
+    assert flows.phi_c_certificate(g, flows.circular_flow_number(g)).certificate_sha256() == sha
+
+
+def test_flow_and_inequality_certificate_bytes_are_pinned():
+    d = flows.build_flower_flow(2)
+    cert = flows.verify_flow(d.graph, d.flow)
+    assert cert.certificate_sha256() == "cb3f016f16f8ecc064cf5ec7ab34459b927ba8697e748dbd70f36a2840aedc23"
+    j3 = flows.build_flower_flow(1)
+    cert = valuations.matched_bipartition_inequality_check(j3.graph, j3.flow, sorted(j3.matching), 2)
+    assert cert.verdict == "verified"
+    assert cert.certificate_sha256() == "00b15ef8be7b182a2766e820d07ada9a1d31bf269cc35b5ca8947d89a460d521"
+
+
+def test_graph_hash_is_fresh_for_every_derived_graph():
+    k4 = families.complete_graph(4)
+    assert graph_hash(k4) == _graph_hash_oracle(k4)
+    derived = [k4.relabeled({"v1": "w"}), k4.relabeled({}, {"v1v2": "f"}),
+               k4.with_edges_removed(["v1v2"]), add_matching_copies(k4, ["v1v2", "v3v4"], 1),
+               k4.relabeled({})]
+    for h in derived:
+        assert graph_hash(h) == _graph_hash_oracle(h)
+    # only the identity copy shares k4's hash
+    assert len({graph_hash(h) for h in [k4, *derived]}) == len(derived)
+    assert graph_hash(derived[-1]) == graph_hash(k4)

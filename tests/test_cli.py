@@ -149,6 +149,30 @@ def test_zero_denominators_are_usage_errors(tmp_path, capsys):
     assert len(err) == 3 and all("zero denominator" in line for line in err)
 
 
+K2_FLOW = "circflow-flow v1\nr 2/1\nmode nowhere-zero\ne1 a b 1/1\ne2 b a 1/1\n"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (("r 2/1", "r"), "malformed flow line 'r'"),
+    (("mode nowhere-zero", "mode"), "malformed flow line 'mode'"),
+    (("mode nowhere-zero", "mode nowhere-zero\nzero-edge"), "malformed flow line 'zero-edge'"),
+    (("e2 b a 1/1", "e2 b a"), "malformed flow line 'e2 b a'"),
+    (("e2 b a 1/1", "e2 b a 1/1 9"), "malformed flow line 'e2 b a 1/1 9'"),
+    (("mode nowhere-zero", "mode bogus"), "unknown flow mode 'bogus'"),
+    (("e1 a b 1/1", "e1 a b 5/1\ne1 a b 1/1"), "edge 'e1' appears twice"),
+])
+def test_malformed_flow_files_are_usage_errors(tmp_path, capsys, edit, message):
+    graph = tmp_path / "k2.graph"
+    graph.write_text("circflow-graph v1\nvertex a\nvertex b\nedge e1 a b\nedge e2 a b\n")
+    flow = tmp_path / "k2.flow"
+    flow.write_text(K2_FLOW)
+    assert run("verify-flow", graph, flow) == 0
+    flow.write_text(K2_FLOW.replace(*edit))
+    capsys.readouterr()
+    assert run("verify-flow", graph, flow) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_reverify_command(tmp_path):
     graph = tmp_path / "k4.graph"
     run("construct", "--family", "complete", "--m", 4, "--out", graph)

@@ -282,3 +282,19 @@ def test_coloring_file_round_trip():
     assert back.colors == result.coloring.colors
     assert back.palette == result.coloring.palette
     assert back.mode == "proper"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (("palette 3", "palette"), "malformed coloring line 'palette'"),
+    (("mode proper", "mode"), "malformed coloring line 'mode'"),
+    (("e2 1", "e2"), "malformed coloring line 'e2'"),
+    (("e2 1", "e2 1 1"), "malformed coloring line 'e2 1 1'"),
+    (("mode proper", "mode bogus"), "unknown coloring mode 'bogus'"),
+    (("e1 0", "e1 2\ne1 0"), "edge 'e1' appears twice"),
+])
+def test_malformed_coloring_files_are_rejected(edit, message):
+    text = "circflow-coloring v1\npalette 3\nmode proper\ne1 0\ne2 1\n"
+    assert read_coloring(text).colors == {"e1": 0, "e2": 1}
+    assert read_coloring(text.replace("mode proper", "mode sees-odd")).mode == "sees-odd"
+    with pytest.raises(ColoringError, match=f"^{message}$"):
+        read_coloring(text.replace(*edit))

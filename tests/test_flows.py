@@ -1,11 +1,14 @@
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from circflow import families, flows, valuations
+from circflow.certificates import Certificate
 from circflow.flows import (
+    INTEGER_ONE_ZERO,
     BridgedGraphError,
     DirectedCircuit,
     FlowError,
@@ -22,6 +25,7 @@ from circflow.flows import (
     write_flow,
 )
 from circflow.multigraph import Multigraph, bridges, perfect_matchings
+from test_certificates import _graph_hash_oracle, _jsonable_oracle, _rat_oracle
 
 
 def cycle_graph(k):
@@ -66,6 +70,12 @@ def test_petersen_has_no_4_flow():
     result = circular_flow_number(p)
     relabeled = result.flow.with_r(Fraction(4))
     assert verify_flow(p, relabeled).verdict == "refuted"
+
+
+def test_unknown_flow_mode_is_an_error():
+    g, flow = directed_cycle_flow(4)
+    with pytest.raises(FlowError, match="unknown flow mode 'bogus'"):
+        RationalFlow(flow.orientation, flow.values, flow.r, "bogus")
 
 
 def test_coverage_mismatch_is_an_error():
@@ -335,3 +345,125 @@ def test_circular_flow_number_agrees_with_orientation_enumeration(g):
     assert result.value == _phi_c_by_orientations(g)
     assert result.flow.r == result.value
     assert verify_flow(g, result.flow).verdict == "verified"
+
+
+def _conservation_violations_oracle(g, flow):
+    net = {v: Fraction(0) for v in g.vertices}
+    for eid in g.edge_ids:
+        tail, head = flow.orientation.direction(eid)
+        net[tail] -= flow.values[eid]
+        net[head] += flow.values[eid]
+    return [v for v, x in net.items() if x != 0]
+
+
+def _verify_flow_oracle(g, flow):
+    """The flow check in Fraction arithmetic, with a set test per edge and the
+    certificate built by the re-normalising serializer: the oracle."""
+    def cert(extra, verdict):
+        edges = {eid: {"tail": t, "head": h, "value": _rat_oracle(flow.values[eid])}
+                 for eid, (t, h) in sorted(flow.orientation.items())}
+        witness = {"flow": {"r": _rat_oracle(flow.r), "mode": flow.mode,
+                            "zero_edge": flow.zero_edge, "edges": edges}, **extra}
+        return Certificate("flow-valid", _graph_hash_oracle(g),
+                           _jsonable_oracle({"r": flow.r, "mode": flow.mode}),
+                           _jsonable_oracle(witness), verdict)
+
+    if set(dict(flow.orientation.items())) != set(g.edge_ids) or set(flow.values) != set(g.edge_ids):
+        raise FlowError("flow does not cover exactly the edges of the graph")
+    if not all(g.edge(eid).ends == frozenset(pair) for eid, pair in flow.orientation.items()):
+        raise FlowError("orientation endpoints disagree with the graph")
+    bad = _conservation_violations_oracle(g, flow)
+    if bad:
+        return cert({"violation": {"conservation_at": sorted(bad)}}, "refuted")
+    if flow.mode == INTEGER_ONE_ZERO:
+        if flow.zero_edge is None or not g.has_edge(flow.zero_edge):
+            raise FlowError("integer mode requires a flagged zero edge")
+    for eid, val in flow.values.items():
+        if flow.mode == INTEGER_ONE_ZERO:
+            ok = (val == 0) if eid == flow.zero_edge else (val.denominator == 1 and 1 <= val <= 3)
+        else:
+            ok = 1 <= val <= flow.r - 1
+        if not ok:
+            return cert({"violation": {"edge": eid, "value": _rat_oracle(val)}}, "refuted")
+    return cert({}, "verified")
+
+
+FLOW_FAULTS = ("off-balance", "low", "high", "missing", "extra", "endpoints", "zero-edge")
+
+
+@st.composite
+def flow_cases(draw):
+    """A random loopless multigraph that is a union of directed cycles, each
+    carrying one value, with a flow that is valid or has up to two faults:
+    off balance at random vertices, outside the window at either end, a
+    missing or extra edge, wrong endpoints, or (integer mode) a bad zero edge.
+    Edge, vertex and value orders are shuffled independently."""
+    n = draw(st.integers(2, 6))
+    vs = [f"v{i}" for i in range(n)]
+    integer = draw(st.booleans())
+    faults = draw(st.lists(st.sampled_from(FLOW_FAULTS), max_size=2))
+    if integer:
+        value = st.integers(1, 3).map(Fraction)
+    else:
+        value = st.fractions(1, 9, max_denominator=6)
+    cycles = draw(st.lists(st.lists(st.sampled_from(vs), min_size=2, max_size=n, unique=True),
+                           min_size=1, max_size=4))
+    cycle_values = [draw(value) for _ in cycles]
+    # one step of the common denominator past either end of the window
+    step = Fraction(1, lcm(*(x.denominator for x in cycle_values)))
+    if "low" in faults:
+        cycle_values[0] = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1), 1 - step]))
+    if "high" in faults and integer:
+        cycle_values[0] = draw(st.sampled_from([Fraction(4), Fraction(5, 2)]))
+    dirs, values = {}, {}
+    for cyc, x in zip(cycles, cycle_values):
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            dirs[f"e{len(dirs)}"] = (a, b)
+            values[f"e{len(values)}"] = x
+    zero_edge = None
+    if integer:
+        a, b = draw(st.permutations(vs))[:2]
+        dirs["z"], values["z"], zero_edge = (a, b), Fraction(0), "z"
+        if "zero-edge" in faults:
+            zero_edge = draw(st.sampled_from([None, "nope", "e0"]))
+        r = Fraction(4)
+    else:
+        r = max(cycle_values) + 1 + draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2)]))
+        if "high" in faults:
+            r = draw(st.sampled_from([r - draw(st.fractions(Fraction(1, 7), 1, max_denominator=7)),
+                                      max(cycle_values) + 1 - step]))
+    g = Multigraph(draw(st.permutations(vs)),
+                   draw(st.permutations([(eid, *draw(st.permutations(pair))) for eid, pair in dirs.items()])))
+    if "off-balance" in faults:
+        for eid in draw(st.lists(st.sampled_from(sorted(values)), min_size=1, max_size=3)):
+            values[eid] += draw(st.sampled_from([Fraction(1), Fraction(-1, 3), Fraction(5, 2)]))
+    if "missing" in faults:
+        eid = draw(st.sampled_from(sorted(dirs)))
+        for target in draw(st.sampled_from([(dirs,), (values,), (dirs, values)])):
+            del target[eid]
+    if "extra" in faults:
+        for target in draw(st.sampled_from([(dirs,), (values,), (dirs, values)])):
+            target["x"] = (vs[0], vs[1]) if target is dirs else Fraction(1)
+    if "endpoints" in faults:
+        eid = draw(st.sampled_from(sorted(dirs)))
+        tail, head = dirs[eid]
+        dirs[eid] = draw(st.sampled_from([(tail, tail), (head, "nowhere"), (tail, vs[-1]), (vs[0], head)]))
+    dirs = dict(draw(st.permutations(list(dirs.items()))))
+    values = dict(draw(st.permutations(list(values.items()))))
+    mode = INTEGER_ONE_ZERO if integer else flows.NOWHERE_ZERO
+    return g, RationalFlow(Orientation(dirs), values, r, mode, zero_edge)
+
+
+def _flow_outcome(check, g, flow):
+    try:
+        cert = check(g, flow)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return cert.verdict, cert.certificate_sha256()
+
+
+@given(flow_cases())
+@settings(max_examples=600, derandomize=True, deadline=None)
+def test_verify_flow_matches_the_fraction_oracle(case):
+    g, flow = case
+    assert _flow_outcome(verify_flow, g, flow) == _flow_outcome(_verify_flow_oracle, g, flow)
