@@ -59,8 +59,6 @@ def _jsonable(value: Any) -> Any:
     if value is None or type(value) is str or type(value) is int:
         return value
     if isinstance(value, dict):
-        if all(type(k) is str for k in value):
-            return {k: _jsonable(v) for k, v in sorted(value.items())}
         # str(k) order: int keys sort as text, so 10 comes before 9
         return {str(k): _jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple)):

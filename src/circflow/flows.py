@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 from . import valuations
 from .certificates import Certificate, make_certificate, rat, unrat
 from .multigraph import (
-    IndexedView,
     Multigraph,
     _max_flow,
     add_matching_copies,
@@ -113,13 +112,12 @@ def flow_from_witness(g: Multigraph, witness: dict) -> RationalFlow:
 # -- verification ------------------------------------------------------------
 
 
-def _arc(view: IndexedView, eid: str, pair: tuple[str, str], error: str) -> tuple[int, int]:
+def _arc(g: Multigraph, eid: str, pair: tuple[str, str], error: str) -> tuple[int, int]:
     """The (tail, head) vertex indices of ``pair``, which must hold the ends of edge ``eid``."""
-    t, h = view.pos.get(pair[0]), view.pos.get(pair[1])
-    a, b = view.ends[view.edge_pos[eid]]
-    if not (t == a and h == b or t == b and h == a):
+    e, t, h = g._edges[eid], pair[0], pair[1]
+    if not (t == e.u and h == e.v or t == e.v and h == e.u):
         raise FlowError(error)
-    return t, h
+    return g.indexed.pos[t], g.indexed.pos[h]
 
 
 def verify_flow(g: Multigraph, flow: RationalFlow) -> Certificate:
@@ -133,7 +131,7 @@ def verify_flow(g: Multigraph, flow: RationalFlow) -> Certificate:
     the first edge out of the window in ``flow.values`` order.
     """
     view, dirs, values = g.indexed, flow.orientation._dir, flow.values
-    if not dirs.keys() == values.keys() == view.edge_pos.keys():
+    if not dirs.keys() == values.keys() == g._edges.keys():
         raise FlowError("flow does not cover exactly the edges of the graph")
     den = lcm(flow.r.denominator, *{x.denominator for x in values.values()})
     if flow.mode == INTEGER_ONE_ZERO:
@@ -143,7 +141,7 @@ def verify_flow(g: Multigraph, flow: RationalFlow) -> Certificate:
     net = [0] * len(view.vertices)
     bad = None
     for eid, val in values.items():
-        tail, head = _arc(view, eid, dirs[eid], "orientation endpoints disagree with the graph")
+        tail, head = _arc(g, eid, dirs[eid], "orientation endpoints disagree with the graph")
         x = val.numerator * (den // val.denominator)
         net[tail] -= x
         net[head] += x
@@ -154,7 +152,7 @@ def verify_flow(g: Multigraph, flow: RationalFlow) -> Certificate:
     unbalanced = sorted(view.vertices[v] for v, x in enumerate(net) if x)
     if unbalanced:
         witness["violation"] = {"conservation_at": unbalanced}
-    elif flow.mode == INTEGER_ONE_ZERO and zero not in view.edge_pos:
+    elif flow.mode == INTEGER_ONE_ZERO and zero not in g._edges:
         raise FlowError("integer mode requires a flagged zero edge")
     elif bad is not None:
         witness["violation"] = {"edge": bad, "value": rat(values[bad])}
@@ -235,13 +233,13 @@ def circulation_feasible(g: Multigraph, d: Orientation, r: Fraction):
     if r < 2:
         raise FlowError("feasibility is defined for r >= 2")
     view = g.indexed
-    if d._dir.keys() != view.edge_pos.keys():
+    if d._dir.keys() != g._edges.keys():
         raise FlowError("orientation does not cover the graph")
     n, den = len(view.vertices), r.denominator
     excess = [0] * n
     arcs: list[tuple[int, int, int]] = []
     for eid in view.edge_ids:
-        tail, head = _arc(view, eid, d._dir[eid], "orientation does not cover the graph")
+        tail, head = _arc(g, eid, d._dir[eid], "orientation does not cover the graph")
         arcs.append((tail, head, r.numerator - 2 * den))
         excess[head] += den
         excess[tail] -= den

@@ -62,7 +62,6 @@ class IndexedView:
     vertices: tuple[str, ...]
     pos: dict[str, int]
     edge_ids: tuple[str, ...]
-    edge_pos: dict[str, int]
     ends: tuple[tuple[int, int], ...]
     incident: tuple[tuple[int, ...], ...]
 
@@ -101,7 +100,7 @@ class Multigraph:
         edge_ids = tuple(self._edges)
         index = {eid: i for i, eid in enumerate(edge_ids)}
         return IndexedView(
-            self._vertices, pos, edge_ids, index,
+            self._vertices, pos, edge_ids,
             tuple((pos[e.u], pos[e.v]) for e in self._edges.values()),
             tuple(tuple(index[eid] for eid in self._incident[v]) for v in self._vertices))
 

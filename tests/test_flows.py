@@ -25,7 +25,8 @@ from circflow.flows import (
     write_flow,
 )
 from circflow.multigraph import Multigraph, bridges, perfect_matchings
-from test_certificates import _graph_hash_oracle, _jsonable_oracle, _rat_oracle
+
+from _oracles import _graph_hash_oracle, _jsonable_oracle, _rat_oracle
 
 
 def cycle_graph(k):
