@@ -57,14 +57,21 @@ def read_valuation(text: str) -> valuations.BalancedValuation:
     r: Fraction | None = None
     k: dict[str, int] = {}
     for ln in lines[1:]:
-        name, value = ln.split()
+        parts = ln.split()
+        if len(parts) != 2:
+            raise UsageError(f"malformed valuation line {ln!r}")
+        name, value = parts
         if name == "r":
+            if r is not None:
+                raise UsageError("header 'r' appears twice")
             r = unrat(value)
             if r <= 2:
                 raise UsageError("a valuation needs r > 2")
             continue
         if r is None:
             raise UsageError("valuation file must state r before vertex weights")
+        if name in k:
+            raise UsageError(f"vertex {name!r} appears twice")
         weight = unrat(value)
         ratio = weight / (r / (r - 2))
         if ratio.denominator != 1:

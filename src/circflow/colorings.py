@@ -519,21 +519,27 @@ def read_coloring(text: str) -> EdgeColoring:
         raise ColoringError(f"expected header {COLORING_HEADER!r}")
     palette: int | None = None
     mode = PROPER
+    headers: set[str] = set()
     colors: dict[str, int] = {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ColoringError(f"malformed coloring line {ln!r}")
-        if parts[0] == "palette":
-            palette = int(parts[1])
-        elif parts[0] == "mode":
-            if parts[1] not in (PROPER, SEES_ODD):
-                raise ColoringError(f"unknown coloring mode {parts[1]!r}")
-            mode = parts[1]
-        elif parts[0] in colors:
-            raise ColoringError(f"edge {parts[0]!r} appears twice")
+        key, value = parts
+        if key in ("palette", "mode"):
+            if key in headers:
+                raise ColoringError(f"header {key!r} appears twice")
+            headers.add(key)
+        if key == "palette":
+            palette = int(value)
+        elif key == "mode":
+            if value not in (PROPER, SEES_ODD):
+                raise ColoringError(f"unknown coloring mode {value!r}")
+            mode = value
+        elif key in colors:
+            raise ColoringError(f"edge {key!r} appears twice")
         else:
-            colors[parts[0]] = int(parts[1])
+            colors[key] = int(value)
     if palette is None:
         raise ColoringError("coloring file missing its palette header")
     return EdgeColoring(colors, palette, mode)

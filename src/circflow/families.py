@@ -125,8 +125,7 @@ def dot_product(spec: DotProductSpec) -> Multigraph:
     h_cut = h.with_vertices_removed((u, w))
     joined = Multigraph(
         list(g_cut.vertices) + list(h_cut.vertices),
-        [(e.eid, e.u, e.v) for e in g_cut.edges()]
-        + [(e.eid, e.u, e.v) for e in h_cut.edges()]
+        [*g_cut.edges(), *h_cut.edges()]
         + [(f"dot:{a}~{b}", a, b) for a, b in ((v1, u1), (v2, u2), (v3, w1), (v4, w2))],
     )
     return joined

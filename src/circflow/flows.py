@@ -307,7 +307,7 @@ def circular_flow_number(g: Multigraph, cap: int = PHI_C_EDGE_CAP) -> PhiCResult
     value = Fraction(2)
     k: dict[str, int] = {}
     for comp in connected_components(g):
-        sub = Multigraph(sorted(comp), [(e.eid, e.u, e.v) for e in g.edges() if e.u in comp])
+        sub = Multigraph(sorted(comp), [e for e in g.edges() if e.u in comp])
         comp_value, comp_k = valuations._phi_c_valuation(sub)
         value = max(value, comp_value)
         k.update(comp_k)
@@ -571,6 +571,8 @@ def read_flow(text: str) -> RationalFlow:
         if len(rest) != (1 if key in ("r", "mode", "zero-edge") else 3):
             raise FlowError(f"malformed flow line {ln!r}")
         if len(rest) == 1:
+            if key in header:
+                raise FlowError(f"header {key!r} appears twice")
             header[key] = rest[0]
         elif key in dirs:
             raise FlowError(f"edge {key!r} appears twice")

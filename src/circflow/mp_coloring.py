@@ -117,24 +117,61 @@ class MpPrimeColoringData:
     copy_permutations: tuple[dict[int, int], ...]  # raw color -> final color per copy
 
 
-def _copy_edge_ids(p: int, i: int):
-    """Edge-id helpers for copy i of M_p' (ids survive the expansion)."""
-    def k_edge(a: int, b: int) -> str:
-        a, b = sorted((a, b))
-        return f"K{i}:v{a}v{b}"
+def _copy_pattern(t: int) -> tuple[dict[tuple[str, str], int], list[int]]:
+    """Steps (a)-(c) of every copy of M_p', which differ between copies only
+    in the copy index inside the edge ids.
 
-    def t_edge(a: int, b: int) -> str:
-        a, b = sorted((a, b))
-        return f"T{i}:v{a}v{b}"
+    Returns the raw colors keyed by ``(head, tail)``, the id of the edge in
+    copy i being ``f"{head}{i}{tail}"``, and the freed junction colors in
+    circuit order.  The spokes keep their ids through the expansion: side 1
+    joins c_i, side 2 joins c_{i+1}, and the expanded vertex keeps the first
+    parallel edge of each bundle.
+    """
+    p = 2 * t + 1
+    mod = 8 * t + 3
+    to_j = families.lemma_to_construction_label(p)
+    raw: dict[tuple[str, str], int] = {}
 
-    def spoke(side: int, j: int) -> str:
-        # side 1 joins c_i, side 2 joins c_{i+1}; the expanded vertex keeps
-        # the first parallel edge from each bundle
-        if j == 4 * p:
-            return f"pz{side}{i}:1"
-        return f"s{side}{i}:v{j}"
+    def pair(head: str, a, b) -> tuple[str, str]:
+        a, b = sorted((to_j[a], to_j[b]))
+        return head, f":v{a}v{b}"
 
-    return k_edge, t_edge, spoke
+    def spoke(side: int, j: int) -> tuple[str, str]:
+        return (f"pz{side}", ":1") if j == 4 * p else (f"s{side}", f":v{j}")
+
+    # (a) factorization colors on all K-edges of the copy
+    for j, matching in enumerate(k4p_factorization_labels(t)):
+        for a, b in matching:
+            raw[pair("K", a, b)] = j
+
+    # (b) triangle circuits: new colors on the circuit, freed colors on
+    # the triangle edges
+    for jj in range(0, 3 * t, 3):
+        tri_circuit = triangle_circuit_labels(t, jj)
+        for k, v in enumerate(tri_circuit):
+            w = tri_circuit[(k + 1) % 6]
+            raw[pair("K", v, w)] = mod if k % 2 == 0 else mod + 1
+        for (a, b), col in derive_triangle_pattern(t, jj).items():
+            raw[pair("T", a, b)] = col
+
+    # (c) junction circuit: remember the freed colors in circuit order,
+    # recolor the circuit alternately, hand each vertex's forward color
+    # to c_i and its backward color to c_{i+1}
+    circuit = junction_circuit_labels(t)
+    clen = len(circuit)
+    freed: list[int] = []
+    for k in range(clen):
+        v, w = circuit[k], circuit[(k + 1) % clen]
+        freed.append(factor_color_of_pair(t, v, w))
+    if len(set(freed)) != clen:
+        raise ColoringError("junction circuit colors are not pairwise distinct")
+    for k in range(clen):
+        v, w = circuit[k], circuit[(k + 1) % clen]
+        raw[pair("K", v, w)] = mod if k % 2 == 0 else mod + 1
+    for k, v in enumerate(circuit):
+        raw[spoke(1, to_j[v])] = freed[k]
+        raw[spoke(2, to_j[v])] = freed[(k - 1) % clen]
+    return raw, freed
 
 
 def mp_prime_coloring(t: int) -> MpPrimeColoringData:
@@ -145,51 +182,12 @@ def mp_prime_coloring(t: int) -> MpPrimeColoringData:
     p = 2 * t + 1
     family = families.mp_graph(p, families.MP_PRIME)
     g = family.graph
-    mod = 8 * t + 3
     palette = 8 * t + 5
-    to_j = families.lemma_to_construction_label(p)
-    copies = 4 * p + 1
+    raw, freed = _copy_pattern(t)
 
     colors: dict[str, int] = {}
     permutations: list[dict[int, int]] = []
-    circuit = junction_circuit_labels(t)
-    clen = len(circuit)
-
-    for i in range(1, copies + 1):
-        k_edge, t_edge, spoke = _copy_edge_ids(p, i)
-        raw: dict[str, int] = {}
-
-        # (a) factorization colors on all K-edges of the copy
-        for j, matching in enumerate(k4p_factorization_labels(t)):
-            for a, b in matching:
-                raw[k_edge(to_j[a], to_j[b])] = j
-
-        # (b) triangle circuits: new colors on the circuit, freed colors on
-        # the triangle edges
-        for jj in range(0, 3 * t, 3):
-            tri_circuit = triangle_circuit_labels(t, jj)
-            for k, v in enumerate(tri_circuit):
-                w = tri_circuit[(k + 1) % 6]
-                raw[k_edge(to_j[v], to_j[w])] = mod if k % 2 == 0 else mod + 1
-            for (a, b), col in derive_triangle_pattern(t, jj).items():
-                raw[t_edge(to_j[a], to_j[b])] = col
-
-        # (c) junction circuit: remember the freed colors in circuit order,
-        # recolor the circuit alternately, hand each vertex's forward color
-        # to c_i and its backward color to c_{i+1}
-        freed: list[int] = []
-        for k in range(clen):
-            v, w = circuit[k], circuit[(k + 1) % clen]
-            freed.append(factor_color_of_pair(t, v, w))
-        if len(set(freed)) != clen:
-            raise ColoringError("junction circuit colors are not pairwise distinct")
-        for k in range(clen):
-            v, w = circuit[k], circuit[(k + 1) % clen]
-            raw[k_edge(to_j[v], to_j[w])] = mod if k % 2 == 0 else mod + 1
-        for k, v in enumerate(circuit):
-            raw[spoke(1, to_j[v])] = freed[k]
-            raw[spoke(2, to_j[v])] = freed[(k - 1) % clen]
-
+    for i in range(1, 4 * p + 2):
         # (d) per-copy palette rotation: freed set -> i + {1, 3, .., 4t+7},
         # the rest order-preserving
         window = sorted((i + 2 * s + 1) % palette for s in range(2 * t + 4))
@@ -200,8 +198,8 @@ def mp_prime_coloring(t: int) -> MpPrimeColoringData:
         rest_new = [c for c in range(palette) if c not in set(window)]
         perm.update(dict(zip(rest_old, rest_new)))
         permutations.append(perm)
-        for eid, c in raw.items():
-            colors[eid] = perm[c]
+        for (head, tail), c in raw.items():
+            colors[f"{head}{i}{tail}"] = perm[c]
 
         # (e) the p-2 parallel junction edges get the even window
         bundle = sorted([f"zz{i}"] + [f"pz1{i}:{k}&pz2{i}:{k}" for k in range(2, p - 1)])

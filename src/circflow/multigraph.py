@@ -8,6 +8,17 @@ linear in |V| + |E|.  Each graph caches its content hash and the
 integer-indexed view its solvers share.  The module also holds the one
 max-flow kernel, on integer node ids and capacities: flows and valuations
 scale their rational capacities by one common denominator.
+
+``Multigraph.__init__`` is the one constructor and the one place a graph is
+validated.  It checks all vertex ids in one pass, and all edge ids in
+another, as ``" ".join(ids).split() == ids``: exactly the per-token test
+``token.split() == [token]``, run at C speed.  Only when that fails are the
+ids checked one by one, each in input order together with the checks that
+follow it, so the first ``GraphError`` raised is the one the per-id test
+would raise first.  Every edge is checked for a duplicate id, a loop and an
+unknown endpoint.  Edges are immutable ``Edge`` named tuples ``(eid, u, v)``:
+derived graphs pass their parent's ``Edge`` records on for the edges they
+keep, and build new ones only for rewired and new edges.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -36,8 +47,14 @@ def _check_token(kind: str, token: str) -> str:
     return token
 
 
-@dataclass(frozen=True)
-class Edge:
+def _all_tokens(ids: list[str]) -> bool:
+    """``token.split() == [token]`` for every id, in one C-speed pass: the
+    split of the joined ids gives back the list exactly when no id is empty
+    or holds whitespace."""
+    return " ".join(ids).split() == ids
+
+
+class Edge(NamedTuple):
     eid: str
     u: str
     v: str
@@ -70,25 +87,32 @@ class Multigraph:
     """Loopless multigraph.  Parallel edges are allowed, loops are not."""
 
     def __init__(self, vertices: Iterable[str] = (), edges: Iterable[tuple[str, str, str]] = ()):
-        vs: dict[str, None] = {}
-        for v in vertices:
-            _check_token("vertex", v)
-            if v in vs:
-                raise GraphError(f"duplicate vertex id {v!r}")
-            vs[v] = None
-        es: dict[str, Edge] = {}
+        vs = list(vertices)
         incident: dict[str, list[str]] = {v: [] for v in vs}
-        for eid, u, v in edges:
-            _check_token("edge", eid)
+        if len(incident) != len(vs) or not _all_tokens(vs):
+            seen: set[str] = set()
+            for v in vs:
+                _check_token("vertex", v)
+                if v in seen:
+                    raise GraphError(f"duplicate vertex id {v!r}")
+                seen.add(v)
+        records = [e if type(e) is Edge else Edge._make(e) for e in edges]
+        check_ids = not _all_tokens([e.eid for e in records])
+        es: dict[str, Edge] = {}
+        for e in records:
+            eid, u, v = e
+            if check_ids:
+                _check_token("edge", eid)
             if eid in es:
                 raise GraphError(f"duplicate edge id {eid!r}")
             if u == v:
                 raise GraphError(f"edge {eid!r} is a loop at {u!r}")
-            if u not in vs or v not in vs:
+            at_u, at_v = incident.get(u), incident.get(v)
+            if at_u is None or at_v is None:
                 raise GraphError(f"edge {eid!r} references unknown vertex")
-            es[eid] = Edge(eid, u, v)
-            incident[u].append(eid)
-            incident[v].append(eid)
+            es[eid] = e
+            at_u.append(eid)
+            at_v.append(eid)
         self._vertices = tuple(vs)
         self._edges = es
         self._incident = {v: tuple(ids) for v, ids in incident.items()}
@@ -193,10 +217,7 @@ class Multigraph:
         gone = set(eids)
         for e in gone:
             self.edge(e)
-        return Multigraph(
-            self._vertices,
-            [(e.eid, e.u, e.v) for e in self._edges.values() if e.eid not in gone],
-        )
+        return Multigraph(self._vertices, [e for e in self._edges.values() if e.eid not in gone])
 
     def with_vertices_removed(self, vs: Iterable[str]) -> Multigraph:
         gone = set(vs)
@@ -205,15 +226,12 @@ class Multigraph:
                 raise GraphError(f"unknown vertex id {v!r}")
         return Multigraph(
             [v for v in self._vertices if v not in gone],
-            [(e.eid, e.u, e.v) for e in self._edges.values() if not (e.u in gone or e.v in gone)],
+            [e for e in self._edges.values() if not (e.u in gone or e.v in gone)],
         )
 
     def with_edges_added(self, edges: Iterable[tuple[str, str, str]],
                          new_vertices: Iterable[str] = ()) -> Multigraph:
-        return Multigraph(
-            list(self._vertices) + list(new_vertices),
-            [(e.eid, e.u, e.v) for e in self._edges.values()] + list(edges),
-        )
+        return Multigraph([*self._vertices, *new_vertices], [*self._edges.values(), *edges])
 
     def relabeled(self, vertex_map: Mapping[str, str], edge_map: Mapping[str, str] | None = None) -> Multigraph:
         """Rename vertices (and optionally edges) through total or partial maps."""
@@ -415,17 +433,17 @@ def expand_vertices(g: Multigraph,
         rank[v] = len(rank)
         attachments[v] = attachment
     vertices = [w for w in g.vertices if w not in rank]
-    edges: list[tuple[str, str, str]] = []
+    edges: list[Edge] = []
     for e in g.edges():
         a, b = e.u, e.v
         if rank.get(a, -1) < rank.get(b, -1):
             a, b = b, a
         if a in rank:
-            a, b = attachments[a][e.eid], attachments[b][e.eid] if b in rank else b
-        edges.append((e.eid, a, b))
+            e = Edge(e.eid, attachments[a][e.eid], attachments[b][e.eid] if b in rank else b)
+        edges.append(e)
     for _, replacement, _ in expansions:
         vertices.extend(replacement.vertices)
-        edges.extend((e.eid, e.u, e.v) for e in replacement.edges())
+        edges.extend(replacement.edges())
     return Multigraph(vertices, edges)
 
 
@@ -438,7 +456,7 @@ def suppress_divalent_with_map(g: Multigraph) -> tuple[Multigraph, dict[str, tup
     that is a pure cycle of divalent vertices always reaches that error.
     Smoothing changes no other vertex's degree, so one pass smooths them all.
     """
-    ends = {e.eid: (e.u, e.v) for e in g.edges()}
+    edges = dict(g._edges)
     incident = {v: set(g.incident_edges(v)) for v in g.vertices}
     merges: dict[str, tuple[str, str]] = {}
     kept: list[str] = []
@@ -447,22 +465,21 @@ def suppress_divalent_with_map(g: Multigraph) -> tuple[Multigraph, dict[str, tup
             kept.append(v)
             continue
         e1, e2 = sorted(incident[v])
-        a = ends[e1][0] if ends[e1][1] == v else ends[e1][1]
-        b = ends[e2][0] if ends[e2][1] == v else ends[e2][1]
+        a, b = edges[e1].other(v), edges[e2].other(v)
         if a == b:
             raise GraphError(f"suppressing {v!r} would create a loop at {a!r}")
         new_id = f"{e1}&{e2}"
-        while new_id in ends:
+        while new_id in edges:
             new_id += "'"
-        del ends[e1], ends[e2]
-        ends[new_id] = (a, b)
+        del edges[e1], edges[e2]
+        edges[new_id] = Edge(new_id, a, b)
         merges[new_id] = (e1, e2)
         incident[a].remove(e1)
         incident[a].add(new_id)
         incident[b].remove(e2)
         incident[b].add(new_id)
     del incident  # freed before the rebuild, which would otherwise raise peak memory
-    return Multigraph(kept, [(eid, u, w) for eid, (u, w) in ends.items()]), merges
+    return Multigraph(kept, edges.values()), merges
 
 
 def connected_components(g: Multigraph) -> list[set[str]]:

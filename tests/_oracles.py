@@ -1,11 +1,16 @@
-"""Reference versions of the certificate serializer, kept only as oracles
-for the differential tests: they re-wrap every value in ``Fraction`` and
-re-hash the graph on every call, as the serializer once did."""
+"""Reference versions kept only as oracles for the differential tests.
+
+The certificate serializer re-wraps every value in ``Fraction`` and re-hashes
+the graph on every call, as it once did.  The graph constructor makes a
+frozen-dataclass edge per edge and checks every id token by token, and the
+derived graphs rebuild every edge from plain tuples, as they once did.
+"""
 
 import hashlib
+from dataclasses import dataclass
 from fractions import Fraction
 
-from circflow.multigraph import canonical_serialize
+from circflow.multigraph import GraphError, Multigraph, _check_token, canonical_serialize
 
 
 def _rat_oracle(x):
@@ -30,3 +35,84 @@ def _jsonable_oracle(value):
 def _graph_hash_oracle(g):
     """The content hash recomputed from the serialization: the oracle."""
     return hashlib.sha256(canonical_serialize(g).encode()).hexdigest()
+
+
+@dataclass(frozen=True)
+class EdgeOracle:
+    eid: str
+    u: str
+    v: str
+
+    def other(self, w):
+        if w == self.u:
+            return self.v
+        if w == self.v:
+            return self.u
+        raise GraphError(f"vertex {w!r} is not an endpoint of edge {self.eid!r}")
+
+    @property
+    def ends(self):
+        return frozenset((self.u, self.v))
+
+
+class MultigraphOracle(Multigraph):
+    """The graph constructor with per-token id checks and dataclass edges:
+    the oracle.  Queries and views are inherited; every derived graph is
+    rebuilt from plain ``(eid, u, v)`` tuples."""
+
+    def __init__(self, vertices=(), edges=()):
+        vs = {}
+        for v in vertices:
+            _check_token("vertex", v)
+            if v in vs:
+                raise GraphError(f"duplicate vertex id {v!r}")
+            vs[v] = None
+        es = {}
+        incident = {v: [] for v in vs}
+        for eid, u, v in edges:
+            _check_token("edge", eid)
+            if eid in es:
+                raise GraphError(f"duplicate edge id {eid!r}")
+            if u == v:
+                raise GraphError(f"edge {eid!r} is a loop at {u!r}")
+            if u not in vs or v not in vs:
+                raise GraphError(f"edge {eid!r} references unknown vertex")
+            es[eid] = EdgeOracle(eid, u, v)
+            incident[u].append(eid)
+            incident[v].append(eid)
+        self._vertices = tuple(vs)
+        self._edges = es
+        self._incident = {v: tuple(ids) for v, ids in incident.items()}
+
+    def with_edges_removed(self, eids):
+        gone = set(eids)
+        for e in gone:
+            self.edge(e)
+        return MultigraphOracle(
+            self._vertices,
+            [(e.eid, e.u, e.v) for e in self._edges.values() if e.eid not in gone],
+        )
+
+    def with_vertices_removed(self, vs):
+        gone = set(vs)
+        for v in gone:
+            if v not in self._incident:
+                raise GraphError(f"unknown vertex id {v!r}")
+        return MultigraphOracle(
+            [v for v in self._vertices if v not in gone],
+            [(e.eid, e.u, e.v) for e in self._edges.values() if not (e.u in gone or e.v in gone)],
+        )
+
+    def with_edges_added(self, edges, new_vertices=()):
+        return MultigraphOracle(
+            list(self._vertices) + list(new_vertices),
+            [(e.eid, e.u, e.v) for e in self._edges.values()] + list(edges),
+        )
+
+    def relabeled(self, vertex_map, edge_map=None):
+        vm = lambda v: vertex_map.get(v, v)
+        em = (lambda e: edge_map.get(e, e)) if edge_map else (lambda e: e)
+        return MultigraphOracle(
+            [vm(v) for v in self._vertices],
+            [(em(e.eid), vm(e.u), vm(e.v)) for e in self._edges.values()],
+        )

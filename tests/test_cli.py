@@ -160,6 +160,10 @@ K2_FLOW = "circflow-flow v1\nr 2/1\nmode nowhere-zero\ne1 a b 1/1\ne2 b a 1/1\n"
     (("e2 b a 1/1", "e2 b a 1/1 9"), "malformed flow line 'e2 b a 1/1 9'"),
     (("mode nowhere-zero", "mode bogus"), "unknown flow mode 'bogus'"),
     (("e1 a b 1/1", "e1 a b 5/1\ne1 a b 1/1"), "edge 'e1' appears twice"),
+    (("r 2/1", "r 1/1\nr 2/1"), "header 'r' appears twice"),
+    (("mode nowhere-zero", "mode nowhere-zero\nmode nowhere-zero"), "header 'mode' appears twice"),
+    (("mode nowhere-zero", "zero-edge e1\nmode nowhere-zero\nzero-edge e1"),
+     "header 'zero-edge' appears twice"),
 ])
 def test_malformed_flow_files_are_usage_errors(tmp_path, capsys, edit, message):
     graph = tmp_path / "k2.graph"
@@ -171,6 +175,29 @@ def test_malformed_flow_files_are_usage_errors(tmp_path, capsys, edit, message):
     capsys.readouterr()
     assert run("verify-flow", graph, flow) == cli.EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+K4_VALUATION = "circflow-valuation v1\nr 4/1\nv1 -2/1\nv2 2/1\nv3 2/1\nv4 -2/1\n"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (("v1 -2/1", "v1 2/1\nv1 -2/1"), "vertex 'v1' appears twice"),
+    (("r 4/1", "r 4/1\nr 4/1"), "header 'r' appears twice"),
+    (("v1 -2/1", "v1"), "malformed valuation line 'v1'"),
+    (("v1 -2/1", "v1 -2/1 9"), "malformed valuation line 'v1 -2/1 9'"),
+])
+def test_malformed_valuation_files_are_usage_errors(tmp_path, capsys, edit, message):
+    graph = tmp_path / "k4.graph"
+    graph.write_text(serialize(families.complete_graph(4)))
+    val = tmp_path / "k4.valuation"
+    val.write_text(K4_VALUATION)
+    assert run("check-balanced", graph, val) == 0
+    val.write_text(K4_VALUATION.replace(*edit))
+    with pytest.raises(cli.UsageError, match=f"^{message}$"):
+        cli.read_valuation(val.read_text())
+    capsys.readouterr()
+    assert run("check-balanced", graph, val) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_reverify_command(tmp_path):

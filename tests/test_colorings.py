@@ -291,6 +291,8 @@ def test_coloring_file_round_trip():
     (("e2 1", "e2 1 1"), "malformed coloring line 'e2 1 1'"),
     (("mode proper", "mode bogus"), "unknown coloring mode 'bogus'"),
     (("e1 0", "e1 2\ne1 0"), "edge 'e1' appears twice"),
+    (("palette 3", "palette 5\npalette 3"), "header 'palette' appears twice"),
+    (("mode proper", "mode proper\nmode sees-odd"), "header 'mode' appears twice"),
 ])
 def test_malformed_coloring_files_are_rejected(edit, message):
     text = "circflow-coloring v1\npalette 3\nmode proper\ne1 0\ne2 1\n"

@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 
 import pytest
 
 from circflow import families, mp_coloring
-from circflow.colorings import EdgeColoring, is_proper, sees_odd_violation
+from circflow.colorings import EdgeColoring, is_proper, sees_odd_violation, write_coloring
 from circflow.mp_coloring import (
     INF,
     derive_triangle_pattern,
@@ -13,7 +14,7 @@ from circflow.mp_coloring import (
     mp_prime_coloring,
     mp_tilde_coloring,
 )
-from circflow.multigraph import is_perfect_matching
+from circflow.multigraph import is_perfect_matching, serialize
 
 
 def test_k4p_factorization_t1_first_matching():
@@ -122,6 +123,38 @@ def test_mp_prime_internal_vertices_see_all_once():
     for v in ("v1@1", "v7@3", "x@5"):
         got = sorted(colors[e] for e in g.incident_edges(v))
         assert got == list(range(13))
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("t,coloring_sha,permutations_sha", [
+    (1, "37f3fa8279c9754556bf924a201df303d53c361b230eb7d5b1d9591aa2475128",
+     "7bc3ccc49ac4a684ddd9509893d7c5159de9406bdd62390034a12dc97e12390f"),
+    (2, "0d65585eb851fc043b25faf81ae3d1a9117de76703268790e7536b0d81dc4e80",
+     "143fbb69ffd9c1f5119008d98164fc8427df7526a9e955b52e647c9bd3058d66"),
+    (3, "d9b51646d634a95a4c81164087a3001807532980ab98c26c320c6359bd1de15a",
+     "4c3a7dbebaa57d401cfa3673393a4fdfffcc608be54e38881a4e5a18d049f679"),
+])
+def test_mp_prime_coloring_is_pinned(t, coloring_sha, permutations_sha):
+    # the coloring file and every copy's palette rotation (in insertion
+    # order), as the copy-by-copy construction produced them
+    data = mp_prime_coloring(t)
+    assert _sha(write_coloring(data.coloring)) == coloring_sha
+    assert _sha(repr(data.copy_permutations)) == permutations_sha
+
+
+@pytest.mark.parametrize("t,coloring_sha,graph_sha", [
+    (1, "92d56565dd323960d57a1f9f2b48c325662173b59bcf096af077b21ad0c8d7cf",
+     "f46f870df7426b41cc0d6cec16a647a36af43f8cad1087973cb87359c9985d82"),
+    (2, "030483ce70aeda3dd40accb6f2c9d7e945ad5487c5f260a78c5953a3f3dbeada",
+     "da542002c88220c10472a80310327413d0e08cd920c5c1559bee03f87d73d0d2"),
+])
+def test_mp_tilde_coloring_is_pinned(t, coloring_sha, graph_sha):
+    g, coloring = mp_tilde_coloring(t)
+    assert _sha(write_coloring(coloring)) == coloring_sha
+    assert _sha(serialize(g)) == graph_sha
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])

@@ -8,6 +8,7 @@ from circflow import families, mp_coloring
 from circflow.colorings import write_coloring
 from circflow.multigraph import (
     GraphError,
+    _all_tokens,
     _check_token,
     _max_flow,
     Multigraph,
@@ -28,6 +29,8 @@ from circflow.multigraph import (
     serialize,
     suppress_divalent_with_map,
 )
+
+from _oracles import MultigraphOracle
 
 
 def path_graph(k):
@@ -389,7 +392,7 @@ def _suppress_divalent_oracle(g):
     for v in vertices:
         if degree_of(v) == 2:
             raise GraphError("divalent cycle component: suppression undefined")
-    return Multigraph(vertices, [(eid, u, w) for eid, (u, w) in edges.items()]), merges
+    return type(g)(vertices, [(eid, u, w) for eid, (u, w) in edges.items()]), merges
 
 
 def _expand_vertex_oracle(g, v, replacement, attachment):
@@ -412,7 +415,7 @@ def _expand_vertex_oracle(g, v, replacement, attachment):
         edges.append((e.eid, attachment[e.eid], e.other(v)))
     for e in replacement.edges():
         edges.append((e.eid, e.u, e.v))
-    return Multigraph(vertices, edges)
+    return type(g)(vertices, edges)
 
 
 def _expand_sequentially(g, expansions):
@@ -520,9 +523,12 @@ def test_expand_vertices_matches_sequential_oracle(case):
     assert _outcome(expand_vertices, g, expansions) == _outcome(_expand_sequentially, g, expansions)
 
 
-@given(st.text(st.one_of(st.sampled_from("ab&' \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0"
-                                          "\u1680\u2000\u2028\u2029\u202f\u3000\u200b"),
-                         st.characters()), max_size=6))
+_TOKEN_TEXT = st.text(st.one_of(st.sampled_from("ab&' \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0"
+                                                "\u1680\u2000\u2028\u2029\u202f\u3000\u200b"),
+                               st.characters()), max_size=6)
+
+
+@given(_TOKEN_TEXT)
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_check_token_rejects_exactly_the_isspace_ids(token):
     rejected = not token or any(ch.isspace() for ch in token)
@@ -532,6 +538,90 @@ def test_check_token_rejects_exactly_the_isspace_ids(token):
         assert rejected
     else:
         assert not rejected
+
+
+@given(st.lists(_TOKEN_TEXT, max_size=4))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_all_tokens_is_the_per_token_test(ids):
+    assert _all_tokens(ids) == all(token.split() == [token] for token in ids)
+
+
+# -- the constructor against the per-token dataclass oracle ---------------------
+
+
+def _view(g):
+    """Everything a graph shows."""
+    return (g.vertices, [(e.eid, e.u, e.v) for e in g.edges()],
+            [g.incident_edges(v) for v in g.vertices], g.indexed, g.content_sha256)
+
+
+def _derive(fn, *args):
+    """The derived graph and what it shows (with the merge map, if any), or
+    None and the GraphError raised."""
+    try:
+        out = fn(*args)
+    except GraphError as exc:
+        return None, (type(exc), str(exc))
+    graph, merges = out if isinstance(out, tuple) else (out, None)
+    return graph, (_view(graph), merges)
+
+
+_IDS = st.text(st.sampled_from("ab \t\n\x1c"), max_size=3)
+
+
+@given(st.lists(_IDS, max_size=5), st.lists(st.tuples(_IDS, _IDS, _IDS), max_size=5))
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_constructor_raises_the_oracle_error_on_malformed_input(vertices, edges):
+    # empty or whitespace ids, repeated vertices and edges, loops and unknown
+    # endpoints, often several in one input: the first error must be the same
+    assert _derive(Multigraph, vertices, edges)[1] == _derive(MultigraphOracle, vertices, edges)[1]
+
+
+@given(random_multigraph(), st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_derived_graphs_match_the_constructor_oracle(g, data):
+    """A chain of derived graphs, each built from its parent's edge records,
+    against the same chain rebuilt from tuples by the oracle constructor."""
+    new, old = g, MultigraphOracle(g.vertices, [(e.eid, e.u, e.v) for e in g.edges()])
+    assert _view(new) == _view(old)
+    names = st.sampled_from(["v0", "v1", "w", "e0", "x y", ""])
+
+    def some(ids, **kw):
+        return data.draw(st.lists(st.sampled_from(ids), **kw)) if ids else []
+
+    for step in range(data.draw(st.integers(1, 4))):
+        op = data.draw(st.sampled_from(
+            ["copies", "drop-edges", "drop-vertices", "relabel", "expand", "suppress"]))
+        if op == "copies":
+            pm = data.draw(st.sampled_from([[]] + [sorted(m) for m in perfect_matchings(new)]))
+            k = data.draw(st.integers(0, 2))
+            calls = (add_matching_copies, new, pm, k), (add_matching_copies, old, pm, k)
+        elif op == "drop-edges":
+            gone = some(new.edge_ids, max_size=3)
+            calls = (new.with_edges_removed, gone), (old.with_edges_removed, gone)
+        elif op == "drop-vertices":
+            gone = some(new.vertices, max_size=2)
+            calls = (new.with_vertices_removed, gone), (old.with_vertices_removed, gone)
+        elif op == "relabel":
+            vmap = {v: data.draw(names) for v in some(new.vertices, max_size=2)}
+            emap = {e: data.draw(names) for e in some(new.edge_ids, max_size=2)}
+            calls = (new.relabeled, vmap, emap), (old.relabeled, vmap, emap)
+        elif op == "expand":
+            spec = []
+            for v in some(new.vertices, unique=True, max_size=2):
+                w = f"{v}.{step}"
+                inner = [(f"{v}:r{step}.{j}", v, w) for j in range(data.draw(st.integers(0, 2)))]
+                attachment = {eid: data.draw(st.sampled_from([v, w])) for eid in new.incident_edges(v)}
+                spec.append((v, [v, w], inner, attachment))
+            calls = ((expand_vertices, new, [(v, Multigraph(n, i), a) for v, n, i, a in spec]),
+                     (_expand_sequentially, old,
+                      [(v, MultigraphOracle(n, i), a) for v, n, i, a in spec]))
+        else:
+            calls = (suppress_divalent_with_map, new), (_suppress_divalent_oracle, old)
+        (new_next, shown), (old_next, expected) = (_derive(*call) for call in calls)
+        assert shown == expected, op
+        if new_next is not None:
+            new, old = new_next, old_next
 
 
 def _mp_tilde_text(t):
