@@ -10,14 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .multigraph import (
-    GraphError,
-    Multigraph,
-    expand_vertices,
-    is_matching,
-    is_perfect_matching,
-    suppress_divalent_with_map,
-)
+from .multigraph import Edge, Multigraph, is_matching, is_perfect_matching
 
 
 class FamilyError(ValueError):
@@ -271,7 +264,16 @@ def lemma_to_construction_label(p: int):
 
 def mp_graph(p: int, stage: str = MP_BASE) -> MpFamily:
     """The counterexample family: M_p, its expansion M_p' and the class-1
-    refinement (the tilde stage delegates to the coloring pipeline)."""
+    refinement (the tilde stage delegates to the coloring pipeline).
+
+    M_p' is M_p with each v_{4p}@i expanded into x@i, which keeps the K-edges
+    and the first pz-edge of each side, and y_k@i, which takes the (k+1)-th
+    pz-edge of each side, followed by the suppression of the divalent y's.
+    It is written out here in one pass, exactly as that recipe leaves it:
+    the vertices of M_p without the v_{4p}@i, then x@1, x@2, ...; each
+    rewired edge starts at x@i; and the merged edges ``pz1{i}:{k}&pz2{i}:{k}``
+    joining c_i and c_{i+1}, k >= 2, come last, in copy order.
+    """
     if p < 3 or p % 2 == 0:
         raise FamilyError("p must be an odd integer >= 3")
     if stage not in (MP_BASE, MP_PRIME, MP_TILDE):
@@ -283,48 +285,39 @@ def mp_graph(p: int, stage: str = MP_BASE) -> MpFamily:
         return MpFamily(p, MP_TILDE, graph,
                         tuple(f"c~{i}" for i in range(1, 4 * p + 2)), "w")
 
+    prime = stage == MP_PRIME
     copies = 4 * p + 1
-    vertices: list[str] = [f"c{i}" for i in range(1, copies + 1)] + ["w"]
-    edges: list[tuple[str, str, str]] = []
+    top = 4 * p
+    junctions = tuple(f"c{i}" for i in range(1, copies + 1))
+    vertices: list[str] = [*junctions, "w"]
+    edges: list[Edge] = []
+    merged: list[Edge] = []
     for i in range(1, copies + 1):
         z1 = _junction(p, i)
         z2 = _junction(p, i + 1)
-        kv = [mp_copy_vertex(p, i, j) for j in range(1, 4 * p + 1)]
-        vertices.extend(kv)
-        for a in range(1, 4 * p + 1):
-            for b in range(a + 1, 4 * p + 1):
-                edges.append((f"K{i}:v{a}v{b}", kv[a - 1], kv[b - 1]))
+        kv = [mp_copy_vertex(p, i, j, stage) for j in range(1, top + 1)]
+        x = kv[-1]
+        vertices.extend(kv[:-1] if prime else kv)
+        for a in range(1, top):
+            va = kv[a - 1]
+            edges.extend([Edge(f"K{i}:v{a}v{b}", va, kv[b - 1]) for b in range(a + 1, top)])
+            edges.append(Edge(f"K{i}:v{a}v{top}", *((x, va) if prime else (va, x))))
         for (a, b, c) in mp_triangles(p):
-            edges.append((f"T{i}:v{a}v{b}", kv[a - 1], kv[b - 1]))
-            edges.append((f"T{i}:v{b}v{c}", kv[b - 1], kv[c - 1]))
-            edges.append((f"T{i}:v{a}v{c}", kv[a - 1], kv[c - 1]))
-        edges.append((f"zz{i}", z1, z2))
+            edges.append(Edge(f"T{i}:v{a}v{b}", kv[a - 1], kv[b - 1]))
+            edges.append(Edge(f"T{i}:v{b}v{c}", kv[b - 1], kv[c - 1]))
+            edges.append(Edge(f"T{i}:v{a}v{c}", kv[a - 1], kv[c - 1]))
+        edges.append(Edge(f"zz{i}", z1, z2))
         for k in range(1, p - 1):
-            edges.append((f"pz1{i}:{k}", kv[4 * p - 1], z1))
-            edges.append((f"pz2{i}:{k}", kv[4 * p - 1], z2))
-        for j in range(3 * p - 2, 4 * p):
-            edges.append((f"s1{i}:v{j}", kv[j - 1], z1))
-            edges.append((f"s2{i}:v{j}", kv[j - 1], z2))
-        edges.append((f"hub{i}", "w", z1))
-    base = Multigraph(vertices, edges)
-    family = MpFamily(p, MP_BASE, base, tuple(f"c{i}" for i in range(1, copies + 1)), "w")
-    if stage == MP_BASE:
-        return family
-
-    expansions = []
-    for i in range(1, copies + 1):
-        v4p = mp_copy_vertex(p, i, 4 * p)
-        replacement_vertices = [f"x@{i}"] + [f"y{k}@{i}" for k in range(1, p - 2)]
-        replacement = Multigraph(replacement_vertices, [])
-        attachment: dict[str, str] = {}
-        for eid in base.incident_edges(v4p):
-            if eid.startswith("K"):
-                attachment[eid] = f"x@{i}"
-        attachment[f"pz1{i}:1"] = f"x@{i}"
-        attachment[f"pz2{i}:1"] = f"x@{i}"
-        for k in range(2, p - 1):
-            attachment[f"pz1{i}:{k}"] = f"y{k - 1}@{i}"
-            attachment[f"pz2{i}:{k}"] = f"y{k - 1}@{i}"
-        expansions.append((v4p, replacement, attachment))
-    graph, _merges = suppress_divalent_with_map(expand_vertices(base, expansions))
-    return MpFamily(p, MP_PRIME, graph, family.junctions, "w")
+            if prime and k >= 2:
+                merged.append(Edge(f"pz1{i}:{k}&pz2{i}:{k}", z1, z2))
+            else:
+                edges.append(Edge(f"pz1{i}:{k}", x, z1))
+                edges.append(Edge(f"pz2{i}:{k}", x, z2))
+        for j in range(3 * p - 2, top):
+            edges.append(Edge(f"s1{i}:v{j}", kv[j - 1], z1))
+            edges.append(Edge(f"s2{i}:v{j}", kv[j - 1], z2))
+        edges.append(Edge(f"hub{i}", "w", z1))
+    if prime:
+        vertices.extend(mp_copy_vertex(p, i, top, stage) for i in range(1, copies + 1))
+        edges.extend(merged)
+    return MpFamily(p, stage, Multigraph(vertices, edges), junctions, "w")

@@ -24,6 +24,7 @@ keep, and build new ones only for rewired and new edges.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -290,24 +291,36 @@ def _matchings_of(inc: Sequence[Sequence[tuple[int, int]]], covered: int) -> Ite
 
     ``inc[v]`` lists the (edge index, other end) pairs at vertex ``v`` in
     incidence order.  The lowest uncovered vertex is always matched next, so
-    the matchings come out in one fixed order; each is a list of edge indices.
+    the matchings come out in one fixed order; each is a fresh list of edge
+    indices, which the caller may keep or extend.  The search is depth-first
+    on an explicit stack, one frame per matched vertex (its covered mask and
+    its remaining options), and lazy: it stops wherever the caller stops.
     """
     full = (1 << len(inc)) - 1
-    chosen: list[int] = []
-
-    def rec(covered: int) -> Iterator[list[int]]:
+    if covered == full:
+        yield []
+        return
+    chosen: list[int] = []  # chosen[d]: the edge that matched frame d's vertex
+    v = (~covered & (covered + 1)).bit_length() - 1
+    stack = [(covered | 1 << v, iter(inc[v]))]
+    while stack:
+        covered, options = stack[-1]
+        for e, w in options:
+            if not covered >> w & 1:
+                break
+        else:
+            stack.pop()
+            if stack:
+                chosen.pop()
+            continue
+        chosen.append(e)
+        covered |= 1 << w
         if covered == full:
-            yield list(chosen)
-            return
-        v = (~covered & (covered + 1)).bit_length() - 1
-        for e, w in inc[v]:
-            if covered >> w & 1:
-                continue
-            chosen.append(e)
-            yield from rec(covered | 1 << v | 1 << w)
+            yield chosen.copy()
             chosen.pop()
-
-    return rec(covered)
+        else:
+            v = (~covered & (covered + 1)).bit_length() - 1
+            stack.append((covered | 1 << v, iter(inc[v])))
 
 
 def perfect_matchings(g: Multigraph, required_edge: str | None = None) -> list[frozenset[str]]:
@@ -457,11 +470,13 @@ def suppress_divalent_with_map(g: Multigraph) -> tuple[Multigraph, dict[str, tup
     Smoothing changes no other vertex's degree, so one pass smooths them all.
     """
     edges = dict(g._edges)
-    incident = {v: set(g.incident_edges(v)) for v in g.vertices}
+    # only divalent vertices ever have their incidence read, and smoothing
+    # changes no degree, so only they need sets kept up to date
+    incident = {v: set(ids) for v, ids in g._incident.items() if len(ids) == 2}
     merges: dict[str, tuple[str, str]] = {}
     kept: list[str] = []
     for v in g.vertices:
-        if len(incident[v]) != 2:
+        if v not in incident:
             kept.append(v)
             continue
         e1, e2 = sorted(incident[v])
@@ -474,11 +489,10 @@ def suppress_divalent_with_map(g: Multigraph) -> tuple[Multigraph, dict[str, tup
         del edges[e1], edges[e2]
         edges[new_id] = Edge(new_id, a, b)
         merges[new_id] = (e1, e2)
-        incident[a].remove(e1)
-        incident[a].add(new_id)
-        incident[b].remove(e2)
-        incident[b].add(new_id)
-    del incident  # freed before the rebuild, which would otherwise raise peak memory
+        for end, old in ((a, e1), (b, e2)):
+            if end in incident:
+                incident[end].remove(old)
+                incident[end].add(new_id)
     return Multigraph(kept, edges.values()), merges
 
 
@@ -602,6 +616,8 @@ def deserialize(text: str) -> Multigraph:
         raise ParseError(f"expected header {FORMAT_HEADER!r}", 1)
     vertices: list[str] = []
     edges: list[tuple[str, str, str]] = []
+    vertex_lines: list[int] = []
+    edge_lines: list[int] = []
     for no, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -611,18 +627,43 @@ def deserialize(text: str) -> Multigraph:
             if len(parts) != 2:
                 raise ParseError("vertex line needs exactly one id", no)
             vertices.append(parts[1])
+            vertex_lines.append(no)
         elif parts[0] == "edge":
             if len(parts) != 4:
                 raise ParseError("edge line needs id and two endpoints", no)
             if parts[2] == parts[3]:
                 raise ParseError(f"edge {parts[1]!r} is a loop", no)
             edges.append((parts[1], parts[2], parts[3]))
+            edge_lines.append(no)
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", no)
     try:
         return Multigraph(vertices, edges)
     except GraphError as exc:
-        raise ParseError(str(exc), len(lines)) from exc
+        line = _failing_line(vertices, edges, vertex_lines, edge_lines)
+        raise ParseError(str(exc), line) from exc
+
+
+def _failing_line(vertices: list[str], edges: list[tuple[str, str, str]],
+                  vertex_lines: list[int], edge_lines: list[int]) -> int:
+    """The line of the record on which ``Multigraph(vertices, edges)`` fails.
+
+    The constructor checks the vertices and then the edges, each in order, so
+    the first error it raises belongs to the last record of the shortest
+    failing prefix, which a bisection over the prefixes finds.
+    """
+    def fails(vs: list[str], es: list[tuple[str, str, str]]) -> bool:
+        try:
+            Multigraph(vs, es)
+        except GraphError:
+            return True
+        return False
+
+    if fails(vertices, []):
+        k = bisect_left(range(1, len(vertices) + 1), True, key=lambda n: fails(vertices[:n], []))
+        return vertex_lines[k]
+    k = bisect_left(range(1, len(edges) + 1), True, key=lambda n: fails(vertices, edges[:n]))
+    return edge_lines[k]
 
 
 def from_graph6(text: str) -> Multigraph:

@@ -204,6 +204,9 @@ def check_balanced(g: Multigraph, omega: BalancedValuation) -> Certificate:
             raise ValuationError(f"valuation misses vertex {v!r}")
         if omega.k[v] % 2 != g.degree(v) % 2:
             raise ValuationError(f"k_{v!r} must have the parity of deg({v!r})")
+    if len(omega.k) != g.num_vertices():
+        stray = next(v for v in omega.k if not g.has_vertex(v))
+        raise ValuationError(f"valuation weighs {stray!r}, which is not a vertex of the graph")
     order = list(g.vertices)
     params = {"r": omega.r, "k": {v: omega.k[v] for v in order}}
     total_k = sum(omega.k[v] for v in order)

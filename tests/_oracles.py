@@ -4,13 +4,23 @@ The certificate serializer re-wraps every value in ``Fraction`` and re-hashes
 the graph on every call, as it once did.  The graph constructor makes a
 frozen-dataclass edge per edge and checks every id token by token, and the
 derived graphs rebuild every edge from plain tuples, as they once did.
+M_p' is built from M_p by vertex expansion and divalent suppression, and the
+1-factors are enumerated by a recursive generator chain, as they once were.
 """
 
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from circflow.multigraph import GraphError, Multigraph, _check_token, canonical_serialize
+from circflow import families
+from circflow.multigraph import (
+    GraphError,
+    Multigraph,
+    _check_token,
+    canonical_serialize,
+    expand_vertices,
+    suppress_divalent_with_map,
+)
 
 
 def _rat_oracle(x):
@@ -116,3 +126,43 @@ class MultigraphOracle(Multigraph):
             [vm(v) for v in self._vertices],
             [(em(e.eid), vm(e.u), vm(e.v)) for e in self._edges.values()],
         )
+
+
+def mp_prime_by_expansion(p, expand=expand_vertices, suppress=suppress_divalent_with_map):
+    """M_p' as expand -> suppress of M_p: the oracle.  Each v_{4p}@i becomes
+    x@i, which takes the K-edges and the first pz-edge of each side, and
+    y_k@i, which takes the (k+1)-th pz-edge of each side and is then
+    suppressed."""
+    base = families.mp_graph(p, families.MP_BASE).graph
+    expansions = []
+    for i in range(1, 4 * p + 2):
+        v4p = families.mp_copy_vertex(p, i, 4 * p)
+        replacement = Multigraph([f"x@{i}"] + [f"y{k}@{i}" for k in range(1, p - 2)], [])
+        attachment = {eid: f"x@{i}" for eid in base.incident_edges(v4p) if eid.startswith("K")}
+        attachment[f"pz1{i}:1"] = attachment[f"pz2{i}:1"] = f"x@{i}"
+        for k in range(2, p - 1):
+            attachment[f"pz1{i}:{k}"] = attachment[f"pz2{i}:{k}"] = f"y{k - 1}@{i}"
+        expansions.append((v4p, replacement, attachment))
+    graph, _merges = suppress(expand(base, expansions))
+    return graph
+
+
+def matchings_of_oracle(inc, covered):
+    """Perfect matchings by a recursive generator chain, one level per
+    matched vertex: the oracle."""
+    full = (1 << len(inc)) - 1
+    chosen = []
+
+    def rec(covered):
+        if covered == full:
+            yield list(chosen)
+            return
+        v = (~covered & (covered + 1)).bit_length() - 1
+        for e, w in inc[v]:
+            if covered >> w & 1:
+                continue
+            chosen.append(e)
+            yield from rec(covered | 1 << v | 1 << w)
+            chosen.pop()
+
+    return rec(covered)

@@ -180,6 +180,18 @@ def test_malformed_flow_files_are_usage_errors(tmp_path, capsys, edit, message):
 K4_VALUATION = "circflow-valuation v1\nr 4/1\nv1 -2/1\nv2 2/1\nv3 2/1\nv4 -2/1\n"
 
 
+def test_check_balanced_rejects_a_weight_on_no_vertex(tmp_path, capsys):
+    # the stray weight makes the weights sum to 2: ignored, K4 would verify
+    graph = tmp_path / "k4.graph"
+    graph.write_text(serialize(families.complete_graph(4)))
+    val = tmp_path / "k4.valuation"
+    val.write_text(K4_VALUATION + "zz 2/1\n")
+    assert run("check-balanced", graph, val) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: valuation weighs 'zz', which is not a vertex of the graph\n"
+
+
 @pytest.mark.parametrize("edit,message", [
     (("v1 -2/1", "v1 2/1\nv1 -2/1"), "vertex 'v1' appears twice"),
     (("r 4/1", "r 4/1\nr 4/1"), "header 'r' appears twice"),

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from circflow import colorings, families
@@ -11,7 +13,7 @@ from circflow.families import (
     mp_graph,
     mp_triangles,
 )
-from circflow.multigraph import girth, is_bridgeless, is_perfect_matching, perfect_matchings
+from circflow.multigraph import girth, is_bridgeless, is_perfect_matching, perfect_matchings, serialize
 
 
 def test_petersen_shape():
@@ -135,6 +137,20 @@ def test_mp_prime_degrees(p):
         want = 4 * p + 3 if v.startswith("c") else 4 * p + 1
         assert g.degree(v) == want
     assert is_bridgeless(g)
+
+
+@pytest.mark.parametrize("p, stage, sha", [
+    (3, families.MP_BASE, "d21635d907b4901d6f9027db001bae5649eca072eec332fdb93078a4b904f306"),
+    (3, families.MP_PRIME, "4fd26a41874cd5acdc95285548a99eb374d436f4c19480966a81f3ffba39829a"),
+    (5, families.MP_BASE, "82abbe411cde5ba20c7e3cd44fcc65a43eebe1c822322dccaa7bbd4f04462f3b"),
+    (5, families.MP_PRIME, "3fab86235e0cea297d7d33caa68732fe895b8cbbe505ed146e8a141c54fc32fb"),
+    (7, families.MP_BASE, "d0faf7ca329da23c0f28507c3db4768588f94e495ce45218c7c5b316144b14da"),
+    (7, families.MP_PRIME, "59897f9d55a8803ca61fb2d6b4cf835ff1222410efc6eaa236d968bbdcaf36d2"),
+])
+def test_mp_graph_serialization_is_pinned(p, stage, sha):
+    # vertex order, edge order and every edge's orientation, as the
+    # expand -> suppress construction of M_p' left them
+    assert hashlib.sha256(serialize(mp_graph(p, stage).graph).encode()).hexdigest() == sha
 
 
 def test_mp_prime_junction_bundle():

@@ -10,6 +10,7 @@ from circflow.multigraph import (
     GraphError,
     _all_tokens,
     _check_token,
+    _matchings_of,
     _max_flow,
     Multigraph,
     ParseError,
@@ -30,7 +31,7 @@ from circflow.multigraph import (
     suppress_divalent_with_map,
 )
 
-from _oracles import MultigraphOracle
+from _oracles import MultigraphOracle, matchings_of_oracle, mp_prime_by_expansion
 
 
 def path_graph(k):
@@ -189,6 +190,21 @@ def test_deserialize_diagnostics():
     with pytest.raises(ParseError) as err:
         deserialize("circflow-graph v1\nvertex a\nedge e a a\n")
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["vertex a", "vertex b", "vertex a", "# note", "edge e a b", ""],
+     "line 4: duplicate vertex id 'a'"),
+    (["vertex a", "vertex b", "edge e a b", "edge f a c", "", "edge e b a"],
+     "line 5: edge 'f' references unknown vertex"),
+    (["vertex a", "vertex b", "edge e a b", "edge e b a", "vertex c", "vertex c"],
+     "line 7: duplicate vertex id 'c'"),
+])
+def test_deserialize_reports_the_line_of_the_failing_record(lines, message):
+    # seven-line files: the header, then the records
+    text = "\n".join(["circflow-graph v1", *lines]) + "\n"
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        deserialize(text)
 
 
 def test_graph6_import():
@@ -629,13 +645,77 @@ def _mp_tilde_text(t):
     return serialize(g) + write_coloring(coloring)
 
 
-@pytest.mark.parametrize("build, modules", [
-    (lambda: serialize(families.mp_graph(5, families.MP_PRIME).graph), ["families"]),
-    (lambda: _mp_tilde_text(1), ["families", "mp_coloring"]),
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_mp_prime_is_byte_identical_to_the_expansion_recipe(p):
+    assert serialize(families.mp_graph(p, families.MP_PRIME).graph) == \
+        serialize(mp_prime_by_expansion(p))
+
+
+@pytest.mark.parametrize("build, reference, patched", [
+    (lambda: serialize(families.mp_graph(5, families.MP_PRIME).graph),
+     lambda: serialize(mp_prime_by_expansion(5, _expand_sequentially, _suppress_divalent_oracle)),
+     []),
+    (lambda: _mp_tilde_text(1), lambda: _mp_tilde_text(1), [mp_coloring]),
 ], ids=["mp-prime-5", "mp-tilde-1"])
-def test_mp_construction_is_byte_identical_to_the_sequential_path(build, modules, monkeypatch):
-    batched = build()
-    for name in modules:
-        monkeypatch.setattr(f"circflow.{name}.expand_vertices", _expand_sequentially)
-        monkeypatch.setattr(f"circflow.{name}.suppress_divalent_with_map", _suppress_divalent_oracle)
-    assert build() == batched
+def test_mp_construction_is_byte_identical_to_the_sequential_path(build, reference, patched,
+                                                                  monkeypatch):
+    # M_p' is written out directly, M~_p expands and suppresses M_p': both
+    # against expansion one vertex at a time and suppression to a fixpoint
+    built = build()
+    for module in patched:
+        monkeypatch.setattr(module, "expand_vertices", _expand_sequentially)
+        monkeypatch.setattr(module, "suppress_divalent_with_map", _suppress_divalent_oracle)
+    assert reference() == built
+
+
+# -- the iterative 1-factor enumerator against the recursive generator chain ---
+
+
+@st.composite
+def matching_instance(draw):
+    """Incidence lists of a random loopless multigraph (parallel edges, odd
+    orders and isolated vertices included) and a mask of pre-covered
+    vertices, as ``_matchings_of`` takes them."""
+    n = draw(st.integers(0, 9))
+    inc = [[] for _ in range(n)]
+    if n >= 2:
+        for e in range(draw(st.integers(0, 16))):
+            u, w = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            inc[u].append((e, w))
+            inc[w].append((e, u))
+    for at in inc:
+        at[:] = draw(st.permutations(at))
+    return inc, draw(st.integers(0, (1 << n) - 1))
+
+
+@given(matching_instance())
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_matchings_of_matches_the_recursive_oracle(instance):
+    inc, covered = instance
+    got = []
+    for pm in _matchings_of(inc, covered):
+        got.append(pm)
+        pm.append(-1)  # as the matching cover extends each matching it gets
+    want = [pm + [-1] for pm in matchings_of_oracle(inc, covered)]
+    assert got == want
+
+
+def test_matchings_of_is_lazy():
+    # K_20 has 19!! ~ 6.5e8 perfect matchings; the first one must come after
+    # a walk down one branch, never after enumerating them all
+    n = 20
+    budget = [4 * n * n]
+
+    class Options(list):
+        def __iter__(self):
+            for pair in super().__iter__():
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise AssertionError("the enumerator ran past its first matching")
+                yield pair
+
+    ids = {}
+    inc = [Options((ids.setdefault(frozenset((u, w)), len(ids)), w) for w in range(n) if w != u)
+           for u in range(n)]
+    first = next(_matchings_of(inc, 0))
+    assert first == [ids[frozenset((u, u + 1))] for u in range(0, n, 2)]
