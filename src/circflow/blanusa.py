@@ -3,9 +3,10 @@
 The chain starts from an 18-vertex snark realized as a matched dot product
 of two Petersen graphs, equipped with an integer 4-flow that has a single
 zero edge, a marked 9-circuit x0..x8, two flow circuits and a perfect
-matching.  Published figures carry that data; here it is recovered once by
-exhaustive search against the textual constraints and frozen as a golden
-data file, which every load re-validates in full.
+matching.  Published figures carry that data; here it is recovered by a
+deterministic exhaustive search against the textual constraints, run once
+per process (a few milliseconds) and cached.  Every seed the search returns
+has passed ``validate_seed`` in full.
 
 Constraint summary for the seed (all re-checked by ``validate_seed``):
 
@@ -21,16 +22,12 @@ Constraint summary for the seed (all re-checked by ``validate_seed``):
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
-import time
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
-from pathlib import Path
 
 from . import families
-from .certificates import rat, unrat
 from .flows import (
     DirectedCircuit,
     FlowError,
@@ -41,7 +38,6 @@ from .flows import (
     verify_flow,
 )
 from .multigraph import (
-    GraphError,
     Multigraph,
     girth,
     is_bridgeless,
@@ -50,8 +46,10 @@ from .multigraph import (
 )
 from . import valuations
 
-SEED_SCHEMA = "circflow-blanusa-seed/1"
-_SEED_RESOURCE = "blanusa_seed.json"
+# Stop the integer 4-flow search after this many flows per marked circuit,
+# and the directed-cycle listing after this many cycles through the zero edge.
+_MAX_FLOWS = 64
+_MAX_CYCLES = 50000
 
 
 class SeedSearchError(RuntimeError):
@@ -76,7 +74,6 @@ class BlanusaSeed:
     circuit_b: tuple[str, ...]  # edge ids, edge-disjoint from that path
     p1_route: tuple[str, ...]   # vertices x2, x3, w.., x8 (directed in D1)
     dot_product: dict
-    invariants: dict
 
     def base_flow(self) -> RationalFlow:
         return RationalFlow(
@@ -98,54 +95,6 @@ def seed_circuits(seed: BlanusaSeed) -> tuple[DirectedCircuit, DirectedCircuit]:
     a = DirectedCircuit(seed.circuit_a, _cycle_start(seed.orientation, seed.circuit_a))
     b = DirectedCircuit(seed.circuit_b, _cycle_start(seed.orientation, seed.circuit_b))
     return a, b
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def seed_to_json(seed: BlanusaSeed) -> str:
-    doc = {
-        "schema": SEED_SCHEMA,
-        "vertices": list(seed.graph.vertices),
-        "edges": [[e.eid, e.u, e.v] for e in seed.graph.edges()],
-        "matching": sorted(seed.matching),
-        "x": list(seed.x),
-        "c_edges": list(seed.c_edges),
-        "y0": seed.y0,
-        "y1": seed.y1,
-        "orientation": {e: list(d) for e, d in sorted(seed.orientation.items())},
-        "values": {e: v for e, v in sorted(seed.values.items())},
-        "zero_edge": seed.zero_edge,
-        "circuit_a": list(seed.circuit_a),
-        "circuit_b": list(seed.circuit_b),
-        "p1_route": list(seed.p1_route),
-        "dot_product": seed.dot_product,
-        "invariants": seed.invariants,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def seed_from_json(text: str) -> BlanusaSeed:
-    doc = json.loads(text)
-    if doc.get("schema") != SEED_SCHEMA:
-        raise ValueError(f"unsupported seed schema {doc.get('schema')!r}")
-    graph = Multigraph(doc["vertices"], [tuple(e) for e in doc["edges"]])
-    return BlanusaSeed(
-        graph=graph,
-        matching=frozenset(doc["matching"]),
-        x=tuple(doc["x"]),
-        c_edges=tuple(doc["c_edges"]),
-        y0=doc["y0"],
-        y1=doc["y1"],
-        orientation={e: tuple(d) for e, d in doc["orientation"].items()},
-        values={e: int(v) for e, v in doc["values"].items()},
-        zero_edge=doc["zero_edge"],
-        circuit_a=tuple(doc["circuit_a"]),
-        circuit_b=tuple(doc["circuit_b"]),
-        p1_route=tuple(doc["p1_route"]),
-        dot_product=doc["dot_product"],
-        invariants=doc["invariants"],
-    )
 
 
 # -- validation ----------------------------------------------------------------
@@ -286,39 +235,33 @@ def _realizations():
 
 
 def _nine_cycles(g: Multigraph) -> list[tuple[str, ...]]:
-    """All 9-cycles as canonicalized vertex tuples."""
-    found: set[tuple[str, ...]] = set()
+    """All 9-cycles as vertex tuples, each in its least rotation and direction.
 
-    def canon(cycle: list[str]) -> tuple[str, ...]:
-        k = len(cycle)
-        best = None
-        for rot in range(k):
-            for seq in (cycle[rot:] + cycle[:rot],
-                        list(reversed(cycle[rot:] + cycle[:rot]))):
-                tup = tuple(seq)
-                if best is None or tup < best:
-                    best = tup
-        return best
+    A cycle is walked only from its least vertex s, through vertices above s,
+    and kept only in the direction whose second vertex is below its last.
+    """
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    cycles: list[tuple[str, ...]] = []
 
-    def dfs(start: str, path: list[str], seen: set[str]) -> None:
-        v = path[-1]
-        for w in g.neighbors(v):
-            if w == start and len(path) == 9:
-                found.add(canon(path))
-            elif w not in seen and len(path) < 9:
+    def extend(path: list[str]) -> None:
+        s, v = path[0], path[-1]
+        if len(path) == 9:
+            if s in adj[v] and path[1] < v:
+                cycles.append(tuple(path))
+            return
+        for w in adj[v]:
+            if w > s and w not in path:
                 path.append(w)
-                seen.add(w)
-                dfs(start, path, seen)
-                seen.remove(w)
+                extend(path)
                 path.pop()
 
-    for start in g.vertices:
-        dfs(start, [start], {start})
-    return sorted(found)
+    for s in g.vertices:
+        extend([s])
+    return sorted(cycles)
 
 
 def _integer_flows(g: Multigraph, forced: dict[str, tuple[tuple[str, str] | None, set[int]]],
-                   zero_edge: str, limit: int = 64):
+                   zero_edge: str):
     """Integer 4-flow search: yields (orientation dict, value dict).
 
     ``forced`` maps edge ids to (direction or None, allowed values).  The zero
@@ -391,7 +334,7 @@ def _integer_flows(g: Multigraph, forced: dict[str, tuple[tuple[str, str] | None
         return best
 
     def rec() -> bool:
-        if len(results) >= limit:
+        if len(results) >= _MAX_FLOWS:
             return True
         eid = choose()
         if eid is None:
@@ -399,7 +342,7 @@ def _integer_flows(g: Multigraph, forced: dict[str, tuple[tuple[str, str] | None
                 {e: (a[0], a[1]) for e, a in assigned.items()},
                 {e: a[2] for e, a in assigned.items()},
             ))
-            return len(results) >= limit
+            return len(results) >= _MAX_FLOWS
         for choice in candidates[eid]:
             touched = place(eid, choice)
             if all(consistent(v) for v in touched):
@@ -413,7 +356,7 @@ def _integer_flows(g: Multigraph, forced: dict[str, tuple[tuple[str, str] | None
 
 
 def _directed_cycles_through(g: Multigraph, dirs: dict[str, tuple[str, str]],
-                             arc: tuple[str, str, str], cap: int = 50000) -> list[tuple[str, ...]]:
+                             arc: tuple[str, str, str]) -> list[tuple[str, ...]]:
     """Simple directed cycles containing the arc (eid, tail, head)."""
     eid0, tail0, head0 = arc
     out_edges: dict[str, list[str]] = {v: [] for v in g.vertices}
@@ -422,7 +365,7 @@ def _directed_cycles_through(g: Multigraph, dirs: dict[str, tuple[str, str]],
     cycles: list[tuple[str, ...]] = []
 
     def dfs(v: str, path: list[str], seen: set[str]) -> None:
-        if len(cycles) >= cap:
+        if len(cycles) >= _MAX_CYCLES:
             return
         for eid in out_edges[v]:
             if eid == eid0:
@@ -560,7 +503,6 @@ def _finish_seed(g, matching, x, ce, y0, y1, dirs, vals, dp_record):
             orientation=full_dirs, values=vals, zero_edge=ce[0],
             circuit_a=a, circuit_b=b, p1_route=p1_route,
             dot_product=dp_record,
-            invariants={},
         )
         try:
             validate_seed(seed)
@@ -570,13 +512,9 @@ def _finish_seed(g, matching, x, ce, y0, y1, dirs, vals, dp_record):
     return None
 
 
-def find_seed(max_realizations: int | None = None, progress: bool = False) -> BlanusaSeed:
+def find_seed() -> BlanusaSeed:
     """Exhaustive deterministic seed search; returns the first witness."""
-    count = 0
     for g1, n1, g2, n2, e1, e2, xy, e1o, e2o, uo, wo in _realizations():
-        count += 1
-        if max_realizations is not None and count > max_realizations:
-            break
         try:
             product = families.m_dot_product(
                 g1, sorted(n1), g2, sorted(n2), e1, e2, xy,
@@ -592,43 +530,17 @@ def find_seed(max_realizations: int | None = None, progress: bool = False) -> Bl
             "u_neighbors": list(uo), "w_neighbors": list(wo),
             "join_edges": list(product.join_edges),
         }
-        if progress and count % 50 == 0:
-            print(f"seed search: {count} realizations tried")
         seed = _search_realization(g, product.matching, dp_record)
         if seed is not None:
-            seed = BlanusaSeed(**{**seed.__dict__, "invariants": _seed_invariants(seed)})
-            validate_seed(seed)
             return seed
     raise SeedSearchError("no realization satisfied the seed constraints")
 
 
-def _seed_invariants(seed: BlanusaSeed) -> dict:
-    g = seed.graph
-    return {
-        "girth": girth(g),
-        "perfect_matchings": len(perfect_matchings(g)),
-        "nine_cycles": len(_nine_cycles(g)),
-    }
-
-
-def _golden_path() -> Path:
-    return Path(__file__).parent / "data" / _SEED_RESOURCE
-
-
-_seed_cache: BlanusaSeed | None = None
-
-
+@functools.cache
 def load_or_find_seed() -> BlanusaSeed:
-    """The packaged seed, re-validated; searched in memory if the file is missing."""
-    global _seed_cache
-    if _seed_cache is None:
-        path = _golden_path()
-        if path.exists():
-            _seed_cache = seed_from_json(path.read_text())
-            validate_seed(_seed_cache)
-        else:
-            _seed_cache = find_seed()
-    return _seed_cache
+    """The seed from ``find_seed``, searched on the first call in a process
+    and shared by every later call."""
+    return find_seed()
 
 
 # -- the chain -------------------------------------------------------------------

@@ -14,8 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import blanusa, colorings, families, flower_coloring, flows, mp_coloring, valuations
-from .certificates import Certificate, certificate_from_json, graph_hash, rat, reverify, unrat
-from .multigraph import Multigraph, deserialize, edge_cut, perfect_matchings, serialize
+from .certificates import certificate_from_json, rat, reverify, unrat
+from .multigraph import Multigraph, deserialize, perfect_matchings, serialize
 
 EXIT_VERIFIED = 0
 EXIT_REFUTED = 1

@@ -13,14 +13,14 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .certificates import Certificate, make_certificate
+from .certificates import Certificate, graph_hash, make_certificate
 from .families import MDotProduct
 from .multigraph import (
     EdgeCut,
-    GraphError,
     Multigraph,
     _matchings_of,
     add_matching_copies,
+    edge_cut,
     is_perfect_matching,
 )
 
@@ -332,8 +332,6 @@ def parity_lemma_check(g: Multigraph, coloring: EdgeColoring,
 def reverify_parity(cert: Certificate, g: Multigraph) -> bool:
     palette = int(cert.parameters["palette"])
     coloring = EdgeColoring({e: int(c) for e, c in cert.witness["coloring"].items()}, palette)
-    from .multigraph import edge_cut
-
     cuts = [edge_cut(g, side) for side in cert.parameters["cuts"]]
     fresh = parity_lemma_check(g, coloring, cuts)
     return fresh.verdict == cert.verdict
@@ -427,8 +425,6 @@ def dot_product_class2_prover(product: MDotProduct, cert1: Certificate,
     either branch transplants the coloring onto a factor, contradicting its
     certificate.  Components not certified class 2 make the prover decline.
     """
-    from .certificates import graph_hash
-
     t = int(t)
     g1_hash = graph_hash(product.spec.g)
     g2_hash = graph_hash(product.spec.h)

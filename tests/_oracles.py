@@ -6,6 +6,8 @@ frozen-dataclass edge per edge and checks every id token by token, and the
 derived graphs rebuild every edge from plain tuples, as they once did.
 M_p' is built from M_p by vertex expansion and divalent suppression, and the
 1-factors are enumerated by a recursive generator chain, as they once were.
+The 9-cycles are walked from every vertex in both directions and reduced to
+their least rotation and direction, as they once were.
 """
 
 import hashlib
@@ -166,3 +168,36 @@ def matchings_of_oracle(inc, covered):
             chosen.pop()
 
     return rec(covered)
+
+
+def nine_cycles_oracle(g):
+    """All 9-cycles, each walked from all its vertices in both directions and
+    reduced to its least rotation and direction: the oracle."""
+    found = set()
+
+    def canon(cycle):
+        k = len(cycle)
+        best = None
+        for rot in range(k):
+            for seq in (cycle[rot:] + cycle[:rot],
+                        list(reversed(cycle[rot:] + cycle[:rot]))):
+                tup = tuple(seq)
+                if best is None or tup < best:
+                    best = tup
+        return best
+
+    def dfs(start, path, seen):
+        v = path[-1]
+        for w in g.neighbors(v):
+            if w == start and len(path) == 9:
+                found.add(canon(path))
+            elif w not in seen and len(path) < 9:
+                path.append(w)
+                seen.add(w)
+                dfs(start, path, seen)
+                seen.remove(w)
+                path.pop()
+
+    for start in g.vertices:
+        dfs(start, [start], {start})
+    return sorted(found)

@@ -1,9 +1,24 @@
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import circflow
 from circflow import blanusa, colorings, families, flows
-from circflow.multigraph import Multigraph, girth, is_perfect_matching
+from circflow.multigraph import Multigraph, girth, is_perfect_matching, perfect_matchings
+
+from _oracles import nine_cycles_oracle
+
+# SHA-256 of the seed's canonical content (``_seed_content``); any change to
+# the search that moves a vertex, edge, value, direction or circuit moves it.
+SEED_CONTENT_SHA256 = "19cabb73ec3715a2c31e3904616d61b3d690c89b161fb32c57a5428f375ac797"
 
 
 @pytest.fixture(scope="module")
@@ -11,7 +26,27 @@ def seed():
     return blanusa.load_or_find_seed()
 
 
-def test_golden_seed_validates(seed):
+def _seed_content(seed) -> str:
+    doc = {
+        "vertices": list(seed.graph.vertices),
+        "edges": [[e.eid, e.u, e.v] for e in seed.graph.edges()],
+        "matching": sorted(seed.matching),
+        "x": list(seed.x),
+        "c_edges": list(seed.c_edges),
+        "y0": seed.y0,
+        "y1": seed.y1,
+        "orientation": {e: list(d) for e, d in seed.orientation.items()},
+        "values": seed.values,
+        "zero_edge": seed.zero_edge,
+        "circuit_a": list(seed.circuit_a),
+        "circuit_b": list(seed.circuit_b),
+        "p1_route": list(seed.p1_route),
+        "dot_product": seed.dot_product,
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+def test_seed_validates(seed):
     blanusa.validate_seed(seed)  # raises on any broken constraint
     assert seed.graph.num_vertices() == 18
     assert girth(seed.graph) == 5
@@ -45,8 +80,52 @@ def test_seed_regeneration_is_deterministic(seed):
     assert fresh.circuit_b == seed.circuit_b
 
 
-def test_seed_file_is_the_serialized_seed(seed):
-    assert blanusa.seed_to_json(seed) == blanusa._golden_path().read_text()
+def test_seed_content_is_pinned(seed):
+    assert hashlib.sha256(_seed_content(seed).encode()).hexdigest() == SEED_CONTENT_SHA256
+    assert len(blanusa._nine_cycles(seed.graph)) == 30
+    assert len(perfect_matchings(seed.graph)) == 19
+
+
+@st.composite
+def cubic_multigraph(draw):
+    """A random loopless cubic multigraph on 10-20 vertices whose vertex
+    names are shuffled, so name order and insertion order disagree."""
+    n = draw(st.sampled_from([10, 12, 14, 16, 18, 20]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    while True:  # configuration model, rejecting loops
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        pairs = [stubs[i:i + 2] for i in range(0, 3 * n, 2)]
+        if all(u != v for u, v in pairs):
+            break
+    names = [f"v{i}" for i in range(n)]
+    rng.shuffle(names)
+    return Multigraph(names, [(f"e{i}", names[u], names[v]) for i, (u, v) in enumerate(pairs)])
+
+
+@given(cubic_multigraph())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_nine_cycles_agree_with_the_canonicalising_walk(g):
+    assert blanusa._nine_cycles(g) == nine_cycles_oracle(g)
+
+
+def test_seed_and_chain_write_nothing_into_the_package():
+    package = Path(circflow.__file__).resolve().parent
+
+    def snapshot():
+        return {str(p.relative_to(package)): (p.stat().st_size, p.stat().st_mtime_ns)
+                for p in sorted(package.rglob("*")) if p.is_file()}
+
+    before = snapshot()
+    # bytecode caches are the interpreter's writes, not circflow's
+    env = {**os.environ, "PYTHONPATH": str(package.parent), "PYTHONDONTWRITEBYTECODE": "1"}
+    script = ("import circflow\n"
+              "from circflow import blanusa\n"
+              f"assert circflow.__file__.startswith({str(package)!r})\n"
+              "blanusa.load_or_find_seed()\n"
+              "blanusa.build_chain(2)\n")
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+    assert snapshot() == before
 
 
 def test_seed_half_circuits_give_nine_halves_flow(seed):
