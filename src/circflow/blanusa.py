@@ -28,15 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import families
-from .flows import (
-    DirectedCircuit,
-    FlowError,
-    INTEGER_ONE_ZERO,
-    Orientation,
-    RationalFlow,
-    add_circuit_flow,
-    verify_flow,
-)
+from .flows import FlowError, INTEGER_ONE_ZERO, RationalFlow, add_circuits, verify_flow
 from .multigraph import (
     Multigraph,
     girth,
@@ -77,7 +69,7 @@ class BlanusaSeed:
 
     def base_flow(self) -> RationalFlow:
         return RationalFlow(
-            Orientation(self.orientation),
+            dict(self.orientation),
             {e: Fraction(v) for e, v in self.values.items()},
             Fraction(4), INTEGER_ONE_ZERO, self.zero_edge,
         )
@@ -85,16 +77,6 @@ class BlanusaSeed:
     def path_edges(self) -> tuple[str, ...]:
         """The x4..x8 path edge ids (shared with no other circuit)."""
         return self.c_edges[4:8]
-
-
-def _cycle_start(orientation: dict[str, tuple[str, str]], edges: tuple[str, ...]) -> str:
-    return orientation[edges[0]][0]
-
-
-def seed_circuits(seed: BlanusaSeed) -> tuple[DirectedCircuit, DirectedCircuit]:
-    a = DirectedCircuit(seed.circuit_a, _cycle_start(seed.orientation, seed.circuit_a))
-    b = DirectedCircuit(seed.circuit_b, _cycle_start(seed.orientation, seed.circuit_b))
-    return a, b
 
 
 # -- validation ----------------------------------------------------------------
@@ -154,23 +136,21 @@ def validate_seed(seed: BlanusaSeed) -> None:
         raise ValueError("x2x3 and x3x4 must avoid value 3")
 
     path = set(seed.path_edges())
-    circ_a, circ_b = seed_circuits(seed)
-    for circ in (circ_a, circ_b):
-        circ.validate(flow.orientation)
-        if seed.zero_edge not in circ.edges:
+    for circ in (seed.circuit_a, seed.circuit_b):
+        if seed.zero_edge not in circ:
             raise ValueError("every circuit must traverse the zero edge")
-    if not path <= set(circ_a.edges):
+    if not path <= set(seed.circuit_a):
         raise ValueError("circuit A must contain the whole x4..x8 path")
-    if set(circ_b.edges) & path:
+    if set(seed.circuit_b) & path:
         raise ValueError("circuit B must be edge-disjoint from the x4..x8 path")
-    for eid in circ_a.edges:
+    for eid in seed.circuit_a:
         if vals[eid] == 3 and eid not in (seed.c_edges[5], seed.c_edges[6]):
             raise ValueError("3-valued edges of circuit A must lie on x5x6, x6x7")
 
-    half = Fraction(1, 2)
-    final = add_circuit_flow(add_circuit_flow(flow, circ_a, half), circ_b, half)
-    final = final.with_r(Fraction(9, 2))
-    final = RationalFlow(final.orientation, final.values, final.r)
+    # add_circuits raises FlowError, a ValueError, on a circuit that is not
+    # directed, closed and simple
+    steps = [[(eid, 1) for eid in circ] for circ in (seed.circuit_a, seed.circuit_b)]
+    final = add_circuits(flow, steps, Fraction(1, 2), Fraction(9, 2))
     if verify_flow(g, final).verdict != "verified":
         raise ValueError("adding 1/2 along both circuits must give a (4+1/2)-flow")
 
@@ -561,7 +541,7 @@ class ChainFlowData:
     chain: BlanusaChain
     base_flow: RationalFlow
     flow: RationalFlow
-    circuits: tuple[DirectedCircuit, ...]
+    circuits: tuple[tuple[tuple[str, int], ...], ...]  # (edge id, +1) steps
     matching: frozenset[str]
     bipartition: valuations.Bipartition
 
@@ -579,7 +559,8 @@ def build_chain(n: int) -> ChainFlowData:
 
     Repeatedly splices a fresh copy of the seed (orientation flipped on even
     copies) onto the previous last copy, splitting the circuit through the
-    marked path into two.
+    marked path into two; ``add_circuits`` then checks each of the n+1
+    directed circuits and adds 1/(n+1) along it.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -700,19 +681,12 @@ def build_chain(n: int) -> ChainFlowData:
         sigma = new_sigma
 
     graph = Multigraph(vertices, edges)
-    base = RationalFlow(Orientation(dirs), vals, Fraction(4), INTEGER_ONE_ZERO, seed.c_edges[0])
+    base = RationalFlow(dirs, vals, Fraction(4), INTEGER_ONE_ZERO, seed.c_edges[0])
     check = verify_flow(graph, base)
     if check.verdict != "verified":
         raise FlowError("internal error: chain base 4-flow is invalid")
-
-    circuit_objs = []
-    for circ in circuits:
-        start = dirs[circ[0]][0]
-        obj = DirectedCircuit(tuple(circ), start)
-        obj.validate(base.orientation)
-        if seed.c_edges[0] not in circ:
-            raise FlowError("internal error: a chain circuit misses the zero edge")
-        circuit_objs.append(obj)
+    if any(seed.c_edges[0] not in circ for circ in circuits):
+        raise FlowError("internal error: a chain circuit misses the zero edge")
 
     # P2: every 3-valued edge lies on at most one circuit
     seen3: dict[str, int] = {}
@@ -734,11 +708,8 @@ def build_chain(n: int) -> ChainFlowData:
     if holders != [special] or grazers != [special]:
         raise FlowError("internal error: marked-path circuit bookkeeping broken")
 
-    amount = Fraction(1, n + 1)
-    flow = base
-    for obj in circuit_objs:
-        flow = add_circuit_flow(flow, obj, amount)
-    flow = RationalFlow(flow.orientation, flow.values, Fraction(4 * (n + 1) + 1, n + 1))
+    steps = tuple(tuple((eid, 1) for eid in circ) for circ in circuits)
+    flow = add_circuits(base, steps, Fraction(1, n + 1), Fraction(4 * (n + 1) + 1, n + 1))
     if verify_flow(graph, flow).verdict != "verified":
         raise FlowError("internal error: chain flow failed verification")
 
@@ -756,4 +727,4 @@ def build_chain(n: int) -> ChainFlowData:
     chain = BlanusaChain(n, graph, m, tuple(markings), seed)
     if graph.num_vertices() != 18 + 16 * (n - 1):
         raise FlowError("internal error: chain vertex count off")
-    return ChainFlowData(n, chain, base, flow, tuple(circuit_objs), m, bip)
+    return ChainFlowData(n, chain, base, flow, steps, m, bip)

@@ -143,6 +143,8 @@ def _cmd_build_flow(args) -> int:
         data = blanusa.build_chain(args.n)
         graph, flow = data.chain.graph, data.flow
     elif args.family == "bipartite":
+        if args.graph is None:
+            raise UsageError("the bipartite family needs --graph")
         graph = _read_graph(args.graph)
         flow = flows.bipartite_regular_flow(graph, args.t)
     else:

@@ -48,10 +48,6 @@ class FlowerSnark:
     n: int
     graph: Multigraph
 
-    @property
-    def blocks(self) -> int:
-        return 2 * self.n + 1
-
 
 def flower_snark(n: int) -> FlowerSnark:
     """J_{2n+1} on vertices {a_i, b_i, c_i, d_i : i in Z_{2n+1}}.
@@ -211,14 +207,6 @@ class MpFamily:
     graph: Multigraph
     junctions: tuple[str, ...]
     hub: str
-
-    @property
-    def t(self) -> int:
-        return (self.p - 1) // 2
-
-    @property
-    def copies(self) -> int:
-        return 4 * self.p + 1
 
 
 def _junction(p: int, i: int) -> str:

@@ -1,5 +1,10 @@
-"""Orientations, exact rational flows, circulation feasibility and circular
-flow numbers.
+"""Exact rational flows, circulation feasibility and circular flow numbers.
+
+A flow is plain data: an orientation dict (edge id -> (tail, head)), a value
+per edge and r.  The constructive flows of the flower snarks and the Blanusa
+chain both follow one recipe, an integer 4-flow with one zero edge plus a
+fraction along circuits, and both add that fraction with ``add_circuits``,
+which checks every circuit it is given.
 
 All arithmetic is exact: values are ``fractions.Fraction``, cut counts are
 integers, and max-flows run on capacities scaled to integers.  A flow is
@@ -13,11 +18,11 @@ out-minus-in degrees, found by one max-flow, and the flow that
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import valuations
 from .certificates import Certificate, make_certificate, rat, unrat
@@ -48,30 +53,9 @@ class SizeCapExceeded(FlowError):
     pass
 
 
-class Orientation:
-    """A direction (tail, head) for every edge of one graph."""
-
-    def __init__(self, directions: Mapping[str, tuple[str, str]]):
-        self._dir = dict(directions)
-
-    def direction(self, eid: str) -> tuple[str, str]:
-        return self._dir[eid]
-
-    def items(self):
-        return self._dir.items()
-
-    def reversed(self) -> "Orientation":
-        return Orientation({eid: (h, t) for eid, (t, h) in self._dir.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Orientation):
-            return NotImplemented
-        return self._dir == other._dir
-
-
 @dataclass(frozen=True)
 class RationalFlow:
-    orientation: Orientation
+    orientation: dict[str, tuple[str, str]]  # edge id -> (tail, head)
     values: dict[str, Fraction]
     r: Fraction
     mode: str = NOWHERE_ZERO
@@ -80,9 +64,6 @@ class RationalFlow:
     def __post_init__(self) -> None:
         if self.mode not in (NOWHERE_ZERO, INTEGER_ONE_ZERO):
             raise FlowError(f"unknown flow mode {self.mode!r}")
-
-    def with_r(self, r: Fraction) -> "RationalFlow":
-        return replace(self, r=Fraction(r))
 
 
 def flow_to_witness(flow: RationalFlow) -> dict:
@@ -105,7 +86,7 @@ def flow_from_witness(g: Multigraph, witness: dict) -> RationalFlow:
         g.edge(eid)
         dirs[eid] = (rec["tail"], rec["head"])
         values[eid] = parse(rec["value"])
-    return RationalFlow(Orientation(dirs), values, unrat(witness["r"]),
+    return RationalFlow(dirs, values, unrat(witness["r"]),
                         witness.get("mode", NOWHERE_ZERO), witness.get("zero_edge"))
 
 
@@ -130,7 +111,7 @@ def verify_flow(g: Multigraph, flow: RationalFlow) -> Certificate:
     is D <= x <= (r-1)D.  A refutation names every unbalanced vertex, or else
     the first edge out of the window in ``flow.values`` order.
     """
-    view, dirs, values = g.indexed, flow.orientation._dir, flow.values
+    view, dirs, values = g.indexed, flow.orientation, flow.values
     if not dirs.keys() == values.keys() == g._edges.keys():
         raise FlowError("flow does not cover exactly the edges of the graph")
     den = lcm(flow.r.denominator, *{x.denominator for x in values.values()})
@@ -163,66 +144,48 @@ def verify_flow(g: Multigraph, flow: RationalFlow) -> Certificate:
 # -- circuits ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DirectedCircuit:
-    """Closed sequence of distinct edges, each traversed tail -> head."""
+def add_circuits(flow: RationalFlow, circuits: Iterable[Sequence[tuple[str, int]]],
+                 amount: Fraction, r: Fraction) -> RationalFlow:
+    """Add ``amount`` along each circuit; the nowhere-zero flow at ``r``.
 
-    edges: tuple[str, ...]
-    start: str
-
-    def vertices(self, orientation: Orientation) -> tuple[str, ...]:
-        seq = [self.start]
-        for eid in self.edges:
-            t, h = orientation.direction(eid)
-            if t != seq[-1]:
-                raise FlowError(f"edge {eid!r} is not forward-directed at {seq[-1]!r}")
-            seq.append(h)
-        return tuple(seq)
-
-    def validate(self, orientation: Orientation) -> None:
-        if len(set(self.edges)) != len(self.edges):
-            raise FlowError("circuit repeats an edge")
-        seq = self.vertices(orientation)
-        if seq[-1] != self.start:
-            raise FlowError("circuit is not closed")
-        if len(set(seq[:-1])) != len(seq) - 1:
-            raise FlowError("circuit repeats a vertex")
-
-
-def add_circuit_flow(flow: RationalFlow, circuit: DirectedCircuit, amount: Fraction) -> RationalFlow:
-    """Increase the flow by ``amount`` along a forward-directed circuit."""
-    amount = Fraction(amount)
-    if amount < 0:
-        raise FlowError("amount must be nonnegative")
-    circuit.validate(flow.orientation)
-    values = dict(flow.values)
-    for eid in circuit.edges:
-        values[eid] = values[eid] + amount
-    return replace(flow, values=values)
-
-
-def sum_signed_circuits(flow: RationalFlow,
-                        circuits: Sequence[Sequence[tuple[str, int]]],
-                        amount: Fraction) -> RationalFlow:
-    """Add ``amount`` along circuits given as (edge id, +-1 direction) lists.
-
-    A -1 entry traverses the edge against the base orientation, so its value
-    decreases; the result must stay positive on every edge.
+    A circuit is a closed walk of (edge id, +1 or -1) steps: +1 runs the edge
+    tail -> head and raises its value, -1 runs it head -> tail and lowers it.
+    Each walk must follow its signs, close up and repeat no edge or vertex,
+    and every value of the result must be positive.
     """
     amount = Fraction(amount)
-    values = dict(flow.values)
-    for circ in circuits:
-        for eid, sign in circ:
-            values[eid] = values[eid] + sign * amount
+    if amount <= 0:
+        raise FlowError("amount must be positive")
+    dirs, values = flow.orientation, dict(flow.values)
+    for circuit in circuits:
+        if len({eid for eid, _ in circuit}) != len(circuit):
+            raise FlowError("circuit repeats an edge")
+        start = at = None
+        heads: set[str] = set()
+        for eid, sign in circuit:
+            if sign not in (1, -1):
+                raise FlowError(f"step sign {sign!r} on edge {eid!r} is not +1 or -1")
+            tail, head = dirs[eid] if sign == 1 else dirs[eid][::-1]
+            if at is None:
+                start = tail
+            elif tail != at:
+                raise FlowError(f"edge {eid!r} with sign {sign:+d} does not leave {at!r}")
+            if head in heads:
+                raise FlowError("circuit repeats a vertex")
+            heads.add(head)
+            at = head
+            values[eid] += sign * amount
+        if at != start:
+            raise FlowError("circuit is not closed")
     if any(v <= 0 for v in values.values()):
-        raise FlowError("signed circuit sum drove an edge to a nonpositive value")
-    return replace(flow, values=values, mode=NOWHERE_ZERO, zero_edge=None)
+        raise FlowError("adding the circuits drove an edge to a nonpositive value")
+    return RationalFlow(dirs, values, Fraction(r))
 
 
 # -- circulation feasibility --------------------------------------------------
 
 
-def circulation_feasible(g: Multigraph, d: Orientation, r: Fraction):
+def circulation_feasible(g: Multigraph, d: dict[str, tuple[str, str]], r: Fraction):
     """Does ``d`` carry a flow with every value in [1, r-1]?
 
     Returns (True, RationalFlow) or (False, violating vertex set X with
@@ -233,13 +196,13 @@ def circulation_feasible(g: Multigraph, d: Orientation, r: Fraction):
     if r < 2:
         raise FlowError("feasibility is defined for r >= 2")
     view = g.indexed
-    if d._dir.keys() != g._edges.keys():
+    if d.keys() != g._edges.keys():
         raise FlowError("orientation does not cover the graph")
     n, den = len(view.vertices), r.denominator
     excess = [0] * n
     arcs: list[tuple[int, int, int]] = []
     for eid in view.edge_ids:
-        tail, head = _arc(g, eid, d._dir[eid], "orientation does not cover the graph")
+        tail, head = _arc(g, eid, d[eid], "orientation does not cover the graph")
         arcs.append((tail, head, r.numerator - 2 * den))
         excess[head] += den
         excess[tail] -= den
@@ -266,11 +229,10 @@ def circulation_feasible(g: Multigraph, d: Orientation, r: Fraction):
 @dataclass(frozen=True)
 class PhiCResult:
     value: Fraction
-    orientation: Orientation
     flow: RationalFlow
 
 
-def _orientation_with_excess(g: Multigraph, k: Mapping[str, int]) -> Orientation:
+def _orientation_with_excess(g: Multigraph, k: Mapping[str, int]) -> dict[str, tuple[str, str]]:
     """An orientation with out-degree minus in-degree k[v] at every vertex v.
 
     From u -> v on every edge, one max-flow with unit capacities reverses
@@ -287,8 +249,7 @@ def _orientation_with_excess(g: Multigraph, k: Mapping[str, int]) -> Orientation
     total, arc_flow, _ = _max_flow(n, arcs)
     if total != sum(x for x in half if x > 0):
         raise FlowError("internal error: no orientation has the optimal degree excess")
-    return Orientation({e.eid: (e.v, e.u) if arc_flow[i] else (e.u, e.v)
-                        for i, e in enumerate(g.edges())})
+    return {e.eid: (e.v, e.u) if arc_flow[i] else (e.u, e.v) for i, e in enumerate(g.edges())}
 
 
 def circular_flow_number(g: Multigraph, cap: int = PHI_C_EDGE_CAP) -> PhiCResult:
@@ -311,13 +272,12 @@ def circular_flow_number(g: Multigraph, cap: int = PHI_C_EDGE_CAP) -> PhiCResult
         comp_value, comp_k = valuations._phi_c_valuation(sub)
         value = max(value, comp_value)
         k.update(comp_k)
-    orientation = _orientation_with_excess(g, k)
-    ok, witness = circulation_feasible(g, orientation, value)
+    ok, witness = circulation_feasible(g, _orientation_with_excess(g, k), value)
     if not ok:
         raise FlowError("internal error: optimal orientation rejected its own flow value")
     if verify_flow(g, witness).verdict != "verified":
         raise FlowError("internal error: witness flow failed verification")
-    return PhiCResult(value, orientation, witness)
+    return PhiCResult(value, witness)
 
 
 def phi_c_certificate(g: Multigraph, result: PhiCResult, elapsed_s: float = 0.0) -> Certificate:
@@ -405,7 +365,7 @@ def bipartite_regular_flow(g: Multigraph, t: int) -> RationalFlow:
             a, b = (e.u, e.v) if e.u in a_side else (e.v, e.u)
             dirs[eid] = (a, b) if forward else (b, a)
             values[eid] = Fraction(1) if forward else Fraction(t + 1, t)
-    flow = RationalFlow(Orientation(dirs), values, Fraction(2 * t + 1, t))
+    flow = RationalFlow(dirs, values, Fraction(2 * t + 1, t))
     if verify_flow(g, flow).verdict != "verified":
         raise FlowError("internal error: constructed bipartite flow failed verification")
     return flow
@@ -429,8 +389,9 @@ def build_flower_flow(n: int) -> FlowerFlowData:
     """The nowhere-zero (4+1/n)-flow on J_{2n+1} built from its proof recipe.
 
     Starts from the integer 4-flow with the single zero edge a0-b0 and adds
-    value 1/n along n circuits; circuit j leaves the spoke layer at the
-    3-valued edge d(2j-1)-b(2j-1), so those edges stay within the cap.
+    value 1/n along n circuits with ``add_circuits``; circuit j leaves the
+    spoke layer at the 3-valued edge d(2j-1)-b(2j-1), so those edges stay
+    within the cap.
     """
     from .families import flower_snark  # deferred: families has no flow needs
 
@@ -465,7 +426,7 @@ def build_flower_flow(n: int) -> FlowerFlowData:
     for i in range(mod):
         put(f"cd{i}", f"c{i}", f"d{(i + 1) % mod}", 1)
 
-    base = RationalFlow(Orientation(dirs), vals, Fraction(4), INTEGER_ONE_ZERO, "ab0")
+    base = RationalFlow(dirs, vals, Fraction(4), INTEGER_ONE_ZERO, "ab0")
     check = verify_flow(g, base)
     if check.verdict != "verified":
         raise FlowError("internal error: transcribed 4-flow is invalid")
@@ -482,7 +443,7 @@ def build_flower_flow(n: int) -> FlowerFlowData:
             circ.append((f"aa{i}", 1))
         circuits.append(tuple(circ))
 
-    final = sum_signed_circuits(base, circuits, Fraction(1, n)).with_r(Fraction(4 * n + 1, n))
+    final = add_circuits(base, circuits, Fraction(1, n), Fraction(4 * n + 1, n))
     if verify_flow(g, final).verdict != "verified":
         raise FlowError("internal error: flower flow failed verification")
 
@@ -538,7 +499,7 @@ def matched_flow_witness(g: Multigraph, flow: RationalFlow, matching: Sequence[s
         for idx, ceid in enumerate(copies):
             dirs[ceid] = (white, black) if idx < t else (black, white)
 
-    ok, witness = circulation_feasible(h, Orientation(dirs), r_target)
+    ok, witness = circulation_feasible(h, dirs, r_target)
     if not ok:
         raise FlowError(f"balancedness violated at X={sorted(witness)!r}: no flow at the bound value")
     return witness
@@ -580,5 +541,5 @@ def read_flow(text: str) -> RationalFlow:
             dirs[key], values[key] = (rest[0], rest[1]), parse(rest[2])
     if "r" not in header:
         raise FlowError("flow file missing its r header")
-    return RationalFlow(Orientation(dirs), values, unrat(header["r"]),
+    return RationalFlow(dirs, values, unrat(header["r"]),
                         header.get("mode", NOWHERE_ZERO), header.get("zero-edge"))

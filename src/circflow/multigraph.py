@@ -408,14 +408,6 @@ def add_matching_copies(g: Multigraph, matching: Iterable[str], k: int) -> Multi
     return g.with_edges_added(new_edges)
 
 
-def matching_copy_ids(g: Multigraph, matching: Iterable[str], copy: int) -> frozenset[str]:
-    """Edge ids of the ``copy``-th duplicate of a matching inside g + kM."""
-    ids = frozenset(f"{eid}@c{copy}" for eid in matching)
-    for eid in ids:
-        g.edge(eid)
-    return ids
-
-
 def expand_vertices(g: Multigraph,
                     expansions: Sequence[tuple[str, Multigraph, Mapping[str, str]]]) -> Multigraph:
     """Replace distinct vertices by graphs, redistributing their edge stubs.
@@ -664,35 +656,3 @@ def _failing_line(vertices: list[str], edges: list[tuple[str, str, str]],
         return vertex_lines[k]
     k = bisect_left(range(1, len(edges) + 1), True, key=lambda n: fails(vertices, edges[:n]))
     return edge_lines[k]
-
-
-def from_graph6(text: str) -> Multigraph:
-    """Import a simple graph from graph6.  Vertices are named 0..n-1."""
-    s = text.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
-    data = [ord(c) - 63 for c in s]
-    if any(b < 0 or b > 63 for b in data):
-        raise GraphError("invalid graph6 character")
-    if data[0] <= 62:
-        n, rest = data[0], data[1:]
-    elif len(data) >= 4 and data[1] <= 62:
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        rest = data[4:]
-    else:
-        raise GraphError("unsupported graph6 size encoding")
-    bits: list[int] = []
-    for b in rest:
-        bits.extend((b >> k) & 1 for k in range(5, -1, -1))
-    need = n * (n - 1) // 2
-    if len(bits) < need:
-        raise GraphError("graph6 body too short")
-    vertices = [str(i) for i in range(n)]
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((f"{i}~{j}", str(i), str(j)))
-            idx += 1
-    return Multigraph(vertices, edges)

@@ -65,9 +65,6 @@ class Bipartition:
             return "white"
         raise ValuationError(f"vertex {v!r} not covered by the bipartition")
 
-    def swapped(self) -> "Bipartition":
-        return Bipartition(self.white, self.black)
-
 
 @dataclass(frozen=True)
 class BalancedValuation:
@@ -96,7 +93,7 @@ def flow_to_bipartition(g: Multigraph, flow) -> Bipartition:
         raise ValuationError("flow must be all-positive; reorient before bipartitioning")
     indeg = {v: 0 for v in g.vertices}
     for eid in g.edge_ids:
-        _, head = flow.orientation.direction(eid)
+        _, head = flow.orientation[eid]
         indeg[head] += 1
     black = frozenset(v for v, d in indeg.items() if d == 2)
     white = frozenset(v for v, d in indeg.items() if d == 1)

@@ -7,14 +7,17 @@ derived graphs rebuild every edge from plain tuples, as they once did.
 M_p' is built from M_p by vertex expansion and divalent suppression, and the
 1-factors are enumerated by a recursive generator chain, as they once were.
 The 9-cycles are walked from every vertex in both directions and reduced to
-their least rotation and direction, as they once were.
+their least rotation and direction, as they once were.  Flow is added along
+checked forward circuits, or along signed circuits without any check, by two
+separate routines, as it once was.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from circflow import families
+from circflow.flows import NOWHERE_ZERO, FlowError
 from circflow.multigraph import (
     GraphError,
     Multigraph,
@@ -201,3 +204,67 @@ def nine_cycles_oracle(g):
     for start in g.vertices:
         dfs(start, [start], {start})
     return sorted(found)
+
+
+@dataclass(frozen=True)
+class DirectedCircuit:
+    """Closed sequence of distinct edges, each traversed tail -> head."""
+
+    edges: tuple
+    start: str
+
+    def vertices(self, orientation):
+        seq = [self.start]
+        for eid in self.edges:
+            t, h = orientation[eid]
+            if t != seq[-1]:
+                raise FlowError(f"edge {eid!r} is not forward-directed at {seq[-1]!r}")
+            seq.append(h)
+        return tuple(seq)
+
+    def validate(self, orientation):
+        if len(set(self.edges)) != len(self.edges):
+            raise FlowError("circuit repeats an edge")
+        seq = self.vertices(orientation)
+        if seq[-1] != self.start:
+            raise FlowError("circuit is not closed")
+        if len(set(seq[:-1])) != len(seq) - 1:
+            raise FlowError("circuit repeats a vertex")
+
+
+def add_circuit_flow(flow, circuit, amount):
+    """Increase the flow by ``amount`` along a forward-directed circuit."""
+    amount = Fraction(amount)
+    if amount < 0:
+        raise FlowError("amount must be nonnegative")
+    circuit.validate(flow.orientation)
+    values = dict(flow.values)
+    for eid in circuit.edges:
+        values[eid] = values[eid] + amount
+    return replace(flow, values=values)
+
+
+def sum_signed_circuits(flow, circuits, amount):
+    """Add ``amount`` along circuits given as (edge id, +-1 direction) lists,
+    unchecked; the result must stay positive on every edge."""
+    amount = Fraction(amount)
+    values = dict(flow.values)
+    for circ in circuits:
+        for eid, sign in circ:
+            values[eid] = values[eid] + sign * amount
+    if any(v <= 0 for v in values.values()):
+        raise FlowError("signed circuit sum drove an edge to a nonpositive value")
+    return replace(flow, values=values, mode=NOWHERE_ZERO, zero_edge=None)
+
+
+def add_circuits_oracle(flow, circuits, amount, r):
+    """Each signed walk validated as a ``DirectedCircuit`` on the directions
+    its signs give, then summed by ``sum_signed_circuits`` at r: the oracle."""
+    for circ in circuits:
+        dirs = {}
+        for eid, sign in circ:
+            t, h = flow.orientation[eid]
+            dirs[eid] = (t, h) if sign > 0 else (h, t)
+        edges = tuple(eid for eid, _ in circ)
+        DirectedCircuit(edges, dirs[edges[0]][0]).validate(dirs)
+    return replace(sum_signed_circuits(flow, circuits, amount), r=Fraction(r))

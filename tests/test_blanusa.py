@@ -14,7 +14,7 @@ import circflow
 from circflow import blanusa, colorings, families, flows
 from circflow.multigraph import Multigraph, girth, is_perfect_matching, perfect_matchings
 
-from _oracles import nine_cycles_oracle
+from _oracles import DirectedCircuit, nine_cycles_oracle
 
 # SHA-256 of the seed's canonical content (``_seed_content``); any change to
 # the search that moves a vertex, edge, value, direction or circuit moves it.
@@ -129,12 +129,10 @@ def test_seed_and_chain_write_nothing_into_the_package():
 
 
 def test_seed_half_circuits_give_nine_halves_flow(seed):
-    base = seed.base_flow()
-    a, b = blanusa.seed_circuits(seed)
-    half = Fraction(1, 2)
-    flow = flows.add_circuit_flow(flows.add_circuit_flow(base, a, half), b, half)
-    flow = flows.RationalFlow(flow.orientation, flow.values, Fraction(9, 2))
+    steps = [[(eid, 1) for eid in circ] for circ in (seed.circuit_a, seed.circuit_b)]
+    flow = flows.add_circuits(seed.base_flow(), steps, Fraction(1, 2), Fraction(9, 2))
     assert flows.verify_flow(seed.graph, flow).verdict == "verified"
+    assert seed.base_flow().orientation is not seed.orientation
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -148,19 +146,40 @@ def test_chain_flow(n):
     assert len(data.circuits) == n + 1
 
 
+# SHA-256 of flows.write_flow for (flow, base_flow) of build_chain(n)
+CHAIN_FLOW_SHA256 = {
+    1: ("d17771065b587f90509e8f7c0d1520abae9325749da87b26f6932cf649a6518b",
+        "295725751fb6e54b148277fa480e137d785d5ba084fe8c46480bd82d224b763c"),
+    2: ("27ffa5c2433ee897571f2236fd57deff6f84c49bcfe91860ebda064409a5d6d8",
+        "62fb8309fb53e9e8df0ffbabe586eaa9c91c5ff10540e6203332683da3ebc961"),
+    3: ("6c4a0f1f5a1f8bd2ca2f584f0be670ff19b9b07f083aa2f53ee04c0d83146edc",
+        "9fcc0135a539e96bff9e517be83bbf8e97172318baa097c8c9b86c65d742d623"),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chain_flow_files_are_pinned(n):
+    data = blanusa.build_chain(n)
+    digests = tuple(hashlib.sha256(flows.write_flow(f).encode()).hexdigest()
+                    for f in (data.flow, data.base_flow))
+    assert digests == CHAIN_FLOW_SHA256[n]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_chain_circuit_properties(n):
     data = blanusa.build_chain(n)
     base = data.base_flow
     zero = [e for e, v in base.values.items() if v == 0]
     assert len(zero) == 1
-    for circ in data.circuits:
-        circ.validate(base.orientation)     # directed
-        assert zero[0] in circ.edges        # P1
+    edge_sets = [[eid for eid, _ in circ] for circ in data.circuits]
+    for circ, edges in zip(data.circuits, edge_sets):
+        assert {sign for _, sign in circ} == {1}
+        DirectedCircuit(tuple(edges), base.orientation[edges[0]][0]).validate(base.orientation)
+        assert zero[0] in edges             # P1
     # P2: every 3-valued edge on at most one circuit
     for eid, val in base.values.items():
         if val == 3:
-            assert sum(eid in c.edges for c in data.circuits) <= 1
+            assert sum(eid in edges for edges in edge_sets) <= 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -224,8 +243,8 @@ def test_chain_marked_path_on_exactly_one_circuit():
     path = set()
     for i in range(4, 8):
         path.add(graph.edges_between(last[f"x{i}"], last[f"x{i + 1}"])[0])
-    holders = [c for c in data.circuits if path <= set(c.edges)]
-    touchers = [c for c in data.circuits if set(c.edges) & path]
+    holders = [c for c in data.circuits if path <= dict(c).keys()]
+    touchers = [c for c in data.circuits if dict(c).keys() & path]
     assert len(holders) == 1 and touchers == holders
 
 

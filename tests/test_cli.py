@@ -77,6 +77,11 @@ def test_color_command_flower_without_matching_is_a_usage_error(capsys):
     assert "needs --matching" in capsys.readouterr().err
 
 
+def test_build_flow_bipartite_without_graph_is_a_usage_error(capsys):
+    assert run("build-flow", "--family", "bipartite", "--t", 1) == cli.EXIT_USAGE
+    assert "needs --graph" in capsys.readouterr().err
+
+
 def test_color_command_mp(tmp_path):
     out = tmp_path / "mp.coloring"
     gout = tmp_path / "mp.graph"

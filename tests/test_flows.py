@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -10,12 +13,10 @@ from circflow.certificates import Certificate
 from circflow.flows import (
     INTEGER_ONE_ZERO,
     BridgedGraphError,
-    DirectedCircuit,
     FlowError,
-    Orientation,
     RationalFlow,
     SizeCapExceeded,
-    add_circuit_flow,
+    add_circuits,
     bipartite_regular_flow,
     build_flower_flow,
     circular_flow_number,
@@ -26,7 +27,14 @@ from circflow.flows import (
 )
 from circflow.multigraph import Multigraph, bridges, perfect_matchings
 
-from _oracles import _graph_hash_oracle, _jsonable_oracle, _rat_oracle
+from _oracles import (
+    DirectedCircuit,
+    _graph_hash_oracle,
+    _jsonable_oracle,
+    _rat_oracle,
+    add_circuit_flow,
+    add_circuits_oracle,
+)
 
 
 def cycle_graph(k):
@@ -44,7 +52,7 @@ def directed_cycle_flow(k, r=Fraction(2)):
     g = cycle_graph(k)
     dirs = {f"e{i}": (f"v{i}", f"v{(i + 1) % k}") for i in range(k)}
     values = {f"e{i}": Fraction(1) for i in range(k)}
-    return g, RationalFlow(Orientation(dirs), values, Fraction(r))
+    return g, RationalFlow(dirs, values, Fraction(r))
 
 
 def test_verify_flow_cycle():
@@ -69,7 +77,7 @@ def test_petersen_has_no_4_flow():
     # any claimed 4-flow witness must fail: phi_c(Petersen) = 5
     p = families.petersen()
     result = circular_flow_number(p)
-    relabeled = result.flow.with_r(Fraction(4))
+    relabeled = replace(result.flow, r=Fraction(4))
     assert verify_flow(p, relabeled).verdict == "refuted"
 
 
@@ -86,26 +94,128 @@ def test_coverage_mismatch_is_an_error():
         verify_flow(h, flow)
 
 
-def test_add_circuit_flow_identity_and_errors():
+def test_add_circuits_on_a_cycle_and_its_errors():
     g, flow = directed_cycle_flow(5)
-    circ = DirectedCircuit(tuple(f"e{i}" for i in range(5)), "v0")
-    same = add_circuit_flow(flow, circ, Fraction(0))
-    assert same.values == flow.values
-    backwards = DirectedCircuit(tuple(reversed([f"e{i}" for i in range(5)])), "v0")
-    with pytest.raises(FlowError):
-        add_circuit_flow(flow, backwards, Fraction(1, 2))
+    forward = [(f"e{i}", 1) for i in range(5)]
+    lifted = add_circuits(flow, [forward], Fraction(1, 2), Fraction(3))
+    assert set(lifted.values.values()) == {Fraction(3, 2)} and lifted.r == 3
+    assert verify_flow(g, lifted).verdict == "verified"
+    against = [(eid, -1) for eid, _ in reversed(forward)]
+    assert add_circuits(flow, [against], Fraction(1, 2), Fraction(3)).values == \
+        {eid: Fraction(1, 2) for eid in flow.values}
+    for circuits, amount, message in [
+        ([forward], Fraction(0), "amount must be positive"),
+        ([[(eid, 1) for eid, _ in against]], Fraction(1, 2), "does not leave 'v0'"),
+        ([against], Fraction(1), "nonpositive value"),
+        ([forward[:4]], Fraction(1, 2), "not closed"),
+        ([forward + forward], Fraction(1, 2), "repeats an edge"),
+        ([[("e0", 2)]], Fraction(1, 2), "sign 2 on edge 'e0' is not"),
+    ]:
+        with pytest.raises(FlowError, match=message):
+            add_circuits(flow, circuits, amount, Fraction(3))
+    # a figure eight through v0 follows its signs and closes, but is no circuit
+    bowtie = {"a": ("v0", "v1"), "b": ("v1", "v2"), "c": ("v2", "v0"),
+              "d": ("v0", "v3"), "e": ("v3", "v4"), "f": ("v4", "v0")}
+    eight = RationalFlow(bowtie, dict.fromkeys(bowtie, Fraction(1)), Fraction(3))
+    with pytest.raises(FlowError, match="repeats a vertex"):
+        add_circuits(eight, [[(eid, 1) for eid in "abcdef"]], Fraction(1, 2), Fraction(3))
 
 
-def test_add_circuit_flow_on_flower_base():
+def test_add_circuits_on_flower_base():
     # two forward-directed circuits through the zero edge of the J5 base flow
     data = build_flower_flow(2)
-    base = data.base_flow
-    c1 = DirectedCircuit(("ab0", "bc0", "cd0", "bd1", "ab1", "aa1", "aa2", "aa3", "aa4"), "a0")
-    c2 = DirectedCircuit(("ab0", "bc0", "dc4", "bd4", "bc4", "dc3", "bd3", "ab3", "aa3", "aa4"), "a0")
-    half = Fraction(1, 2)
-    lifted = add_circuit_flow(add_circuit_flow(base, c1, half), c2, half)
-    lifted = RationalFlow(lifted.orientation, lifted.values, Fraction(9, 2))
+    c1 = ("ab0", "bc0", "cd0", "bd1", "ab1", "aa1", "aa2", "aa3", "aa4")
+    c2 = ("ab0", "bc0", "dc4", "bd4", "bc4", "dc3", "bd3", "ab3", "aa3", "aa4")
+    lifted = add_circuits(data.base_flow, [[(eid, 1) for eid in c] for c in (c1, c2)],
+                          Fraction(1, 2), Fraction(9, 2))
     assert verify_flow(data.graph, lifted).verdict == "verified"
+
+
+def _walk_tails(dirs, walk):
+    return [dirs[eid][0] if sign == 1 else dirs[eid][1] for eid, sign in walk]
+
+
+@st.composite
+def signed_circuits(draw):
+    """A flow on a union of cycles over a few shared vertices, each edge
+    oriented at random, and circuits that walk whole cycles with signs that
+    follow those orientations.  ``fault`` names the one defect put into the
+    first circuit or the values, or is "none"."""
+    vs = [f"v{i}" for i in range(draw(st.integers(3, 6)))]
+    dirs, walks = {}, []
+    for c in range(draw(st.integers(2, 4))):
+        cyc = draw(st.permutations(vs))[:draw(st.integers(2, len(vs)))]
+        walk = []
+        for i, a in enumerate(cyc):
+            b, eid, sign = cyc[(i + 1) % len(cyc)], f"c{c}e{i}", draw(st.sampled_from([1, -1]))
+            dirs[eid] = (a, b) if sign == 1 else (b, a)
+            walk.append((eid, sign))
+        rot = draw(st.integers(0, len(walk) - 1))
+        walk = walk[rot:] + walk[:rot]
+        if draw(st.booleans()):
+            walk = [(eid, -sign) for eid, sign in reversed(walk)]
+        walks.append(walk)
+    picks = draw(st.lists(st.integers(0, len(walks) - 1), min_size=1, max_size=5))
+    circuits = [list(walks[i]) for i in picks]
+    amount = Fraction(draw(st.integers(1, 2)), draw(st.integers(1, 4)))
+    # each edge starts at what its -1 steps take away plus a slack, which
+    # leaves 0 on an edge no circuit raises when the slack is 0
+    lowered = Counter(eid for circ in circuits for eid, sign in circ if sign == -1)
+    values = {eid: lowered[eid] * amount + Fraction(draw(st.integers(0, 4)), draw(st.integers(1, 3)))
+              for eid in dirs}
+    fault = draw(st.sampled_from(["vertex", "none", "open", "none", "sign", "none", "edge", "value"]))
+    first = circuits[0]
+    if fault == "vertex":  # a figure eight through a vertex shared with another cycle
+        others = [w for i, w in enumerate(walks)
+                  if i != picks[0] and set(_walk_tails(dirs, w)) & set(_walk_tails(dirs, first))]
+        if others:
+            other = draw(st.sampled_from(others))
+            v = sorted(set(_walk_tails(dirs, other)) & set(_walk_tails(dirs, first)))[0]
+            i, j = _walk_tails(dirs, first).index(v), _walk_tails(dirs, other).index(v)
+            first[:] = first[i:] + first[:i] + other[j:] + other[:j]
+        else:
+            fault = "edge"
+    if fault == "open":
+        first.pop(draw(st.integers(0, len(first) - 1)))
+    elif fault == "sign":
+        i = draw(st.integers(0, len(first) - 1))
+        first[i] = (first[i][0], -first[i][1])
+    elif fault == "edge":
+        first += first
+    elif fault == "value":
+        eid = draw(st.sampled_from(first))[0]
+        net = sum(sign for circ in circuits for e, sign in circ if e == eid)
+        values[eid] = -net * amount - draw(st.sampled_from([0, 1]))
+    mode = draw(st.sampled_from([flows.NOWHERE_ZERO, INTEGER_ONE_ZERO]))
+    zero_edge = first[0][0] if mode == INTEGER_ONE_ZERO else None
+    return RationalFlow(dirs, values, Fraction(4), mode, zero_edge), circuits, amount, fault
+
+
+@given(signed_circuits())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_add_circuits_agrees_with_the_old_circuit_paths(case):
+    flow, circuits, amount, fault = case
+    r = Fraction(9, 2)
+    try:
+        expected = add_circuits_oracle(flow, circuits, amount, r)
+    except FlowError:
+        expected = None
+    assert fault == "none" or expected is None
+    if expected is None:
+        with pytest.raises(FlowError):
+            add_circuits(flow, circuits, amount, r)
+        return
+    got = add_circuits(flow, circuits, amount, r)
+    assert list(got.values.items()) == list(expected.values.items())
+    assert got.orientation == expected.orientation
+    assert (got.r, got.mode, got.zero_edge) == (r, flows.NOWHERE_ZERO, None) == \
+        (expected.r, expected.mode, expected.zero_edge)
+    if all(sign == 1 for circ in circuits for _, sign in circ):
+        forward = flow
+        for circ in circuits:
+            start = flow.orientation[circ[0][0]][0]
+            forward = add_circuit_flow(forward, DirectedCircuit(tuple(e for e, _ in circ), start), amount)
+        assert forward.values == got.values
 
 
 def test_circulation_feasible_cycle():
@@ -122,7 +232,7 @@ def test_circulation_infeasible_at_source_vertex():
             dirs[e.eid] = ("v1", e.other("v1"))  # v1 is a pure source
         else:
             dirs[e.eid] = (e.u, e.v)
-    ok, witness = circulation_feasible(k4, Orientation(dirs), Fraction(10))
+    ok, witness = circulation_feasible(k4, dirs, Fraction(10))
     assert not ok
     out = sum(1 for eid in k4.edge_ids if dirs[eid][0] in witness and dirs[eid][1] not in witness)
     inn = sum(1 for eid in k4.edge_ids if dirs[eid][1] in witness and dirs[eid][0] not in witness)
@@ -138,7 +248,7 @@ def test_circulation_rejects_small_r():
 def test_petersen_best_orientation_feasible_at_5():
     p = families.petersen()
     result = circular_flow_number(p)
-    ok, witness = circulation_feasible(p, result.orientation, Fraction(5))
+    ok, witness = circulation_feasible(p, result.flow.orientation, Fraction(5))
     assert ok
     assert verify_flow(p, witness).verdict == "verified"
 
@@ -212,20 +322,24 @@ def test_odd_cut_lower_bound_invariant():
                 assert expected >= 2 + Fraction(1, k)
 
 
+def _reversed(dirs):
+    return {eid: (h, t) for eid, (t, h) in dirs.items()}
+
+
 def test_reversed_flow_is_valid():
     g, flow = directed_cycle_flow(6)
-    rev = RationalFlow(flow.orientation.reversed(), flow.values, flow.r)
+    rev = RationalFlow(_reversed(flow.orientation), flow.values, flow.r)
     assert verify_flow(g, rev).verdict == "verified"
     p = families.petersen()
     result = circular_flow_number(p)
-    rev = RationalFlow(result.flow.orientation.reversed(), result.flow.values, result.flow.r)
+    rev = RationalFlow(_reversed(result.flow.orientation), result.flow.values, result.flow.r)
     assert verify_flow(p, rev).verdict == "verified"
 
 
 def test_monotone_acceptance_in_r():
     data = build_flower_flow(2)
     assert verify_flow(data.graph, data.flow).verdict == "verified"
-    bigger = data.flow.with_r(Fraction(5))
+    bigger = replace(data.flow, r=Fraction(5))
     assert verify_flow(data.graph, bigger).verdict == "verified"
 
 
@@ -284,8 +398,29 @@ def test_flow_file_round_trip():
     back = read_flow(text)
     assert back.r == data.flow.r
     assert back.values == data.flow.values
-    assert dict(back.orientation.items()) == dict(data.flow.orientation.items())
+    assert back.orientation == data.flow.orientation
     assert verify_flow(data.graph, back).verdict == "verified"
+
+
+# SHA-256 of write_flow for (flow, base_flow) of build_flower_flow(n)
+FLOWER_FLOW_SHA256 = {
+    1: ("227e9a0e403dd168418d75fd658221cddd161548f8466cac91b9aa9e86d08dad",
+        "270f4ccf7ebf8ef3ffd5d3576114a21a10b5f0e6d1e129ddcc26506930eb6a7f"),
+    2: ("5ee747a6b7d6dd1073a3a9b377f692a22f0ac0b792a7f942c2048085b5921429",
+        "e77a3307ae7a38300781ff60c5b3512bc744f1d59177b861e9883bcac6236a70"),
+    3: ("22fc3a30997c430d11b83b1a9b40a0c39a32c48e5045db2d110372dc640bf904",
+        "d9b7201d93cf881b5093151841602ed62dd414059881ec6e6fd0e924e1f84cf1"),
+    4: ("230b7d92da868c99131f80fd0313e88f0156867404498af2919a78b3a7a774f6",
+        "083e8d2a9251870d232fdc03c4c1c64020738d61840b04d5e86609b7f82db182"),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_flower_flow_files_are_pinned(n):
+    data = build_flower_flow(n)
+    digests = tuple(hashlib.sha256(write_flow(f).encode()).hexdigest()
+                    for f in (data.flow, data.base_flow))
+    assert digests == FLOWER_FLOW_SHA256[n]
 
 
 def test_base_flower_flow_integer_mode():
@@ -351,7 +486,7 @@ def test_circular_flow_number_agrees_with_orientation_enumeration(g):
 def _conservation_violations_oracle(g, flow):
     net = {v: Fraction(0) for v in g.vertices}
     for eid in g.edge_ids:
-        tail, head = flow.orientation.direction(eid)
+        tail, head = flow.orientation[eid]
         net[tail] -= flow.values[eid]
         net[head] += flow.values[eid]
     return [v for v, x in net.items() if x != 0]
@@ -369,7 +504,7 @@ def _verify_flow_oracle(g, flow):
                            _jsonable_oracle({"r": flow.r, "mode": flow.mode}),
                            _jsonable_oracle(witness), verdict)
 
-    if set(dict(flow.orientation.items())) != set(g.edge_ids) or set(flow.values) != set(g.edge_ids):
+    if set(flow.orientation) != set(g.edge_ids) or set(flow.values) != set(g.edge_ids):
         raise FlowError("flow does not cover exactly the edges of the graph")
     if not all(g.edge(eid).ends == frozenset(pair) for eid, pair in flow.orientation.items()):
         raise FlowError("orientation endpoints disagree with the graph")
@@ -452,7 +587,7 @@ def flow_cases(draw):
     dirs = dict(draw(st.permutations(list(dirs.items()))))
     values = dict(draw(st.permutations(list(values.items()))))
     mode = INTEGER_ONE_ZERO if integer else flows.NOWHERE_ZERO
-    return g, RationalFlow(Orientation(dirs), values, r, mode, zero_edge)
+    return g, RationalFlow(dirs, values, r, mode, zero_edge)
 
 
 def _flow_outcome(check, g, flow):

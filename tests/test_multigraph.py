@@ -20,12 +20,10 @@ from circflow.multigraph import (
     deserialize,
     edge_cut,
     expand_vertices,
-    from_graph6,
     girth,
     is_bridgeless,
     is_matching,
     is_perfect_matching,
-    matching_copy_ids,
     perfect_matchings,
     serialize,
     suppress_divalent_with_map,
@@ -106,7 +104,7 @@ def test_add_matching_copies_composes_with_identical_ids():
     joint = add_matching_copies(p, m, 3)
     staged = add_matching_copies(add_matching_copies(p, m, 1), m, 2)
     assert joint == staged
-    assert matching_copy_ids(joint, m, 2) <= set(joint.edge_ids)
+    assert {f"{eid}@c{j}" for eid in m for j in (1, 2, 3)} <= set(joint.edge_ids)
 
 
 def test_cubic_plus_perfect_matching_regularity():
@@ -205,14 +203,6 @@ def test_deserialize_reports_the_line_of_the_failing_record(lines, message):
     text = "\n".join(["circflow-graph v1", *lines]) + "\n"
     with pytest.raises(ParseError, match=f"^{message}$"):
         deserialize(text)
-
-
-def test_graph6_import():
-    # K4 in graph6 is 'C~'
-    g = from_graph6("C~")
-    assert g.num_vertices() == 4 and g.num_edges() == 6
-    g2 = from_graph6(">>graph6<<C~")
-    assert g2 == g
 
 
 def test_bridges_and_girth():

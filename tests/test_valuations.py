@@ -39,8 +39,9 @@ def test_flow_to_bipartition_reversal_swaps_colors():
     k4 = families.complete_graph(4)
     flow = flows.circular_flow_number(k4).flow
     bip = flow_to_bipartition(k4, flow)
-    rev = flows.RationalFlow(flow.orientation.reversed(), flow.values, flow.r)
-    assert flow_to_bipartition(k4, rev) == bip.swapped()
+    rev = flows.RationalFlow({eid: (h, t) for eid, (t, h) in flow.orientation.items()},
+                             flow.values, flow.r)
+    assert flow_to_bipartition(k4, rev) == Bipartition(bip.white, bip.black)
 
 
 def test_flower_bipartition_paired_by_matching():
@@ -370,7 +371,7 @@ def _dfs_orientation(g, rng):
     for v in g.vertices:
         if v not in seen:
             visit(v)
-    return flows.Orientation(dirs)
+    return dirs
 
 
 @st.composite
