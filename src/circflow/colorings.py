@@ -81,7 +81,12 @@ class _Deadline:
 
     def tick(self) -> None:
         self.nodes += 1
-        if self.t_end is not None and self.nodes % 512 == 0 and time.monotonic() > self.t_end:
+        if self.nodes % 512 == 0:
+            self.poll()
+
+    def poll(self) -> None:
+        """Raise once the budget is spent; counts nothing."""
+        if self.t_end is not None and time.monotonic() > self.t_end:
             raise SearchBudgetExceeded("search budget exhausted")
 
 
@@ -117,7 +122,7 @@ def _matching_cover(h: Multigraph, deadline: _Deadline) -> dict[str, int] | None
             return None
         a, b = ends[pivot]
         inc = [[(s, w) for s, w in at_v if need[s]] for at_v in at]
-        for pm in _matchings_of(inc, 1 << a | 1 << b):
+        for pm in _matchings_of(inc, 1 << a | 1 << b, deadline.poll):
             pm.append(pivot)
             rest = list(need)
             for s in pm:

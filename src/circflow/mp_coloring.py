@@ -4,9 +4,10 @@ M_p' gets a (4p+1)-coloring in which every vertex sees every color an odd
 number of times, assembled per copy from the rotational 1-factorization of
 K_{4p}, a triangle recoloring, a recoloring of the junction circuit, and a
 per-copy palette rotation that gives junction i the odd color window
-i + {1, 3, ..., 4t+7}.  Routing the three same-colored edges at each
-junction through a throwaway divalent vertex then yields the (4p+1)-regular
-class-1 refinement.
+i + {1, 3, ..., 4t+7}.  Each junction sees its triple color on the hub edge
+and on two more edges; merging those two into one edge between their far
+ends (routing them through a divalent vertex and suppressing it) yields the
+(4p+1)-regular class-1 refinement M~_p, which is written out directly.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from . import families
 from .colorings import EdgeColoring, PROPER, SEES_ODD, ColoringError, is_proper, sees_odd_violation
-from .multigraph import Multigraph, expand_vertices, suppress_divalent_with_map
+from .multigraph import Edge, Multigraph
 
 INF = "inf"
 
@@ -233,42 +234,62 @@ def mp_prime_coloring(t: int) -> MpPrimeColoringData:
 
 
 def mp_tilde_coloring(t: int) -> tuple[Multigraph, EdgeColoring]:
-    """Expand each junction so the triple color's surplus leaves through a
-    divalent vertex, suppress, and return the proper (4p+1)-coloring."""
-    data = mp_prime_coloring(t)
-    p = 2 * t + 1
-    palette = 8 * t + 5
-    family = data.family
-    g = family.graph
-    colors = dict(data.coloring.colors)
+    """M~_p and its proper (4p+1)-coloring, written out from M_p' directly.
 
-    expansions = []
-    for i in range(1, 4 * p + 2):
-        v = f"c{i}"
+    Junction c_i sees its triple color (i + 4t + 7) mod (8t + 5) on the hub
+    edge and on two more edges; routing those two through a divalent vertex
+    and suppressing it joins their far ends by one edge ``e1&e2`` (e1 < e2)
+    of that color.  So c_i becomes c~_i; every other edge keeps its place in
+    M_p' and is written from its junction end, or from the later junction
+    when both ends are junctions; the merged edges follow in junction order;
+    and the vertices are M_p''s without the junctions, then c~_1, c~_2, ...
+    """
+    data = mp_prime_coloring(t)
+    palette = 8 * t + 5
+    g = data.family.graph
+    colors = dict(data.coloring.colors)
+    rank = {v: i for i, v in enumerate(data.family.junctions, start=1)}
+    tilde = {v: f"c~{i}" for v, i in rank.items()}
+
+    rerouted: dict[str, str] = {}  # edge id -> the junction that reroutes it
+    for v, i in rank.items():
         triple = (i + 4 * t + 7) % palette
         carriers = [eid for eid in g.incident_edges(v) if colors[eid] == triple]
         if len(carriers) != 3:
             raise ColoringError("internal error: junction must see its triple color thrice")
-        hub = f"hub{i}"
-        if hub not in carriers:
+        if f"hub{i}" not in carriers:
             raise ColoringError("internal error: the hub edge must carry the triple color")
-        rerouted = [eid for eid in carriers if eid != hub]
-        replacement = Multigraph([f"c~{i}", f"cdiv{i}"], [])
-        attachment = {eid: (f"cdiv{i}" if eid in rerouted else f"c~{i}")
-                      for eid in g.incident_edges(v)}
-        expansions.append((v, replacement, attachment))
+        carriers.remove(f"hub{i}")
+        for eid in carriers:
+            if eid in rerouted:
+                raise ColoringError(f"internal error: edge {eid} is rerouted at both ends")
+            rerouted[eid] = v
 
-    g, merges = suppress_divalent_with_map(expand_vertices(g, expansions))
-    for new_eid, (e1, e2) in merges.items():
+    edges: list[Edge] = []
+    far: dict[str, list[tuple[str, str]]] = {v: [] for v in rank}
+    for e in g.edges():
+        if e.eid in rerouted:
+            v = rerouted[e.eid]
+            w = e.other(v)
+            far[v].append((e.eid, tilde.get(w, w)))
+            continue
+        a, b = (e.v, e.u) if rank.get(e.u, 0) < rank.get(e.v, 0) else (e.u, e.v)
+        edges.append(Edge(e.eid, tilde[a], tilde.get(b, b)) if a in rank else e)
+    for v in rank:
+        (e1, a), (e2, b) = sorted(far[v])
+        if a == b:
+            raise ColoringError(f"internal error: merging at {v} would make a loop at {a}")
         c1, c2 = colors.pop(e1), colors.pop(e2)
         if c1 != c2:
             raise ColoringError("internal error: merged edges carry different colors")
-        colors[new_eid] = c1
+        colors[f"{e1}&{e2}"] = c1
+        edges.append(Edge(f"{e1}&{e2}", a, b))
+    h = Multigraph([v for v in g.vertices if v not in rank] + list(tilde.values()), edges)
 
     coloring = EdgeColoring(colors, palette, PROPER)
-    if not g.is_regular(4 * p + 1):
+    if not h.is_regular(palette):
         raise ColoringError("internal error: the refinement is not (4p+1)-regular")
-    ok, clash = is_proper(g, coloring)
+    ok, clash = is_proper(h, coloring)
     if not ok:
         raise ColoringError(f"internal error: refinement coloring improper at {clash}")
-    return g, coloring
+    return h, coloring

@@ -1,10 +1,10 @@
 """Loopless undirected multigraphs with stable vertex and edge identities.
 
 Every vertex and edge is addressed by a string id that survives subgraph
-operations, matching duplication and vertex expansion.  Graphs are immutable
-after construction; all operations return new graphs, and the structural
-operations (vertex expansion, divalent suppression, matching copies) are
-linear in |V| + |E|.  Each graph caches its content hash and the
+operations and matching duplication.  Graphs are immutable after
+construction; all operations return new graphs, and the derived graphs
+(subgraphs, relabelings, matching copies) are built in time linear in
+|V| + |E|.  Each graph caches its content hash and the
 integer-indexed view its solvers share.  The module also holds the one
 max-flow kernel, on integer node ids and capacities: flows and valuations
 scale their rational capacities by one common denominator.
@@ -27,7 +27,7 @@ import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -286,7 +286,8 @@ def is_perfect_matching(g: Multigraph, eids: Iterable[str]) -> bool:
     return covered == set(g.vertices)
 
 
-def _matchings_of(inc: Sequence[Sequence[tuple[int, int]]], covered: int) -> Iterator[list[int]]:
+def _matchings_of(inc: Sequence[Sequence[tuple[int, int]]], covered: int,
+                  poll: Callable[[], object] | None = None) -> Iterator[list[int]]:
     """Perfect matchings of the vertices outside the bitmask ``covered``.
 
     ``inc[v]`` lists the (edge index, other end) pairs at vertex ``v`` in
@@ -295,12 +296,16 @@ def _matchings_of(inc: Sequence[Sequence[tuple[int, int]]], covered: int) -> Ite
     indices, which the caller may keep or extend.  The search is depth-first
     on an explicit stack, one frame per matched vertex (its covered mask and
     its remaining options), and lazy: it stops wherever the caller stops.
+    One search between two matchings can be exponential, so a budgeted
+    caller passes ``poll``, which is called once every 4096 frames and may
+    raise to stop the search.
     """
     full = (1 << len(inc)) - 1
     if covered == full:
         yield []
         return
     chosen: list[int] = []  # chosen[d]: the edge that matched frame d's vertex
+    frames = 0
     v = (~covered & (covered + 1)).bit_length() - 1
     stack = [(covered | 1 << v, iter(inc[v]))]
     while stack:
@@ -319,21 +324,20 @@ def _matchings_of(inc: Sequence[Sequence[tuple[int, int]]], covered: int) -> Ite
             yield chosen.copy()
             chosen.pop()
         else:
+            frames += 1
+            if not frames & 4095 and poll is not None:
+                poll()
             v = (~covered & (covered + 1)).bit_length() - 1
             stack.append((covered | 1 << v, iter(inc[v])))
 
 
-def perfect_matchings(g: Multigraph, required_edge: str | None = None) -> list[frozenset[str]]:
-    """All perfect matchings (as edge-id sets), optionally through one edge."""
+def perfect_matchings(g: Multigraph) -> list[frozenset[str]]:
+    """All perfect matchings, as edge-id sets."""
     if g.num_vertices() % 2:
         return []
     view = g.indexed
     inc = [[(e, sum(view.ends[e]) - v) for e in at] for v, at in enumerate(view.incident)]
-    covered, base = 0, []
-    if required_edge is not None:
-        e = g.edge(required_edge)
-        covered, base = 1 << view.pos[e.u] | 1 << view.pos[e.v], [required_edge]
-    return [frozenset(base + [view.edge_ids[i] for i in pm]) for pm in _matchings_of(inc, covered)]
+    return [frozenset(view.edge_ids[i] for i in pm) for pm in _matchings_of(inc, 0)]
 
 
 # -- maximum flow ------------------------------------------------------------
@@ -406,86 +410,6 @@ def add_matching_copies(g: Multigraph, matching: Iterable[str], k: int) -> Multi
             new_edges.append((f"{eid}@c{j}", e.u, e.v))
             j += 1
     return g.with_edges_added(new_edges)
-
-
-def expand_vertices(g: Multigraph,
-                    expansions: Sequence[tuple[str, Multigraph, Mapping[str, str]]]) -> Multigraph:
-    """Replace distinct vertices by graphs, redistributing their edge stubs.
-
-    In each ``(v, replacement, attachment)``, ``attachment`` maps every edge id
-    at ``v`` to a replacement vertex; a replacement vertex may reuse the id
-    ``v`` only.  As if expanded one at a time in list order, each rewired edge
-    is written (anchor, other end): an edge joining two expanded vertices
-    starts at the anchor of the later one.
-    """
-    rank: dict[str, int] = {}
-    attachments: dict[str, Mapping[str, str]] = {}
-    fresh: set[str] = set()
-    for v, replacement, attachment in expansions:
-        stubs = g.incident_edges(v)
-        if v in rank:
-            raise GraphError(f"vertex {v!r} is expanded twice")
-        if set(attachment) != set(stubs):
-            raise GraphError("attachment must cover exactly the edges at the expanded vertex")
-        for w in replacement.vertices:
-            if (g.has_vertex(w) and w != v) or w in fresh:
-                raise GraphError(f"replacement vertex id {w!r} collides with the host graph "
-                                 "or another replacement")
-            fresh.add(w)
-        for w in attachment.values():
-            if not replacement.has_vertex(w):
-                raise GraphError(f"attachment target {w!r} is not a replacement vertex")
-        rank[v] = len(rank)
-        attachments[v] = attachment
-    vertices = [w for w in g.vertices if w not in rank]
-    edges: list[Edge] = []
-    for e in g.edges():
-        a, b = e.u, e.v
-        if rank.get(a, -1) < rank.get(b, -1):
-            a, b = b, a
-        if a in rank:
-            e = Edge(e.eid, attachments[a][e.eid], attachments[b][e.eid] if b in rank else b)
-        edges.append(e)
-    for _, replacement, _ in expansions:
-        vertices.extend(replacement.vertices)
-        edges.extend(replacement.edges())
-    return Multigraph(vertices, edges)
-
-
-def suppress_divalent_with_map(g: Multigraph) -> tuple[Multigraph, dict[str, tuple[str, str]]]:
-    """Smooth every degree-2 vertex into an edge joining its neighbors.
-
-    Returns the new graph and a map from each created edge id to the pair of
-    edge ids it replaced.  A divalent vertex with both edges to the same
-    neighbor is an error, since smoothing it would create a loop; a component
-    that is a pure cycle of divalent vertices always reaches that error.
-    Smoothing changes no other vertex's degree, so one pass smooths them all.
-    """
-    edges = dict(g._edges)
-    # only divalent vertices ever have their incidence read, and smoothing
-    # changes no degree, so only they need sets kept up to date
-    incident = {v: set(ids) for v, ids in g._incident.items() if len(ids) == 2}
-    merges: dict[str, tuple[str, str]] = {}
-    kept: list[str] = []
-    for v in g.vertices:
-        if v not in incident:
-            kept.append(v)
-            continue
-        e1, e2 = sorted(incident[v])
-        a, b = edges[e1].other(v), edges[e2].other(v)
-        if a == b:
-            raise GraphError(f"suppressing {v!r} would create a loop at {a!r}")
-        new_id = f"{e1}&{e2}"
-        while new_id in edges:
-            new_id += "'"
-        del edges[e1], edges[e2]
-        edges[new_id] = Edge(new_id, a, b)
-        merges[new_id] = (e1, e2)
-        for end, old in ((a, e1), (b, e2)):
-            if end in incident:
-                incident[end].remove(old)
-                incident[end].add(new_id)
-    return Multigraph(kept, edges.values()), merges
 
 
 def connected_components(g: Multigraph) -> list[set[str]]:

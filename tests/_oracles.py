@@ -4,8 +4,10 @@ The certificate serializer re-wraps every value in ``Fraction`` and re-hashes
 the graph on every call, as it once did.  The graph constructor makes a
 frozen-dataclass edge per edge and checks every id token by token, and the
 derived graphs rebuild every edge from plain tuples, as they once did.
-M_p' is built from M_p by vertex expansion and divalent suppression, and the
-1-factors are enumerated by a recursive generator chain, as they once were.
+M_p' is built from M_p, and M~_p from M_p' and its coloring, by vertex
+expansion one vertex at a time and divalent suppression to a fixpoint, and
+the 1-factors are enumerated by a recursive generator chain, as they once
+were.
 The 9-cycles are walked from every vertex in both directions and reduced to
 their least rotation and direction, as they once were.  Flow is added along
 checked forward circuits, or along signed circuits without any check, by two
@@ -16,16 +18,10 @@ import hashlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from circflow import families
+from circflow import families, mp_coloring
+from circflow.colorings import PROPER, ColoringError, EdgeColoring
 from circflow.flows import NOWHERE_ZERO, FlowError
-from circflow.multigraph import (
-    GraphError,
-    Multigraph,
-    _check_token,
-    canonical_serialize,
-    expand_vertices,
-    suppress_divalent_with_map,
-)
+from circflow.multigraph import GraphError, Multigraph, _check_token, canonical_serialize
 
 
 def _rat_oracle(x):
@@ -133,7 +129,47 @@ class MultigraphOracle(Multigraph):
         )
 
 
-def mp_prime_by_expansion(p, expand=expand_vertices, suppress=suppress_divalent_with_map):
+def _suppress_divalent_oracle(g):
+    """Suppression one vertex at a time, always of the first divalent vertex
+    in vertex order, with every incidence list rebuilt from the edges before
+    each step: the oracle."""
+    vertices = list(g.vertices)
+    edges = {e.eid: (e.u, e.v) for e in g.edges()}
+    merges = {}
+    while True:
+        incident = {v: [] for v in vertices}
+        for eid, (u, w) in edges.items():
+            incident[u].append(eid)
+            incident[w].append(eid)
+        v = next((v for v in vertices if len(incident[v]) == 2), None)
+        if v is None:
+            return type(g)(vertices, [(eid, u, w) for eid, (u, w) in edges.items()]), merges
+        e1, e2 = sorted(incident[v])
+        a = edges[e1][0] if edges[e1][1] == v else edges[e1][1]
+        b = edges[e2][0] if edges[e2][1] == v else edges[e2][1]
+        if a == b:
+            raise GraphError(f"suppressing {v!r} would create a loop at {a!r}")
+        new_id = f"{e1}&{e2}"
+        while new_id in edges:
+            new_id += "'"
+        del edges[e1], edges[e2]
+        edges[new_id] = (a, b)
+        merges[new_id] = (e1, e2)
+        vertices.remove(v)
+
+
+def _expand_sequentially(g, expansions):
+    """Each ``(v, names, attachment)`` in turn replaces v by the vertices
+    ``names`` and rewrites every edge at v as (attachment, other end), with a
+    full rebuild: the oracle."""
+    for v, names, attachment in expansions:
+        g = type(g)([w for w in g.vertices if w != v] + names,
+                    [(e.eid, attachment[e.eid], e.other(v)) if v in e.ends else e
+                     for e in g.edges()])
+    return g
+
+
+def mp_prime_by_expansion(p):
     """M_p' as expand -> suppress of M_p: the oracle.  Each v_{4p}@i becomes
     x@i, which takes the K-edges and the first pz-edge of each side, and
     y_k@i, which takes the (k+1)-th pz-edge of each side and is then
@@ -142,14 +178,38 @@ def mp_prime_by_expansion(p, expand=expand_vertices, suppress=suppress_divalent_
     expansions = []
     for i in range(1, 4 * p + 2):
         v4p = families.mp_copy_vertex(p, i, 4 * p)
-        replacement = Multigraph([f"x@{i}"] + [f"y{k}@{i}" for k in range(1, p - 2)], [])
+        names = [f"x@{i}"] + [f"y{k}@{i}" for k in range(1, p - 2)]
         attachment = {eid: f"x@{i}" for eid in base.incident_edges(v4p) if eid.startswith("K")}
         attachment[f"pz1{i}:1"] = attachment[f"pz2{i}:1"] = f"x@{i}"
         for k in range(2, p - 1):
             attachment[f"pz1{i}:{k}"] = attachment[f"pz2{i}:{k}"] = f"y{k - 1}@{i}"
-        expansions.append((v4p, replacement, attachment))
-    graph, _merges = suppress(expand(base, expansions))
+        expansions.append((v4p, names, attachment))
+    graph, _merges = _suppress_divalent_oracle(_expand_sequentially(base, expansions))
     return graph
+
+
+def mp_tilde_by_expansion(t):
+    """M~_p and its coloring as expand -> suppress of M_p': the oracle.  Each
+    junction c_i becomes c~_i, which keeps the hub edge and every edge not of
+    the triple color, and cdiv_i, which takes the other two triple-colored
+    edges and is then suppressed."""
+    data = mp_coloring.mp_prime_coloring(t)
+    palette = 8 * t + 5
+    g = data.family.graph
+    colors = dict(data.coloring.colors)
+    expansions = []
+    for i in range(1, 4 * (2 * t + 1) + 2):
+        v, triple = f"c{i}", (i + 4 * t + 7) % palette
+        rerouted = [eid for eid in g.incident_edges(v) if colors[eid] == triple and eid != f"hub{i}"]
+        attachment = {eid: f"cdiv{i}" if eid in rerouted else f"c~{i}" for eid in g.incident_edges(v)}
+        expansions.append((v, [f"c~{i}", f"cdiv{i}"], attachment))
+    g, merges = _suppress_divalent_oracle(_expand_sequentially(g, expansions))
+    for new_eid, (e1, e2) in merges.items():
+        c1, c2 = colors.pop(e1), colors.pop(e2)
+        if c1 != c2:
+            raise ColoringError("merged edges carry different colors")
+        colors[new_eid] = c1
+    return g, EdgeColoring(colors, palette, PROPER)
 
 
 def matchings_of_oracle(inc, covered):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -102,6 +103,36 @@ def test_chromatic_index_budget_bounds():
         assert result.lower <= result.upper
         assert result.lower >= 5
     assert reverify(chromatic_index_certificate(h, result), h)
+
+
+def _random_cubic_double(seed, n):
+    """G, a copy G', and the edges v-v': 4-regular, from a random simple cubic
+    G on n vertices drawn by the pairing model."""
+    rng = random.Random(seed)
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = {tuple(sorted(points[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(pairs) == 3 * n // 2 and all(a != b for a, b in pairs):
+            break
+    vertices = [f"x{i}{side}" for side in ("", "'") for i in range(n)]
+    edges = [(f"x{a}x{b}{side}", f"x{a}{side}", f"x{b}{side}")
+             for side in ("", "'") for a, b in sorted(pairs)]
+    edges += [(f"m{i}", f"x{i}", f"x{i}'") for i in range(n)]
+    return Multigraph(vertices, edges)
+
+
+def test_chromatic_index_budget_stops_a_long_matching_enumeration():
+    # the matching cover spends seconds inside one 1-factor enumeration of
+    # this graph before its second node, so only a clock read inside the
+    # enumeration can honour the budget
+    d = _random_cubic_double(2, 100)
+    assert d.is_regular(4)
+    start = time.monotonic()
+    result = chromatic_index(d, budget_s=0.5)
+    assert result.method == "budget"
+    assert (result.lower, result.upper) == (4, 5)
+    assert time.monotonic() - start < 3
 
 
 def test_parity_lemma_vertex_and_four_cuts():

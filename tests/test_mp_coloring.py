@@ -150,6 +150,8 @@ def test_mp_prime_coloring_is_pinned(t, coloring_sha, permutations_sha):
      "f46f870df7426b41cc0d6cec16a647a36af43f8cad1087973cb87359c9985d82"),
     (2, "030483ce70aeda3dd40accb6f2c9d7e945ad5487c5f260a78c5953a3f3dbeada",
      "da542002c88220c10472a80310327413d0e08cd920c5c1559bee03f87d73d0d2"),
+    (3, "52bba0007f4f2c6b185d3a2acbaf50b92bdc9e98f11275af608b3b2059d44098",
+     "9ddb0cf0dd39a0fe2100703f3c95642fc237986ebf8b5f037e5332a2b7ee9bde"),
 ])
 def test_mp_tilde_coloring_is_pinned(t, coloring_sha, graph_sha):
     g, coloring = mp_tilde_coloring(t)

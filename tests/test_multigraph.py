@@ -19,17 +19,15 @@ from circflow.multigraph import (
     canonical_serialize,
     deserialize,
     edge_cut,
-    expand_vertices,
     girth,
     is_bridgeless,
     is_matching,
     is_perfect_matching,
     perfect_matchings,
     serialize,
-    suppress_divalent_with_map,
 )
 
-from _oracles import MultigraphOracle, matchings_of_oracle, mp_prime_by_expansion
+from _oracles import MultigraphOracle, matchings_of_oracle, mp_prime_by_expansion, mp_tilde_by_expansion
 
 
 def path_graph(k):
@@ -116,64 +114,6 @@ def test_cubic_plus_perfect_matching_regularity():
         assert h.is_regular(2 * t + 1)
 
 
-def test_expand_vertices_single_vertex_is_identity_up_to_name():
-    p = families.petersen()
-    replacement = Multigraph(["z"], [])
-    attachment = {eid: "z" for eid in p.incident_edges("u0")}
-    g = expand_vertices(p, [("u0", replacement, attachment)])
-    assert g.num_vertices() == 10
-    assert g.degree("z") == 3
-    assert sorted(g.edge_ids) == sorted(p.edge_ids)
-
-
-def test_expand_vertices_validation():
-    p = families.petersen()
-    with pytest.raises(GraphError):
-        expand_vertices(p, [("u0", Multigraph(["z"], []), {})])
-    with pytest.raises(GraphError):
-        expand_vertices(p, [("u0", Multigraph(["u1"], []),
-                             {eid: "u1" for eid in p.incident_edges("u0")})])
-    # two expansions whose replacement vertex ids collide
-    with pytest.raises(GraphError, match="'z' collides"):
-        expand_vertices(p, [(v, Multigraph(["z"], []), {eid: "z" for eid in p.incident_edges(v)})
-                            for v in ("u0", "w3")])
-    z = Multigraph(["z"], [])
-    with pytest.raises(GraphError, match="expanded twice"):
-        expand_vertices(p, [("u0", z, {eid: "z" for eid in p.incident_edges("u0")})] * 2)
-
-
-def test_suppress_divalent_path():
-    g = Multigraph(["a", "m", "b"], [("e1", "a", "m"), ("e2", "m", "b")])
-    out, merges = suppress_divalent_with_map(g)
-    assert out.num_vertices() == 2 and out.num_edges() == 1
-    e = out.edges()[0]
-    assert e.ends == frozenset(("a", "b"))
-    assert merges == {"e1&e2": ("e1", "e2")}
-
-
-def test_suppress_divalent_noop_and_errors():
-    p = families.petersen()
-    assert suppress_divalent_with_map(p) == (p, {})
-    cyc = Multigraph(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a")])
-    with pytest.raises(GraphError):
-        suppress_divalent_with_map(cyc)
-    doubled = Multigraph(["a", "b", "c"],
-                         [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "b", "c"), ("e4", "b", "c")])
-    with pytest.raises(GraphError):
-        suppress_divalent_with_map(doubled)  # smoothing a would create a loop
-
-
-def test_suppress_chain_to_fixpoint():
-    vs = ["x", "m1", "m2", "m3", "y"]
-    es = [("e0", "x", "m1"), ("e1", "m1", "m2"), ("e2", "m2", "m3"), ("e3", "m3", "y"),
-          ("hx", "x", "y"), ("hy", "x", "y")]
-    g = Multigraph(vs, es)
-    out, merges = suppress_divalent_with_map(g)
-    assert out.num_vertices() == 2
-    assert len(out.edges_between("x", "y")) == 3
-    assert merges
-
-
 def test_serialize_round_trip():
     p = families.petersen()
     assert deserialize(serialize(p)) == p
@@ -231,10 +171,11 @@ def test_perfect_matching_enumeration_counts():
     assert len(perfect_matchings(k4)) == 3
     odd = families.complete_graph(5)
     assert perfect_matchings(odd) == []
+    # the six perfect matchings of the Petersen graph cover every edge twice
     p = families.petersen()
-    through = perfect_matchings(p, required_edge="uu0")
-    assert all("uu0" in pm for pm in through)
-    assert sum(1 for pm in perfect_matchings(p) if "uu0" in pm) == len(through)
+    pms = perfect_matchings(p)
+    assert all(is_perfect_matching(p, pm) for pm in pms)
+    assert all(sum(eid in pm for pm in pms) == 2 for eid in p.edge_ids)
 
 
 @st.composite
@@ -359,176 +300,6 @@ def test_integer_max_flow_matches_rational_oracle(net):
     assert {name[v] for v in reachable} == want_reachable
 
 
-# -- one-pass suppression and batched expansion against the fixpoint and
-# -- one-vertex-at-a-time versions they replaced ----------------------------
-
-
-def _suppress_divalent_oracle(g):
-    """Suppression by repeated full passes, rescanning every edge: the oracle."""
-    vertices = list(g.vertices)
-    edges = {e.eid: (e.u, e.v) for e in g.edges()}
-    merges = {}
-
-    def degree_of(v):
-        return sum((u == v) + (w == v) for u, w in edges.values())
-
-    changed = True
-    while changed:
-        changed = False
-        for v in list(vertices):
-            inc = [eid for eid, (u, w) in edges.items() if v in (u, w)]
-            if len(inc) != 2:
-                continue
-            e1, e2 = sorted(inc)
-            a = edges[e1][0] if edges[e1][1] == v else edges[e1][1]
-            b = edges[e2][0] if edges[e2][1] == v else edges[e2][1]
-            if a == v or b == v:
-                raise GraphError("loop encountered during suppression")
-            if a == b:
-                raise GraphError(f"suppressing {v!r} would create a loop at {a!r}")
-            new_id = f"{e1}&{e2}"
-            while new_id in edges:
-                new_id += "'"
-            del edges[e1]
-            del edges[e2]
-            edges[new_id] = (a, b)
-            merges[new_id] = (e1, e2)
-            vertices.remove(v)
-            changed = True
-    for v in vertices:
-        if degree_of(v) == 2:
-            raise GraphError("divalent cycle component: suppression undefined")
-    return type(g)(vertices, [(eid, u, w) for eid, (u, w) in edges.items()]), merges
-
-
-def _expand_vertex_oracle(g, v, replacement, attachment):
-    """One vertex expansion with a full rebuild: the oracle."""
-    stubs = g.incident_edges(v)
-    if set(attachment) != set(stubs):
-        raise GraphError("attachment must cover exactly the edges at the expanded vertex")
-    for w in replacement.vertices:
-        if g.has_vertex(w) and w != v:
-            raise GraphError(f"replacement vertex id {w!r} collides with the host graph")
-    for eid, w in attachment.items():
-        if not replacement.has_vertex(w):
-            raise GraphError(f"attachment target {w!r} is not a replacement vertex")
-    vertices = [w for w in g.vertices if w != v] + list(replacement.vertices)
-    edges = []
-    for e in g.edges():
-        if v not in e.ends:
-            edges.append((e.eid, e.u, e.v))
-            continue
-        edges.append((e.eid, attachment[e.eid], e.other(v)))
-    for e in replacement.edges():
-        edges.append((e.eid, e.u, e.v))
-    return type(g)(vertices, edges)
-
-
-def _expand_sequentially(g, expansions):
-    for v, replacement, attachment in expansions:
-        g = _expand_vertex_oracle(g, v, replacement, attachment)
-    return g
-
-
-def _outcome(fn, *args):
-    """The serialized result (and merges map), or the exception class raised."""
-    try:
-        out = fn(*args)
-    except Exception as exc:
-        return type(exc)
-    if isinstance(out, tuple):
-        return serialize(out[0]), out[1]
-    return serialize(out)
-
-
-@st.composite
-def subdivided_multigraph(draw):
-    """A random loopless multigraph with its edges subdivided into chains of
-    divalent vertices, plus divalent cycles (length 2 is a doubled edge), in a
-    random vertex and edge order; edge ids are shuffled, and one may be the id
-    a merge will want, so that merge ids clash."""
-    n = draw(st.integers(1, 5))
-    vs = [f"v{i}" for i in range(n)]
-    paths = []
-    for u, w in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                              max_size=8)):
-        if u == w:
-            continue
-        inner = [f"s{len(vs) + j}" for j in range(draw(st.integers(0, 3)))]
-        vs.extend(inner)
-        paths.append([f"v{u}", *inner, f"v{w}"])
-    length = draw(st.sampled_from([0, 0, 0, 2, 3, 4]))
-    if length:
-        ring = [f"s{len(vs) + j}" for j in range(length)]
-        vs.extend(ring)
-        paths.append(ring + ring[:1])
-    pairs = [(a, b) for path in paths for a, b in zip(path, path[1:])]
-    ids = draw(st.permutations([f"e{i}" for i in range(len(pairs))]))
-    edges = [(eid, a, b) for eid, (a, b) in zip(ids, pairs)]
-    # edges i and i + 1 meet at a divalent vertex: join their far ends by
-    # edges with the ids the merge of the two wants first and second
-    joints = [i for i in range(len(pairs) - 1) if pairs[i][1] == pairs[i + 1][0]
-              and pairs[i][1][0] == "s" and pairs[i][0] != pairs[i + 1][1]]
-    if joints and draw(st.booleans()):
-        i = draw(st.sampled_from(joints))
-        clash = "&".join(sorted((edges[i][0], edges[i + 1][0])))
-        for suffix in ("", "'")[:draw(st.integers(1, 2))]:
-            edges.append((clash + suffix, pairs[i][0], pairs[i + 1][1]))
-    return Multigraph(draw(st.permutations(vs)), draw(st.permutations(edges)))
-
-
-@given(subdivided_multigraph())
-@settings(max_examples=400, deadline=None, derandomize=True)
-def test_suppress_divalent_matches_fixpoint_oracle(g):
-    assert _outcome(suppress_divalent_with_map, g) == _outcome(_suppress_divalent_oracle, g)
-
-
-@st.composite
-def expansion_case(draw):
-    """A random multigraph and a list of expansions of distinct vertices in a
-    random order (adjacent ones included), some reusing the expanded vertex's
-    id, some with internal edges, and at most one fault."""
-    g = draw(random_multigraph())
-    chosen = draw(st.lists(st.sampled_from(g.vertices), unique=True))
-    expansions = []
-    for v in chosen:
-        names = [f"{v}.{j}" for j in range(draw(st.integers(1, 3)))]
-        if draw(st.booleans()):
-            names[0] = v
-        inner = [(f"{v}:r{j}", names[a], names[b]) for j, (a, b) in enumerate(draw(
-            st.lists(st.tuples(*[st.integers(0, len(names) - 1)] * 2), max_size=3))) if a != b]
-        attachment = {eid: draw(st.sampled_from(names)) for eid in g.incident_edges(v)}
-        expansions.append([v, names, inner, attachment])
-    fault = draw(st.sampled_from([None, "stub", "host", "shared", "target", "edge"]))
-    if expansions and fault:
-        v, names, inner, attachment = draw(st.sampled_from(expansions))
-        kept = [w for w in g.vertices if w not in chosen]
-        if fault == "stub":
-            if attachment:
-                attachment.popitem()
-            else:
-                attachment["e99"] = names[0]
-        elif fault == "host" and kept:
-            names.append(draw(st.sampled_from(kept)))
-        elif fault == "shared":
-            for expansion in expansions[-2:]:
-                expansion[1].append("z")
-        elif fault == "target" and attachment:
-            attachment[next(iter(attachment))] = "nowhere"
-        elif fault == "edge":
-            inner.append(("e0", names[0], names[0] + "'"))
-            names.append(names[0] + "'")
-    return g, [(v, Multigraph(names, inner), attachment)
-               for v, names, inner, attachment in expansions]
-
-
-@given(expansion_case())
-@settings(max_examples=400, deadline=None, derandomize=True)
-def test_expand_vertices_matches_sequential_oracle(case):
-    g, expansions = case
-    assert _outcome(expand_vertices, g, expansions) == _outcome(_expand_sequentially, g, expansions)
-
-
 _TOKEN_TEXT = st.text(st.one_of(st.sampled_from("ab&' \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0"
                                                 "\u1680\u2000\u2028\u2029\u202f\u3000\u200b"),
                                st.characters()), max_size=6)
@@ -562,14 +333,12 @@ def _view(g):
 
 
 def _derive(fn, *args):
-    """The derived graph and what it shows (with the merge map, if any), or
-    None and the GraphError raised."""
+    """The derived graph and what it shows, or None and the GraphError raised."""
     try:
-        out = fn(*args)
+        graph = fn(*args)
     except GraphError as exc:
         return None, (type(exc), str(exc))
-    graph, merges = out if isinstance(out, tuple) else (out, None)
-    return graph, (_view(graph), merges)
+    return graph, _view(graph)
 
 
 _IDS = st.text(st.sampled_from("ab \t\n\x1c"), max_size=3)
@@ -597,7 +366,7 @@ def test_derived_graphs_match_the_constructor_oracle(g, data):
 
     for step in range(data.draw(st.integers(1, 4))):
         op = data.draw(st.sampled_from(
-            ["copies", "drop-edges", "drop-vertices", "relabel", "expand", "suppress"]))
+            ["copies", "drop-edges", "drop-vertices", "relabel"]))
         if op == "copies":
             pm = data.draw(st.sampled_from([[]] + [sorted(m) for m in perfect_matchings(new)]))
             k = data.draw(st.integers(0, 2))
@@ -608,30 +377,18 @@ def test_derived_graphs_match_the_constructor_oracle(g, data):
         elif op == "drop-vertices":
             gone = some(new.vertices, max_size=2)
             calls = (new.with_vertices_removed, gone), (old.with_vertices_removed, gone)
-        elif op == "relabel":
+        else:
             vmap = {v: data.draw(names) for v in some(new.vertices, max_size=2)}
             emap = {e: data.draw(names) for e in some(new.edge_ids, max_size=2)}
             calls = (new.relabeled, vmap, emap), (old.relabeled, vmap, emap)
-        elif op == "expand":
-            spec = []
-            for v in some(new.vertices, unique=True, max_size=2):
-                w = f"{v}.{step}"
-                inner = [(f"{v}:r{step}.{j}", v, w) for j in range(data.draw(st.integers(0, 2)))]
-                attachment = {eid: data.draw(st.sampled_from([v, w])) for eid in new.incident_edges(v)}
-                spec.append((v, [v, w], inner, attachment))
-            calls = ((expand_vertices, new, [(v, Multigraph(n, i), a) for v, n, i, a in spec]),
-                     (_expand_sequentially, old,
-                      [(v, MultigraphOracle(n, i), a) for v, n, i, a in spec]))
-        else:
-            calls = (suppress_divalent_with_map, new), (_suppress_divalent_oracle, old)
         (new_next, shown), (old_next, expected) = (_derive(*call) for call in calls)
         assert shown == expected, op
         if new_next is not None:
             new, old = new_next, old_next
 
 
-def _mp_tilde_text(t):
-    g, coloring = mp_coloring.mp_tilde_coloring(t)
+def _text(graph_and_coloring):
+    g, coloring = graph_and_coloring
     return serialize(g) + write_coloring(coloring)
 
 
@@ -641,21 +398,16 @@ def test_mp_prime_is_byte_identical_to_the_expansion_recipe(p):
         serialize(mp_prime_by_expansion(p))
 
 
-@pytest.mark.parametrize("build, reference, patched", [
+@pytest.mark.parametrize("build, reference", [
     (lambda: serialize(families.mp_graph(5, families.MP_PRIME).graph),
-     lambda: serialize(mp_prime_by_expansion(5, _expand_sequentially, _suppress_divalent_oracle)),
-     []),
-    (lambda: _mp_tilde_text(1), lambda: _mp_tilde_text(1), [mp_coloring]),
-], ids=["mp-prime-5", "mp-tilde-1"])
-def test_mp_construction_is_byte_identical_to_the_sequential_path(build, reference, patched,
-                                                                  monkeypatch):
-    # M_p' is written out directly, M~_p expands and suppresses M_p': both
-    # against expansion one vertex at a time and suppression to a fixpoint
-    built = build()
-    for module in patched:
-        monkeypatch.setattr(module, "expand_vertices", _expand_sequentially)
-        monkeypatch.setattr(module, "suppress_divalent_with_map", _suppress_divalent_oracle)
-    assert reference() == built
+     lambda: serialize(mp_prime_by_expansion(5))),
+    *[(lambda t=t: _text(mp_coloring.mp_tilde_coloring(t)), lambda t=t: _text(mp_tilde_by_expansion(t)))
+      for t in (1, 2, 3)],
+], ids=["mp-prime-5", "mp-tilde-1", "mp-tilde-2", "mp-tilde-3"])
+def test_mp_construction_is_byte_identical_to_the_sequential_path(build, reference):
+    # M_p' and M~_p are written out directly: both against expansion one
+    # vertex at a time and suppression to a fixpoint, graph and coloring bytes
+    assert build() == reference()
 
 
 # -- the iterative 1-factor enumerator against the recursive generator chain ---

@@ -263,7 +263,25 @@ def test_reverify_rechecks_refuted_inequality_certificates():
     assert not reverify(refuted({"witness_failure": {}, "flow": flow}), h)
     broken = copy.deepcopy(flow)
     broken["edges"][m[0]]["value"] = "7/1"
-    assert reverify(refuted({"witness_failure": {}, "flow": broken}), h)
+    # a failing flow is no refutation of the inequality: only a violating
+    # subset is, and this certificate names none
+    assert not reverify(refuted({"witness_failure": {}, "flow": broken}), h)
+
+
+def test_a_failing_matched_flow_witness_is_an_internal_error(monkeypatch):
+    import dataclasses
+
+    data = flows.build_flower_flow(1)
+    m = sorted(data.matching)
+    witness = flows.matched_flow_witness
+
+    def broken_witness(g, flow, matching, t):
+        good = witness(g, flow, matching, t)
+        return dataclasses.replace(good, values={**good.values, m[0]: Fraction(7)})
+
+    monkeypatch.setattr(flows, "matched_flow_witness", broken_witness)
+    with pytest.raises(ValuationError, match="internal error"):
+        matched_bipartition_inequality_check(data.graph, data.flow, m, 2)
 
 
 def test_reverify_rechecks_verified_inequality_certificates():
