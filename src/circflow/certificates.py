@@ -1,9 +1,16 @@
-"""Claim/witness/verdict records with canonical serialization.
+"""Claim/witness/verdict records with canonical serialization, and the
+record grammar that the flow, coloring and valuation text files share.
 
 A certificate bundles a claim about one graph, the witness backing the
 verdict, and enough metadata to re-check the claim later.  The canonical
 JSON form excludes volatile metadata (elapsed time) so that identical
 claims with identical witnesses serialize byte-identically.
+
+Producers must pass canonical data: str keys, lists, ints, strs, None and
+rationals as ``rat`` strings.  Nothing re-normalizes it, so a certificate
+reads back equal to the one written, and ``json.dumps`` raises on a
+``Fraction`` or a set.  ``reverify`` re-checks a ``phi-c-value`` by its
+witness flow only, so the claimed value is not re-checked as a lower bound.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterator
 
 from .multigraph import Multigraph
 
@@ -51,22 +58,38 @@ def unrat(s: str) -> Fraction:
     return Fraction(int(num), d)
 
 
+def read_records(text: str, header: str, head: dict[str, str | None], width: int,
+                 error: type[ValueError], name: str, item: str) -> Iterator[list[str]]:
+    """The records of a text file, each as its list of fields.
+
+    The first non-blank line must be ``header``; blank lines are skipped.  A
+    line whose key, its first field, is a key of ``head`` is a header with one
+    value, stored there as the line is read; each header appears once.  Every
+    other line is a record of ``width`` fields whose key appears once.  Errors
+    are raised as ``error`` and call the file a ``name`` file, a record an ``item``.
+    """
+    lines = iter(text.splitlines())
+    if next((s for ln in lines if (s := ln.strip())), None) != header:
+        raise error(f"expected header {header!r}")
+    seen: set[str] = set()
+    for ln in lines:
+        fields = ln.split()
+        if len(fields) == width and (key := fields[0]) not in head:
+            if key in seen:
+                raise error(f"{item} {key!r} appears twice")
+            seen.add(key)
+            yield fields
+        elif fields:
+            key = fields[0]
+            if key not in head or len(fields) != 2:
+                raise error(f"malformed {name} line {ln.strip()!r}")
+            if head[key] is not None:
+                raise error(f"header {key!r} appears twice")
+            head[key] = fields[1]
+
+
 def graph_hash(g: Multigraph) -> str:
     return g.content_sha256
-
-
-def _jsonable(value: Any) -> Any:
-    if value is None or type(value) is str or type(value) is int:
-        return value
-    if isinstance(value, dict):
-        # str(k) order: int keys sort as text, so 10 comes before 9
-        return {str(k): _jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return [_jsonable(v) for v in sorted(value, key=str)]
-    # last: Fraction is an ABC subclass, so isinstance on other types is slow
-    return rat(value) if isinstance(value, Fraction) else value
 
 
 @dataclass
@@ -84,8 +107,6 @@ class Certificate:
             raise CertificateError(f"unknown claim kind {self.kind!r}")
         if self.verdict not in VERDICTS:
             raise CertificateError(f"unknown verdict {self.verdict!r}")
-        self.parameters = _jsonable(self.parameters)
-        self.witness = _jsonable(self.witness)
 
     def canonical_payload(self) -> dict[str, Any]:
         return {
@@ -126,18 +147,13 @@ def certificate_from_json(text: str) -> Certificate:
         )
     except KeyError as exc:
         raise CertificateError(f"missing certificate field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise CertificateError(f"malformed certificate: {exc!r}") from exc
 
 
 def make_certificate(kind: str, g: Multigraph, parameters: dict[str, Any],
                      witness: dict[str, Any], verdict: str, elapsed_s: float = 0.0) -> Certificate:
-    return Certificate(
-        kind=kind,
-        graph_sha256=graph_hash(g),
-        parameters=parameters,
-        witness=witness,
-        verdict=verdict,
-        elapsed_s=elapsed_s,
-    )
+    return Certificate(kind, graph_hash(g), parameters, witness, verdict, elapsed_s=elapsed_s)
 
 
 def reverify(cert: Certificate, g: Multigraph) -> bool:
@@ -146,8 +162,12 @@ def reverify(cert: Certificate, g: Multigraph) -> bool:
     Positive verdicts are reproduced by re-running witness verification.
     Class-2 entries of class-property certificates re-run the matching
     cover, and a chromatic index above the maximum degree re-runs the search
-    one color short.
-    Raises on hash mismatch or unknown claim kind.
+    one color short.  A ``phi-c-value`` certificate re-checks only its
+    witness flow, an upper bound: the claimed value is not re-derived as a
+    lower bound.  Producers must pass canonical data, which is re-checked
+    here as it was made (``json.dumps`` raises on a ``Fraction`` or a set).
+    Raises ``CertificateError`` on hash mismatch, an unknown claim kind or a
+    witness of the wrong shape.
     """
     if cert.graph_sha256 != graph_hash(g):
         raise CertificateError("graph hash mismatch: certificate does not describe this graph")
@@ -155,20 +175,23 @@ def reverify(cert: Certificate, g: Multigraph) -> bool:
     from . import colorings, flows, valuations  # deferred: avoids import cycle
 
     kind = cert.kind
-    if kind in ("flow-valid", "phi-c-value", "phi-c-bound"):
-        flow = flows.flow_from_witness(g, cert.witness["flow"])
-        check = flows.verify_flow(g, flow)
-        if kind == "phi-c-value" and check.verdict == "verified":
-            return unrat(cert.parameters["r"]) == flow.r
-        return (check.verdict == "verified") == (cert.verdict == "verified")
-    if kind == "chromatic-index":
-        return colorings.reverify_chromatic_index(cert, g)
-    if kind == "class-property":
-        return colorings.reverify_class_property(cert, g)
-    if kind == "parity":
-        return colorings.reverify_parity(cert, g)
-    if kind == "balanced":
-        return valuations.reverify_balanced(cert, g)
-    if kind == "inequality-check":
-        return valuations.reverify_inequality(cert, g)
+    try:
+        if kind in ("flow-valid", "phi-c-value", "phi-c-bound"):
+            flow = flows.flow_from_witness(g, cert.witness["flow"])
+            check = flows.verify_flow(g, flow)
+            if kind == "phi-c-value" and check.verdict == "verified":
+                return unrat(cert.parameters["r"]) == flow.r
+            return (check.verdict == "verified") == (cert.verdict == "verified")
+        if kind == "chromatic-index":
+            return colorings.reverify_chromatic_index(cert, g)
+        if kind == "class-property":
+            return colorings.reverify_class_property(cert, g)
+        if kind == "parity":
+            return colorings.reverify_parity(cert, g)
+        if kind == "balanced":
+            return valuations.reverify_balanced(cert, g)
+        if kind == "inequality-check":
+            return valuations.reverify_inequality(cert, g)
+    except (LookupError, TypeError, AttributeError) as exc:
+        raise CertificateError(f"malformed certificate: {exc!r}") from exc
     raise CertificateError(f"unknown claim kind version {kind!r}")

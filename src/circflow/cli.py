@@ -11,10 +11,11 @@ import sys
 import time
 import traceback
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from . import blanusa, colorings, families, flower_coloring, flows, mp_coloring, valuations
-from .certificates import certificate_from_json, rat, reverify, unrat
+from .certificates import certificate_from_json, rat, read_records, reverify, unrat
 from .multigraph import Multigraph, deserialize, perfect_matchings, serialize
 
 EXIT_VERIFIED = 0
@@ -51,34 +52,22 @@ def write_valuation(omega: valuations.BalancedValuation) -> str:
 
 
 def read_valuation(text: str) -> valuations.BalancedValuation:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != VALUATION_HEADER:
-        raise UsageError(f"expected header {VALUATION_HEADER!r}")
-    r: Fraction | None = None
+    header: dict[str, str | None] = {"r": None}
+    records = read_records(text, VALUATION_HEADER, header, 2, UsageError, "valuation", "vertex")
+    first = next(records, None)
+    if header["r"] is None:
+        raise UsageError("valuation file must state r before vertex weights" if first
+                         else "valuation file missing its r header")
+    r = unrat(header["r"])
+    if r <= 2:
+        raise UsageError("a valuation needs r > 2")
+    unit = r / (r - 2)
     k: dict[str, int] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise UsageError(f"malformed valuation line {ln!r}")
-        name, value = parts
-        if name == "r":
-            if r is not None:
-                raise UsageError("header 'r' appears twice")
-            r = unrat(value)
-            if r <= 2:
-                raise UsageError("a valuation needs r > 2")
-            continue
-        if r is None:
-            raise UsageError("valuation file must state r before vertex weights")
-        if name in k:
-            raise UsageError(f"vertex {name!r} appears twice")
-        weight = unrat(value)
-        ratio = weight / (r / (r - 2))
+    for name, weight in chain([first] if first else (), records):
+        ratio = unrat(weight) / unit
         if ratio.denominator != 1:
             raise UsageError(f"weight of {name!r} is not an integer multiple of r/(r-2)")
         k[name] = int(ratio)
-    if r is None:
-        raise UsageError("valuation file missing its r header")
     return valuations.BalancedValuation(r, k)
 
 

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .certificates import Certificate, graph_hash, make_certificate
+from .certificates import Certificate, graph_hash, make_certificate, read_records
 from .families import MDotProduct
 from .multigraph import (
     EdgeCut,
@@ -42,9 +42,6 @@ class EdgeColoring:
     palette: int
     mode: str = PROPER
 
-    def color(self, eid: str) -> int:
-        return self.colors[eid]
-
 
 def is_proper(g: Multigraph, coloring: EdgeColoring):
     """(True, None) or (False, (vertex, edge1, edge2)) for the first clash."""
@@ -60,10 +57,19 @@ def is_proper(g: Multigraph, coloring: EdgeColoring):
     return True, None
 
 
+def _check_palette(colors: dict[str, int], palette: int) -> None:
+    """Raise on the first edge whose color is outside 0..palette-1."""
+    if colors and (min(colors.values()) < 0 or max(colors.values()) >= palette):
+        eid = next(e for e, c in colors.items() if not 0 <= c < palette)
+        raise ColoringError(f"edge {eid!r} has color {colors[eid]}, "
+                            f"outside the palette 0..{palette - 1}")
+
+
 def sees_odd_violation(g: Multigraph, coloring: EdgeColoring):
     """First (vertex, color, count) with an even count, or None."""
     if set(coloring.colors) != set(g.edge_ids):
         raise ColoringError("coloring does not cover exactly the edges of the graph")
+    _check_palette(coloring.colors, coloring.palette)
     for v in g.vertices:
         counts = [0] * coloring.palette
         for eid in g.incident_edges(v):
@@ -363,10 +369,9 @@ def class_property(g: Multigraph, matching: Iterable[str], which: int,
     if not g.is_regular(3):
         raise ColoringError("class properties are stated for cubic graphs")
     start = time.monotonic()
+    t_range = [int(t) for t in t_range]
     per_t = []
-    verdict = "verified"
     for t in t_range:
-        t = int(t)
         if t < 1:
             raise ColoringError("t must be positive")
         h = add_matching_copies(g, m, 2 * t - 2)
@@ -376,32 +381,44 @@ def class_property(g: Multigraph, matching: Iterable[str], which: int,
             colors = _matching_cover(h, deadline)
         except SearchBudgetExceeded:
             per_t.append({"t": t, "status": "budget-exhausted"})
-            if verdict == "verified":
-                verdict = "inconclusive"
             continue
-        observed = 1 if colors is not None else 2
-        entry = {"t": t, "class": observed, "nodes": deadline.nodes}
+        entry = {"t": t, "class": 1 if colors is not None else 2, "nodes": deadline.nodes}
         if colors is not None:
             ok, clash = is_proper(h, EdgeColoring(colors, degree))
             if not ok:
                 raise ColoringError(f"internal error: bad factorization: {clash}")
             entry["coloring"] = colors
         per_t.append(entry)
-        if observed != which:
-            verdict = "refuted"
     return make_certificate(
         "class-property", g,
-        {"which": which, "t_range": list(t_range), "matching": m,
-         "scope": "tested-range-only"},
+        {"which": which, "t_range": t_range, "matching": m, "scope": "tested-range-only"},
         {"per_t": per_t},
-        verdict, time.monotonic() - start)
+        _class_verdict(which, per_t), time.monotonic() - start)
+
+
+def _class_verdict(which: int, per_t: Sequence[Mapping]) -> str:
+    """Refuted when a decided t is not of class ``which``, else inconclusive
+    when some t ran out of budget, else verified."""
+    if any(entry.get("class", which) != which for entry in per_t):
+        return "refuted"
+    spent = any(entry.get("status") == "budget-exhausted" for entry in per_t)
+    return "inconclusive" if spent else "verified"
 
 
 def reverify_class_property(cert: Certificate, g: Multigraph) -> bool:
-    """Class-1 entries re-check the recorded coloring; class-2 entries re-run
-    the matching cover, which must find no coloring."""
-    m = list(cert.parameters["matching"])
-    for entry in cert.witness["per_t"]:
+    """A declined prover run claims nothing, so its verdict must be
+    inconclusive.  Otherwise the per-t entries must list exactly the tested
+    range and give the recorded verdict; class-1 entries re-check the
+    recorded coloring, and class-2 entries re-run the matching cover, which
+    must find no coloring."""
+    if "declined" in cert.witness:
+        return cert.verdict == "inconclusive"
+    params, per_t = cert.parameters, cert.witness["per_t"]
+    if [entry["t"] for entry in per_t] != params["t_range"] \
+            or cert.verdict != _class_verdict(params["which"], per_t):
+        return False
+    m = list(params["matching"])
+    for entry in per_t:
         if entry.get("status") == "budget-exhausted":
             continue
         t = int(entry["t"])
@@ -412,7 +429,7 @@ def reverify_class_property(cert: Certificate, g: Multigraph) -> bool:
             ok, _ = is_proper(h, coloring)
             if not ok or len(set(coloring.colors.values())) > 2 * t + 1:
                 return False
-        elif _matching_cover(h, _Deadline(None)) is not None:
+        elif entry["class"] != 2 or _matching_cover(h, _Deadline(None)) is not None:
             return False
     return True
 
@@ -431,6 +448,8 @@ def dot_product_class2_prover(product: MDotProduct, cert1: Certificate,
     certificate.  Components not certified class 2 make the prover decline.
     """
     t = int(t)
+    params = {"which": 2, "t_range": [t], "matching": sorted(product.matching),
+              "scope": "tested-range-only", "prover": "dot-product-4-cut"}
     g1_hash = graph_hash(product.spec.g)
     g2_hash = graph_hash(product.spec.h)
     for cert, expect_hash, m in ((cert1, g1_hash, product.m1), (cert2, g2_hash, product.m2)):
@@ -446,13 +465,10 @@ def dot_product_class2_prover(product: MDotProduct, cert1: Certificate,
         if int(cert.parameters["which"]) != 2 or cert.verdict != "verified" \
                 or entry.get("class") != 2:
             return make_certificate(
-                "class-property", product.graph,
-                {"which": 2, "t_range": [t], "matching": sorted(product.matching),
-                 "scope": "tested-range-only", "prover": "dot-product-4-cut"},
-                {"declined": "a factor is not certified class 2 at this t"},
-                "inconclusive")
+                "class-property", product.graph, params,
+                {"declined": "a factor is not certified class 2 at this t"}, "inconclusive")
 
-    h = add_matching_copies(product.graph, sorted(product.matching), 2 * t - 2)
+    h = add_matching_copies(product.graph, params["matching"], 2 * t - 2)
     cut = product.join_edges
     left = set(product.spec.g.vertices)
     for eid in cut:
@@ -467,11 +483,7 @@ def dot_product_class2_prover(product: MDotProduct, cert1: Certificate,
                             "parallel_multiplicity": 2 * t - 1},
         "component_certificates": [cert1.certificate_sha256(), cert2.certificate_sha256()],
     }
-    return make_certificate(
-        "class-property", product.graph,
-        {"which": 2, "t_range": [t], "matching": sorted(product.matching),
-         "scope": "tested-range-only", "prover": "dot-product-4-cut"},
-        witness, "verified")
+    return make_certificate("class-property", product.graph, params, witness, "verified")
 
 
 # -- transition types (appendix claim) ------------------------------------------------
@@ -515,32 +527,19 @@ def write_coloring(coloring: EdgeColoring) -> str:
 
 
 def read_coloring(text: str) -> EdgeColoring:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != COLORING_HEADER:
-        raise ColoringError(f"expected header {COLORING_HEADER!r}")
-    palette: int | None = None
-    mode = PROPER
-    headers: set[str] = set()
+    header: dict[str, str | None] = {"palette": None, "mode": None}
     colors: dict[str, int] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ColoringError(f"malformed coloring line {ln!r}")
-        key, value = parts
-        if key in ("palette", "mode"):
-            if key in headers:
-                raise ColoringError(f"header {key!r} appears twice")
-            headers.add(key)
-        if key == "palette":
-            palette = int(value)
-        elif key == "mode":
-            if value not in (PROPER, SEES_ODD):
-                raise ColoringError(f"unknown coloring mode {value!r}")
-            mode = value
-        elif key in colors:
-            raise ColoringError(f"edge {key!r} appears twice")
-        else:
-            colors[key] = int(value)
-    if palette is None:
+    parsed: dict[str, int] = {}  # a coloring has few distinct colors, and int() is slow
+    records = read_records(text, COLORING_HEADER, header, 2, ColoringError, "coloring", "edge")
+    for eid, c in records:
+        try:
+            colors[eid] = parsed[c]
+        except KeyError:
+            colors[eid] = parsed[c] = int(c)
+    if header["palette"] is None:
         raise ColoringError("coloring file missing its palette header")
+    palette, mode = int(header["palette"]), header["mode"] or PROPER
+    if mode not in (PROPER, SEES_ODD):
+        raise ColoringError(f"unknown coloring mode {mode!r}")
+    _check_palette(colors, palette)
     return EdgeColoring(colors, palette, mode)

@@ -25,7 +25,7 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import valuations
-from .certificates import Certificate, make_certificate, rat, unrat
+from .certificates import Certificate, make_certificate, rat, read_records, unrat
 from .multigraph import (
     Multigraph,
     _max_flow,
@@ -137,7 +137,7 @@ def verify_flow(g: Multigraph, flow: RationalFlow) -> Certificate:
         raise FlowError("integer mode requires a flagged zero edge")
     elif bad is not None:
         witness["violation"] = {"edge": bad, "value": rat(values[bad])}
-    return make_certificate("flow-valid", g, {"r": flow.r, "mode": flow.mode}, witness,
+    return make_certificate("flow-valid", g, {"r": rat(flow.r), "mode": flow.mode}, witness,
                             "refuted" if "violation" in witness else "verified")
 
 
@@ -281,7 +281,7 @@ def circular_flow_number(g: Multigraph, cap: int = PHI_C_EDGE_CAP) -> PhiCResult
 
 
 def phi_c_certificate(g: Multigraph, result: PhiCResult, elapsed_s: float = 0.0) -> Certificate:
-    return make_certificate("phi-c-value", g, {"r": result.value},
+    return make_certificate("phi-c-value", g, {"r": rat(result.value)},
                             {"flow": flow_to_witness(result.flow)}, "verified", elapsed_s)
 
 
@@ -520,26 +520,14 @@ def write_flow(flow: RationalFlow) -> str:
 
 
 def read_flow(text: str) -> RationalFlow:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != FLOW_HEADER:
-        raise FlowError(f"expected header {FLOW_HEADER!r}")
-    header: dict[str, str] = {}
+    header: dict[str, str | None] = {"r": None, "mode": None, "zero-edge": None}
     dirs: dict[str, tuple[str, str]] = {}
     values: dict[str, Fraction] = {}
     parse = cache(unrat)  # a flow has few distinct values; Fraction is immutable
-    for ln in lines[1:]:
-        key, *rest = ln.split()
-        if len(rest) != (1 if key in ("r", "mode", "zero-edge") else 3):
-            raise FlowError(f"malformed flow line {ln!r}")
-        if len(rest) == 1:
-            if key in header:
-                raise FlowError(f"header {key!r} appears twice")
-            header[key] = rest[0]
-        elif key in dirs:
-            raise FlowError(f"edge {key!r} appears twice")
-        else:
-            dirs[key], values[key] = (rest[0], rest[1]), parse(rest[2])
-    if "r" not in header:
+    records = read_records(text, FLOW_HEADER, header, 4, FlowError, "flow", "edge")
+    for eid, tail, head, value in records:
+        dirs[eid], values[eid] = (tail, head), parse(value)
+    if header["r"] is None:
         raise FlowError("flow file missing its r header")
-    return RationalFlow(dirs, values, unrat(header["r"]),
-                        header.get("mode", NOWHERE_ZERO), header.get("zero-edge"))
+    return RationalFlow(dirs, values, unrat(header["r"]), header["mode"] or NOWHERE_ZERO,
+                        header["zero-edge"])

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .certificates import Certificate, make_certificate, unrat
+from .certificates import Certificate, make_certificate, rat, unrat
 from .multigraph import (
     GraphError,
     Multigraph,
@@ -80,9 +80,6 @@ class BalancedValuation:
     @property
     def unit(self) -> Fraction:
         return self.r / (self.r - 2)
-
-    def value(self, v: str) -> Fraction:
-        return self.k[v] * self.unit
 
 
 def flow_to_bipartition(g: Multigraph, flow) -> Bipartition:
@@ -205,7 +202,7 @@ def check_balanced(g: Multigraph, omega: BalancedValuation) -> Certificate:
         stray = next(v for v in omega.k if not g.has_vertex(v))
         raise ValuationError(f"valuation weighs {stray!r}, which is not a vertex of the graph")
     order = list(g.vertices)
-    params = {"r": omega.r, "k": {v: omega.k[v] for v in order}}
+    params = {"r": rat(omega.r), "k": {v: omega.k[v] for v in order}}
     total_k = sum(omega.k[v] for v in order)
     if total_k != 0:
         # X = V(G): the cut is empty, so the weights must sum to zero.
@@ -302,7 +299,7 @@ def matched_bipartition_inequality_check(g: Multigraph, flow, matching: Iterable
 
     start = time.monotonic()
     h = add_matching_copies(g, m, 2 * t - 2)
-    params = {"t": t, "r": r, "bound": bound_formula(r, t), "matching": m}
+    params = {"t": t, "r": rat(r), "bound": rat(bound_formula(r, t)), "matching": m}
     black = sorted(bip.black)
     subset = _matched_violation(h, bip.black, r, t)
     if subset is not None:

@@ -1,5 +1,5 @@
-import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +8,6 @@ from circflow import colorings, families, flows, valuations
 from circflow.certificates import (
     Certificate,
     CertificateError,
-    _jsonable,
     certificate_from_json,
     graph_hash,
     make_certificate,
@@ -16,9 +15,9 @@ from circflow.certificates import (
     reverify,
     unrat,
 )
-from circflow.multigraph import Multigraph, add_matching_copies, perfect_matchings
+from circflow.multigraph import Multigraph, add_matching_copies, edge_cut, perfect_matchings
 
-from _oracles import _graph_hash_oracle, _jsonable_oracle, _rat_oracle
+from _oracles import _graph_hash_oracle, _rat_oracle
 
 
 def test_rational_strings():
@@ -117,48 +116,26 @@ def test_canonical_serialization_is_stable():
     assert a.canonical_bytes() == b.canonical_bytes()
 
 
+def test_a_certificate_keeps_the_data_it_is_given():
+    k4 = families.complete_graph(4)
+    params, witness = {"r": "4/1"}, {"y": [3, 2]}
+    cert = make_certificate("parity", k4, params, witness, "verified")
+    assert cert.parameters is params and cert.witness is witness
+    # nothing re-normalizes: a Fraction left in fails to serialize
+    with pytest.raises(TypeError):
+        make_certificate("parity", k4, {"r": Fraction(4)}, witness, "verified").to_json()
+
+
 def test_graph_hash_ignores_construction_order():
     g1 = families.complete_graph(4)
     g2 = g1.relabeled({})  # identity copy
     assert graph_hash(g1) == graph_hash(g2)
 
 
-def _dumps(data):
-    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
-
-
-_LEAVES = (st.text(max_size=3) | st.integers(-5, 5) | st.none() | st.booleans()
-           | st.floats(allow_nan=False, width=32)
-           | st.fractions(min_value=-9, max_value=9, max_denominator=7))
-_KEYS = st.text(max_size=2) | st.integers(-3, 12) | st.booleans()
-_NESTED = st.recursive(
-    _LEAVES,
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
-                   | st.frozensets(st.text(max_size=2) | st.integers(-3, 12), max_size=4)
-                   | st.sets(st.fractions(max_denominator=5), max_size=3)
-                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)
-                   | st.dictionaries(_KEYS, inner, max_size=4)),
-    max_leaves=20)
-
-
-@given(_NESTED)
-@settings(max_examples=400, derandomize=True, deadline=None)
-def test_jsonable_matches_the_fraction_oracle(data):
-    assert _dumps(_jsonable(data)) == _dumps(_jsonable_oracle(data))
-    assert _jsonable(_jsonable(data)) == _jsonable(data)
-
-
 @given(st.fractions() | st.integers() | st.booleans() | st.floats(allow_nan=False, allow_infinity=False))
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_rat_matches_the_fraction_oracle(x):
     assert rat(x) == _rat_oracle(x)
-
-
-def test_int_and_str_keys_keep_their_sort():
-    # "10" sorts before "9" as text; the canonical form keeps that for int keys
-    data = {9: "a", 10: "b", "x": {2: Fraction(4, 6), "1": (True, None, 1.5)}}
-    assert list(_jsonable(data)) == ["10", "9", "x"]
-    assert _jsonable(data)["x"] == {"1": [True, None, 1.5], "2": "2/3"}
 
 
 def _k33():
@@ -203,3 +180,119 @@ def test_graph_hash_is_fresh_for_every_derived_graph():
     # only the identity copy shares k4's hash
     assert len({graph_hash(h) for h in [k4, *derived]}) == len(derived)
     assert graph_hash(derived[-1]) == graph_hash(k4)
+
+
+def _flow_refuted():
+    d = flows.build_flower_flow(1)
+    eid = sorted(d.flow.values)[0]
+    bad = flows.RationalFlow(d.flow.orientation, {**d.flow.values, eid: Fraction(7)}, d.flow.r)
+    return flows.verify_flow(d.graph, bad), d.graph
+
+
+def _phi_c():
+    k4 = families.complete_graph(4)
+    return flows.phi_c_certificate(k4, flows.circular_flow_number(k4), elapsed_s=0.1), k4
+
+
+def _chromatic(exact):
+    p = families.petersen()
+    result = colorings.chromatic_index(p)
+    if not exact:  # what a spent budget leaves: bounds and no coloring
+        result = colorings.ChromaticIndexResult(None, None, 3, 4, "budget", (), 7)
+    return colorings.chromatic_index_certificate(p, result, elapsed_s=0.25), p
+
+
+def _parity(verified):
+    if verified:
+        g = families.complete_graph(4)
+        coloring = colorings.chromatic_index(g).coloring
+        return colorings.parity_lemma_check(g, coloring, [edge_cut(g, ["v1"])]), g
+    # four parallel edges: each color crosses the cut {a} once, the cut is even
+    g = Multigraph(["a", "b"], [(f"e{i}", "a", "b") for i in range(4)])
+    coloring = colorings.EdgeColoring({f"e{i}": i for i in range(4)}, 4)
+    return colorings.parity_lemma_check(g, coloring, [edge_cut(g, ["a"])]), g
+
+
+def _class(budget=False):
+    p = families.petersen()
+    pm = sorted(perfect_matchings(p)[0])
+    if budget:  # every search runs out of budget
+        with mock.patch.object(colorings, "_matching_cover",
+                               side_effect=colorings.SearchBudgetExceeded):
+            return colorings.class_property(p, pm, 2, [1, 2]), p
+    return colorings.class_property(p, pm, 2, [1, 2]), p
+
+
+def _class_refuted():
+    # J5 + 2M is class 1 for the matching of its ab and dc edges
+    j5 = families.flower_snark(2).graph
+    m = sorted(e for e in j5.edge_ids if e.startswith(("ab", "dc")))
+    return colorings.class_property(j5, m, 2, [1, 2]), j5
+
+
+def _prover(declined):
+    from circflow import blanusa
+
+    dp = blanusa.load_or_find_seed().dot_product
+    g1 = blanusa._relabelled_petersen("L.")
+    g2 = blanusa._relabelled_petersen("R.")
+    product = families.m_dot_product(
+        g1, dp["n1"], g2, dp["n2"], dp["e1"], dp["e2"], dp["xy"],
+        e1_order=tuple(dp["e1_order"]), e2_order=tuple(dp["e2_order"]),
+        u_neighbors=tuple(dp["u_neighbors"]), w_neighbors=tuple(dp["w_neighbors"]))
+    # a factor certified class 1 (refuted) instead of class 2 makes the prover decline
+    c1 = colorings.class_property(g1, dp["n1"], 1 if declined else 2, [2])
+    c2 = colorings.class_property(g2, dp["n2"], 2, [2])
+    return colorings.dot_product_class2_prover(product, c1, c2, 2), product.graph
+
+
+K4_K = {"v1": 1, "v2": 1, "v3": -1, "v4": -1}
+
+
+def _balanced(r, k):
+    k4 = families.complete_graph(4)
+    return valuations.check_balanced(k4, valuations.BalancedValuation(r, k)), k4
+
+
+def _inequality():
+    j3 = flows.build_flower_flow(1)
+    m = sorted(j3.matching)
+    cert = valuations.matched_bipartition_inequality_check(j3.graph, j3.flow, m, 2)
+    return cert, add_matching_copies(j3.graph, m, 2)
+
+
+EVERY_CERTIFICATE = [
+    ("flow-valid", "verified", lambda: (lambda d: (flows.verify_flow(d.graph, d.flow), d.graph))(
+        flows.build_flower_flow(2))),
+    ("flow-valid", "refuted", _flow_refuted),
+    ("phi-c-value", "verified", _phi_c),
+    ("chromatic-index", "verified", lambda: _chromatic(True)),
+    ("chromatic-index", "inconclusive", lambda: _chromatic(False)),
+    ("parity", "verified", lambda: _parity(True)),
+    ("parity", "refuted", lambda: _parity(False)),
+    ("class-property", "verified", _class),
+    ("class-property", "refuted", _class_refuted),
+    ("class-property", "inconclusive", lambda: _class(budget=True)),
+    ("class-property", "verified", lambda: _prover(False)),
+    ("class-property", "inconclusive", lambda: _prover(True)),
+    ("balanced", "verified", lambda: _balanced(Fraction(4), K4_K)),
+    ("balanced", "refuted", lambda: _balanced(Fraction(4), {**K4_K, "v4": 1})),
+    ("balanced", "refuted", lambda: _balanced(Fraction(3), K4_K)),
+    ("inequality-check", "verified", _inequality),
+]
+
+
+@pytest.mark.parametrize("kind,verdict,make", EVERY_CERTIFICATE,
+                         ids=["flow-verified", "flow-refuted", "phi-c", "chi-exact", "chi-bounds",
+                              "parity-verified", "parity-refuted", "class-verified",
+                              "class-refuted", "class-budget", "class-prover", "class-declined",
+                              "balanced-verified", "balanced-total", "balanced-subset",
+                              "inequality"])
+def test_every_certificate_reads_back_as_written(kind, verdict, make):
+    cert, g = make()
+    assert (cert.kind, cert.verdict) == (kind, verdict)
+    back = certificate_from_json(cert.to_json())
+    assert back == cert
+    assert back.to_json() == cert.to_json()
+    assert back.canonical_bytes() == cert.canonical_bytes()
+    assert reverify(back, g)

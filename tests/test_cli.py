@@ -228,6 +228,43 @@ def test_reverify_command(tmp_path):
     assert run("reverify", other, cert) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["certificate"]["witness"].pop("flow"),
+    lambda doc: doc["certificate"]["witness"].update(flow=[]),
+    lambda doc: doc["certificate"].update(witness=[]),
+    lambda doc: doc.pop("certificate"),
+])
+def test_reverify_reports_a_malformed_certificate_as_a_usage_error(tmp_path, capsys, edit):
+    graph = tmp_path / "k4.graph"
+    run("construct", "--family", "complete", "--m", 4, "--out", graph)
+    cert = tmp_path / "k4.cert.json"
+    run("flow-number", graph, "--out", cert)
+    doc = json.loads(cert.read_text())
+    edit(doc)
+    for text in (json.dumps(doc), json.dumps([doc])):
+        cert.write_text(text)
+        capsys.readouterr()
+        assert run("reverify", graph, cert) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_valuation_file_states_r_before_the_weights(tmp_path, capsys):
+    graph = tmp_path / "k4.graph"
+    graph.write_text(serialize(families.complete_graph(4)))
+    val = tmp_path / "k4.valuation"
+    val.write_text(K4_VALUATION.replace("r 4/1\n", "") + "r 4/1\n")
+    message = "valuation file must state r before vertex weights"
+    with pytest.raises(cli.UsageError, match=f"^{message}$"):
+        cli.read_valuation(val.read_text())
+    assert run("check-balanced", graph, val) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    val.write_text(cli.VALUATION_HEADER + "\n")
+    with pytest.raises(cli.UsageError, match="^valuation file missing its r header$"):
+        cli.read_valuation(val.read_text())
+
+
 def test_paper_demo_section3(tmp_path):
     out = tmp_path / "demo"
     assert run("paper-demo", "--scope", "section-3", "--out", out) == 0

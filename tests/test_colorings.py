@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from circflow import blanusa, colorings, families
+from circflow import blanusa, colorings, families, mp_coloring
 from circflow.colorings import (
     ColoringError,
     EdgeColoring,
@@ -275,6 +275,37 @@ def test_prover_declines_on_class1_components():
     assert "declined" in cert.witness
 
 
+def test_reverify_class_property_rechecks_the_verdict():
+    # J5 + 2M is class 1 for the matching of its ab and dc edges, so the
+    # class-2 claim at t = 2 is refuted
+    j5 = families.flower_snark(2).graph
+    m = sorted(e for e in j5.edge_ids if e.startswith(("ab", "dc")))
+    honest = class_property(j5, m, 2, [2])
+    assert honest.verdict == "refuted" and reverify(honest, j5)
+
+    def forged(verdict=honest.verdict, t_range=(2,), per_t=None):
+        return make_certificate(
+            "class-property", j5, {**honest.parameters, "t_range": list(t_range)},
+            {"per_t": honest.witness["per_t"] if per_t is None else per_t}, verdict)
+
+    assert reverify(forged(), j5)
+    assert not reverify(forged(verdict="verified"), j5)
+    assert not reverify(forged(t_range=[2, 3]), j5)
+    assert not reverify(forged(verdict="verified", per_t=[]), j5)
+
+
+def test_reverify_of_a_declined_prover_certificate():
+    product, _, c2 = _petersen_product()
+    c1 = class_property(product.spec.g, sorted(product.m1), 1, [2])
+    declined = dot_product_class2_prover(product, c1, c2, 2)
+    assert declined.verdict == "inconclusive" and "declined" in declined.witness
+    assert reverify(declined, product.graph) is True
+    for verdict in ("verified", "refuted"):
+        forged = make_certificate("class-property", product.graph, declined.parameters,
+                                  declined.witness, verdict)
+        assert reverify(forged, product.graph) is False
+
+
 def test_prover_requires_component_certificates():
     product, c1, c2 = _petersen_product()
     wrong_graph_cert = class_property(families.petersen(),
@@ -304,6 +335,26 @@ def test_transition_claim_exhaustive_small():
             assert transition_claim_check(list(types)) is not None
             count += 1
         assert count > 0
+
+
+def test_colors_outside_the_palette_are_rejected():
+    text = "circflow-coloring v1\npalette 3\nmode proper\ne1 0\ne2 1\n"
+    for bad, color in (("e2 -1", -1), ("e2 3", 3)):
+        with pytest.raises(ColoringError,
+                           match=f"^edge 'e2' has color {color}, outside the palette 0..2$"):
+            read_coloring(text.replace("e2 1", bad))
+
+
+def test_sees_odd_violation_rejects_a_color_outside_the_palette():
+    # M_3' with color 12 written as -1: counting -1 as color 12 would pass
+    data = mp_coloring.mp_prime_coloring(1)
+    g, coloring = data.family.graph, data.coloring
+    assert coloring.palette == 13 and colorings.sees_odd_violation(g, coloring) is None
+    wrapped = {e: -1 if c == 12 else c for e, c in coloring.colors.items()}
+    with pytest.raises(ColoringError, match="outside the palette 0..12"):
+        colorings.sees_odd_violation(g, EdgeColoring(wrapped, 13, coloring.mode))
+    with pytest.raises(ColoringError, match="outside the palette 0..12"):
+        read_coloring(write_coloring(EdgeColoring(wrapped, 13, coloring.mode)))
 
 
 def test_coloring_file_round_trip():

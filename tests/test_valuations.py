@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from circflow import blanusa, families, flows
-from circflow.certificates import make_certificate, reverify
+from circflow.certificates import make_certificate, rat, reverify
 from circflow.multigraph import Multigraph, add_matching_copies, perfect_matchings
 from circflow.valuations import (
     NO_FINITE_R,
@@ -129,7 +129,7 @@ def test_balanced_valuation_needs_r_above_two(r):
 ])
 def test_reverify_rejects_balanced_certificate_at_r_two_or_less(r, witness, verdict):
     k4 = families.complete_graph(4)
-    cert = make_certificate("balanced", k4, {"r": r, "k": K4_K}, witness, verdict)
+    cert = make_certificate("balanced", k4, {"r": rat(r), "k": K4_K}, witness, verdict)
     assert not reverify(cert, k4)
 
 
@@ -139,7 +139,7 @@ def test_reverify_rejects_forged_violating_subset(subset):
     # an empty X, an unknown vertex, a repeated one and a set that does not
     # break the inequality are forgeries
     k4 = families.complete_graph(4)
-    params = {"r": Fraction(3), "k": K4_K}
+    params = {"r": "3/1", "k": K4_K}
     cert = check_balanced(k4, BalancedValuation(Fraction(3), K4_K))
     assert cert.witness == {"violating_subset": ["v1", "v2"]} and reverify(cert, k4)
     forged = make_certificate("balanced", k4, params, {"violating_subset": subset}, "refuted")
