@@ -1,4 +1,5 @@
-"""The Blanusa-snark chain: seed reconstruction and the inductive splice.
+"""The Blanusa-snark chain: seed reconstruction and the chain G_n, in which
+G_k is the matched dot product of G_{k-1} and copy k of the seed.
 
 The chain starts from an 18-vertex snark realized as a matched dot product
 of two Petersen graphs, equipped with an integer 4-flow that has a single
@@ -73,6 +74,15 @@ class BlanusaSeed:
             {e: Fraction(v) for e, v in self.values.items()},
             Fraction(4), INTEGER_ONE_ZERO, self.zero_edge,
         )
+
+    def product(self) -> families.MDotProduct:
+        """The matched dot product of two Petersen graphs that the seed graph is."""
+        dp = self.dot_product
+        return families.m_dot_product(
+            _relabelled_petersen("L."), dp["n1"], _relabelled_petersen("R."), dp["n2"],
+            dp["e1"], dp["e2"], dp["xy"],
+            e1_order=tuple(dp["e1_order"]), e2_order=tuple(dp["e2_order"]),
+            u_neighbors=tuple(dp["u_neighbors"]), w_neighbors=tuple(dp["w_neighbors"]))
 
     def path_edges(self) -> tuple[str, ...]:
         """The x4..x8 path edge ids (shared with no other circuit)."""
@@ -528,11 +538,8 @@ def load_or_find_seed() -> BlanusaSeed:
 
 @dataclass(frozen=True)
 class BlanusaChain:
-    n: int
     graph: Multigraph
-    matching: frozenset[str]
     markings: tuple[dict[str, str], ...]  # per copy: x0..x8, y0, y1 (as present)
-    seed: BlanusaSeed
 
 
 @dataclass(frozen=True)
@@ -546,146 +553,96 @@ class ChainFlowData:
     bipartition: valuations.Bipartition
 
 
-def _copy_vertex(v: str, k: int) -> str:
-    return v if k == 1 else f"{v}@{k}"
-
-
-def _copy_edge(e: str, k: int) -> str:
-    return e if k == 1 else f"{e}@{k}"
-
-
 def build_chain(n: int) -> ChainFlowData:
     """G_n with its 4-flow, n+1 circuits, matching and bipartition.
 
-    Repeatedly splices a fresh copy of the seed (orientation flipped on even
-    copies) onto the previous last copy, splitting the circuit through the
-    marked path into two; ``add_circuits`` then checks each of the n+1
+    G_1 is the seed, and G_k is the matched dot product of G_{k-1} and copy k
+    of the seed (ids suffixed ``@k``): it removes x4x5 and x7x8 of copy k-1
+    and the vertices x0, x1 of copy k, and its four joins take x4, x5, x7, x8
+    of copy k-1 to x8, y0, y1, x2 of copy k.  Copy k's orientation is reversed
+    when k is even, each join keeps the value and the sense of the edge it
+    replaces, and the circuit through the marked path splits into two, one
+    along each route of copy k; ``add_circuits`` then checks each of the n+1
     directed circuits and adds 1/(n+1) along it.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     seed = load_or_find_seed()
-    g = seed.graph
-    sg = lambda eid: seed.graph.edge(eid)
-
-    vertices = list(g.vertices)
-    edges = [(e.eid, e.u, e.v) for e in g.edges()]
+    x, ce = seed.x, seed.c_edges
+    graph, matching = seed.graph, seed.matching
     dirs: dict[str, tuple[str, str]] = dict(seed.orientation)
     vals: dict[str, Fraction] = {e: Fraction(v) for e, v in seed.values.items()}
-    matching = set(seed.matching)
 
-    circ_a, circ_b = seed.circuit_a, seed.circuit_b
-    circuits: list[tuple[str, ...]] = [circ_a, circ_b]
+    circuits: list[tuple[str, ...]] = [seed.circuit_a, seed.circuit_b]
     special = 0  # index of the circuit containing the marked path
     markings: list[dict[str, str]] = [
-        {**{f"x{i}": seed.x[i] for i in range(9)}, "y0": seed.y0, "y1": seed.y1}
+        {**{f"x{i}": x[i] for i in range(9)}, "y0": seed.y0, "y1": seed.y1}
     ]
-    last_edge = {eid: eid for eid in g.edge_ids}
-    sigma = 1
-
-    x_edge_ids = seed.c_edges  # seed-local ids of the marked circuit edges
-    route_pairs = list(zip(seed.p1_route, seed.p1_route[1:]))
-    route_edge_ids = [g.edges_between(a, b)[0] for a, b in route_pairs]
-    p2_vertex_chain = [seed.x[i] for i in range(2, 9)]  # x2..x8
-    p2_edge_ids = [x_edge_ids[i] for i in range(2, 8)]
+    em = {e: e for e in seed.graph.edge_ids}  # seed edge id -> id in the last copy
+    route_ids = [seed.graph.edges_between(a, b)[0]
+                 for a, b in zip(seed.p1_route, seed.p1_route[1:])]
 
     for k in range(2, n + 1):
-        new_sigma = -sigma
-        # paste copy k of the seed minus {x0, x1}
-        drop = {seed.x[0], seed.x[1]}
-        for v in g.vertices:
-            if v not in drop:
-                vertices.append(_copy_vertex(v, k))
-        copy_edges: dict[str, str] = {}
-        for e in g.edges():
-            if e.u in drop or e.v in drop:
-                continue
-            ceid = _copy_edge(e.eid, k)
-            copy_edges[e.eid] = ceid
-            edges.append((ceid, _copy_vertex(e.u, k), _copy_vertex(e.v, k)))
-            t, h = seed.orientation[e.eid]
-            if new_sigma == -1:
-                t, h = h, t
-            dirs[ceid] = (_copy_vertex(t, k), _copy_vertex(h, k))
-            vals[ceid] = Fraction(seed.values[e.eid])
-
-        # remove the two splice edges of the old last copy
-        e45 = last_edge[x_edge_ids[4]]
-        e78 = last_edge[x_edge_ids[7]]
-        removed_dirs = {e45: dirs.pop(e45), e78: dirs.pop(e78)}
-        vals.pop(e45)
-        vals.pop(e78)
-        edges = [e for e in edges if e[0] not in (e45, e78)]
-
+        flip = k % 2 == 0
+        vm_k = {v: f"{v}@{k}" for v in seed.graph.vertices}
+        em_k = {e: f"{e}@{k}" for e in seed.graph.edge_ids}
         prev = markings[-1]
-        x4o, x5o, x7o, x8o = prev["x4"], prev["x5"], prev["x7"], prev["x8"]
-        x8n = _copy_vertex(seed.x[8], k)
-        x2n = _copy_vertex(seed.x[2], k)
-        y0n = _copy_vertex(seed.y0, k)
-        y1n = _copy_vertex(seed.y1, k)
+        e45, e78 = em[ce[4]], em[ce[7]]
+        product = families.m_dot_product(
+            graph, matching, seed.graph.relabeled(vm_k, em_k),
+            [em_k[e] for e in seed.matching], e45, e78, em_k[ce[0]],
+            e1_order=(prev["x4"], prev["x5"]), e2_order=(prev["x7"], prev["x8"]),
+            u_neighbors=(vm_k[x[8]], vm_k[seed.y0]),
+            w_neighbors=(vm_k[seed.y1], vm_k[x[2]]))
+        graph, matching = product.graph, product.matching
 
-        def rel_dir(old_pair: tuple[str, str], at: str, other: str) -> tuple[str, str]:
-            # the fresh edge keeps the removed edge's in/out sense at ``at``
-            return (at, other) if old_pair[0] == at else (other, at)
+        # copy k keeps the seed's values and, on even copies, reverses its
+        # orientation; its edges at x0 and x1 went with those vertices
+        for eid in seed.graph.edge_ids:
+            if graph.has_edge(em_k[eid]):
+                t, h = seed.orientation[eid]
+                dirs[em_k[eid]] = (vm_k[h], vm_k[t]) if flip else (vm_k[t], vm_k[h])
+                vals[em_k[eid]] = Fraction(seed.values[eid])
 
-        sp_a = f"sp{k}:a"  # x4^n -- x8 of copy k, value 2
-        sp_b = f"sp{k}:b"  # x5^n -- y0 of copy k, value 2
-        sp_c = f"sp{k}:c"  # x7^n -- y1 of copy k, value 1
-        sp_d = f"sp{k}:d"  # x8^n -- x2 of copy k, value 1
-        for eid, at, other, src, val in (
-            (sp_a, x4o, x8n, removed_dirs[e45], 2),
-            (sp_b, x5o, y0n, removed_dirs[e45], 2),
-            (sp_c, x7o, y1n, removed_dirs[e78], 1),
-            (sp_d, x8o, x2n, removed_dirs[e78], 1),
-        ):
-            edges.append((eid, at, other))
-            dirs[eid] = rel_dir(src, at, other)
-            vals[eid] = Fraction(val)
+        # the joins take x4, x5, x7, x8 of copy k-1 to x8, y0, y1, x2 of copy
+        # k; each keeps the removed edge's value and in/out sense at its end
+        # in copy k-1
+        removed = {e: (dirs.pop(e), vals.pop(e)) for e in (e45, e78)}
+        for join, old in zip(product.join_edges, (e45, e45, e78, e78)):
+            (tail, _head), val = removed[old]
+            _eid, at, other = graph.edge(join)
+            dirs[join] = (at, other) if tail == at else (other, at)
+            vals[join] = val
 
         # split the special circuit through the two copy routes
         spec_edges = list(circuits[special])
-        path_old = {e45, last_edge[x_edge_ids[5]], last_edge[x_edge_ids[6]], e78}
+        path_old = {e45, em[ce[5]], em[ce[6]], e78}
         # rotate so the kept arc starts right after the marked segment
         idx = [i for i, eid in enumerate(spec_edges) if eid in path_old]
         after = (max(idx) + 1) % len(spec_edges)
         rotated = spec_edges[after:] + spec_edges[:after]
         keep = [eid for eid in rotated if eid not in path_old]
-
-        route1 = [copy_edges[eid] for eid in route_edge_ids]
-        route2 = [copy_edges[eid] for eid in p2_edge_ids]
-        if new_sigma == -1:
-            # copy directions are flipped: routes run x8 -> x2 in the copy
-            route1 = list(reversed(route1))
-            route2 = list(reversed(route2))
-        if sigma == 1:
-            # old path ran x4 -> x8: leave at x4^n, return through x2 to x8^n
-            tilde1 = keep + [sp_a] + route1 + [sp_d]
-            tilde2 = keep + [sp_a] + route2 + [sp_d]
+        routes = [[em_k[eid] for eid in route] for route in (route_ids, ce[2:8])]
+        if flip:
+            # the old path ran x4 -> x8 and the copy's routes run x8 -> x2:
+            # leave at x4 of copy k-1, return to its x8
+            leave, back = product.join_edges[0], product.join_edges[3]
+            routes = [route[::-1] for route in routes]
         else:
-            # old path ran x8 -> x4: leave at x8^n, return through x8 to x4^n
-            tilde1 = keep + [sp_d] + route1 + [sp_a]
-            tilde2 = keep + [sp_d] + route2 + [sp_a]
+            # the old path ran x8 -> x4: leave at x8, return to x4
+            back, leave = product.join_edges[0], product.join_edges[3]
         circuits = [c for i, c in enumerate(circuits) if i != special]
-        circuits.append(tuple(tilde1))
-        circuits.append(tuple(tilde2))
-        special = len(circuits) - 1  # tilde2 holds the new marked path
+        circuits.extend(tuple(keep + [leave] + route + [back]) for route in routes)
+        special = len(circuits) - 1  # the second route holds the new marked path
 
-        for eid in seed.matching:
-            if eid == seed.c_edges[0]:
-                continue
-            matching.add(copy_edges[eid])
+        markings.append({**{f"x{i}": vm_k[x[i]] for i in range(2, 9)},
+                         "y0": vm_k[seed.y0], "y1": vm_k[seed.y1]})
+        em = em_k
 
-        markings.append({**{f"x{i}": _copy_vertex(seed.x[i], k) for i in range(2, 9)},
-                         "y0": y0n, "y1": y1n})
-        last_edge = {eid: copy_edges[eid] for eid in copy_edges}
-        sigma = new_sigma
-
-    graph = Multigraph(vertices, edges)
-    base = RationalFlow(dirs, vals, Fraction(4), INTEGER_ONE_ZERO, seed.c_edges[0])
-    check = verify_flow(graph, base)
-    if check.verdict != "verified":
+    base = RationalFlow(dirs, vals, Fraction(4), INTEGER_ONE_ZERO, ce[0])
+    if verify_flow(graph, base).verdict != "verified":
         raise FlowError("internal error: chain base 4-flow is invalid")
-    if any(seed.c_edges[0] not in circ for circ in circuits):
+    if any(ce[0] not in circ for circ in circuits):
         raise FlowError("internal error: a chain circuit misses the zero edge")
 
     # P2: every 3-valued edge lies on at most one circuit
@@ -713,18 +670,17 @@ def build_chain(n: int) -> ChainFlowData:
     if verify_flow(graph, flow).verdict != "verified":
         raise FlowError("internal error: chain flow failed verification")
 
-    m = frozenset(matching)
-    if not is_perfect_matching(graph, m):
+    if not is_perfect_matching(graph, matching):
         raise FlowError("internal error: chain matching is not perfect")
-    if path_now & m:
+    if path_now & matching:
         raise FlowError("internal error: splice edges must avoid the matching")
     bip = valuations.flow_to_bipartition(graph, flow)
-    for eid in m:
+    for eid in matching:
         e = graph.edge(eid)
         if bip.color(e.u) == bip.color(e.v):
             raise FlowError("internal error: chain matching pairing broken")
 
-    chain = BlanusaChain(n, graph, m, tuple(markings), seed)
+    chain = BlanusaChain(graph, tuple(markings))
     if graph.num_vertices() != 18 + 16 * (n - 1):
         raise FlowError("internal error: chain vertex count off")
-    return ChainFlowData(n, chain, base, flow, steps, m, bip)
+    return ChainFlowData(n, chain, base, flow, steps, matching, bip)

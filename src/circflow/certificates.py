@@ -29,7 +29,6 @@ SCHEMA_VERSION = "circflow-cert/1"
 CLAIM_KINDS = (
     "flow-valid",
     "phi-c-value",
-    "phi-c-bound",
     "chromatic-index",
     "class-property",
     "parity",
@@ -164,7 +163,9 @@ def reverify(cert: Certificate, g: Multigraph) -> bool:
     cover, and a chromatic index above the maximum degree re-runs the search
     one color short.  A ``phi-c-value`` certificate re-checks only its
     witness flow, an upper bound: the claimed value is not re-derived as a
-    lower bound.  Producers must pass canonical data, which is re-checked
+    lower bound.  A witness that the re-check rejects as input, a flow
+    missing an edge of g or a parity coloring that is not proper, is not
+    reproduced.  Producers must pass canonical data, which is re-checked
     here as it was made (``json.dumps`` raises on a ``Fraction`` or a set).
     Raises ``CertificateError`` on hash mismatch, an unknown claim kind or a
     witness of the wrong shape.
@@ -176,9 +177,12 @@ def reverify(cert: Certificate, g: Multigraph) -> bool:
 
     kind = cert.kind
     try:
-        if kind in ("flow-valid", "phi-c-value", "phi-c-bound"):
+        if kind in ("flow-valid", "phi-c-value"):
             flow = flows.flow_from_witness(g, cert.witness["flow"])
-            check = flows.verify_flow(g, flow)
+            try:
+                check = flows.verify_flow(g, flow)
+            except flows.FlowError:
+                return False  # the witness is not a flow on the edges of g
             if kind == "phi-c-value" and check.verdict == "verified":
                 return unrat(cert.parameters["r"]) == flow.r
             return (check.verdict == "verified") == (cert.verdict == "verified")

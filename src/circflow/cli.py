@@ -296,12 +296,8 @@ def _demo_flows(report: _Report, budget: float | None) -> None:
 def _demo_class2(report: _Report, budget: float | None) -> None:
     seed = blanusa.load_or_find_seed()
     dp = seed.dot_product
-    g1 = blanusa._relabelled_petersen("L.")
-    g2 = blanusa._relabelled_petersen("R.")
-    product = families.m_dot_product(
-        g1, dp["n1"], g2, dp["n2"], dp["e1"], dp["e2"], dp["xy"],
-        e1_order=tuple(dp["e1_order"]), e2_order=tuple(dp["e2_order"]),
-        u_neighbors=tuple(dp["u_neighbors"]), w_neighbors=tuple(dp["w_neighbors"]))
+    product = seed.product()
+    g1, g2 = product.spec.g, product.spec.h
 
     certs = []
     for tag, g, m in (("left", g1, dp["n1"]), ("right", g2, dp["n2"])):

@@ -344,7 +344,10 @@ def reverify_parity(cert: Certificate, g: Multigraph) -> bool:
     palette = int(cert.parameters["palette"])
     coloring = EdgeColoring({e: int(c) for e, c in cert.witness["coloring"].items()}, palette)
     cuts = [edge_cut(g, side) for side in cert.parameters["cuts"]]
-    fresh = parity_lemma_check(g, coloring, cuts)
+    try:
+        fresh = parity_lemma_check(g, coloring, cuts)
+    except ColoringError:
+        return False  # the witness is not a proper full-palette coloring
     return fresh.verdict == cert.verdict
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import circflow
-from circflow import blanusa, colorings, families, flows
+from circflow import blanusa, colorings, flows
 from circflow.multigraph import Multigraph, girth, is_perfect_matching, perfect_matchings
 
 from _oracles import DirectedCircuit, nine_cycles_oracle
@@ -56,12 +56,7 @@ def test_seed_is_a_matched_petersen_dot_product(seed):
     dp = seed.dot_product
     inherited = (frozenset(dp["n1"]) | frozenset(dp["n2"])) - {dp["xy"]}
     assert inherited == seed.matching
-    g1 = blanusa._relabelled_petersen("L.")
-    g2 = blanusa._relabelled_petersen("R.")
-    product = families.m_dot_product(
-        g1, dp["n1"], g2, dp["n2"], dp["e1"], dp["e2"], dp["xy"],
-        e1_order=tuple(dp["e1_order"]), e2_order=tuple(dp["e2_order"]),
-        u_neighbors=tuple(dp["u_neighbors"]), w_neighbors=tuple(dp["w_neighbors"]))
+    product = seed.product()
     assert product.graph == seed.graph
     assert product.matching == seed.matching
 
@@ -146,7 +141,8 @@ def test_chain_flow(n):
     assert len(data.circuits) == n + 1
 
 
-# SHA-256 of flows.write_flow for (flow, base_flow) of build_chain(n)
+# SHA-256 of flows.write_flow for (flow, base_flow) of build_chain(n), with
+# the four joins of step k named sp{k}:a..sp{k}:d (``_with_step_join_ids``)
 CHAIN_FLOW_SHA256 = {
     1: ("d17771065b587f90509e8f7c0d1520abae9325749da87b26f6932cf649a6518b",
         "295725751fb6e54b148277fa480e137d785d5ba084fe8c46480bd82d224b763c"),
@@ -154,14 +150,36 @@ CHAIN_FLOW_SHA256 = {
         "62fb8309fb53e9e8df0ffbabe586eaa9c91c5ff10540e6203332683da3ebc961"),
     3: ("6c4a0f1f5a1f8bd2ca2f584f0be670ff19b9b07f083aa2f53ee04c0d83146edc",
         "9fcc0135a539e96bff9e517be83bbf8e97172318baa097c8c9b86c65d742d623"),
+    4: ("8c7388056146b81fcbb59ce30ccd8aa69f37cfd75b496e36b7bf59fc597e8cd9",
+        "f9501b4a1fca8641aa4c394cec0a44cf3c28255a77402db5e68667fc8f09a22c"),
+    5: ("df29ed67e2f1608f6b875a278c4aba5495c9c033be09de04eddea68142f2e074",
+        "a0558a436ed0dba49eda8568ac02327adad2f18a4b86ed3031240acee7c74761"),
+    6: ("42390f28726ed7ab3a904794bbf56fb2c03184d5afaf8cf19e8af0f01bd6f439",
+        "6ac6b761ee6df37e45bc3d64f2154fccc6afdd9ed2069e17666d1f9b98c8c07c"),
 }
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+def _with_step_join_ids(data, flow):
+    """``flow`` with the joins of G_n renamed sp{k}:a..sp{k}:d by step k.
+
+    A join is an edge whose id is neither a seed id nor ``{seed id}@{j}``;
+    in graph order, the joins of step k are the (k-1)-th group of four.
+    """
+    seed_ids = set(blanusa.load_or_find_seed().graph.edge_ids)
+    joins = [eid for eid in data.chain.graph.edge_ids
+             if eid not in seed_ids and eid.rpartition("@")[0] not in seed_ids]
+    assert len(joins) == 4 * (data.n - 1)
+    ren = {eid: f"sp{i // 4 + 2}:{'abcd'[i % 4]}" for i, eid in enumerate(joins)}
+    return flows.RationalFlow({ren.get(e, e): d for e, d in flow.orientation.items()},
+                              {ren.get(e, e): v for e, v in flow.values.items()},
+                              flow.r, flow.mode, flow.zero_edge)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_chain_flow_files_are_pinned(n):
     data = blanusa.build_chain(n)
-    digests = tuple(hashlib.sha256(flows.write_flow(f).encode()).hexdigest()
-                    for f in (data.flow, data.base_flow))
+    digests = tuple(hashlib.sha256(flows.write_flow(_with_step_join_ids(data, f)).encode())
+                    .hexdigest() for f in (data.flow, data.base_flow))
     assert digests == CHAIN_FLOW_SHA256[n]
 
 

@@ -1,10 +1,11 @@
+import json
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circflow import colorings, families, flows, valuations
+from circflow import cli, colorings, families, flows, valuations
 from circflow.certificates import (
     Certificate,
     CertificateError,
@@ -15,7 +16,13 @@ from circflow.certificates import (
     reverify,
     unrat,
 )
-from circflow.multigraph import Multigraph, add_matching_copies, edge_cut, perfect_matchings
+from circflow.multigraph import (
+    Multigraph,
+    add_matching_copies,
+    edge_cut,
+    perfect_matchings,
+    serialize,
+)
 
 from _oracles import _graph_hash_oracle, _rat_oracle
 
@@ -233,16 +240,12 @@ def _class_refuted():
 def _prover(declined):
     from circflow import blanusa
 
-    dp = blanusa.load_or_find_seed().dot_product
-    g1 = blanusa._relabelled_petersen("L.")
-    g2 = blanusa._relabelled_petersen("R.")
-    product = families.m_dot_product(
-        g1, dp["n1"], g2, dp["n2"], dp["e1"], dp["e2"], dp["xy"],
-        e1_order=tuple(dp["e1_order"]), e2_order=tuple(dp["e2_order"]),
-        u_neighbors=tuple(dp["u_neighbors"]), w_neighbors=tuple(dp["w_neighbors"]))
+    seed = blanusa.load_or_find_seed()
+    dp = seed.dot_product
+    product = seed.product()
     # a factor certified class 1 (refuted) instead of class 2 makes the prover decline
-    c1 = colorings.class_property(g1, dp["n1"], 1 if declined else 2, [2])
-    c2 = colorings.class_property(g2, dp["n2"], 2, [2])
+    c1 = colorings.class_property(product.spec.g, dp["n1"], 1 if declined else 2, [2])
+    c2 = colorings.class_property(product.spec.h, dp["n2"], 2, [2])
     return colorings.dot_product_class2_prover(product, c1, c2, 2), product.graph
 
 
@@ -296,3 +299,49 @@ def test_every_certificate_reads_back_as_written(kind, verdict, make):
     assert back.to_json() == cert.to_json()
     assert back.canonical_bytes() == cert.canonical_bytes()
     assert reverify(back, g)
+
+
+def _forged_parity():
+    # K4's parity certificate with one edge recolored to a neighbour's color
+    cert, g = _parity(True)
+    colors = cert.witness["coloring"]
+    eid = sorted(colors)[0]
+    neighbour = next(e for e in g.edge_ids if e != eid and g.edge(e).ends & g.edge(eid).ends)
+    colors[eid] = colors[neighbour]
+    return cert, g
+
+
+def _forged_flow():
+    # J3's flow-valid certificate with edge ab0 dropped from its flow
+    d = flows.build_flower_flow(1)
+    cert = flows.verify_flow(d.graph, d.flow)
+    del cert.witness["flow"]["edges"]["ab0"]
+    return cert, d.graph
+
+
+@pytest.mark.parametrize("forge", [_forged_parity, _forged_flow], ids=["parity", "flow"])
+def test_a_witness_the_recheck_rejects_is_not_reproduced(forge, tmp_path, capsys):
+    cert, g = forge()
+    assert cert.verdict == "verified"
+    assert not reverify(certificate_from_json(cert.to_json()), g)
+    graph, path = tmp_path / "g.graph", tmp_path / "g.cert.json"
+    graph.write_text(serialize(g))
+    path.write_text(cert.to_json())
+    capsys.readouterr()
+    assert cli.main(["reverify", str(graph), str(path)]) == cli.EXIT_REFUTED
+    assert capsys.readouterr().out == "NOT reproduced\n"
+
+
+def test_a_phi_c_bound_certificate_is_refused(tmp_path, capsys):
+    # no producer emits the kind, so no certificate of it is read
+    cert, g = _phi_c()
+    doc = json.loads(cert.to_json())
+    doc["certificate"]["kind"] = "phi-c-bound"
+    with pytest.raises(CertificateError, match="unknown claim kind 'phi-c-bound'"):
+        certificate_from_json(json.dumps(doc))
+    graph, path = tmp_path / "k4.graph", tmp_path / "k4.cert.json"
+    graph.write_text(serialize(g))
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["reverify", str(graph), str(path)]) == cli.EXIT_USAGE
+    assert "unknown claim kind 'phi-c-bound'" in capsys.readouterr().err

@@ -235,14 +235,9 @@ def test_class_property_refutes_wrong_class():
 def _petersen_product(t=2):
     seed = blanusa.load_or_find_seed()
     dp = seed.dot_product
-    g1 = blanusa._relabelled_petersen("L.")
-    g2 = blanusa._relabelled_petersen("R.")
-    product = families.m_dot_product(
-        g1, dp["n1"], g2, dp["n2"], dp["e1"], dp["e2"], dp["xy"],
-        e1_order=tuple(dp["e1_order"]), e2_order=tuple(dp["e2_order"]),
-        u_neighbors=tuple(dp["u_neighbors"]), w_neighbors=tuple(dp["w_neighbors"]))
-    c1 = class_property(g1, dp["n1"], 2, [t])
-    c2 = class_property(g2, dp["n2"], 2, [t])
+    product = seed.product()
+    c1 = class_property(product.spec.g, dp["n1"], 2, [t])
+    c2 = class_property(product.spec.h, dp["n2"], 2, [t])
     return product, c1, c2
 
 
