@@ -163,7 +163,10 @@ def reverify(cert: Certificate, g: Multigraph) -> bool:
     cover, and a chromatic index above the maximum degree re-runs the search
     one color short.  A ``phi-c-value`` certificate re-checks only its
     witness flow, an upper bound: the claimed value is not re-derived as a
-    lower bound.  A witness that the re-check rejects as input, a flow
+    lower bound.  A verified ``inequality-check`` is re-checked by its
+    witness flow on H alone, which proves the inequality for every vertex
+    set, so it runs no minimum cut; a refuted one counts the cut of the Y it
+    names.  A witness that the re-check rejects as input, a flow
     missing an edge of g or a parity coloring that is not proper, is not
     reproduced.  Producers must pass canonical data, which is re-checked
     here as it was made (``json.dumps`` raises on a ``Fraction`` or a set).

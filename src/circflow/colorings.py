@@ -154,51 +154,54 @@ def _backtrack_coloring(g: Multigraph, k: int, deadline: _Deadline,
     view = g.indexed
     ends = view.ends
     colors: dict[int, int] = {}
-    used: list[set[int]] = [set() for _ in view.vertices]
+    used = [0] * len(view.vertices)  # bit c set: some edge at the vertex has color c
     fixed_idx = {view.edge_ids.index(eid): c for eid, c in (fixed or {}).items()}
     for e, c in fixed_idx.items():
         a, b = ends[e]
-        if c in used[a] or c in used[b] or c >= k:
+        if c >= k or (used[a] | used[b]) >> c & 1:
             return None
         colors[e] = c
-        used[a].add(c)
-        used[b].add(c)
+        used[a] |= 1 << c
+        used[b] |= 1 << c
 
+    # The uncolored edges in index order: the search colors the chosen edge
+    # and puts it back at its place when it backtracks.
     free = [e for e in range(len(view.edge_ids)) if e not in fixed_idx]
     symmetry_free = not fixed  # allow "first unseen color only" pruning
 
     def choose() -> int | None:
-        best, best_n = None, None
-        for e in free:
-            if e in colors:
-                continue
+        """The position in ``free`` of the first edge with the fewest colors left."""
+        best, best_n = None, k + 1
+        for i, e in enumerate(free):
             a, b = ends[e]
-            avail = k - len(used[a] | used[b])
+            avail = k - (used[a] | used[b]).bit_count()
             if avail == 0:
-                return e
-            if best_n is None or avail < best_n:
-                best, best_n = e, avail
+                return i
+            if avail < best_n:
+                best, best_n = i, avail
         return best
 
     def rec(max_used: int) -> bool:
         deadline.tick()
-        e = choose()
-        if e is None:
+        i = choose()
+        if i is None:
             return True
+        e = free.pop(i)
         a, b = ends[e]
         taken = used[a] | used[b]
         cap = min(k, (max_used + 1) if symmetry_free else k)
         for c in range(cap):
-            if c in taken:
+            if taken >> c & 1:
                 continue
             colors[e] = c
-            used[a].add(c)
-            used[b].add(c)
+            used[a] |= 1 << c
+            used[b] |= 1 << c
             if rec(max(max_used, c + 1)):
                 return True
-            used[a].remove(c)
-            used[b].remove(c)
+            used[a] ^= 1 << c
+            used[b] ^= 1 << c
             del colors[e]
+        free.insert(i, e)
         return False
 
     start_max = max(fixed_idx.values(), default=-1) + 1

@@ -477,17 +477,17 @@ def matched_flow_witness(g: Multigraph, flow: RationalFlow, matching: Sequence[s
 
     dirs: dict[str, tuple[str, str]] = {}
     m_set = set(m)
-    rest = g.with_edges_removed(m_set)
     seen: set[str] = set()
-    for v in rest.vertices:
-        if v in seen or rest.degree(v) == 0:
+    for v in g.vertices:  # walk each cycle of the 2-factor g - M
+        if v in seen:
             continue
         walk = v
         prev_edge: str | None = None
         while True:
             seen.add(walk)
-            nxt_edge = next(eid for eid in rest.incident_edges(walk) if eid != prev_edge and eid not in dirs)
-            nxt = rest.edge(nxt_edge).other(walk)
+            nxt_edge = next(eid for eid in g.incident_edges(walk)
+                            if eid != prev_edge and eid not in dirs and eid not in m_set)
+            nxt = g.edge(nxt_edge).other(walk)
             dirs[nxt_edge] = (walk, nxt)
             prev_edge, walk = nxt_edge, nxt
             if walk == v:

@@ -5,14 +5,22 @@ k_v = deg(v) mod 2, subject to |sum over X| <= |cut(X)| for every vertex
 subset.  For cubic graphs with an all-positive nowhere-zero flow the
 natural valuation is +-r/(r-2) according to the in-degree bipartition.
 
-Every inequality over all vertex subsets is decided exactly by s-t minimum
-cuts through the one max-flow kernel, ``multigraph._max_flow``: the largest
-excess of w(X) - |cut(X)| over all X is one minimum cut, so a balanced check
-takes one cut, the least balancing r of a valuation follows by Dinkelbach
-iteration over such cuts, and the matched inequality on g + (2t-2)M takes
-one cut on H.  Weights that sum to zero need no second cut for the opposite
-sign: X and V - X have opposite weights and the same cut.  The kernel runs
-in integers: a weight unit a/b is cleared by scaling every capacity by b.
+A balanced inequality over all vertex subsets is decided exactly by s-t
+minimum cuts through the one max-flow kernel, ``multigraph._max_flow``: the
+largest excess of w(X) - |cut(X)| over all X is one minimum cut, so a
+balanced check takes one cut and the least balancing r of a valuation
+follows by Dinkelbach iteration over such cuts.  Weights that sum to zero need no second cut for
+the opposite sign: X and V - X have opposite weights and the same cut.  The
+kernel runs in integers: a weight unit a/b is cleared by scaling every
+capacity by b.
+
+The matched inequality on H = g + (2t-2)M is proved by its witness flow; a
+cut only names a violating Y.  By Jaeger's easy direction, a flow with every
+value in [1, r'-1] on an orientation D gives |out_D(Y)| <= (r'-1)|in_D(Y)|
+for every vertex set Y, that is |cut_H(Y)| >= r'/(r'-2) * |k_D(Y)| with
+k_D = out - in.  At r' = ``bound_formula(r, t)``, r'/(r'-2) = r/(r-2) + 2t-2,
+so a D with k_D = +-1 on the two colour classes proves the inequality for
+every Y at once.
 
 The circular flow number is the least r at which some k is balanced
 (Jaeger): by Hoffman, an orientation with out-minus-in degrees k carries a
@@ -272,9 +280,11 @@ def matched_bipartition_inequality_check(g: Multigraph, flow, matching: Iterable
     """Certify |cut_H(Y)| >= (r/(r-2) + 2t-2)|b_Y - w_Y| for H = g + (2t-2)M.
 
     The matching must pair black with white vertices of the flow bipartition.
-    Every vertex set Y of H is covered by one minimum cut on H.
-    Every instance additionally gets an explicit nowhere-zero flow
-    witness on H at the asymptotic bound value.
+    A verified certificate carries a nowhere-zero flow on H at the bound
+    value whose orientation has out - in = +1 on white and -1 on black
+    vertices, which proves the inequality for every Y.  Only when that
+    circulation fails does one minimum cut on H look for the least violating
+    Y; finding none is an internal error, never a refutation.
     """
     from . import flows  # deferred: flows imports this module
 
@@ -301,13 +311,16 @@ def matched_bipartition_inequality_check(g: Multigraph, flow, matching: Iterable
     h = add_matching_copies(g, m, 2 * t - 2)
     params = {"t": t, "r": rat(r), "bound": rat(bound_formula(r, t)), "matching": m}
     black = sorted(bip.black)
-    subset = _matched_violation(h, bip.black, r, t)
-    if subset is not None:
+    try:
+        witness_flow = flows.matched_flow_witness(g, flow, m, t)
+    except flows.FlowError:
+        subset = _matched_violation(h, bip.black, r, t)
+        if subset is None:
+            raise ValuationError("internal error: the matched flow witness failed, "
+                                 "but no vertex set violates the inequality") from None
         return make_certificate("inequality-check", h, params,
                                 {"violating_subset": subset, "black": black},
                                 "refuted", time.monotonic() - start)
-
-    witness_flow = flows.matched_flow_witness(g, flow, m, t)
     if flows.verify_flow(h, witness_flow).verdict != "verified":
         raise ValuationError("internal error: the matched flow witness failed verification")
 
@@ -331,8 +344,10 @@ def reverify_inequality(cert: Certificate, h: Multigraph) -> bool:
     """Both verdicts need a black side that M pairs with the white side.  A
     refuted certificate must carry a subset Y that, with that black side,
     violates |cut_H(Y)| >= (r/(r-2) + 2t-2)|b_Y - w_Y|.  A verified one must
-    carry the bound formula's value at (r, t), no Y violating the inequality
-    (the minimum cut is re-run), and a valid flow at the bound value."""
+    carry the bound formula's value at (r, t) and a nowhere-zero flow on H
+    at that value, whose orientation has out - in = +1 on one colour class
+    and -1 on the other: that flow proves the inequality for every Y (see
+    the module docstring), so no cut is run."""
     from . import flows  # deferred
 
     black = set(cert.witness.get("black", ()))
@@ -353,7 +368,18 @@ def reverify_inequality(cert: Certificate, h: Multigraph) -> bool:
         diff = abs(2 * len(subset & black) - len(subset))
         return len(cut) < (r / (r - 2) + 2 * t - 2) * diff
     bound = unrat(cert.parameters["bound"])
-    if bound != bound_formula(r, t) or _matched_violation(h, black, r, t) is not None:
+    if bound != bound_formula(r, t):
         return False
     flow = flows.flow_from_witness(h, cert.witness["flow"])
-    return flow.r == bound and flows.verify_flow(h, flow).verdict == "verified"
+    if flow.r != bound or flow.mode != flows.NOWHERE_ZERO:
+        return False
+    try:
+        if flows.verify_flow(h, flow).verdict != "verified":
+            return False
+    except flows.FlowError:
+        return False  # the witness is not a flow on the edges of h
+    excess = dict.fromkeys(h.vertices, 0)  # out - in under the witness orientation
+    for tail, head in flow.orientation.values():
+        excess[tail] += 1
+        excess[head] -= 1
+    return {excess[v] if v in black else -excess[v] for v in h.vertices} in ({1}, {-1})

@@ -309,6 +309,58 @@ def test_reverify_rechecks_verified_inequality_certificates():
     assert not reverify(forged({"black": sorted(set(black) ^ {e.u, e.v})}), h)
 
 
+def test_reverify_needs_a_nowhere_zero_witness_on_every_edge():
+    """An integer 4-flow with one zero edge on the honest orientation has the
+    +-1 degree pattern and passes ``verify_flow`` in its own mode, but it
+    proves no inequality: only the mode check rejects it."""
+    data = flows.build_flower_flow(1)
+    m = sorted(data.matching)
+    h = add_matching_copies(data.graph, m, 2)
+    honest = matched_bipartition_inequality_check(data.graph, data.flow, m, 2)
+    edges = {eid: {**rec, "value": "1/1"} for eid, rec in honest.witness["flow"]["edges"].items()}
+    for eid in m:  # copies white -> black, white -> black, black -> white
+        values = ("0/1", "1/1", "1/1") if eid == m[0] else ("1/1", "1/1", "2/1")
+        for copy, value in zip((eid, f"{eid}@c1", f"{eid}@c2"), values):
+            edges[copy]["value"] = value
+    flow = {**honest.witness["flow"], "mode": flows.INTEGER_ONE_ZERO, "zero_edge": m[0],
+            "edges": edges}
+    assert flows.verify_flow(h, flows.flow_from_witness(h, flow)).verdict == "verified"
+    forged = make_certificate("inequality-check", h, honest.parameters,
+                              {**honest.witness, "flow": flow}, "verified")
+    assert not reverify(forged, h)
+    # a witness that misses an edge of H is no flow on H
+    short = {**honest.witness["flow"], "edges": dict(list(honest.witness["flow"]["edges"].items())[1:])}
+    assert not reverify(make_certificate("inequality-check", h, honest.parameters,
+                                         {**honest.witness, "flow": short}, "verified"), h)
+
+
+def test_reverify_of_a_verified_inequality_runs_no_max_flow(monkeypatch):
+    from circflow import valuations
+
+    data = blanusa.build_chain(2)
+    m = sorted(data.matching)
+    cert = matched_bipartition_inequality_check(data.chain.graph, data.flow, m, 3)
+
+    def no_max_flow(n, arcs):
+        raise AssertionError("reverify ran a max-flow")
+
+    monkeypatch.setattr(valuations, "_max_flow", no_max_flow)
+    assert reverify(cert, add_matching_copies(data.chain.graph, m, 4))
+
+
+def test_a_failed_circulation_without_a_violating_set_is_an_internal_error(monkeypatch):
+    """The matched bound holds, so a failed witness circulation is a fault
+    of the program, never a refutation."""
+    data = flows.build_flower_flow(1)
+
+    def failing_witness(g, flow, matching, t):
+        raise flows.FlowError("no flow at the bound value")
+
+    monkeypatch.setattr(flows, "matched_flow_witness", failing_witness)
+    with pytest.raises(ValuationError, match="internal error"):
+        matched_bipartition_inequality_check(data.graph, data.flow, sorted(data.matching), 2)
+
+
 @pytest.mark.parametrize("n,t", [(1, 2), (1, 3), (2, 2), (2, 3)])
 def test_matched_inequality_blanusa(n, t):
     data = blanusa.build_chain(n)
