@@ -343,21 +343,12 @@ def perfect_matchings(g: Multigraph) -> list[frozenset[str]]:
 # -- maximum flow ------------------------------------------------------------
 
 def _max_flow(n: int, arcs: list[tuple[int, int, int]]) -> tuple[int, list[int], set[int]]:
-    """Dinic with integer capacities on nodes 0..n+1: the caller's n nodes,
-    then the source n and the sink n+1.  Returns (value, per-arc flow,
-    residual-reachable set from the source).
+    """Edmonds-Karp with integer capacities on nodes 0..n+1: the caller's n
+    nodes, then the source n and the sink n+1.
 
-    It augments along exactly the paths of Edmonds-Karp that scans each
-    node's arcs in the order given, so the result is fixed by the arc list.
-    Edmonds-Karp's BFS-tree path to the sink is the lexicographically first
-    shortest path, comparing the positions of its arcs in their tails' arc
-    lists.  Each phase labels nodes by BFS distance, stopping once the sink
-    is labelled, and a depth-first walk over the level arcs, in arc order
-    with a current-arc pointer per node, finds that same path; after each
-    augmentation the walk resumes at the tail of the first saturated arc.
-    The shortest paths left in the residual graph are the level paths left,
-    because every reverse arc an augmentation opens runs down one level, so
-    each augmentation of the phase is again Edmonds-Karp's next one.
+    Each BFS scans a node's arcs in the order given, so the augmenting paths
+    are fixed by the arc list.  Returns (value, per-arc flow,
+    residual-reachable set from the source).
     """
     source, sink = n, n + 1
     out: list[list[int]] = [[] for _ in range(n + 2)]
@@ -370,44 +361,27 @@ def _max_flow(n: int, arcs: list[tuple[int, int, int]]) -> tuple[int, list[int],
         residual += (c, 0)
     total = 0
     while True:
-        level = [-1] * (n + 2)
-        level[source] = 0
+        prev: list[int | None] = [None] * (n + 2)  # the arc each node was reached by
+        prev[source] = -1
         queue = [source]
         for u in queue:
-            if level[sink] >= 0:
+            if prev[sink] is not None:
                 break
-            below = level[u] + 1
             for a in out[u]:
-                if level[head[a]] < 0 and residual[a] > 0:
-                    level[head[a]] = below
+                if prev[head[a]] is None and residual[a] > 0:
+                    prev[head[a]] = a
                     queue.append(head[a])
-        if level[sink] < 0:
-            return total, residual[1::2], {v for v, d in enumerate(level) if d >= 0}
-        at = [0] * (n + 2)  # current arc: the arcs of out[u] before at[u] lead nowhere
-        path: list[int] = []
-        u = source
-        while True:
-            if u == sink:
-                bottleneck = min(residual[a] for a in path)
-                total += bottleneck
-                for a in path:
-                    residual[a] -= bottleneck
-                    residual[a ^ 1] += bottleneck
-                del path[next(i for i, a in enumerate(path) if not residual[a]):]
-                u = head[path[-1]] if path else source
-                continue
-            arcs_u, i, below = out[u], at[u], level[u] + 1
-            while i < len(arcs_u) and not (residual[arcs_u[i]] > 0 and level[head[arcs_u[i]]] == below):
-                i += 1
-            at[u] = i
-            if i < len(arcs_u):
-                path.append(arcs_u[i])
-                u = head[arcs_u[i]]
-            elif path:
-                level[u] = -1  # a dead end for the rest of the phase
-                u = head[path.pop() ^ 1]
-            else:
-                break
+        if prev[sink] is None:
+            return total, residual[1::2], {v for v, a in enumerate(prev) if a is not None}
+        path, v = [], sink
+        while v != source:
+            path.append(prev[v])
+            v = head[prev[v] ^ 1]
+        bottleneck = min(residual[a] for a in path)
+        for a in path:
+            residual[a] -= bottleneck
+            residual[a ^ 1] += bottleneck
+        total += bottleneck
 
 
 # -- structural operations -------------------------------------------------

@@ -9,16 +9,15 @@ A balanced inequality over all vertex subsets is decided exactly by s-t
 minimum cuts through the one max-flow kernel, ``multigraph._max_flow``: the
 largest excess of w(X) - |cut(X)| over all X is one minimum cut, so a
 balanced check takes one cut and the least balancing r of a valuation
-follows by Dinkelbach iteration over such cuts.  Weights that sum to zero need no second cut for
-the opposite sign: X and V - X have opposite weights and the same cut.  The
-kernel runs in integers: a weight unit a/b is cleared by scaling every
-capacity by b.
+follows by Dinkelbach iteration over such cuts.  Weights that sum to zero
+need no second cut for the opposite sign: X and V - X have opposite weights
+and the same cut.  The kernel runs in integers: a weight unit a/b is cleared
+by scaling every capacity by b.
 
-The matched inequality on H = g + (2t-2)M is proved by its witness flow; a
-cut only names a violating Y.  By Jaeger's easy direction, a flow with every
-value in [1, r'-1] on an orientation D gives |out_D(Y)| <= (r'-1)|in_D(Y)|
-for every vertex set Y, that is |cut_H(Y)| >= r'/(r'-2) * |k_D(Y)| with
-k_D = out - in.  At r' = ``bound_formula(r, t)``, r'/(r'-2) = r/(r-2) + 2t-2,
+The matched inequality on H = g + (2t-2)M is proved by its witness flow, and
+no cut is run.  By Jaeger's easy direction, a flow with every value in
+[1, r'-1] on an orientation D gives |out_D(Y)| <= (r'-1)|in_D(Y)| for every
+vertex set Y, that is |cut_H(Y)| >= r'/(r'-2) * |k_D(Y)| with k_D = out - in.  At r' = ``bound_formula(r, t)``, r'/(r'-2) = r/(r-2) + 2t-2,
 so a D with k_D = +-1 on the two colour classes proves the inequality for
 every Y at once.
 
@@ -280,11 +279,14 @@ def matched_bipartition_inequality_check(g: Multigraph, flow, matching: Iterable
     """Certify |cut_H(Y)| >= (r/(r-2) + 2t-2)|b_Y - w_Y| for H = g + (2t-2)M.
 
     The matching must pair black with white vertices of the flow bipartition.
-    A verified certificate carries a nowhere-zero flow on H at the bound
-    value whose orientation has out - in = +1 on white and -1 on black
-    vertices, which proves the inequality for every Y.  Only when that
-    circulation fails does one minimum cut on H look for the least violating
-    Y; finding none is an internal error, never a refutation.
+    The certificate carries a nowhere-zero flow on H at the bound value
+    whose orientation has out - in = +1 on white and -1 on black vertices,
+    which proves the inequality for every Y.  The inequality always holds:
+    Jaeger's easy direction on g's own flow gives
+    |cut_g(Y)| >= r/(r-2)|b_Y - w_Y|, and as M pairs black with white, each
+    of the 2t-2 copies of M puts at least |b_Y - w_Y| edges in the cut.  So
+    by Hoffman that circulation exists, and a failed one is an internal
+    error, never a refutation.
     """
     from . import flows  # deferred: flows imports this module
 
@@ -313,14 +315,8 @@ def matched_bipartition_inequality_check(g: Multigraph, flow, matching: Iterable
     black = sorted(bip.black)
     try:
         witness_flow = flows.matched_flow_witness(g, flow, m, t)
-    except flows.FlowError:
-        subset = _matched_violation(h, bip.black, r, t)
-        if subset is None:
-            raise ValuationError("internal error: the matched flow witness failed, "
-                                 "but no vertex set violates the inequality") from None
-        return make_certificate("inequality-check", h, params,
-                                {"violating_subset": subset, "black": black},
-                                "refuted", time.monotonic() - start)
+    except flows.FlowError as exc:
+        raise ValuationError(f"internal error: no matched flow witness ({exc})") from exc
     if flows.verify_flow(h, witness_flow).verdict != "verified":
         raise ValuationError("internal error: the matched flow witness failed verification")
 
@@ -328,16 +324,6 @@ def matched_bipartition_inequality_check(g: Multigraph, flow, matching: Iterable
         "inequality-check", h, params,
         {"black": black, "pairing": "black-white", "flow": flows.flow_to_witness(witness_flow)},
         "verified", time.monotonic() - start)
-
-
-def _matched_violation(h: Multigraph, black: set[str] | frozenset[str],
-                       r: Fraction, t: int) -> list[str] | None:
-    """A vertex set Y of h with |cut_H(Y)| < (r/(r-2) + 2t-2)|b_Y - w_Y|, or None.
-
-    |cut(Y) ∩ M| >= |b_Y - w_Y| needs no cut: with M pairing black and white,
-    every vertex of Y matched outside Y puts one M edge in the cut."""
-    k = {v: 1 if v in black else -1 for v in h.vertices}
-    return _violating_subset(h, k, r / (r - 2) + 2 * t - 2)
 
 
 def reverify_inequality(cert: Certificate, h: Multigraph) -> bool:

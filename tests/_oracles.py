@@ -8,8 +8,6 @@ M_p' is built from M_p, and M~_p from M_p' and its coloring, by vertex
 expansion one vertex at a time and divalent suppression to a fixpoint, and
 the 1-factors are enumerated by a recursive generator chain, as they once
 were.
-Maximum flows are found by Edmonds-Karp, one BFS per augmenting path, as
-they once were.
 The 9-cycles are walked from every vertex in both directions and reduced to
 their least rotation and direction, as they once were.  Flow is added along
 checked forward circuits, or along signed circuits without any check, by two
@@ -330,41 +328,3 @@ def add_circuits_oracle(flow, circuits, amount, r):
         edges = tuple(eid for eid, _ in circ)
         DirectedCircuit(edges, dirs[edges[0]][0]).validate(dirs)
     return replace(sum_signed_circuits(flow, circuits, amount), r=Fraction(r))
-
-
-def max_flow_oracle(n, arcs):
-    """Edmonds-Karp with integer capacities on nodes 0..n+1 (source n, sink
-    n+1), each BFS scanning a node's arcs in the order given: the oracle.
-
-    Returns (value, per-arc flow, residual-reachable set from the source)."""
-    source, sink = n, n + 1
-    out = [[] for _ in range(n + 2)]
-    head, residual = [], []  # arc 2i is arcs[i], arc 2i+1 its reverse
-    for u, v, c in arcs:
-        out[u].append(len(head))
-        out[v].append(len(head) + 1)
-        head += (v, u)
-        residual += (c, 0)
-    total = 0
-    while True:
-        prev = [None] * (n + 2)  # the arc each node was reached by
-        prev[source] = -1
-        queue = [source]
-        for u in queue:
-            if prev[sink] is not None:
-                break
-            for a in out[u]:
-                if prev[head[a]] is None and residual[a] > 0:
-                    prev[head[a]] = a
-                    queue.append(head[a])
-        if prev[sink] is None:
-            return total, residual[1::2], {v for v, a in enumerate(prev) if a is not None}
-        path, v = [], sink
-        while v != source:
-            path.append(prev[v])
-            v = head[prev[v] ^ 1]
-        bottleneck = min(residual[a] for a in path)
-        for a in path:
-            residual[a] -= bottleneck
-            residual[a ^ 1] += bottleneck
-        total += bottleneck

@@ -34,7 +34,6 @@ from _oracles import (
     _rat_oracle,
     add_circuit_flow,
     add_circuits_oracle,
-    max_flow_oracle,
 )
 
 
@@ -422,17 +421,6 @@ def test_flower_flow_files_are_pinned(n):
     digests = tuple(hashlib.sha256(write_flow(f).encode()).hexdigest()
                     for f in (data.flow, data.base_flow))
     assert digests == FLOWER_FLOW_SHA256[n]
-
-
-@pytest.mark.parametrize("n,t", [(8, 2), (8, 4), (16, 2), (16, 4)])
-def test_matched_flow_witness_is_the_edmonds_karp_flow(n, t, monkeypatch):
-    """On J_{2n+1} + (2t-2)M the max-flow kernel writes the very flow file
-    that Edmonds-Karp's augmenting paths give."""
-    data = build_flower_flow(n)
-    m = sorted(data.matching)
-    text = write_flow(flows.matched_flow_witness(data.graph, data.flow, m, t))
-    monkeypatch.setattr(flows, "_max_flow", max_flow_oracle)
-    assert write_flow(flows.matched_flow_witness(data.graph, data.flow, m, t)) == text
 
 
 def test_base_flower_flow_integer_mode():

@@ -1,11 +1,10 @@
-import random
 from collections import deque
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circflow import families, flows, mp_coloring, valuations
+from circflow import families, mp_coloring
 from circflow.colorings import write_coloring
 from circflow.multigraph import (
     GraphError,
@@ -28,13 +27,7 @@ from circflow.multigraph import (
     serialize,
 )
 
-from _oracles import (
-    MultigraphOracle,
-    matchings_of_oracle,
-    max_flow_oracle,
-    mp_prime_by_expansion,
-    mp_tilde_by_expansion,
-)
+from _oracles import MultigraphOracle, matchings_of_oracle, mp_prime_by_expansion, mp_tilde_by_expansion
 
 
 def path_graph(k):
@@ -305,51 +298,6 @@ def test_integer_max_flow_matches_rational_oracle(net):
     assert Fraction(value, den) == want_value
     assert [Fraction(f, den) for f in arc_flow] == want_flow
     assert {name[v] for v in reachable} == want_reachable
-
-
-@st.composite
-def cubic_networks(draw):
-    """A random loopless cubic multigraph on 4-12 vertices, with a random k
-    summing to 0 and a unit a/b for ``_violating_subset``, and a random
-    orientation and r >= 2 for ``circulation_feasible``."""
-    n = draw(st.sampled_from([4, 6, 8, 10, 12]))
-    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    while True:  # configuration model, rejecting loops
-        stubs = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(stubs)
-        pairs = [stubs[i:i + 2] for i in range(0, 3 * n, 2)]
-        if all(u != v for u, v in pairs):
-            break
-    g = Multigraph([f"v{i}" for i in range(n)],
-                   [(f"e{i}", f"v{u}", f"v{v}") for i, (u, v) in enumerate(pairs)])
-    k = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
-    k = dict(zip(g.vertices, [*k, -sum(k)]))
-    unit = Fraction(draw(st.integers(1, 24)), draw(st.integers(1, 7)))
-    orientation = {e.eid: (e.u, e.v) if rng.random() < 0.5 else (e.v, e.u) for e in g.edges()}
-    r = 2 + Fraction(draw(st.integers(0, 24)), draw(st.integers(1, 7)))
-    return g, k, unit, orientation, r
-
-
-@given(cubic_networks())
-@settings(max_examples=200, deadline=None, derandomize=True)
-def test_max_flow_matches_edmonds_karp_on_the_solvers_networks(case):
-    """The networks of both max-flow callers: value, per-arc flow and
-    reachable set equal Edmonds-Karp's."""
-    g, k, unit, orientation, r = case
-    calls = []
-
-    def checked(n, arcs):
-        got = _max_flow(n, arcs)
-        assert got == max_flow_oracle(n, arcs)
-        calls.append(n)
-        return got
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(valuations, "_max_flow", checked)
-        patch.setattr(flows, "_max_flow", checked)
-        valuations._violating_subset(g, k, unit)
-        flows.circulation_feasible(g, orientation, r)
-    assert len(calls) == 2
 
 
 _TOKEN_TEXT = st.text(st.one_of(st.sampled_from("ab&' \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0"

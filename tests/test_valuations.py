@@ -348,19 +348,6 @@ def test_reverify_of_a_verified_inequality_runs_no_max_flow(monkeypatch):
     assert reverify(cert, add_matching_copies(data.chain.graph, m, 4))
 
 
-def test_a_failed_circulation_without_a_violating_set_is_an_internal_error(monkeypatch):
-    """The matched bound holds, so a failed witness circulation is a fault
-    of the program, never a refutation."""
-    data = flows.build_flower_flow(1)
-
-    def failing_witness(g, flow, matching, t):
-        raise flows.FlowError("no flow at the bound value")
-
-    monkeypatch.setattr(flows, "matched_flow_witness", failing_witness)
-    with pytest.raises(ValuationError, match="internal error"):
-        matched_bipartition_inequality_check(data.graph, data.flow, sorted(data.matching), 2)
-
-
 @pytest.mark.parametrize("n,t", [(1, 2), (1, 3), (2, 2), (2, 3)])
 def test_matched_inequality_blanusa(n, t):
     data = blanusa.build_chain(n)
