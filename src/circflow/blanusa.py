@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import families
-from .flows import FlowError, INTEGER_ONE_ZERO, RationalFlow, add_circuits, verify_flow
+from .flows import FlowError, INTEGER_ONE_ZERO, RationalFlow, add_circuits, flow_violation
 from .multigraph import (
     Multigraph,
     girth,
@@ -119,7 +119,7 @@ def validate_seed(seed: BlanusaSeed) -> None:
             raise ValueError("y vertices must be adjacent to x0, x1")
 
     flow = seed.base_flow()
-    if verify_flow(g, flow).verdict != "verified":
+    if flow_violation(g, flow) is not None:
         raise ValueError("seed 4-flow is invalid")
     if seed.zero_edge != seed.c_edges[0]:
         raise ValueError("the zero edge must be x0x1")
@@ -161,7 +161,7 @@ def validate_seed(seed: BlanusaSeed) -> None:
     # directed, closed and simple
     steps = [[(eid, 1) for eid in circ] for circ in (seed.circuit_a, seed.circuit_b)]
     final = add_circuits(flow, steps, Fraction(1, 2), Fraction(9, 2))
-    if verify_flow(g, final).verdict != "verified":
+    if flow_violation(g, final) is not None:
         raise ValueError("adding 1/2 along both circuits must give a (4+1/2)-flow")
 
     bip = valuations.flow_to_bipartition(g, final)
@@ -640,7 +640,7 @@ def build_chain(n: int) -> ChainFlowData:
         em = em_k
 
     base = RationalFlow(dirs, vals, Fraction(4), INTEGER_ONE_ZERO, ce[0])
-    if verify_flow(graph, base).verdict != "verified":
+    if flow_violation(graph, base) is not None:
         raise FlowError("internal error: chain base 4-flow is invalid")
     if any(ce[0] not in circ for circ in circuits):
         raise FlowError("internal error: a chain circuit misses the zero edge")
@@ -667,7 +667,7 @@ def build_chain(n: int) -> ChainFlowData:
 
     steps = tuple(tuple((eid, 1) for eid in circ) for circ in circuits)
     flow = add_circuits(base, steps, Fraction(1, n + 1), Fraction(4 * (n + 1) + 1, n + 1))
-    if verify_flow(graph, flow).verdict != "verified":
+    if flow_violation(graph, flow) is not None:
         raise FlowError("internal error: chain flow failed verification")
 
     if not is_perfect_matching(graph, matching):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterator
 
-from .multigraph import Multigraph
+from .multigraph import GraphError, Multigraph
 
 PROVER_VERSION = "circflow/0.1.0"
 SCHEMA_VERSION = "circflow-cert/1"
@@ -166,11 +166,12 @@ def reverify(cert: Certificate, g: Multigraph) -> bool:
     lower bound.  A verified ``inequality-check`` is re-checked by its
     witness flow on H alone, which proves the inequality for every vertex
     set, so it runs no minimum cut; a refuted one counts the cut of the Y it
-    names.  A witness that the re-check rejects as input, a flow
-    missing an edge of g or a parity coloring that is not proper, is not
-    reproduced.  Producers must pass canonical data, which is re-checked
-    here as it was made (``json.dumps`` raises on a ``Fraction`` or a set).
-    Raises ``CertificateError`` on hash mismatch, an unknown claim kind or a
+    names.  A witness that the re-check rejects as input is not reproduced:
+    a flow that misses an edge of the graph or names an edge it lacks, an
+    inequality matching with such an edge, a parity coloring that is not
+    proper.  Producers must pass canonical data, which is re-checked here as
+    it was made (``json.dumps`` raises on a ``Fraction`` or a set).  Raises
+    ``CertificateError`` on hash mismatch, an unknown claim kind or a
     witness of the wrong shape.
     """
     if cert.graph_sha256 != graph_hash(g):
@@ -181,14 +182,14 @@ def reverify(cert: Certificate, g: Multigraph) -> bool:
     kind = cert.kind
     try:
         if kind in ("flow-valid", "phi-c-value"):
-            flow = flows.flow_from_witness(g, cert.witness["flow"])
             try:
-                check = flows.verify_flow(g, flow)
-            except flows.FlowError:
+                flow = flows.flow_from_witness(g, cert.witness["flow"])
+                verified = flows.flow_violation(g, flow) is None
+            except (GraphError, flows.FlowError):
                 return False  # the witness is not a flow on the edges of g
-            if kind == "phi-c-value" and check.verdict == "verified":
+            if kind == "phi-c-value" and verified:
                 return unrat(cert.parameters["r"]) == flow.r
-            return (check.verdict == "verified") == (cert.verdict == "verified")
+            return verified == (cert.verdict == "verified")
         if kind == "chromatic-index":
             return colorings.reverify_chromatic_index(cert, g)
         if kind == "class-property":

@@ -138,13 +138,13 @@ def _cmd_build_flow(args) -> int:
         flow = flows.bipartite_regular_flow(graph, args.t)
     else:
         raise UsageError(f"unknown flow family {args.family!r}")
-    cert = flows.verify_flow(graph, flow)
-    print(f"{cert.verdict}: r = {rat(flow.r)}")
+    verified = flows.flow_violation(graph, flow) is None
+    print(f"{'verified' if verified else 'refuted'}: r = {rat(flow.r)}")
     if args.out:
         Path(args.out).write_text(flows.write_flow(flow))
     if args.out_graph:
         Path(args.out_graph).write_text(serialize(graph))
-    return EXIT_VERIFIED if cert.verdict == "verified" else EXIT_REFUTED
+    return EXIT_VERIFIED if verified else EXIT_REFUTED
 
 
 def _cmd_chromatic_index(args) -> int:

@@ -8,11 +8,12 @@ which checks every circuit it is given.
 
 All arithmetic is exact: values are ``fractions.Fraction``, cut counts are
 integers, and max-flows run on capacities scaled to integers.  A flow is
-checked in one integer pass, with r and every value scaled by one common
-denominator.  The circular flow number comes from the balanced-valuation
-search in ``valuations``; its witness is an orientation with the optimal
-out-minus-in degrees, found by one max-flow, and the flow that
-``circulation_feasible`` puts on it, which ``verify_flow`` re-checks.
+checked by ``flow_violation``, the one integer pass, with r and every value
+scaled by one common denominator; ``verify_flow`` wraps it in a certificate,
+and checks that want only the verdict call it directly.  The circular flow
+number comes from the balanced-valuation search in ``valuations``; its
+witness is an orientation with the optimal out-minus-in degrees, found by
+one max-flow, and the flow that ``circulation_feasible`` puts on it.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from .certificates import Certificate, make_certificate, rat, read_records, unra
 from .multigraph import (
     Multigraph,
     _max_flow,
-    add_matching_copies,
     bridges,
     connected_components,
     is_perfect_matching,
+    matching_copy_ids,
 )
 
 NOWHERE_ZERO = "nowhere-zero"
@@ -101,15 +102,15 @@ def _arc(g: Multigraph, eid: str, pair: tuple[str, str], error: str) -> tuple[in
     return g.indexed.pos[t], g.indexed.pos[h]
 
 
-def verify_flow(g: Multigraph, flow: RationalFlow) -> Certificate:
-    """Exact validity check: conservation everywhere, values in [1, r-1].
-
-    In the intermediate integer mode the flagged edge must carry exactly 0 and
-    every other edge an integer in [1, 3].  One integer pass decides it: with
-    r and every value scaled by D, the least common multiple of their
-    denominators, conservation is an integer sum at each vertex and the window
-    is D <= x <= (r-1)D.  A refutation names every unbalanced vertex, or else
-    the first edge out of the window in ``flow.values`` order.
+def flow_violation(g: Multigraph, flow: RationalFlow) -> dict | None:
+    """Exact validity check, None or the violation: conservation everywhere,
+    values in [1, r-1].  In the intermediate integer mode the flagged edge
+    must carry exactly 0 and every other edge an integer in [1, 3].  One
+    integer pass decides it: with r and every value scaled by D, the least
+    common multiple of their denominators, conservation is an integer sum at
+    each vertex and the window is D <= x <= (r-1)D.  A violation names every
+    unbalanced vertex, or else the first edge out of the window in
+    ``flow.values`` order.
     """
     view, dirs, values = g.indexed, flow.orientation, flow.values
     if not dirs.keys() == values.keys() == g._edges.keys():
@@ -129,16 +130,22 @@ def verify_flow(g: Multigraph, flow: RationalFlow) -> Certificate:
         if bad is None and (x != 0 if eid == zero else not den <= x <= hi or x % step):
             bad = eid
 
-    witness = {"flow": flow_to_witness(flow)}
     unbalanced = sorted(view.vertices[v] for v, x in enumerate(net) if x)
     if unbalanced:
-        witness["violation"] = {"conservation_at": unbalanced}
-    elif flow.mode == INTEGER_ONE_ZERO and zero not in g._edges:
+        return {"conservation_at": unbalanced}
+    if flow.mode == INTEGER_ONE_ZERO and zero not in g._edges:
         raise FlowError("integer mode requires a flagged zero edge")
-    elif bad is not None:
-        witness["violation"] = {"edge": bad, "value": rat(values[bad])}
+    return None if bad is None else {"edge": bad, "value": rat(values[bad])}
+
+
+def verify_flow(g: Multigraph, flow: RationalFlow) -> Certificate:
+    """``flow_violation`` as a ``flow-valid`` certificate carrying the flow."""
+    violation = flow_violation(g, flow)
+    witness = {"flow": flow_to_witness(flow)}
+    if violation is not None:
+        witness["violation"] = violation
     return make_certificate("flow-valid", g, {"r": rat(flow.r), "mode": flow.mode}, witness,
-                            "refuted" if "violation" in witness else "verified")
+                            "verified" if violation is None else "refuted")
 
 
 # -- circuits ----------------------------------------------------------------
@@ -198,29 +205,30 @@ def circulation_feasible(g: Multigraph, d: dict[str, tuple[str, str]], r: Fracti
     view = g.indexed
     if d.keys() != g._edges.keys():
         raise FlowError("orientation does not cover the graph")
-    n, den = len(view.vertices), r.denominator
+    ends = [_arc(g, eid, d[eid], "orientation does not cover the graph") for eid in view.edge_ids]
+    return _circulation(view.vertices, view.edge_ids, ends, d, r)
+
+
+def _circulation(vertices: Sequence[str], edge_ids: Sequence[str], ends: list[tuple[int, int]],
+                 d: dict[str, tuple[str, str]], r: Fraction):
+    """``circulation_feasible`` on arcs ``ends[i]`` = (tail, head) for the
+    edges ``edge_ids[i]`` oriented by ``d``, given to the max-flow in order."""
+    n, den = len(vertices), r.denominator
     excess = [0] * n
     arcs: list[tuple[int, int, int]] = []
-    for eid in view.edge_ids:
-        tail, head = _arc(g, eid, d[eid], "orientation does not cover the graph")
+    for tail, head in ends:
         arcs.append((tail, head, r.numerator - 2 * den))
         excess[head] += den
         excess[tail] -= den
-    need = 0
-    for v, x in enumerate(excess):
-        if x > 0:
-            arcs.append((n, v, x))
-            need += x
-        elif x < 0:
-            arcs.append((v, n + 1, -x))
+    arcs += [(n, v, x) if x > 0 else (v, n + 1, -x) for v, x in enumerate(excess) if x]
     total, arc_flow, reachable = _max_flow(n, arcs)
-    if total == need:
+    if total == sum(x for x in excess if x > 0):
         value_of = {f: Fraction(den + f, den) for f in set(arc_flow)}
-        values = {eid: value_of[f] for eid, f in zip(view.edge_ids, arc_flow)}
+        values = {eid: value_of[f] for eid, f in zip(edge_ids, arc_flow)}
         return True, RationalFlow(d, values, r)
     # The source side S of a minimum cut has in(S) > (r-1)out(S), since its
     # cut falls short of the excess; so V - S is the violating set.
-    return False, frozenset(view.vertices[v] for v in range(n) if v not in reachable)
+    return False, frozenset(vertices[v] for v in range(n) if v not in reachable)
 
 
 # -- circular flow number ------------------------------------------------------
@@ -275,7 +283,7 @@ def circular_flow_number(g: Multigraph, cap: int = PHI_C_EDGE_CAP) -> PhiCResult
     ok, witness = circulation_feasible(g, _orientation_with_excess(g, k), value)
     if not ok:
         raise FlowError("internal error: optimal orientation rejected its own flow value")
-    if verify_flow(g, witness).verdict != "verified":
+    if flow_violation(g, witness) is not None:
         raise FlowError("internal error: witness flow failed verification")
     return PhiCResult(value, witness)
 
@@ -366,7 +374,7 @@ def bipartite_regular_flow(g: Multigraph, t: int) -> RationalFlow:
             dirs[eid] = (a, b) if forward else (b, a)
             values[eid] = Fraction(1) if forward else Fraction(t + 1, t)
     flow = RationalFlow(dirs, values, Fraction(2 * t + 1, t))
-    if verify_flow(g, flow).verdict != "verified":
+    if flow_violation(g, flow) is not None:
         raise FlowError("internal error: constructed bipartite flow failed verification")
     return flow
 
@@ -427,8 +435,7 @@ def build_flower_flow(n: int) -> FlowerFlowData:
         put(f"cd{i}", f"c{i}", f"d{(i + 1) % mod}", 1)
 
     base = RationalFlow(dirs, vals, Fraction(4), INTEGER_ONE_ZERO, "ab0")
-    check = verify_flow(g, base)
-    if check.verdict != "verified":
+    if flow_violation(g, base) is not None:
         raise FlowError("internal error: transcribed 4-flow is invalid")
 
     circuits: list[tuple[tuple[str, int], ...]] = []
@@ -444,7 +451,7 @@ def build_flower_flow(n: int) -> FlowerFlowData:
         circuits.append(tuple(circ))
 
     final = add_circuits(base, circuits, Fraction(1, n), Fraction(4 * n + 1, n))
-    if verify_flow(g, final).verdict != "verified":
+    if flow_violation(g, final) is not None:
         raise FlowError("internal error: flower flow failed verification")
 
     matching = frozenset([f"ab{i}" for i in range(mod)] + [f"dc{i}" for i in range(mod)])
@@ -468,38 +475,39 @@ def matched_flow_witness(g: Multigraph, flow: RationalFlow, matching: Sequence[s
     each matching edge are split t from white to black, t-1 back; with that
     imbalance the circulation at the bound value is feasible whenever the
     bipartition valuation is balanced, which the verified flow guarantees.
+    H = g + (2t-2)M is not built: the circulation runs on g's indexed view
+    with the copies' arcs after g's edges, in the edge order of
+    ``add_matching_copies(g, M, 2t-2)`` and with its copy ids, so the
+    max-flow takes the same paths and the flow is the one found on H.
     """
     t = int(t)
     m = list(matching)
     bip = valuations.flow_to_bipartition(g, flow)
-    h = add_matching_copies(g, m, 2 * t - 2)
+    copies = matching_copy_ids(g, m, 2 * t - 2)
     r_target = valuations.bound_formula(flow.r, t)
 
     dirs: dict[str, tuple[str, str]] = {}
-    m_set = set(m)
-    seen: set[str] = set()
-    for v in g.vertices:  # walk each cycle of the 2-factor g - M
-        if v in seen:
-            continue
-        walk = v
-        prev_edge: str | None = None
-        while True:
+    m_set, seen = set(m), set()
+    for walk in g.vertices:  # walk each cycle of the 2-factor g - M
+        while walk not in seen:
             seen.add(walk)
-            nxt_edge = next(eid for eid in g.incident_edges(walk)
-                            if eid != prev_edge and eid not in dirs and eid not in m_set)
-            nxt = g.edge(nxt_edge).other(walk)
-            dirs[nxt_edge] = (walk, nxt)
-            prev_edge, walk = nxt_edge, nxt
-            if walk == v:
+            eid = next((e for e in g.incident_edges(walk) if not (e in dirs or e in m_set)), None)
+            if eid is None:  # M is not perfect: the coverage check below fails
                 break
-    for eid in m:
+            dirs[eid] = (walk, g.edge(eid).other(walk))
+            walk = dirs[eid][1]
+    for eid, ids in zip(m, copies):
         e = g.edge(eid)
         white, black = (e.u, e.v) if e.u in bip.white else (e.v, e.u)
-        copies = [eid] + [f"{eid}@c{j}" for j in range(1, 2 * t - 1)]
-        for idx, ceid in enumerate(copies):
+        for idx, ceid in enumerate([eid, *ids]):
             dirs[ceid] = (white, black) if idx < t else (black, white)
 
-    ok, witness = circulation_feasible(h, dirs, r_target)
+    view = g.indexed
+    edge_ids = view.edge_ids + tuple(c for ids in copies for c in ids)
+    if len(dirs) != len(edge_ids):  # dirs holds only ids of edge_ids
+        raise FlowError("orientation does not cover the graph")
+    ends = [(view.pos[tail], view.pos[head]) for tail, head in map(dirs.__getitem__, edge_ids)]
+    ok, witness = _circulation(view.vertices, edge_ids, ends, dirs, r_target)
     if not ok:
         raise FlowError(f"balancedness violated at X={sorted(witness)!r}: no flow at the bound value")
     return witness

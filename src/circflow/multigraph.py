@@ -27,6 +27,8 @@ import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, islice
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
@@ -280,10 +282,7 @@ def is_matching(g: Multigraph, eids: Iterable[str]) -> bool:
 
 def is_perfect_matching(g: Multigraph, eids: Iterable[str]) -> bool:
     ids = set(eids)
-    if not is_matching(g, ids):
-        return False
-    covered = {w for eid in ids for w in g.edge(eid).ends}
-    return covered == set(g.vertices)
+    return is_matching(g, ids) and 2 * len(ids) == g.num_vertices()
 
 
 def _matchings_of(inc: Sequence[Sequence[tuple[int, int]]], covered: int,
@@ -387,29 +386,28 @@ def _max_flow(n: int, arcs: list[tuple[int, int, int]]) -> tuple[int, list[int],
 # -- structural operations -------------------------------------------------
 
 
-def add_matching_copies(g: Multigraph, matching: Iterable[str], k: int) -> Multigraph:
-    """The multigraph g + k*M: k fresh parallel copies of every matching edge.
+def matching_copy_ids(g: Multigraph, matching: Sequence[str], k: int) -> list[list[str]]:
+    """The ids of the k copies of each edge of the matching, in matching order.
 
-    The j-th copy of edge ``e`` gets the derived id ``e@c<j>``; copy numbering
-    continues past copies already present so repeated application composes.
+    The copies of edge ``e`` get the derived ids ``e@c<j>`` for the k least
+    j >= 1 whose id g lacks, so repeated application composes.  The copies
+    of distinct edges cannot collide: ``e`` is the part before the last ``@c``.
     """
-    m = list(matching)
     if k < 0:
         raise GraphError("copy count must be nonnegative")
-    if not is_matching(g, m):
+    if not is_matching(g, matching):
         raise GraphError("edge set is not a matching of the graph")
-    new_edges = []
-    taken = set(g.edge_ids)
-    for eid in m:
-        e = g.edge(eid)
-        j = 1
-        for _ in range(k):
-            while f"{eid}@c{j}" in taken:
-                j += 1
-            taken.add(f"{eid}@c{j}")
-            new_edges.append((f"{eid}@c{j}", e.u, e.v))
-            j += 1
-    return g.with_edges_added(new_edges)
+    fresh = lambda eid: (c for j in count(1) if (c := f"{eid}@c{j}") not in g._edges)
+    return [list(islice(fresh(eid), k)) for eid in matching]
+
+
+def add_matching_copies(g: Multigraph, matching: Iterable[str], k: int) -> Multigraph:
+    """The multigraph g + k*M: after g's edges, the k copies of each matching
+    edge in matching order, with the ids of ``matching_copy_ids``."""
+    m = list(matching)
+    copies = matching_copy_ids(g, m, k)
+    return g.with_edges_added([(c, e.u, e.v) for eid, ids in zip(m, copies)
+                               for e in (g._edges[eid],) for c in ids])
 
 
 def connected_components(g: Multigraph) -> list[set[str]]:
@@ -516,13 +514,9 @@ def serialize(g: Multigraph) -> str:
 
 def canonical_serialize(g: Multigraph) -> str:
     """Order-independent serialization: ids sorted.  Used for content hashes."""
-    lines = [FORMAT_HEADER]
-    for v in sorted(g.vertices):
-        lines.append(f"vertex {v}")
-    for eid in sorted(g.edge_ids):
-        e = g.edge(eid)
-        u, v = sorted((e.u, e.v))
-        lines.append(f"edge {eid} {u} {v}")
+    lines = [FORMAT_HEADER, *[f"vertex {v}" for v in sorted(g.vertices)]]
+    lines += [f"edge {e.eid} {e.u} {e.v}" if e.u < e.v else f"edge {e.eid} {e.v} {e.u}"
+              for e in sorted(g._edges.values(), key=attrgetter("eid"))]
     return "\n".join(lines) + "\n"
 
 

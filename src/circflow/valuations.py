@@ -5,21 +5,21 @@ k_v = deg(v) mod 2, subject to |sum over X| <= |cut(X)| for every vertex
 subset.  For cubic graphs with an all-positive nowhere-zero flow the
 natural valuation is +-r/(r-2) according to the in-degree bipartition.
 
-A balanced inequality over all vertex subsets is decided exactly by s-t
-minimum cuts through the one max-flow kernel, ``multigraph._max_flow``: the
-largest excess of w(X) - |cut(X)| over all X is one minimum cut, so a
-balanced check takes one cut and the least balancing r of a valuation
-follows by Dinkelbach iteration over such cuts.  Weights that sum to zero
-need no second cut for the opposite sign: X and V - X have opposite weights
-and the same cut.  The kernel runs in integers: a weight unit a/b is cleared
-by scaling every capacity by b.
+A balanced inequality over all vertex subsets is decided exactly by one s-t
+minimum cut through the one max-flow kernel, ``multigraph._max_flow``: the
+largest excess of w(X) - |cut(X)| over all X; X and V - X have opposite
+weights and the same cut, so weights that sum to zero need no second cut.
+The least balancing r of a valuation follows by Dinkelbach iteration over
+such cuts.  These searches run on vertex-index lists with every ratio a
+lowest-terms integer pair p/q, and the kernel clears q by scaling every
+capacity by it; a ``Fraction`` is made only for a result.
 
 The matched inequality on H = g + (2t-2)M is proved by its witness flow, and
 no cut is run.  By Jaeger's easy direction, a flow with every value in
 [1, r'-1] on an orientation D gives |out_D(Y)| <= (r'-1)|in_D(Y)| for every
-vertex set Y, that is |cut_H(Y)| >= r'/(r'-2) * |k_D(Y)| with k_D = out - in.  At r' = ``bound_formula(r, t)``, r'/(r'-2) = r/(r-2) + 2t-2,
-so a D with k_D = +-1 on the two colour classes proves the inequality for
-every Y at once.
+vertex set Y, that is |cut_H(Y)| >= r'/(r'-2) * |k_D(Y)| with k_D = out - in.
+At r' = ``bound_formula(r, t)``, r'/(r'-2) = r/(r-2) + 2t-2, so a D with
+k_D = +-1 on the two colour classes proves the inequality for every Y.
 
 The circular flow number is the least r at which some k is balanced
 (Jaeger): by Hoffman, an orientation with out-minus-in degrees k carries a
@@ -31,13 +31,16 @@ searched over k with the parity of the degrees, |k_v| < deg(v) and sum 0.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from math import gcd
+from typing import Iterable, Sequence
 
 from .certificates import Certificate, make_certificate, rat, unrat
 from .multigraph import (
     GraphError,
+    IndexedView,
     Multigraph,
     _max_flow,
     add_matching_copies,
@@ -93,12 +96,9 @@ def flow_to_bipartition(g: Multigraph, flow) -> Bipartition:
     """Black vertices have two incoming edges under the all-positive orientation."""
     if not g.is_regular(3):
         raise ValuationError("bipartitions are defined for cubic graphs only")
-    if any(val <= 0 for val in flow.values.values()):
+    if any(val.numerator <= 0 for val in flow.values.values()):  # the sign of a Fraction
         raise ValuationError("flow must be all-positive; reorient before bipartitioning")
-    indeg = {v: 0 for v in g.vertices}
-    for eid in g.edge_ids:
-        _, head = flow.orientation[eid]
-        indeg[head] += 1
+    indeg = Counter(flow.orientation[eid][1] for eid in g._edges)
     black = frozenset(v for v, d in indeg.items() if d == 2)
     white = frozenset(v for v, d in indeg.items() if d == 1)
     if black | white != set(g.vertices) or len(black) != len(white):
@@ -111,48 +111,44 @@ def valuation_from_bipartition(g: Multigraph, bip: Bipartition, r: Fraction) -> 
     return BalancedValuation(Fraction(r), k)
 
 
-def _violating_subset(g: Multigraph, k: dict[str, int], unit: Fraction) -> list[str] | None:
-    """A vertex set X with |k(X)| * unit > |cut(X)|, or None; k sums to zero.
+def _violating_subset(view: IndexedView, k: Sequence[int], p: int, q: int) -> list[int] | None:
+    """The vertex indices of a set X with |k(X)| * p/q > |cut(X)|, or None;
+    k lists the vertices' integer parts and sums to zero, p/q > 0 in lowest terms.
 
     X and V - X have opposite weights and the same cut, so it suffices to
-    maximize w(X) - |cut(X)| for w = unit * k, which is one s-t minimum cut:
+    maximize w(X) - |cut(X)| for w = k * p/q, which is one s-t minimum cut:
     the source feeds every positive weight, every negative weight drains to
     the sink, and each edge is a pair of unit arcs, so a cut with source side
-    {s} + X costs sum(w+) - w(X) + |cut(X)|; scaled by b for unit = a/b, edge
-    arcs get b and weight arcs a * |k_v|.  X = {} gives 0, so a positive
-    maximum comes with a nonempty X: the residual-reachable side, which is
-    the least maximizer and so independent of vertex and edge order.
+    {s} + X costs sum(w+) - w(X) + |cut(X)|; scaled by q, edge arcs get q and
+    weight arcs p * |k_v|.  X = {} gives 0, so a positive maximum comes with
+    a nonempty X: the residual-reachable side, which is the least maximizer
+    and so independent of vertex and edge order.
     """
-    view = g.indexed
-    n = len(view.vertices)
-    a, b = unit.numerator, unit.denominator
-    arcs = [arc for x, y in view.ends for arc in ((x, y, b), (y, x, b))]
-    positive = 0
-    for v, name in enumerate(view.vertices):
-        w = a * k[name]
-        if w > 0:
-            arcs.append((n, v, w))
-            positive += w
-        elif w < 0:
-            arcs.append((v, n + 1, -w))
+    n = len(k)
+    arcs = [arc for x, y in view.ends for arc in ((x, y, q), (y, x, q))]
+    arcs += [(n, v, p * kv) if kv > 0 else (v, n + 1, -p * kv) for v, kv in enumerate(k) if kv]
+    positive = p * sum(kv for kv in k if kv > 0)
     value, _, reachable = _max_flow(n, arcs)
-    return sorted(view.vertices[v] for v in reachable if v < n) if positive > value else None
+    return sorted(v for v in reachable if v < n) if positive > value else None
 
 
-def _min_ratio(g: Multigraph, k: dict[str, int], floor: Fraction) -> Fraction:
+def _min_ratio(view: IndexedView, k: Sequence[int], floor: tuple[int, int]) -> tuple[int, int]:
     """min over X with k(X) != 0 of |cut(X)| / |k(X)| if it exceeds ``floor``,
-    else some value <= floor; k sums to zero and is not all zero.
+    else some value <= floor; k sums to zero and is not all zero.  Ratios are
+    lowest-terms pairs (p, q) for p/q.
 
     Dinkelbach iteration from the least ratio deg(v) / |k_v| of one vertex:
-    while a minimum cut finds an X with q|k(X)| > |cut(X)|, q moves down to
-    that X's ratio, so the last q is the exact minimum."""
-    view = g.indexed
-    q = min(Fraction(g.degree(v), abs(k[v])) for v in g.vertices if k[v])
-    while q > floor and (x := _violating_subset(g, k, q)) is not None:
-        side = {view.pos[v] for v in x}
-        cut = sum((a in side) != (b in side) for a, b in view.ends)
-        q = Fraction(cut, abs(sum(k[v] for v in x)))
-    return q
+    while a minimum cut finds an X with p/q |k(X)| > |cut(X)|, p/q moves down
+    to that X's ratio, so the last p/q is the exact minimum."""
+    p, q = min(((len(at), abs(kv)) for at, kv in zip(view.incident, k) if kv),
+               key=lambda ratio: ratio[0] / ratio[1])
+    while True:
+        d = gcd(p, q)
+        p, q = p // d, q // d
+        if p * floor[1] <= floor[0] * q or (x := _violating_subset(view, k, p, q)) is None:
+            return p, q
+        side = set(x)
+        p, q = sum((a in side) != (b in side) for a, b in view.ends), abs(sum(k[v] for v in x))
 
 
 def _phi_c_valuation(g: Multigraph) -> tuple[Fraction, dict[str, int]]:
@@ -160,36 +156,39 @@ def _phi_c_valuation(g: Multigraph) -> tuple[Fraction, dict[str, int]]:
 
     Depth-first over k in vertex order.  k and -k give the same q, so k is
     positive on the first odd-degree vertex; a prefix whose sum can no longer
-    reach 0 is pruned, and so is a k_v with deg(v) / |k_v| <= the best q."""
-    order = list(g.vertices)
-    odd = [v for v in order if g.degree(v) % 2]
-    if not odd:
-        return Fraction(2), {v: 0 for v in order}
-    slack = [0] * (len(order) + 1)  # slack[i]: the largest |k| sum over order[i:]
-    for i in reversed(range(len(order))):
-        slack[i] = slack[i + 1] + max(g.degree(order[i]) - 2, 0)
-    best_q, best_k = Fraction(1), None
-    k: dict[str, int] = {}
+    reach 0 is pruned, and so is a k_v with deg(v) / |k_v| <= the best q.
+    q is a lowest-terms integer pair p/q, made a ``Fraction`` once, in r."""
+    view = g.indexed
+    degree = [len(at) for at in view.incident]
+    n = len(degree)
+    odd = next((v for v in range(n) if degree[v] % 2), None)
+    if odd is None:
+        return Fraction(2), dict.fromkeys(view.vertices, 0)
+    # slack[i]: the largest |k| sum over vertices i..n-1
+    slack = [sum(max(d - 2, 0) for d in degree[i:]) for i in range(n + 1)]
+    best, best_k = (1, 1), None
+    k = [0] * n
 
     def search(i: int, total: int) -> None:
-        nonlocal best_q, best_k
+        nonlocal best, best_k
         if abs(total) > slack[i]:
             return
-        if i == len(order):
-            q = _min_ratio(g, k, best_q)
-            if q > best_q:
-                best_q, best_k = q, dict(k)
+        if i == n:
+            p, q = _min_ratio(view, k, best)
+            if p * best[1] > best[0] * q:
+                best, best_k = (p, q), k.copy()
             return
-        v, d = order[i], g.degree(order[i])
+        d = degree[i]
         for kv in sorted(range(-d, d + 1, 2), key=abs):
-            if (kv == 0 or abs(kv) * best_q < d) and (v != odd[0] or kv > 0):
-                k[v] = kv
+            if (kv == 0 or abs(kv) * best[0] < d * best[1]) and (i != odd or kv > 0):
+                k[i] = kv
                 search(i + 1, total + kv)
 
     search(0, 0)
     if best_k is None:
         raise ValuationError("no valuation is balanced at a finite r: the graph has a bridge")
-    return 2 * best_q / (best_q - 1), best_k
+    p, q = best
+    return Fraction(2 * p, p - q), dict(zip(view.vertices, best_k))
 
 
 def check_balanced(g: Multigraph, omega: BalancedValuation) -> Certificate:
@@ -208,19 +207,20 @@ def check_balanced(g: Multigraph, omega: BalancedValuation) -> Certificate:
     if len(omega.k) != g.num_vertices():
         stray = next(v for v in omega.k if not g.has_vertex(v))
         raise ValuationError(f"valuation weighs {stray!r}, which is not a vertex of the graph")
-    order = list(g.vertices)
-    params = {"r": rat(omega.r), "k": {v: omega.k[v] for v in order}}
-    total_k = sum(omega.k[v] for v in order)
-    if total_k != 0:
+    order = g.vertices
+    k = [omega.k[v] for v in order]
+    params = {"r": rat(omega.r), "k": dict(zip(order, k))}
+    if sum(k) != 0:
         # X = V(G): the cut is empty, so the weights must sum to zero.
         return make_certificate("balanced", g, params,
-                                {"violating_subset": sorted(order), "total_k": total_k},
+                                {"violating_subset": sorted(order), "total_k": sum(k)},
                                 "refuted")
-    subset = _violating_subset(g, omega.k, omega.unit)
+    subset = _violating_subset(g.indexed, k, *omega.unit.as_integer_ratio())
     if subset is None:
         return make_certificate("balanced", g, params, {"subsets_checked": (1 << len(order)) - 1},
                                 "verified")
-    return make_certificate("balanced", g, params, {"violating_subset": subset}, "refuted")
+    return make_certificate("balanced", g, params,
+                            {"violating_subset": sorted(order[v] for v in subset)}, "refuted")
 
 
 def reverify_balanced(cert: Certificate, g: Multigraph) -> bool:
@@ -245,11 +245,11 @@ def bipartition_to_flow_bound(g: Multigraph, bip: Bipartition):
     """
     if not g.is_regular(3):
         raise ValuationError("flow bounds from bipartitions are computed for cubic graphs")
-    k = {v: 1 if v in bip.black else -1 for v in g.vertices}
-    if sum(k.values()) != 0:  # X = V(G) has an empty cut
+    k = [1 if v in bip.black else -1 for v in g.vertices]
+    if sum(k) != 0:  # X = V(G) has an empty cut
         return NO_FINITE_R
-    q = _min_ratio(g, k, Fraction(1))
-    return 2 * q / (q - 1) if q > 1 else NO_FINITE_R
+    p, q = _min_ratio(g.indexed, k, (1, 1))
+    return Fraction(2 * p, p - q) if p > q else NO_FINITE_R
 
 
 def bound_formula(r: Fraction, t: int) -> Fraction:
@@ -294,8 +294,7 @@ def matched_bipartition_inequality_check(g: Multigraph, flow, matching: Iterable
     if t < 1:
         raise ValuationError("t must be a positive integer")
     m = sorted(matching)
-    check = flows.verify_flow(g, flow)
-    if check.verdict != "verified":
+    if flows.flow_violation(g, flow) is not None:
         raise ValuationError("the supplied flow is not a valid nowhere-zero flow")
     r = flow.r
     if r <= 4:
@@ -312,17 +311,16 @@ def matched_bipartition_inequality_check(g: Multigraph, flow, matching: Iterable
     start = time.monotonic()
     h = add_matching_copies(g, m, 2 * t - 2)
     params = {"t": t, "r": rat(r), "bound": rat(bound_formula(r, t)), "matching": m}
-    black = sorted(bip.black)
     try:
         witness_flow = flows.matched_flow_witness(g, flow, m, t)
     except flows.FlowError as exc:
         raise ValuationError(f"internal error: no matched flow witness ({exc})") from exc
-    if flows.verify_flow(h, witness_flow).verdict != "verified":
+    if flows.flow_violation(h, witness_flow) is not None:
         raise ValuationError("internal error: the matched flow witness failed verification")
-
     return make_certificate(
         "inequality-check", h, params,
-        {"black": black, "pairing": "black-white", "flow": flows.flow_to_witness(witness_flow)},
+        {"black": sorted(bip.black), "pairing": "black-white",
+         "flow": flows.flow_to_witness(witness_flow)},
         "verified", time.monotonic() - start)
 
 
@@ -343,7 +341,8 @@ def reverify_inequality(cert: Certificate, h: Multigraph) -> bool:
         return False
     if 2 * len(black) != h.num_vertices() or not black <= set(h.vertices):
         return False
-    if any((h.edge(eid).u in black) == (h.edge(eid).v in black) for eid in m):
+    if any(not h.has_edge(eid) or (h.edge(eid).u in black) == (h.edge(eid).v in black)
+           for eid in m):
         return False
     if cert.verdict == "refuted":
         subset = set(cert.witness["violating_subset"])
@@ -356,16 +355,14 @@ def reverify_inequality(cert: Certificate, h: Multigraph) -> bool:
     bound = unrat(cert.parameters["bound"])
     if bound != bound_formula(r, t):
         return False
-    flow = flows.flow_from_witness(h, cert.witness["flow"])
-    if flow.r != bound or flow.mode != flows.NOWHERE_ZERO:
-        return False
     try:
-        if flows.verify_flow(h, flow).verdict != "verified":
+        flow = flows.flow_from_witness(h, cert.witness["flow"])
+        if flow.r != bound or flow.mode != flows.NOWHERE_ZERO:
             return False
-    except flows.FlowError:
+        if flows.flow_violation(h, flow) is not None:
+            return False
+    except (GraphError, flows.FlowError):
         return False  # the witness is not a flow on the edges of h
-    excess = dict.fromkeys(h.vertices, 0)  # out - in under the witness orientation
-    for tail, head in flow.orientation.values():
-        excess[tail] += 1
-        excess[head] -= 1
+    excess = Counter(tail for tail, _ in flow.orientation.values())  # out - in
+    excess.subtract(head for _, head in flow.orientation.values())
     return {excess[v] if v in black else -excess[v] for v in h.vertices} in ({1}, {-1})

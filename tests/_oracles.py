@@ -12,6 +12,10 @@ The 9-cycles are walked from every vertex in both directions and reduced to
 their least rotation and direction, as they once were.  Flow is added along
 checked forward circuits, or along signed circuits without any check, by two
 separate routines, as it once was.
+The phi_c search runs on vertex names and ``Fraction`` ratios, the matched
+witness flow is found on the built graph H = g + (2t-2)M by
+``circulation_feasible``, and the canonical serialization looks up and sorts
+each edge's ends one edge at a time, as they once did.
 """
 
 import hashlib
@@ -20,8 +24,17 @@ from fractions import Fraction
 
 from circflow import families, mp_coloring
 from circflow.colorings import PROPER, ColoringError, EdgeColoring
-from circflow.flows import NOWHERE_ZERO, FlowError
-from circflow.multigraph import GraphError, Multigraph, _check_token, canonical_serialize
+from circflow.flows import NOWHERE_ZERO, FlowError, circulation_feasible
+from circflow.multigraph import (
+    FORMAT_HEADER,
+    GraphError,
+    Multigraph,
+    _check_token,
+    _max_flow,
+    add_matching_copies,
+    canonical_serialize,
+)
+from circflow.valuations import ValuationError, bound_formula, flow_to_bipartition
 
 
 def _rat_oracle(x):
@@ -328,3 +341,110 @@ def add_circuits_oracle(flow, circuits, amount, r):
         edges = tuple(eid for eid, _ in circ)
         DirectedCircuit(edges, dirs[edges[0]][0]).validate(dirs)
     return replace(sum_signed_circuits(flow, circuits, amount), r=Fraction(r))
+
+
+def _violating_subset_oracle(g, k, unit):
+    """A vertex set X with |k(X)| * unit > |cut(X)|, or None, by one minimum
+    cut with the ``Fraction`` unit a/b cleared by b: the oracle."""
+    view = g.indexed
+    n = len(view.vertices)
+    a, b = unit.numerator, unit.denominator
+    arcs = [arc for x, y in view.ends for arc in ((x, y, b), (y, x, b))]
+    positive = 0
+    for v, name in enumerate(view.vertices):
+        w = a * k[name]
+        if w > 0:
+            arcs.append((n, v, w))
+            positive += w
+        elif w < 0:
+            arcs.append((v, n + 1, -w))
+    value, _, reachable = _max_flow(n, arcs)
+    return sorted(view.vertices[v] for v in reachable if v < n) if positive > value else None
+
+
+def min_ratio_oracle(g, k, floor):
+    """Dinkelbach iteration on ``Fraction`` ratios over a name-keyed k: the oracle."""
+    view = g.indexed
+    q = min(Fraction(g.degree(v), abs(k[v])) for v in g.vertices if k[v])
+    while q > floor and (x := _violating_subset_oracle(g, k, q)) is not None:
+        side = {view.pos[v] for v in x}
+        cut = sum((a in side) != (b in side) for a, b in view.ends)
+        q = Fraction(cut, abs(sum(k[v] for v in x)))
+    return q
+
+
+def phi_c_valuation_oracle(g):
+    """The depth-first search for the least balanced r over a name-keyed k,
+    with the best q a ``Fraction``: the oracle."""
+    order = list(g.vertices)
+    odd = [v for v in order if g.degree(v) % 2]
+    if not odd:
+        return Fraction(2), {v: 0 for v in order}
+    slack = [0] * (len(order) + 1)
+    for i in reversed(range(len(order))):
+        slack[i] = slack[i + 1] + max(g.degree(order[i]) - 2, 0)
+    best_q, best_k = Fraction(1), None
+    k = {}
+
+    def search(i, total):
+        nonlocal best_q, best_k
+        if abs(total) > slack[i]:
+            return
+        if i == len(order):
+            q = min_ratio_oracle(g, k, best_q)
+            if q > best_q:
+                best_q, best_k = q, dict(k)
+            return
+        v, d = order[i], g.degree(order[i])
+        for kv in sorted(range(-d, d + 1, 2), key=abs):
+            if (kv == 0 or abs(kv) * best_q < d) and (v != odd[0] or kv > 0):
+                k[v] = kv
+                search(i + 1, total + kv)
+
+    search(0, 0)
+    if best_k is None:
+        raise ValuationError("no valuation is balanced at a finite r: the graph has a bridge")
+    return 2 * best_q / (best_q - 1), best_k
+
+
+def matched_flow_witness_oracle(g, flow, matching, t):
+    """The matched witness flow found on the built H = g + (2t-2)M by
+    ``circulation_feasible``, with the copies named e@c1 .. e@c(2t-2): the oracle."""
+    m = list(matching)
+    bip = flow_to_bipartition(g, flow)
+    h = add_matching_copies(g, m, 2 * t - 2)
+    dirs, m_set, seen = {}, set(m), set()
+    for v in g.vertices:
+        if v in seen:
+            continue
+        walk, prev_edge = v, None
+        while True:
+            seen.add(walk)
+            nxt_edge = next(eid for eid in g.incident_edges(walk)
+                            if eid != prev_edge and eid not in dirs and eid not in m_set)
+            nxt = g.edge(nxt_edge).other(walk)
+            dirs[nxt_edge] = (walk, nxt)
+            prev_edge, walk = nxt_edge, nxt
+            if walk == v:
+                break
+    for eid in m:
+        e = g.edge(eid)
+        white, black = (e.u, e.v) if e.u in bip.white else (e.v, e.u)
+        for idx, ceid in enumerate([eid] + [f"{eid}@c{j}" for j in range(1, 2 * t - 1)]):
+            dirs[ceid] = (white, black) if idx < t else (black, white)
+    ok, witness = circulation_feasible(h, dirs, bound_formula(flow.r, t))
+    if not ok:
+        raise FlowError(f"balancedness violated at X={sorted(witness)!r}")
+    return witness
+
+
+def canonical_serialize_oracle(g):
+    """Vertex and edge ids sorted, each edge looked up and its ends sorted: the oracle."""
+    lines = [FORMAT_HEADER]
+    for v in sorted(g.vertices):
+        lines.append(f"vertex {v}")
+    for eid in sorted(g.edge_ids):
+        e = g.edge(eid)
+        u, v = sorted((e.u, e.v))
+        lines.append(f"edge {eid} {u} {v}")
+    return "\n".join(lines) + "\n"

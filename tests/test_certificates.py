@@ -345,3 +345,48 @@ def test_a_phi_c_bound_certificate_is_refused(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["reverify", str(graph), str(path)]) == cli.EXIT_USAGE
     assert "unknown claim kind 'phi-c-bound'" in capsys.readouterr().err
+
+
+def _ghost_edge(cert):
+    """The certificate with one more edge, ``ghost``, in its witness flow,
+    between the ends of its first edge."""
+    edges = cert.witness["flow"]["edges"]
+    first = edges[min(edges)]
+    edges["ghost"] = {"tail": first["tail"], "head": first["head"], "value": "1/1"}
+    return cert
+
+
+def _ghost_in_flow_valid():
+    d = flows.build_flower_flow(1)
+    return _ghost_edge(flows.verify_flow(d.graph, d.flow)), d.graph
+
+
+def _ghost_in_phi_c():
+    cert, g = _phi_c()
+    return _ghost_edge(cert), g
+
+
+def _ghost_in_inequality_witness():
+    cert, h = _inequality()
+    return _ghost_edge(cert), h
+
+
+def _ghost_in_inequality_matching():
+    cert, h = _inequality()
+    cert.parameters["matching"].append("ghost")
+    return cert, h
+
+
+@pytest.mark.parametrize("forge", [_ghost_in_flow_valid, _ghost_in_phi_c,
+                                   _ghost_in_inequality_witness, _ghost_in_inequality_matching],
+                         ids=["flow-valid", "phi-c", "inequality-flow", "inequality-matching"])
+def test_a_witness_naming_an_unknown_edge_is_not_reproduced(forge, tmp_path, capsys):
+    cert, g = forge()
+    assert cert.verdict == "verified" and not g.has_edge("ghost")
+    assert not reverify(certificate_from_json(cert.to_json()), g)
+    graph, path = tmp_path / "g.graph", tmp_path / "g.cert.json"
+    graph.write_text(serialize(g))
+    path.write_text(cert.to_json())
+    capsys.readouterr()
+    assert cli.main(["reverify", str(graph), str(path)]) == cli.EXIT_REFUTED
+    assert capsys.readouterr().out == "NOT reproduced\n"

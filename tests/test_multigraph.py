@@ -27,7 +27,13 @@ from circflow.multigraph import (
     serialize,
 )
 
-from _oracles import MultigraphOracle, matchings_of_oracle, mp_prime_by_expansion, mp_tilde_by_expansion
+from _oracles import (
+    MultigraphOracle,
+    canonical_serialize_oracle,
+    matchings_of_oracle,
+    mp_prime_by_expansion,
+    mp_tilde_by_expansion,
+)
 
 
 def path_graph(k):
@@ -191,6 +197,18 @@ def random_multigraph(draw):
             w = (w + 1) % n
         edges.append((f"e{i}", f"v{u}", f"v{w}"))
     return Multigraph(vs, edges)
+
+
+@given(random_multigraph(), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_canonical_serialize_matches_the_per_edge_oracle(g, data):
+    """Vertices, edges and each edge's ends listed in drawn orders, on the
+    graph and on the dataclass-edge oracle graph."""
+    vertices = data.draw(st.permutations(g.vertices))
+    edges = data.draw(st.permutations([(e.eid, *data.draw(st.permutations([e.u, e.v])))
+                                       for e in g.edges()]))
+    for graph in (Multigraph(vertices, edges), MultigraphOracle(vertices, edges)):
+        assert canonical_serialize(graph) == canonical_serialize_oracle(graph)
 
 
 @given(random_multigraph())

@@ -1,10 +1,12 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from circflow import blanusa, families, flows
 from circflow.certificates import make_certificate, rat, reverify
@@ -21,6 +23,8 @@ from circflow.valuations import (
     matched_bipartition_inequality_check,
     valuation_from_bipartition,
 )
+
+from _oracles import matched_flow_witness_oracle, min_ratio_oracle, phi_c_valuation_oracle
 
 
 def k33():
@@ -503,3 +507,146 @@ def test_valuations_agree_with_subset_enumeration(case, t):
     cert = matched_bipartition_inequality_check(g, flow, m, t)
     assert cert.verdict == ("verified" if holds else "refuted")
     assert reverify(cert, h)
+
+
+# -- the integer phi_c search and the matched witness against their oracles ---
+
+
+@st.composite
+def phi_graphs(draw):
+    """A random loopless multigraph, its vertices listed in a drawn order: a
+    Hamiltonian cycle on 4-10 vertices plus a perfect matching (cubic), a
+    cycle on 3-5 vertices plus 1-4 chords (bridgeless, any degrees), or 3-8
+    random edges on 3-5 vertices (bridged and disconnected ones included)."""
+    kind = draw(st.sampled_from(["cubic", "cubic", "chords", "any"]))
+    n = draw(st.sampled_from([10, 8, 6, 4]) if kind == "cubic" else st.integers(3, 5))
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    pairs = [] if kind == "any" else [(i, (i + 1) % n) for i in range(n)]
+    if kind == "cubic":
+        perm = draw(st.permutations(range(n)))
+        pairs += [perm[i:i + 2] for i in range(0, n, 2)]
+    else:
+        pairs += draw(st.lists(pair, min_size=1 if kind == "chords" else 3,
+                               max_size=4 if kind == "chords" else 8))
+    edges = [(f"e{i}", f"v{a}", f"v{b}") for i, (a, b) in enumerate(pairs)]
+    return Multigraph(draw(st.permutations([f"v{v}" for v in range(n)])), edges)
+
+
+def _phi_outcome(search, g):
+    try:
+        value, k = search(g)
+    except ValuationError as exc:
+        return str(exc)
+    return value, list(k.items())
+
+
+@given(phi_graphs())
+@example(families.petersen())
+@example(families.flower_snark(1).graph)
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_phi_c_search_matches_the_fraction_oracle(g):
+    from circflow.valuations import _phi_c_valuation
+
+    assert _phi_outcome(_phi_c_valuation, g) == _phi_outcome(phi_c_valuation_oracle, g)
+
+
+@given(phi_graphs(), st.data())
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_min_ratio_matches_the_fraction_oracle(g, data):
+    from circflow.valuations import _min_ratio
+
+    vs = g.vertices
+    head = data.draw(st.lists(st.integers(-4, 4), min_size=len(vs) - 1, max_size=len(vs) - 1))
+    k = [*head, -sum(head)]
+    if not any(k):
+        k[0], k[-1] = 1, -1
+    floor = data.draw(st.fractions(0, 5, max_denominator=7))
+    p, q = _min_ratio(g.indexed, k, floor.as_integer_ratio())
+    assert q > 0 and gcd(p, q) == 1
+    assert Fraction(p, q) == min_ratio_oracle(g, dict(zip(vs, k)), floor)
+
+
+def _matched_inputs(family, n):
+    if family == "J":
+        data = flows.build_flower_flow(n)
+        return data.graph, data.flow, sorted(data.matching)
+    data = blanusa.build_chain(n)
+    return data.chain.graph, data.flow, sorted(data.matching)
+
+
+@pytest.mark.parametrize("family,n", [("J", n) for n in range(1, 9)] + [("G", n) for n in range(1, 7)])
+def test_matched_flow_witness_matches_the_flow_found_on_h(family, n):
+    g, flow, m = _matched_inputs(family, n)
+    for t, matching in [(1, m), (2, m), (3, m), (4, m), (2, m[::-1])]:
+        fresh = flows.matched_flow_witness(g, flow, matching, t)
+        oracle = matched_flow_witness_oracle(g, flow, matching, t)
+        assert flows.write_flow(fresh) == flows.write_flow(oracle)
+        assert list(fresh.orientation.items()) == list(oracle.orientation.items())
+        assert list(fresh.values.items()) == list(oracle.values.items())
+
+
+def test_matched_flow_witness_names_copies_as_add_matching_copies_does():
+    """An edge of g named like a copy of a matching edge is skipped by the
+    copy numbering of both."""
+    data = flows.build_flower_flow(1)
+    rename = {"bc0": "ab0@c1"}
+    g = data.graph.relabeled({}, rename)
+    flow = flows.RationalFlow({rename.get(e, e): d for e, d in data.flow.orientation.items()},
+                              {rename.get(e, e): x for e, x in data.flow.values.items()}, data.flow.r)
+    m = sorted(data.matching)
+    witness = flows.matched_flow_witness(g, flow, m, 2)
+    h = add_matching_copies(g, m, 2)
+    assert {"ab0@c2", "ab0@c3"} <= set(witness.orientation) and not h.has_edge("ab0@c4")
+    assert flows.verify_flow(h, witness).verdict == "verified"
+
+
+def test_matched_flow_witness_rejects_a_matching_that_is_not_perfect():
+    from circflow.multigraph import GraphError
+
+    data = flows.build_flower_flow(2)
+    m = sorted(data.matching)
+    for short in (m[1:], m[:1], []):
+        for t in (1, 2):
+            with pytest.raises(flows.FlowError, match="orientation does not cover the graph"):
+                flows.matched_flow_witness(data.graph, data.flow, short, t)
+    with pytest.raises(GraphError, match="edge set is not a matching of the graph"):
+        flows.matched_flow_witness(data.graph, data.flow, ["ab0", "bc0"], 2)
+    with pytest.raises(GraphError, match="unknown edge id 'ghost'"):
+        flows.matched_flow_witness(data.graph, data.flow, ["ghost"], 2)
+    with pytest.raises(GraphError, match="copy count must be nonnegative"):
+        flows.matched_flow_witness(data.graph, data.flow, m, 0)
+
+
+def test_the_matched_check_builds_h_once_and_one_flow_witness(monkeypatch):
+    data = flows.build_flower_flow(2)
+    calls = Counter()
+    build, to_witness = Multigraph.with_edges_added, flows.flow_to_witness
+
+    def counting_build(self, *args, **kwargs):
+        calls["H"] += 1
+        return build(self, *args, **kwargs)
+
+    def counting_to_witness(flow):
+        calls["flow_to_witness"] += 1
+        return to_witness(flow)
+
+    monkeypatch.setattr(Multigraph, "with_edges_added", counting_build)
+    monkeypatch.setattr(flows, "flow_to_witness", counting_to_witness)
+    cert = matched_bipartition_inequality_check(data.graph, data.flow, sorted(data.matching), 3)
+    assert cert.verdict == "verified"
+    assert calls == {"H": 1, "flow_to_witness": 1}
+
+
+def test_internal_flow_checks_build_no_certificate(monkeypatch):
+    from circflow import certificates, valuations
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an internal flow check built a certificate")
+
+    for module in (certificates, flows, valuations, blanusa):
+        for name in ("make_certificate", "flow_to_witness"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert blanusa.build_chain(2).flow.r == Fraction(13, 3)
+    assert flows.build_flower_flow(2).flow.r == Fraction(9, 2)
+    assert flows.circular_flow_number(families.petersen()).value == 5
