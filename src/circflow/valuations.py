@@ -137,9 +137,10 @@ def _min_ratio(view: IndexedView, k: Sequence[int], floor: tuple[int, int]) -> t
     else some value <= floor; k sums to zero and is not all zero.  Ratios are
     lowest-terms pairs (p, q) for p/q.
 
-    Dinkelbach iteration from the least ratio deg(v) / |k_v| of one vertex:
-    while a minimum cut finds an X with p/q |k(X)| > |cut(X)|, p/q moves down
-    to that X's ratio, so the last p/q is the exact minimum."""
+    Dinkelbach iteration from the least ratio deg(v) / |k_v| of one vertex
+    (picked in float order; any one X's ratio is a sound start): while a
+    minimum cut finds an X with p/q |k(X)| > |cut(X)|, p/q moves down to that
+    X's ratio, so the last p/q is the exact minimum."""
     p, q = min(((len(at), abs(kv)) for at, kv in zip(view.incident, k) if kv),
                key=lambda ratio: ratio[0] / ratio[1])
     while True:
@@ -164,8 +165,7 @@ def _phi_c_valuation(g: Multigraph) -> tuple[Fraction, dict[str, int]]:
     odd = next((v for v in range(n) if degree[v] % 2), None)
     if odd is None:
         return Fraction(2), dict.fromkeys(view.vertices, 0)
-    # slack[i]: the largest |k| sum over vertices i..n-1
-    slack = [sum(max(d - 2, 0) for d in degree[i:]) for i in range(n + 1)]
+    slack = [sum(max(d - 2, 0) for d in degree[i:]) for i in range(n + 1)]  # largest |k| sums
     best, best_k = (1, 1), None
     k = [0] * n
 
