@@ -166,10 +166,13 @@ def reverify(cert: Certificate, g: Multigraph) -> bool:
     lower bound.  A verified ``inequality-check`` is re-checked by its
     witness flow on H alone, which proves the inequality for every vertex
     set, so it runs no minimum cut; a refuted one counts the cut of the Y it
-    names.  A witness that the re-check rejects as input is not reproduced:
-    a flow that misses an edge of the graph or names an edge it lacks, an
-    inequality matching with such an edge, a parity coloring that is not
-    proper.  Producers must pass canonical data, which is re-checked here as
+    names.  A refuted ``flow-valid`` certificate must name the violation
+    that ``flows.flow_violation`` re-derives from its flow.  A witness that
+    the re-check rejects as input is not reproduced: a flow that misses an
+    edge of the graph or names an edge it lacks, an inequality matching with
+    such an edge, a parity coloring that is not proper, a chromatic-index or
+    class-property coloring that misses an edge or names one the graph
+    lacks.  Producers must pass canonical data, which is re-checked here as
     it was made (``json.dumps`` raises on a ``Fraction`` or a set).  Raises
     ``CertificateError`` on hash mismatch, an unknown claim kind or a
     witness of the wrong shape.
@@ -184,12 +187,14 @@ def reverify(cert: Certificate, g: Multigraph) -> bool:
         if kind in ("flow-valid", "phi-c-value"):
             try:
                 flow = flows.flow_from_witness(g, cert.witness["flow"])
-                verified = flows.flow_violation(g, flow) is None
+                violation = flows.flow_violation(g, flow)
             except (GraphError, flows.FlowError):
                 return False  # the witness is not a flow on the edges of g
-            if kind == "phi-c-value" and verified:
+            if kind == "phi-c-value" and violation is None:
                 return unrat(cert.parameters["r"]) == flow.r
-            return verified == (cert.verdict == "verified")
+            if kind == "flow-valid" and violation != cert.witness.get("violation"):
+                return False
+            return (violation is None) == (cert.verdict == "verified")
         if kind == "chromatic-index":
             return colorings.reverify_chromatic_index(cert, g)
         if kind == "class-property":

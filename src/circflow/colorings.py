@@ -4,7 +4,9 @@ A Delta-regular multigraph is Delta-edge-colorable iff it 1-factorizes, and
 parallel edges are interchangeable in a 1-factorization.  So class-1/class-2
 decisions for regular graphs cover the edge multiplicities of the simple
 support graph with Delta perfect matchings, memoizing failed multiplicity
-vectors (the matching cover); everything else is exact backtracking.
+vectors (the matching cover); everything else is exact backtracking.  The
+cover keeps its demand in place and refutes a state with two colors left by
+the parity of its cycles, which leaves its node count unchanged.
 """
 
 from __future__ import annotations
@@ -101,47 +103,72 @@ def _matching_cover(h: Multigraph, deadline: _Deadline) -> dict[str, int] | None
 
     Such a coloring is a 1-factorization.  Parallel edges are interchangeable,
     so the search runs on h's simple support graph and covers the multiplicity
-    of every support edge with d perfect matchings.  The state is the tuple of
-    multiplicities still in demand; each step takes a perfect matching through
-    the lowest-index support edge still in demand, and a state that failed
-    once is not searched again.  Color c goes to the c-th matching and, within
-    each support edge, to the parallel edges of h in their order.
+    of every support edge with d perfect matchings.  The state is the list of
+    multiplicities still in demand, kept in place: a step subtracts its
+    matching, recurses and adds the matching back.  Each step takes a perfect
+    matching through the lowest-index support edge still in demand, and a
+    state that failed once is not searched again.  With two colors left the
+    demand graph is 2-regular, a demand of 2 being a 2-cycle, and it has a
+    perfect matching exactly when every cycle is even; a state with an odd
+    cycle fails at once, as the enumeration would have found no matching
+    there, so the node count is the same.  Color c goes to the c-th matching
+    and, within each support edge, to the parallel edges of h in their order.
     """
     view = h.indexed
-    copies: dict[frozenset[int], list[int]] = {}
-    for e, pair in enumerate(view.ends):
-        copies.setdefault(frozenset(pair), []).append(e)
+    copies: dict[tuple[int, int], list[int]] = {}
+    for e, (a, b) in enumerate(view.ends):
+        copies.setdefault((a, b) if a < b else (b, a), []).append(e)
     support = list(copies.values())
-    ends = [view.ends[ids[0]] for ids in support]
+    ends = list(copies)
     at: list[list[tuple[int, int]]] = [[] for _ in view.vertices]
     for s, (a, b) in enumerate(ends):
         at[a].append((s, b))
         at[b].append((s, a))
+    need = [len(ids) for ids in support]
     failed: set[tuple[int, ...]] = set()
 
-    def cover(need: tuple[int, ...]) -> list[list[int]] | None:
+    def odd_cycle(inc: list[list[tuple[int, int]]]) -> bool:
+        """Whether the 2-regular demand graph ``inc`` has an odd cycle."""
+        seen = [False] * len(inc)
+        for start in range(len(inc)):
+            v, prev, length = start, -1, 0
+            while not seen[v]:
+                seen[v] = True
+                length += 1
+                w = inc[v][0][1]
+                v, prev = (inc[v][-1][1] if w == prev else w), v
+            if length % 2:
+                return True
+        return False
+
+    def cover(left: int) -> list[list[int]] | None:
         deadline.tick()
         pivot = next((s for s, k in enumerate(need) if k), None)
         if pivot is None:
             return []
-        if need in failed:
+        key = tuple(need)
+        if key in failed:
+            return None
+        inc = [[(s, w) for s, w in at_v if need[s]] for at_v in at]
+        if left == 2 and odd_cycle(inc):
+            failed.add(key)
             return None
         a, b = ends[pivot]
-        inc = [[(s, w) for s, w in at_v if need[s]] for at_v in at]
         for pm in _matchings_of(inc, 1 << a | 1 << b, deadline.poll):
             pm.append(pivot)
-            rest = list(need)
             for s in pm:
-                rest[s] -= 1
-            found = cover(tuple(rest))
+                need[s] -= 1
+            found = cover(left - 1)
+            for s in pm:
+                need[s] += 1
             if found is not None:
                 return [pm] + found
-        failed.add(need)
+        failed.add(key)
         return None
 
     if len(view.vertices) % 2 and support:
         return None  # odd order: no perfect matching exists
-    factors = cover(tuple(len(ids) for ids in support))
+    factors = cover(len(view.incident[0]) if support else 0)  # d colors to place
     if factors is None:
         return None
     unused = [iter(ids) for ids in support]
@@ -296,8 +323,8 @@ def reverify_chromatic_index(cert: Certificate, g: Multigraph) -> bool:
         return lower == delta or _k_coloring(g, lower - 1, _Deadline(None))[0] is None
     value = int(cert.witness["value"])
     coloring = EdgeColoring({e: int(c) for e, c in cert.witness["coloring"].items()}, value)
-    ok, _ = is_proper(g, coloring)
-    if not ok or len(set(coloring.colors.values())) > value:
+    if coloring.colors.keys() != g._edges.keys() or not is_proper(g, coloring)[0] \
+            or len(set(coloring.colors.values())) > value:
         return False
     if value != max(cert.witness["refuted_palettes"], default=value - 1) + 1:
         return False
@@ -432,8 +459,8 @@ def reverify_class_property(cert: Certificate, g: Multigraph) -> bool:
         if entry["class"] == 1:
             coloring = EdgeColoring({e: int(c) for e, c in entry["coloring"].items()},
                                     2 * t + 1)
-            ok, _ = is_proper(h, coloring)
-            if not ok or len(set(coloring.colors.values())) > 2 * t + 1:
+            if coloring.colors.keys() != h._edges.keys() or not is_proper(h, coloring)[0] \
+                    or len(set(coloring.colors.values())) > 2 * t + 1:
                 return False
         elif entry["class"] != 2 or _matching_cover(h, _Deadline(None)) is not None:
             return False

@@ -8,6 +8,7 @@ can address the exact edges the constructions talk about.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .multigraph import Edge, Multigraph, is_matching, is_perfect_matching
@@ -49,11 +50,14 @@ class FlowerSnark:
     graph: Multigraph
 
 
+@cache
 def flower_snark(n: int) -> FlowerSnark:
     """J_{2n+1} on vertices {a_i, b_i, c_i, d_i : i in Z_{2n+1}}.
 
     Edge ids: ab/bc/bd{i} are the spokes at b_i, aa{i} joins a_i a_{i+1},
-    cd{i} joins c_i d_{i+1} and dc{i} joins c_{i+1} d_i.
+    cd{i} joins c_i d_{i+1} and dc{i} joins c_{i+1} d_i.  Built once per n:
+    the result is immutable, so every caller shares one graph and its
+    indexed view.
     """
     if n < 1:
         raise FamilyError("flower snarks are defined for n >= 1")

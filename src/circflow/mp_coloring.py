@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import families
-from .colorings import EdgeColoring, PROPER, SEES_ODD, ColoringError, is_proper, sees_odd_violation
+from .colorings import EdgeColoring, PROPER, SEES_ODD, ColoringError, is_proper
 from .multigraph import Edge, Multigraph
 
 INF = "inf"
@@ -177,7 +177,9 @@ def _copy_pattern(t: int) -> tuple[dict[tuple[str, str], int], list[int]]:
 
 def mp_prime_coloring(t: int) -> MpPrimeColoringData:
     """The (4p+1)-coloring of M_p' with every vertex seeing every color an
-    odd number of times; verified before returning."""
+    odd number of times.  Verified before returning by one exact check per
+    vertex: the colors at a vertex are 0..4p each once, except that junction
+    c_i sees its triple color (i + 4t + 7) mod (8t + 5) three times."""
     if t < 1:
         raise ColoringError("t must be a positive integer")
     p = 2 * t + 1
@@ -211,25 +213,16 @@ def mp_prime_coloring(t: int) -> MpPrimeColoringData:
         # (f) hub spoke
         colors[f"hub{i}"] = (i + 4 * t + 7) % palette
 
-    coloring = EdgeColoring(colors, palette, SEES_ODD)
-    bad = sees_odd_violation(g, coloring)
-    if bad is not None:
-        raise ColoringError(f"internal error: sees-odd violated at {bad}")
-    # sharper structural checks than bare parity
+    if colors.keys() != g._edges.keys():
+        raise ColoringError("internal error: the coloring does not cover exactly M_p'")
+    every = list(range(palette))
+    want = {v: sorted(every + [(i + 4 * t + 7) % palette] * 2)
+            for i, v in enumerate(family.junctions, start=1)}
     for v in g.vertices:
-        counts: dict[int, int] = {}
-        for eid in g.incident_edges(v):
-            counts[colors[eid]] = counts.get(colors[eid], 0) + 1
-        if v == family.hub or v not in family.junctions:
-            if any(c != 1 for c in counts.values()) or len(counts) != palette:
-                raise ColoringError(f"internal error: {v} must see every color once")
-        else:
-            i = int(v[1:])
-            triple = (i + 4 * t + 7) % palette
-            for c in range(palette):
-                want = 3 if c == triple else 1
-                if counts.get(c) != want:
-                    raise ColoringError(f"internal error: junction {v} sees {c} wrongly")
+        seen = sorted([colors[eid] for eid in g.incident_edges(v)])
+        if seen != want.get(v, every):
+            raise ColoringError(f"internal error: {v} sees the colors {seen}")
+    coloring = EdgeColoring(colors, palette, SEES_ODD)
     return MpPrimeColoringData(t, family, coloring, tuple(permutations))
 
 

@@ -30,6 +30,7 @@ from circflow.multigraph import (
     GraphError,
     Multigraph,
     _check_token,
+    _matchings_of,
     _max_flow,
     add_matching_copies,
     canonical_serialize,
@@ -448,3 +449,47 @@ def canonical_serialize_oracle(g):
         u, v = sorted((e.u, e.v))
         lines.append(f"edge {eid} {u} {v}")
     return "\n".join(lines) + "\n"
+
+
+def matching_cover_oracle(h, deadline):
+    """The matching cover with the demand copied at every node and no
+    cut-off with two colors left: the oracle."""
+    view = h.indexed
+    copies = {}
+    for e, pair in enumerate(view.ends):
+        copies.setdefault(frozenset(pair), []).append(e)
+    support = list(copies.values())
+    ends = [view.ends[ids[0]] for ids in support]
+    at = [[] for _ in view.vertices]
+    for s, (a, b) in enumerate(ends):
+        at[a].append((s, b))
+        at[b].append((s, a))
+    failed = set()
+
+    def cover(need):
+        deadline.tick()
+        pivot = next((s for s, k in enumerate(need) if k), None)
+        if pivot is None:
+            return []
+        if need in failed:
+            return None
+        a, b = ends[pivot]
+        inc = [[(s, w) for s, w in at_v if need[s]] for at_v in at]
+        for pm in _matchings_of(inc, 1 << a | 1 << b, deadline.poll):
+            pm.append(pivot)
+            rest = list(need)
+            for s in pm:
+                rest[s] -= 1
+            found = cover(tuple(rest))
+            if found is not None:
+                return [pm] + found
+        failed.add(need)
+        return None
+
+    if len(view.vertices) % 2 and support:
+        return None
+    factors = cover(tuple(len(ids) for ids in support))
+    if factors is None:
+        return None
+    unused = [iter(ids) for ids in support]
+    return {view.edge_ids[next(unused[s])]: c for c, pm in enumerate(factors) for s in pm}

@@ -390,3 +390,48 @@ def test_a_witness_naming_an_unknown_edge_is_not_reproduced(forge, tmp_path, cap
     capsys.readouterr()
     assert cli.main(["reverify", str(graph), str(path)]) == cli.EXIT_REFUTED
     assert capsys.readouterr().out == "NOT reproduced\n"
+
+
+def _coloring_of(cert):
+    """The witness coloring a chromatic-index or class-property certificate
+    names: the exact coloring, or the first class-1 entry's."""
+    if cert.kind == "chromatic-index":
+        return cert.witness["coloring"]
+    return next(e["coloring"] for e in cert.witness["per_t"] if e.get("class") == 1)
+
+
+def _with_ghost(colors):
+    colors["ghost"] = 0
+
+
+def _with_an_edge_dropped(colors):
+    del colors[min(colors)]
+
+
+@pytest.mark.parametrize("make", [lambda: _chromatic(True), _class_refuted],
+                         ids=["chromatic-index", "class-property"])
+@pytest.mark.parametrize("edit", [_with_ghost, _with_an_edge_dropped], ids=["ghost", "dropped"])
+def test_a_coloring_on_other_edges_is_not_reproduced(make, edit, tmp_path, capsys):
+    cert, g = make()
+    assert reverify(cert, g)
+    edit(_coloring_of(cert))
+    assert not reverify(certificate_from_json(cert.to_json()), g)
+    graph, path = tmp_path / "g.graph", tmp_path / "g.cert.json"
+    graph.write_text(serialize(g))
+    path.write_text(cert.to_json())
+    capsys.readouterr()
+    assert cli.main(["reverify", str(graph), str(path)]) == cli.EXIT_REFUTED
+    assert capsys.readouterr().out == "NOT reproduced\n"
+
+
+@pytest.mark.parametrize("violation,reproduced", [
+    ({}, False),
+    ({"edge": "cd0", "value": "1/1"}, False),
+    ({"conservation_at": ["a0", "a1"]}, True),
+])
+def test_a_refuted_flow_must_name_its_own_violation(violation, reproduced):
+    cert, g = _flow_refuted()
+    assert cert.verdict == "refuted"
+    assert cert.witness["violation"] == {"conservation_at": ["a0", "a1"]}
+    cert.witness["violation"] = violation
+    assert reverify(certificate_from_json(cert.to_json()), g) is reproduced

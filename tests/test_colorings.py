@@ -20,7 +20,16 @@ from circflow.colorings import (
     write_coloring,
 )
 from circflow.certificates import make_certificate, reverify
-from circflow.multigraph import Multigraph, add_matching_copies, edge_cut, perfect_matchings
+from circflow.multigraph import (
+    Multigraph,
+    _matchings_of,
+    add_matching_copies,
+    edge_cut,
+    perfect_matchings,
+)
+
+import _oracles
+from _oracles import matching_cover_oracle
 
 
 def test_is_proper_basics():
@@ -377,3 +386,78 @@ def test_malformed_coloring_files_are_rejected(edit, message):
     assert read_coloring(text.replace("mode proper", "mode sees-odd")).mode == "sees-odd"
     with pytest.raises(ColoringError, match=f"^{message}$"):
         read_coloring(text.replace(*edit))
+
+
+def _same_cover(h):
+    """The matching cover and its oracle on h: the result or None, the
+    coloring in its dict order, and the node count."""
+    old, new = colorings._Deadline(None), colorings._Deadline(None)
+    expected = matching_cover_oracle(h, old)
+    found = colorings._matching_cover(h, new)
+    assert (found is None) == (expected is None)
+    if found is not None:
+        assert list(found.items()) == list(expected.items())
+    assert new.nodes == old.nodes
+    return found
+
+
+@given(cubic_with_matching(), st.sampled_from([1, 2, 3]))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_matching_cover_agrees_with_its_oracle(case, t):
+    g, m = case
+    _same_cover(add_matching_copies(g, m, 2 * t - 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_matching_cover_agrees_with_its_oracle_on_flowers(n):
+    g = families.flower_snark(n).graph
+    found = [_same_cover(add_matching_copies(g, sorted(pm), 1)) for pm in perfect_matchings(g)]
+    assert sum(f is None for f in found) == (6 if n == 1 else 0)
+
+
+def _odd_cycle(inc):
+    """Whether the 2-regular graph of the incidence lists ``inc`` has an odd
+    cycle: a breadth-first 2-coloring fails."""
+    side = [None] * len(inc)
+    for root in range(len(inc)):
+        if side[root] is None:
+            side[root], queue = 0, [root]
+            for v in queue:
+                for _, w in inc[v]:
+                    if side[w] is None:
+                        side[w] = 1 - side[v]
+                        queue.append(w)
+                    elif side[w] == side[v]:
+                        return True
+    return False
+
+
+@pytest.mark.parametrize("make", [families.petersen, lambda: families.flower_snark(2).graph],
+                         ids=["Petersen", "J5"])
+def test_two_colors_left_with_an_odd_cycle_enumerate_nothing(monkeypatch, make):
+    # the graph is simple and cubic, so a call whose demand graph is
+    # 2-regular comes from a node with two colors left
+    g = make()
+    enumerations = []
+
+    def counting(inc, covered, poll=None):
+        if all(len(at_v) == 2 for at_v in inc):
+            enumerations.append(_odd_cycle(inc))
+        return _matchings_of(inc, covered, poll)
+
+    assert _same_cover(g) is None  # a snark: no 3-edge-coloring
+    monkeypatch.setattr(_oracles, "_matchings_of", counting)
+    matching_cover_oracle(g, colorings._Deadline(None))
+    assert enumerations and all(enumerations)  # every such node of a snark is odd
+    enumerations.clear()
+    monkeypatch.setattr(colorings, "_matchings_of", counting)
+    colorings._matching_cover(g, colorings._Deadline(None))
+    assert enumerations == []
+
+
+def test_the_cover_still_stops_on_time_in_a_long_enumeration():
+    d = _random_cubic_double(2, 100)
+    start = time.monotonic()
+    result = chromatic_index(d, budget_s=0.5)
+    assert (result.method, result.lower, result.upper) == ("budget", 4, 5)
+    assert time.monotonic() - start < 1.5

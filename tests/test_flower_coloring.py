@@ -127,3 +127,27 @@ def test_theorem_matching_always_succeeds():
         h, coloring = flower_plus_m_coloring(n, sorted(data.matching))
         ok, _ = is_proper(h, coloring)
         assert ok
+
+
+def test_coloring_every_j5_matching_builds_j5_once(monkeypatch):
+    from circflow.flows import build_flower_flow
+    from circflow.multigraph import Multigraph
+
+    j5_edges = list(families.flower_snark(2).graph.edge_ids)
+    families.flower_snark.cache_clear()
+    built = []
+    init = Multigraph.__init__
+
+    def counting(self, vertices=(), edges=()):
+        edges = list(edges)
+        if [e[0] for e in edges] == j5_edges:
+            built.append(self)
+        init(self, vertices, edges)
+
+    monkeypatch.setattr(Multigraph, "__init__", counting)
+    pms = perfect_matchings(families.flower_snark(2).graph)
+    assert len(pms) == 32
+    for pm in pms:
+        flower_plus_m_coloring(2, sorted(pm))
+    assert build_flower_flow(2).graph is families.flower_snark(2).graph
+    assert len(built) == 1

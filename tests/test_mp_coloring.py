@@ -175,3 +175,22 @@ def test_mp_tilde_matches_family_stage():
     fam = families.mp_graph(3, families.MP_TILDE)
     g, _ = mp_tilde_coloring(1)
     assert fam.graph == g
+
+
+@pytest.mark.parametrize("key,junction", [
+    (("K", ":v1v2"), False),  # an edge between two vertices of a copy
+    (("s1", ":v10"), True),  # a spoke into the junction c_i
+])
+def test_mp_prime_check_rejects_a_corrupted_color(monkeypatch, key, junction):
+    pattern = mp_coloring._copy_pattern
+
+    def corrupted(t):
+        raw, freed = pattern(t)
+        raw[key] = (raw[key] + 1) % (8 * t + 5)
+        return raw, freed
+
+    monkeypatch.setattr(mp_coloring, "_copy_pattern", corrupted)
+    with pytest.raises(mp_coloring.ColoringError, match="internal error: ") as caught:
+        mp_prime_coloring(1)
+    vertex = str(caught.value).split()[2]
+    assert (vertex in families.mp_graph(3, families.MP_PRIME).junctions) is junction
