@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import families
 from .flows import FlowError, INTEGER_ONE_ZERO, RationalFlow, add_circuits, flow_violation
@@ -52,8 +52,7 @@ class SeedSearchError(RuntimeError):
 # -- seed record ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlanusaSeed:
+class BlanusaSeed(NamedTuple):
     graph: Multigraph
     matching: frozenset[str]
     x: tuple[str, ...]          # vertices x0..x8 of the marked circuit
@@ -536,14 +535,12 @@ def load_or_find_seed() -> BlanusaSeed:
 # -- the chain -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlanusaChain:
+class BlanusaChain(NamedTuple):
     graph: Multigraph
     markings: tuple[dict[str, str], ...]  # per copy: x0..x8, y0, y1 (as present)
 
 
-@dataclass(frozen=True)
-class ChainFlowData:
+class ChainFlowData(NamedTuple):
     n: int
     chain: BlanusaChain
     base_flow: RationalFlow

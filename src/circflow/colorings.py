@@ -12,8 +12,7 @@ the parity of its cycles, which leaves its node count unchanged.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .certificates import Certificate, graph_hash, make_certificate, read_records
 from .families import MDotProduct
@@ -38,8 +37,7 @@ class SearchBudgetExceeded(ColoringError):
     pass
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(NamedTuple):
     colors: dict[str, int]
     palette: int
     mode: str = PROPER
@@ -47,12 +45,13 @@ class EdgeColoring:
 
 def is_proper(g: Multigraph, coloring: EdgeColoring):
     """(True, None) or (False, (vertex, edge1, edge2)) for the first clash."""
-    if set(coloring.colors) != set(g.edge_ids):
+    colors = coloring.colors
+    if set(colors) != set(g.edge_ids):
         raise ColoringError("coloring does not cover exactly the edges of the graph")
     for v in g.vertices:
         seen: dict[int, str] = {}
         for eid in g.incident_edges(v):
-            c = coloring.colors[eid]
+            c = colors[eid]
             if c in seen:
                 return False, (v, seen[c], eid)
             seen[c] = eid
@@ -69,13 +68,14 @@ def _check_palette(colors: dict[str, int], palette: int) -> None:
 
 def sees_odd_violation(g: Multigraph, coloring: EdgeColoring):
     """First (vertex, color, count) with an even count, or None."""
-    if set(coloring.colors) != set(g.edge_ids):
+    colors, palette = coloring.colors, coloring.palette
+    if set(colors) != set(g.edge_ids):
         raise ColoringError("coloring does not cover exactly the edges of the graph")
-    _check_palette(coloring.colors, coloring.palette)
+    _check_palette(colors, palette)
     for v in g.vertices:
-        counts = [0] * coloring.palette
+        counts = [0] * palette
         for eid in g.incident_edges(v):
-            counts[coloring.colors[eid]] += 1
+            counts[colors[eid]] += 1
         for c, cnt in enumerate(counts):
             if cnt % 2 == 0:
                 return (v, c, cnt)
@@ -245,8 +245,7 @@ def _k_coloring(g: Multigraph, k: int, deadline: _Deadline) -> tuple[dict[str, i
     return _backtrack_coloring(g, k, deadline), "backtracking"
 
 
-@dataclass(frozen=True)
-class ChromaticIndexResult:
+class ChromaticIndexResult(NamedTuple):
     exact: int | None
     coloring: EdgeColoring | None
     lower: int

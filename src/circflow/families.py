@@ -7,9 +7,8 @@ can address the exact edges the constructions talk about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .multigraph import Edge, Multigraph, is_matching, is_perfect_matching
 
@@ -44,8 +43,7 @@ def complete_graph(m: int) -> Multigraph:
 # -- Flower snarks ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowerSnark:
+class FlowerSnark(NamedTuple):
     n: int
     graph: Multigraph
 
@@ -80,8 +78,7 @@ def flower_snark(n: int) -> FlowerSnark:
 # -- dot products -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DotProductSpec:
+class DotProductSpec(NamedTuple):
     g: Multigraph
     h: Multigraph
     e1: str
@@ -132,8 +129,7 @@ def dot_join_ids(spec: DotProductSpec) -> tuple[str, str, str, str]:
     return (f"dot:{v1}~{u1}", f"dot:{v2}~{u2}", f"dot:{v3}~{w1}", f"dot:{v4}~{w2}")
 
 
-@dataclass(frozen=True)
-class MDotProduct:
+class MDotProduct(NamedTuple):
     """An (M1, M2)-dot-product together with its inherited perfect matching."""
 
     graph: Multigraph
@@ -204,8 +200,7 @@ MP_PRIME = "prime"
 MP_TILDE = "tilde"
 
 
-@dataclass(frozen=True)
-class MpFamily:
+class MpFamily(NamedTuple):
     p: int
     stage: str
     graph: Multigraph
@@ -254,9 +249,11 @@ def lemma_to_construction_label(p: int):
     return out
 
 
+@cache
 def mp_graph(p: int, stage: str = MP_BASE) -> MpFamily:
     """The counterexample family: M_p, its expansion M_p' and the class-1
-    refinement (the tilde stage delegates to the coloring pipeline).
+    refinement (the tilde stage delegates to the coloring pipeline).  Cached:
+    calls with the same arguments share one immutable graph and its view.
 
     M_p' is M_p with each v_{4p}@i expanded into x@i, which keeps the K-edges
     and the first pz-edge of each side, and y_k@i, which takes the (k+1)-th

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import valuations
 from .certificates import Certificate, make_certificate, rat, read_records, unrat
@@ -234,8 +234,7 @@ def _circulation(vertices: Sequence[str], edge_ids: Sequence[str], ends: list[tu
 # -- circular flow number ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhiCResult:
+class PhiCResult(NamedTuple):
     value: Fraction
     flow: RationalFlow
 
@@ -382,8 +381,7 @@ def bipartite_regular_flow(g: Multigraph, t: int) -> RationalFlow:
 # -- the explicit Flower snark flow -------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowerFlowData:
+class FlowerFlowData(NamedTuple):
     n: int
     graph: Multigraph
     flow: RationalFlow
@@ -506,7 +504,8 @@ def matched_flow_witness(g: Multigraph, flow: RationalFlow, matching: Sequence[s
     edge_ids = view.edge_ids + tuple(c for ids in copies for c in ids)
     if len(dirs) != len(edge_ids):  # dirs holds only ids of edge_ids
         raise FlowError("orientation does not cover the graph")
-    ends = [(view.pos[tail], view.pos[head]) for tail, head in map(dirs.__getitem__, edge_ids)]
+    pos = view.pos
+    ends = [(pos[tail], pos[head]) for tail, head in map(dirs.__getitem__, edge_ids)]
     ok, witness = _circulation(view.vertices, edge_ids, ends, dirs, r_target)
     if not ok:
         raise FlowError(f"balancedness violated at X={sorted(witness)!r}: no flow at the bound value")

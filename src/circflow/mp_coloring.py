@@ -12,7 +12,7 @@ ends (routing them through a divalent vertex and suppressing it) yields the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import families
 from .colorings import EdgeColoring, PROPER, SEES_ODD, ColoringError, is_proper
@@ -110,8 +110,7 @@ def derive_triangle_pattern(t: int, j: int) -> dict[tuple, int]:
     return out
 
 
-@dataclass(frozen=True)
-class MpPrimeColoringData:
+class MpPrimeColoringData(NamedTuple):
     t: int
     family: families.MpFamily
     coloring: EdgeColoring

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice
 from operator import attrgetter
@@ -74,8 +73,7 @@ class Edge(NamedTuple):
         return frozenset((self.u, self.v))
 
 
-@dataclass(frozen=True)
-class IndexedView:
+class IndexedView(NamedTuple):
     """Vertices and edges numbered in graph order: ``ends[i]`` are the ends of
     edge i, ``incident[v]`` the edges at vertex v in incidence order."""
 
@@ -182,16 +180,18 @@ class Multigraph:
         return tuple(self.edge(e).other(v) for e in self.incident_edges(v))
 
     def edges_between(self, u: str, v: str) -> tuple[str, ...]:
-        pair = frozenset((u, v))
-        return tuple(e for e in self.incident_edges(u) if self._edges[e].ends == pair)
+        """The edges joining u and v, in u's incidence order."""
+        at_u, edges = self.incident_edges(u), self._edges
+        return () if u == v else tuple(eid for eid in at_u if (e := edges[eid]).u == v or e.v == v)
 
     def max_degree(self) -> int:
         return max((self.degree(v) for v in self._vertices), default=0)
 
     def max_multiplicity(self) -> int:
-        counts: dict[frozenset[str], int] = {}
+        counts: dict[tuple[str, str], int] = {}
         for e in self._edges.values():
-            counts[e.ends] = counts.get(e.ends, 0) + 1
+            pair = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+            counts[pair] = counts.get(pair, 0) + 1
         return max(counts.values(), default=0)
 
     def is_regular(self, d: int | None = None) -> bool:
@@ -249,8 +249,7 @@ class Multigraph:
 # -- cuts, matchings ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgeCut:
+class EdgeCut(NamedTuple):
     side: frozenset[str]
     edges: frozenset[str]
 
@@ -473,28 +472,34 @@ def is_bridgeless(g: Multigraph) -> bool:
 
 
 def girth(g: Multigraph) -> int | None:
-    """Length of a shortest circuit; parallel edges give girth 2."""
+    """Length of a shortest circuit; parallel edges give girth 2.
+
+    Breadth-first search from every vertex, on the indexed view: a non-tree
+    edge vw closes a circuit of at most dist(v) + dist(w) + 1 edges, and of
+    exactly that many from a source on a shortest circuit."""
     if g.max_multiplicity() >= 2:
         return 2
+    view = g.indexed
+    ends, incident = view.ends, view.incident
+    n = len(incident)
     best: int | None = None
-    for src in g.vertices:
-        dist = {src: 0}
-        parent_edge: dict[str, str] = {}
+    for src in range(n):
+        dist = [-1] * n
+        parent_edge = [-1] * n
+        dist[src] = 0
         queue = [src]
-        while queue:
-            nxt: list[str] = []
-            for v in queue:
-                for eid in g.incident_edges(v):
-                    w = g.edge(eid).other(v)
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        parent_edge[w] = eid
-                        nxt.append(w)
-                    elif parent_edge.get(v) != eid:
-                        cycle = dist[v] + dist[w] + 1
-                        if best is None or cycle < best:
-                            best = cycle
-            queue = nxt
+        for v in queue:  # the queue grows while it is read: breadth-first
+            dv = dist[v]
+            for e in incident[v]:
+                w = sum(ends[e]) - v
+                if dist[w] < 0:
+                    dist[w] = dv + 1
+                    parent_edge[w] = e
+                    queue.append(w)
+                elif parent_edge[v] != e:
+                    cycle = dv + dist[w] + 1
+                    if best is None or cycle < best:
+                        best = cycle
     return best
 
 

@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .certificates import Certificate, make_certificate, rat, unrat
 from .multigraph import (
@@ -63,8 +63,7 @@ class _NoFiniteR:
 NO_FINITE_R = _NoFiniteR()
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     black: frozenset[str]
     white: frozenset[str]
 

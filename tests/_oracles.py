@@ -16,6 +16,8 @@ The phi_c search runs on vertex names and ``Fraction`` ratios, the matched
 witness flow is found on the built graph H = g + (2t-2)M by
 ``circulation_feasible``, and the canonical serialization looks up and sorts
 each edge's ends one edge at a time, as they once did.
+Endpoint queries compare ``frozenset`` pairs of ends, and the girth is found
+by breadth-first search on vertex names, as they once were.
 """
 
 import hashlib
@@ -493,3 +495,43 @@ def matching_cover_oracle(h, deadline):
         return None
     unused = [iter(ids) for ids in support]
     return {view.edge_ids[next(unused[s])]: c for c, pm in enumerate(factors) for s in pm}
+
+
+def edges_between_oracle(g, u, v):
+    """The edges at u whose ends are the pair {u, v}: the oracle."""
+    pair = frozenset((u, v))
+    return tuple(e for e in g.incident_edges(u) if g.edge(e).ends == pair)
+
+
+def max_multiplicity_oracle(g):
+    """The largest number of edges on one pair of ends: the oracle."""
+    counts = {}
+    for e in g.edges():
+        counts[e.ends] = counts.get(e.ends, 0) + 1
+    return max(counts.values(), default=0)
+
+
+def girth_oracle(g):
+    """Breadth-first search from every vertex on vertex names: the oracle."""
+    if max_multiplicity_oracle(g) >= 2:
+        return 2
+    best = None
+    for src in g.vertices:
+        dist = {src: 0}
+        parent_edge = {}
+        queue = [src]
+        while queue:
+            nxt = []
+            for v in queue:
+                for eid in g.incident_edges(v):
+                    w = g.edge(eid).other(v)
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        parent_edge[w] = eid
+                        nxt.append(w)
+                    elif parent_edge.get(v) != eid:
+                        cycle = dist[v] + dist[w] + 1
+                        if best is None or cycle < best:
+                            best = cycle
+            queue = nxt
+    return best

@@ -118,7 +118,9 @@ def test_seed_and_chain_write_nothing_into_the_package():
               "from circflow import blanusa\n"
               f"assert circflow.__file__.startswith({str(package)!r})\n"
               "blanusa.load_or_find_seed()\n"
-              "blanusa.build_chain(2)\n")
+              "blanusa.build_chain(2)\n"
+              "from circflow import mp_coloring\n"
+              "mp_coloring.mp_tilde_coloring(1)\n")
     subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
     assert snapshot() == before
 

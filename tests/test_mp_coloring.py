@@ -171,6 +171,33 @@ def test_mp_tilde_coloring(t):
     assert all(g.degree(v) != 2 for v in g.vertices)
 
 
+@pytest.mark.parametrize("p,stage", [(3, families.MP_BASE), (5, families.MP_PRIME),
+                                     (3, families.MP_TILDE)])
+def test_mp_graph_is_built_once_per_stage(p, stage):
+    assert families.mp_graph(p, stage) is families.mp_graph(p, stage)
+
+
+def test_mp_tilde_after_mp_prime_builds_no_further_m3_prime(monkeypatch):
+    from circflow.multigraph import Multigraph
+
+    m3_prime_edges = list(families.mp_graph(3, families.MP_PRIME).graph.edge_ids)
+    families.mp_graph.cache_clear()
+    built = []
+    init = Multigraph.__init__
+
+    def counting(self, vertices=(), edges=()):
+        edges = list(edges)
+        if [e[0] for e in edges] == m3_prime_edges:
+            built.append(self)
+        init(self, vertices, edges)
+
+    monkeypatch.setattr(Multigraph, "__init__", counting)
+    prime = mp_prime_coloring(1)
+    assert len(built) == 1
+    mp_tilde_coloring(1)
+    assert len(built) == 1 and mp_prime_coloring(1).family.graph is prime.family.graph
+
+
 def test_mp_tilde_matches_family_stage():
     fam = families.mp_graph(3, families.MP_TILDE)
     g, _ = mp_tilde_coloring(1)

@@ -17,6 +17,7 @@ from circflow.multigraph import (
     add_matching_copies,
     bridges,
     canonical_serialize,
+    connected_components,
     deserialize,
     edge_cut,
     girth,
@@ -30,7 +31,10 @@ from circflow.multigraph import (
 from _oracles import (
     MultigraphOracle,
     canonical_serialize_oracle,
+    edges_between_oracle,
+    girth_oracle,
     matchings_of_oracle,
+    max_multiplicity_oracle,
     mp_prime_by_expansion,
     mp_tilde_by_expansion,
 )
@@ -249,6 +253,44 @@ def test_indexed_view_property(g):
         assert g.edge(eid).u == view.vertices[a] and g.edge(eid).v == view.vertices[b]
     for v, at in zip(g.vertices, view.incident):
         assert tuple(view.edge_ids[e] for e in at) == g.incident_edges(v)
+
+
+def test_edges_between_in_both_orders():
+    g = Multigraph(["a", "b", "c", "d"],
+                   [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "b", "a"), ("e4", "c", "d")])
+    assert g.edges_between("a", "b") == g.edges_between("b", "a") == ("e1", "e3")
+    assert g.edges_between("b", "c") == g.edges_between("c", "b") == ("e2",)
+    assert g.edges_between("a", "c") == g.edges_between("a", "d") == ()
+    assert g.edges_between("a", "a") == g.edges_between("a", "zz") == ()
+    with pytest.raises(GraphError):
+        g.edges_between("zz", "a")
+
+
+@st.composite
+def forest_plus_edges(draw):
+    """A random forest on 1..9 vertices, often disconnected, plus up to four
+    more edges, which may run parallel to others."""
+    n = draw(st.integers(1, 9))
+    edges = [(f"t{i}", f"v{i}", f"v{draw(st.integers(0, i - 1))}")
+             for i in range(1, n) if draw(st.booleans())]
+    for j in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        u, w = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        edges.append((f"x{j}", f"v{u}", f"v{w}"))
+    return Multigraph([f"v{i}" for i in range(n)], edges)
+
+
+@given(st.one_of(forest_plus_edges(), random_multigraph()))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_endpoint_queries_and_girth_match_their_oracles(g):
+    for u in g.vertices:
+        for v in (*g.vertices, "zz"):
+            assert g.edges_between(u, v) == edges_between_oracle(g, u, v)
+    assert g.max_multiplicity() == max_multiplicity_oracle(g)
+    assert girth(g) == girth_oracle(g)
+    forest = g.num_edges() == g.num_vertices() - len(connected_components(g))
+    assert (girth(g) is None) == forest
+    if g.max_multiplicity() >= 2:
+        assert girth(g) == 2
 
 
 # -- the integer max-flow kernel against the exact rational Edmonds-Karp --------
