@@ -1,7 +1,16 @@
 """Command line interface: construction, solving, verification, demo pipelines.
 
-Exit codes: 0 verified, 1 refuted, 2 inconclusive, budget exhausted or an
-internal error in a demo row, 3 usage error.
+Exit codes, mapped from verdicts by ``EXIT_CODES``: 0 verified, 1 refuted,
+2 inconclusive, budget exhausted or an internal error in a demo row, 3 usage
+error.
+
+The claim table ``_claims`` is the one place the paper demo's rows are
+defined: (scope, claim, producer), where the producer returns the verdict
+and the files it writes, keyed by file name.  The one runner,
+``_cmd_paper_demo``, times each row of the chosen scope, writes its files,
+prints it and adds it to ``report.txt``; a producer that raises gives an
+``error`` row, never ``refuted``, and its traceback on stderr.  The demo
+exits 1 if a row is refuted, else 2 if a row is inconclusive or an error.
 """
 
 from __future__ import annotations
@@ -9,10 +18,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import traceback
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from pathlib import Path
+from typing import Callable
 
 from . import blanusa, colorings, families, flower_coloring, flows, mp_coloring, valuations
 from .certificates import certificate_from_json, rat, read_records, reverify, unrat
@@ -22,12 +32,18 @@ EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+EXIT_CODES = {"verified": EXIT_VERIFIED, "refuted": EXIT_REFUTED,
+              "inconclusive": EXIT_INCONCLUSIVE, "error": EXIT_INCONCLUSIVE}
 
 VALUATION_HEADER = "circflow-valuation v1"
 
 
 class UsageError(ValueError):
     pass
+
+
+def _verdict(ok: bool) -> str:
+    return "verified" if ok else "refuted"
 
 
 def _read_graph(path: str) -> Multigraph:
@@ -121,7 +137,7 @@ def _cmd_verify_flow(args) -> int:
     print(f"{cert.verdict}: r = {rat(flow.r)}")
     if args.out:
         Path(args.out).write_text(cert.to_json())
-    return EXIT_VERIFIED if cert.verdict == "verified" else EXIT_REFUTED
+    return EXIT_CODES[cert.verdict]
 
 
 def _cmd_build_flow(args) -> int:
@@ -138,13 +154,13 @@ def _cmd_build_flow(args) -> int:
         flow = flows.bipartite_regular_flow(graph, args.t)
     else:
         raise UsageError(f"unknown flow family {args.family!r}")
-    verified = flows.flow_violation(graph, flow) is None
-    print(f"{'verified' if verified else 'refuted'}: r = {rat(flow.r)}")
+    verdict = _verdict(flows.flow_violation(graph, flow) is None)
+    print(f"{verdict}: r = {rat(flow.r)}")
     if args.out:
         Path(args.out).write_text(flows.write_flow(flow))
     if args.out_graph:
         Path(args.out_graph).write_text(serialize(graph))
-    return EXIT_VERIFIED if verified else EXIT_REFUTED
+    return EXIT_CODES[verdict]
 
 
 def _cmd_chromatic_index(args) -> int:
@@ -156,9 +172,9 @@ def _cmd_chromatic_index(args) -> int:
         Path(args.out).write_text(cert.to_json())
     if result.is_exact:
         print(f"chromatic index = {result.exact} ({result.method})")
-        return EXIT_VERIFIED
-    print(f"inconclusive: bounds [{result.lower}, {result.upper}]")
-    return EXIT_INCONCLUSIVE
+    else:
+        print(f"inconclusive: bounds [{result.lower}, {result.upper}]")
+    return EXIT_CODES[cert.verdict]
 
 
 def _cmd_color(args) -> int:
@@ -194,7 +210,7 @@ def _cmd_class_property(args) -> int:
     print(f"{cert.verdict}: class-{args.which} over t in {t_range} (tested range only)")
     if args.out:
         Path(args.out).write_text(cert.to_json())
-    return {"verified": EXIT_VERIFIED, "refuted": EXIT_REFUTED}.get(cert.verdict, EXIT_INCONCLUSIVE)
+    return EXIT_CODES[cert.verdict]
 
 
 def _cmd_check_balanced(args) -> int:
@@ -204,7 +220,7 @@ def _cmd_check_balanced(args) -> int:
     print(cert.verdict)
     if args.out:
         Path(args.out).write_text(cert.to_json())
-    return EXIT_VERIFIED if cert.verdict == "verified" else EXIT_REFUTED
+    return EXIT_CODES[cert.verdict]
 
 
 def _cmd_asymptotic_bound(args) -> int:
@@ -223,168 +239,108 @@ def _cmd_reverify(args) -> int:
 
 # -- the paper demo ----------------------------------------------------------------
 
-
-class _Report:
-    def __init__(self, out_dir: Path):
-        self.rows: list[tuple[str, str, float]] = []
-        self.out_dir = out_dir
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    def add(self, claim: str, verdict: str, seconds: float) -> None:
-        self.rows.append((claim, verdict, seconds))
-        print(f"  [{verdict:>12}] {claim} ({seconds:.2f}s)")
-
-    def run(self, claim: str, fn) -> None:
-        t0 = time.monotonic()
-        try:
-            verdict = fn()
-        except Exception as exc:  # an internal fault, not a mathematical refutation
-            traceback.print_exc()
-            self.add(f"{claim}: {type(exc).__name__}: {exc}", "error", time.monotonic() - t0)
-            return
-        self.add(claim, verdict, time.monotonic() - t0)
-
-    def save(self, name: str, text: str) -> None:
-        (self.out_dir / name).write_text(text)
-
-    def exit_code(self) -> int:
-        verdicts = {v for _, v, _ in self.rows}
-        if "refuted" in verdicts:
-            return EXIT_REFUTED
-        if verdicts & {"inconclusive", "error"}:
-            return EXIT_INCONCLUSIVE
-        return EXIT_VERIFIED
-
-    def write_table(self) -> None:
-        width = max((len(c) for c, _, _ in self.rows), default=10)
-        lines = [f"{'claim'.ljust(width)}  verdict       seconds"]
-        for claim, verdict, seconds in self.rows:
-            lines.append(f"{claim.ljust(width)}  {verdict:<12}  {seconds:8.2f}")
-        (self.out_dir / "report.txt").write_text("\n".join(lines) + "\n")
+_Row = tuple[str, dict[str, str]]  # a producer's verdict and its files by name
 
 
-def _demo_flows(report: _Report, budget: float | None) -> None:
-    for name, g, want in (("K4", families.complete_graph(4), Fraction(4)),
-                          ("K6", families.complete_graph(6), Fraction(3)),
-                          ("Petersen", families.petersen(), Fraction(5))):
-        def claim(g=g, want=want, name=name):
-            result = flows.circular_flow_number(g)
-            report.save(f"phi_c_{name}.cert.json",
-                        flows.phi_c_certificate(g, result).to_json())
-            return "verified" if result.value == want else "refuted"
-        report.run(f"phi_c({name})", claim)
-    for n in (1, 2, 3, 4):
-        def claim(n=n):
-            data = flows.build_flower_flow(n)
-            cert = flows.verify_flow(data.graph, data.flow)
-            report.save(f"flower_{n}.graph", serialize(data.graph))
-            report.save(f"flower_{n}.flow", flows.write_flow(data.flow))
-            report.save(f"flower_{n}.cert.json", cert.to_json())
-            return cert.verdict
-        report.run(f"flower flow J{2 * n + 1} at 4+1/{n}", claim)
-    for n in (1, 2, 3):
-        def claim(n=n):
-            data = blanusa.build_chain(n)
-            cert = flows.verify_flow(data.chain.graph, data.flow)
-            report.save(f"blanusa_{n}.graph", serialize(data.chain.graph))
-            report.save(f"blanusa_{n}.flow", flows.write_flow(data.flow))
-            report.save(f"blanusa_{n}.cert.json", cert.to_json())
-            return cert.verdict
-        report.run(f"Blanusa chain flow G{n} at 4+1/{n + 1}", claim)
+def _cert_row(name: str, make, *args) -> _Row:
+    """The row of the certificate ``make(*args)``, written as ``name``."""
+    cert = make(*args)
+    return cert.verdict, {name: cert.to_json()}
 
 
-def _demo_class2(report: _Report, budget: float | None) -> None:
+def _phi_c_row(name: str, g: Multigraph, want: Fraction) -> _Row:
+    result = flows.circular_flow_number(g)
+    return _verdict(result.value == want), {
+        f"phi_c_{name}.cert.json": flows.phi_c_certificate(g, result).to_json()}
+
+
+def _flow_row(stem: str, graph: Multigraph, flow: flows.RationalFlow) -> _Row:
+    cert = flows.verify_flow(graph, flow)
+    return cert.verdict, {f"{stem}.graph": serialize(graph), f"{stem}.flow": flows.write_flow(flow),
+                          f"{stem}.cert.json": cert.to_json()}
+
+
+def _flower_flow_row(n: int) -> _Row:
+    data = flows.build_flower_flow(n)
+    return _flow_row(f"flower_{n}", data.graph, data.flow)
+
+
+def _chain_flow_row(n: int) -> _Row:
+    data = blanusa.build_chain(n)
+    return _flow_row(f"blanusa_{n}", data.chain.graph, data.flow)
+
+
+def _factor_class2(side: str, budget: float | None):
+    """One Petersen factor of the seed's dot product, + 2M checked class 2."""
     seed = blanusa.load_or_find_seed()
-    dp = seed.dot_product
-    product = seed.product()
-    g1, g2 = product.spec.g, product.spec.h
-
-    certs = []
-    for tag, g, m in (("left", g1, dp["n1"]), ("right", g2, dp["n2"])):
-        def claim(tag=tag, g=g, m=m):
-            cert = colorings.class_property(g, m, 2, [2], budget_s=budget)
-            certs.append(cert)
-            report.save(f"petersen_{tag}_class2.cert.json", cert.to_json())
-            return cert.verdict
-        report.run(f"Petersen ({tag} factor) + 2M is class 2", claim)
-
-    def prover_claim():
-        cert = colorings.dot_product_class2_prover(product, certs[0], certs[1], 2)
-        report.save("dot_product_class2.cert.json", cert.to_json())
-        return cert.verdict
-    report.run("dot product + 2M class 2 (parity prover)", prover_claim)
-
-    def direct_claim():
-        cert = colorings.class_property(product.graph, sorted(product.matching), 2, [2],
-                                        budget_s=budget)
-        report.save("dot_product_class2_direct.cert.json", cert.to_json())
-        return cert.verdict
-    report.run("dot product + 2M class 2 (direct refutation)", direct_claim)
+    spec = seed.product().spec
+    g, m = (spec.g, seed.dot_product["n1"]) if side == "left" else (spec.h, seed.dot_product["n2"])
+    return colorings.class_property(g, m, 2, [2], budget_s=budget)
 
 
-def _demo_section3(report: _Report, budget: float | None) -> None:
-    def degrees_claim():
-        fam = families.mp_graph(3, families.MP_BASE)
-        g = fam.graph
-        ok = all(g.degree(c) == 15 for c in fam.junctions) and g.degree("w") == 13
-        ok = ok and all(g.degree(v) in (13, 15) for v in g.vertices)
-        report.save("m3.graph", serialize(g))
-        return "verified" if ok else "refuted"
-    report.run("M_3 degrees match the construction", degrees_claim)
-
-    for t in (1, 2):
-        p, k = 2 * t + 1, 8 * t + 5
-
-        def prime_claim(t=t, p=p):
-            data = mp_coloring.mp_prime_coloring(t)
-            report.save(f"m{p}_prime.coloring", colorings.write_coloring(data.coloring))
-            return "verified"
-        report.run(f"M_{p}' sees-odd {k}-coloring", prime_claim)
-
-        def tilde_claim(t=t, p=p, k=k):
-            g, col = mp_coloring.mp_tilde_coloring(t)
-            report.save(f"m{p}_tilde.graph", serialize(g))
-            report.save(f"m{p}_tilde.coloring", colorings.write_coloring(col))
-            ok, _ = colorings.is_proper(g, col)
-            return "verified" if ok and g.is_regular(k) else "refuted"
-        report.run(f"M~_{p} is {k}-regular and properly {k}-colored", tilde_claim)
+def _prover_class2(budget: float | None):
+    return colorings.dot_product_class2_prover(blanusa.load_or_find_seed().product(),
+                                               _factor_class2("left", budget),
+                                               _factor_class2("right", budget), 2)
 
 
-def _demo_appendix(report: _Report, budget: float | None) -> None:
-    for n in (1, 2, 3):
-        g = families.flower_snark(n).graph
-        pms = sorted(perfect_matchings(g), key=sorted)
-        on_triangle = {eid for eid in g.edge_ids
-                       if set(g.neighbors(g.edge(eid).u)) & set(g.neighbors(g.edge(eid).v))}
-        triangle = [pm for pm in pms if pm & on_triangle]
-        name = f"J{2 * n + 1}+M"
-        if triangle:
-            listed = "; ".join(" ".join(sorted(pm)) for pm in triangle)
-            text = (f"4-coloring of {name} exactly for the {len(pms) - len(triangle)} "
-                    f"triangle-free matchings, none for the {len(triangle)} triangle "
-                    f"matchings: {listed}")
-        else:
-            text = f"4-coloring of {name} for all {len(pms)} matchings"
+def _direct_class2(budget: float | None):
+    product = blanusa.load_or_find_seed().product()
+    return colorings.class_property(product.graph, sorted(product.matching), 2, [2], budget_s=budget)
 
-        def claim(n=n, pms=pms, triangle=triangle):
-            refuted = []
-            for pm in pms:
-                try:
-                    flower_coloring.flower_plus_m_coloring(n, sorted(pm))
-                except flower_coloring.FlowerColoringCounterexample:
-                    refuted.append(pm)
-            return "verified" if refuted == triangle else "refuted"
-        report.run(text, claim)
 
-    def claim_scan():
-        count = 0
-        for k in (3, 5, 7, 9, 11):
-            for types in _admissible_sequences(k):
-                if colorings.transition_claim_check(types) is None:
-                    return "refuted"
-                count += 1
-        return "verified"
-    report.run("transition claim on all admissible sequences up to length 11", claim_scan)
+def _m3_degrees_row() -> _Row:
+    fam = families.mp_graph(3, families.MP_BASE)
+    g = fam.graph
+    ok = all(g.degree(c) == 15 for c in fam.junctions) and g.degree("w") == 13
+    ok = ok and all(g.degree(v) in (13, 15) for v in g.vertices)
+    return _verdict(ok), {"m3.graph": serialize(g)}
+
+
+def _mp_prime_row(t: int) -> _Row:
+    data = mp_coloring.mp_prime_coloring(t)
+    return "verified", {f"m{2 * t + 1}_prime.coloring": colorings.write_coloring(data.coloring)}
+
+
+def _mp_tilde_row(t: int) -> _Row:
+    g, col = mp_coloring.mp_tilde_coloring(t)
+    ok, _ = colorings.is_proper(g, col)
+    p = 2 * t + 1
+    return _verdict(ok and g.is_regular(8 * t + 5)), {
+        f"m{p}_tilde.graph": serialize(g), f"m{p}_tilde.coloring": colorings.write_coloring(col)}
+
+
+def _flower_plus_m_claim(n: int):
+    """The claim text for J_{2n+1} + M and its producer: every perfect
+    matching M is 4-colorable except those using a triangle edge."""
+    g = families.flower_snark(n).graph
+    pms = sorted(perfect_matchings(g), key=sorted)
+    on_triangle = {eid for eid in g.edge_ids
+                   if set(g.neighbors(g.edge(eid).u)) & set(g.neighbors(g.edge(eid).v))}
+    triangle = [pm for pm in pms if pm & on_triangle]
+    name = f"J{2 * n + 1}+M"
+    if triangle:
+        listed = "; ".join(" ".join(sorted(pm)) for pm in triangle)
+        text = (f"4-coloring of {name} exactly for the {len(pms) - len(triangle)} "
+                f"triangle-free matchings, none for the {len(triangle)} triangle "
+                f"matchings: {listed}")
+    else:
+        text = f"4-coloring of {name} for all {len(pms)} matchings"
+
+    def produce() -> _Row:
+        refuted = []
+        for pm in pms:
+            try:
+                flower_coloring.flower_plus_m_coloring(n, sorted(pm))
+            except flower_coloring.FlowerColoringCounterexample:
+                refuted.append(pm)
+        return _verdict(refuted == triangle), {}
+    return text, produce
+
+
+def _transition_row() -> _Row:
+    return _verdict(all(colorings.transition_claim_check(types) is not None
+                        for k in (3, 5, 7, 9, 11) for types in _admissible_sequences(k))), {}
 
 
 def _admissible_sequences(k: int):
@@ -406,24 +362,61 @@ def _admissible_sequences(k: int):
     yield from rec()
 
 
+def _claims(budget: float | None) -> list[tuple[str, str, Callable[[], _Row]]]:
+    """The claim table: every paper-demo row, in report order, as
+    (scope, claim, producer)."""
+    table = [("section-2", f"Petersen ({side} factor) + 2M is class 2",
+              partial(_cert_row, f"petersen_{side}_class2.cert.json", _factor_class2, side, budget))
+             for side in ("left", "right")]
+    table += [("section-2", "dot product + 2M class 2 (parity prover)",
+               partial(_cert_row, "dot_product_class2.cert.json", _prover_class2, budget)),
+              ("section-2", "dot product + 2M class 2 (direct refutation)",
+               partial(_cert_row, "dot_product_class2_direct.cert.json", _direct_class2, budget))]
+    table += [("section-2.1", f"phi_c({name})", partial(_phi_c_row, name, g, want))
+              for name, g, want in (("K4", families.complete_graph(4), Fraction(4)),
+                                    ("K6", families.complete_graph(6), Fraction(3)),
+                                    ("Petersen", families.petersen(), Fraction(5)))]
+    table += [("section-2.1", f"flower flow J{2 * n + 1} at 4+1/{n}",
+               partial(_flower_flow_row, n)) for n in (1, 2, 3, 4)]
+    table += [("section-2.1", f"Blanusa chain flow G{n} at 4+1/{n + 1}",
+               partial(_chain_flow_row, n)) for n in (1, 2, 3)]
+    table.append(("section-3", "M_3 degrees match the construction", _m3_degrees_row))
+    for t in (1, 2):
+        p, k = 2 * t + 1, 8 * t + 5
+        table += [("section-3", f"M_{p}' sees-odd {k}-coloring", partial(_mp_prime_row, t)),
+                  ("section-3", f"M~_{p} is {k}-regular and properly {k}-colored",
+                   partial(_mp_tilde_row, t))]
+    table += [("appendix", *_flower_plus_m_claim(n)) for n in (1, 2, 3)]
+    table.append(("appendix", "transition claim on all admissible sequences up to length 11",
+                  _transition_row))
+    return table
+
+
 def _cmd_paper_demo(args) -> int:
-    report = _Report(Path(args.out))
-    scopes = {
-        "section-2": [_demo_class2],
-        "section-2.1": [_demo_flows],
-        "section-3": [_demo_section3],
-        "appendix": [_demo_appendix],
-    }
-    if args.scope == "all":
-        runs = [fn for fns in scopes.values() for fn in fns]
-    elif args.scope in scopes:
-        runs = scopes[args.scope]
-    else:
-        raise UsageError(f"unknown scope {args.scope!r}")
-    for fn in runs:
-        fn(report, args.budget)
-    report.write_table()
-    return report.exit_code()
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    rows: list[tuple[str, str, float]] = []
+    for scope, claim, produce in _claims(args.budget):
+        if args.scope not in ("all", scope):
+            continue
+        t0 = time.monotonic()
+        try:
+            verdict, files = produce()
+            for name, text in files.items():
+                (out / name).write_text(text)
+        except Exception as exc:  # an internal fault, not a mathematical refutation
+            import traceback
+            traceback.print_exc()
+            claim, verdict = f"{claim}: {type(exc).__name__}: {exc}", "error"
+        seconds = time.monotonic() - t0
+        print(f"  [{verdict:>12}] {claim} ({seconds:.2f}s)")
+        rows.append((claim, verdict, seconds))
+    width = max((len(claim) for claim, _, _ in rows), default=10)
+    lines = [f"{'claim'.ljust(width)}  verdict       seconds"]
+    lines += [f"{claim.ljust(width)}  {verdict:<12}  {seconds:8.2f}" for claim, verdict, seconds in rows]
+    (out / "report.txt").write_text("\n".join(lines) + "\n")
+    # the lowest non-zero code wins: refuted (1) over inconclusive or error (2)
+    return min((EXIT_CODES[v] for _, v, _ in rows if v != "verified"), default=EXIT_VERIFIED)
 
 
 # -- parser -----------------------------------------------------------------------

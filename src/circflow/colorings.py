@@ -241,7 +241,7 @@ def _k_coloring(g: Multigraph, k: int, deadline: _Deadline) -> tuple[dict[str, i
     """A proper k-edge-coloring of g or None, and the method that decided it:
     the matching cover for a k-regular graph, backtracking otherwise."""
     if g.is_regular(k):
-        return _matching_cover(g, deadline), "one-factor-peeling"
+        return _matching_cover(g, deadline), "matching-cover"
     return _backtrack_coloring(g, k, deadline), "backtracking"
 
 
@@ -264,8 +264,11 @@ def chromatic_index(g: Multigraph, budget_s: float | None = None) -> ChromaticIn
 
     A d-regular graph is d-colorable exactly when its edge multiplicities
     are covered by d perfect matchings, which the matching cover decides;
-    other palette sizes use exhaustive backtracking.  On budget exhaustion
-    the result degrades to honest lower/upper bounds.
+    other palette sizes use exhaustive backtracking.  ``method`` names the
+    search that decided the last palette tried: ``"matching-cover"`` or
+    ``"backtracking"`` (``"empty"`` for a graph without edges).  On budget
+    exhaustion the result degrades to honest lower/upper bounds, with
+    method ``"budget"``.
     """
     if g.num_edges() == 0:
         return ChromaticIndexResult(0, EdgeColoring({}, 0), 0, 0, "empty", (), 0)

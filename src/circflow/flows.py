@@ -255,7 +255,7 @@ def _orientation_with_excess(g: Multigraph, k: Mapping[str, int]) -> dict[str, t
     arcs += [(v, n + 1, -x) for v, x in enumerate(half) if x < 0]
     total, arc_flow, _ = _max_flow(n, arcs)
     if total != sum(x for x in half if x > 0):
-        raise FlowError("internal error: no orientation has the optimal degree excess")
+        raise FlowError("internal error: no orientation has the required degree excess")
     return {e.eid: (e.v, e.u) if arc_flow[i] else (e.u, e.v) for i, e in enumerate(g.edges())}
 
 
@@ -314,35 +314,13 @@ def bipartite_sides(g: Multigraph) -> tuple[set[str], set[str]] | None:
     return ({v for v, c in color.items() if c == 0}, {v for v, c in color.items() if c == 1})
 
 
-def _bipartite_perfect_matching(g: Multigraph, edge_pool: set[str],
-                                left: Sequence[str]) -> list[str] | None:
-    """Kuhn augmenting paths over the surviving edge pool."""
-    match_edge: dict[str, str] = {}
-
-    def try_vertex(u: str, banned: set[str]) -> bool:
-        for eid in g.incident_edges(u):
-            if eid not in edge_pool:
-                continue
-            w = g.edge(eid).other(u)
-            if w in banned:
-                continue
-            banned.add(w)
-            if w not in match_edge or try_vertex(g.edge(match_edge[w]).other(w), banned):
-                match_edge[w] = eid
-                return True
-        return False
-
-    for u in left:
-        if not try_vertex(u, set()):
-            return None
-    return list(match_edge.values())
-
-
 def bipartite_regular_flow(g: Multigraph, t: int) -> RationalFlow:
     """A verified nowhere-zero (2+1/t)-flow on a bipartite (2t+1)-regular graph.
 
-    Peels a 1-factorization, orients t+1 factors A->B with value 1 and the
-    remaining t factors B->A with value (t+1)/t.
+    Orients the edges with out-degree minus in-degree +1 on side A and -1 on
+    side B, which exists (Hakimi) as (2t+1)|a_X - b_X| <= |cut(X)| for every
+    vertex set X with a_X, b_X vertices on each side.  Conservation then
+    forces value 1 on every edge A->B and (t+1)/t on every edge B->A.
     """
     t = int(t)
     if t < 1:
@@ -352,26 +330,10 @@ def bipartite_regular_flow(g: Multigraph, t: int) -> RationalFlow:
     sides = bipartite_sides(g)
     if sides is None:
         raise FlowError("graph is not bipartite")
-    a_side, b_side = sides
-    pool = set(g.edge_ids)
-    left = sorted(a_side)
-    factors: list[list[str]] = []
-    for _ in range(2 * t + 1):
-        factor = _bipartite_perfect_matching(g, pool, left)
-        if factor is None:
-            raise FlowError("internal error: regular bipartite graph failed to 1-factorize")
-        factors.append(factor)
-        pool -= set(factor)
-
-    dirs: dict[str, tuple[str, str]] = {}
-    values: dict[str, Fraction] = {}
-    for idx, factor in enumerate(factors):
-        forward = idx <= t  # t+1 factors A->B
-        for eid in factor:
-            e = g.edge(eid)
-            a, b = (e.u, e.v) if e.u in a_side else (e.v, e.u)
-            dirs[eid] = (a, b) if forward else (b, a)
-            values[eid] = Fraction(1) if forward else Fraction(t + 1, t)
+    a_side = sides[0]
+    dirs = _orientation_with_excess(g, {v: 1 if v in a_side else -1 for v in g.vertices})
+    forward, backward = Fraction(1), Fraction(t + 1, t)
+    values = {eid: forward if tail in a_side else backward for eid, (tail, _) in dirs.items()}
     flow = RationalFlow(dirs, values, Fraction(2 * t + 1, t))
     if flow_violation(g, flow) is not None:
         raise FlowError("internal error: constructed bipartite flow failed verification")

@@ -18,6 +18,8 @@ witness flow is found on the built graph H = g + (2t-2)M by
 each edge's ends one edge at a time, as they once did.
 Endpoint queries compare ``frozenset`` pairs of ends, and the girth is found
 by breadth-first search on vertex names, as they once were.
+The flow on a regular bipartite graph comes from a 1-factorization peeled by
+Kuhn augmenting paths, as it once did.
 """
 
 import hashlib
@@ -26,7 +28,7 @@ from fractions import Fraction
 
 from circflow import families, mp_coloring
 from circflow.colorings import PROPER, ColoringError, EdgeColoring
-from circflow.flows import NOWHERE_ZERO, FlowError, circulation_feasible
+from circflow.flows import NOWHERE_ZERO, FlowError, RationalFlow, bipartite_sides, circulation_feasible
 from circflow.multigraph import (
     FORMAT_HEADER,
     GraphError,
@@ -535,3 +537,47 @@ def girth_oracle(g):
                             best = cycle
             queue = nxt
     return best
+
+
+def _bipartite_perfect_matching_oracle(g, edge_pool, left):
+    """Kuhn augmenting paths over the surviving edge pool."""
+    match_edge = {}
+
+    def try_vertex(u, banned):
+        for eid in g.incident_edges(u):
+            if eid not in edge_pool:
+                continue
+            w = g.edge(eid).other(u)
+            if w in banned:
+                continue
+            banned.add(w)
+            if w not in match_edge or try_vertex(g.edge(match_edge[w]).other(w), banned):
+                match_edge[w] = eid
+                return True
+        return False
+
+    for u in left:
+        if not try_vertex(u, set()):
+            return None
+    return list(match_edge.values())
+
+
+def bipartite_regular_flow_oracle(g, t):
+    """Peels a 1-factorization, orients t+1 factors A->B with value 1 and the
+    remaining t factors B->A with value (t+1)/t: the oracle."""
+    a_side, _ = bipartite_sides(g)
+    pool = set(g.edge_ids)
+    left = sorted(a_side)
+    dirs, values = {}, {}
+    for idx in range(2 * t + 1):
+        factor = _bipartite_perfect_matching_oracle(g, pool, left)
+        if factor is None:
+            raise FlowError("regular bipartite graph failed to 1-factorize")
+        pool -= set(factor)
+        forward = idx <= t  # t+1 factors A->B
+        for eid in factor:
+            e = g.edge(eid)
+            a, b = (e.u, e.v) if e.u in a_side else (e.v, e.u)
+            dirs[eid] = (a, b) if forward else (b, a)
+            values[eid] = Fraction(1) if forward else Fraction(t + 1, t)
+    return RationalFlow(dirs, values, Fraction(2 * t + 1, t))

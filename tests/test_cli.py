@@ -301,14 +301,61 @@ def test_paper_demo_section2_verifies_every_row(tmp_path):
     assert (out / "dot_product_class2_direct.cert.json").exists()
 
 
-def test_demo_row_that_raises_is_an_error_not_a_refutation(tmp_path):
+def test_paper_demo_section2_1_verifies_every_flow(tmp_path):
+    out = tmp_path / "demo"
+    assert run("paper-demo", "--scope", "section-2.1", "--out", out) == 0
+    rows = (out / "report.txt").read_text().splitlines()[1:]
+    assert len(rows) == 10 and all("  verified  " in row for row in rows)
+    assert [row.split("  ")[0] for row in rows[:3]] == ["phi_c(K4)", "phi_c(K6)", "phi_c(Petersen)"]
+    assert rows[3].startswith("flower flow J3 at 4+1/1") and rows[6].startswith("flower flow J9 at 4+1/4")
+    assert rows[7].startswith("Blanusa chain flow G1 at 4+1/2")
+    assert rows[9].startswith("Blanusa chain flow G3 at 4+1/4")
+    stems = [f"flower_{n}" for n in (1, 2, 3, 4)] + [f"blanusa_{n}" for n in (1, 2, 3)]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["report.txt"] + [f"phi_c_{name}.cert.json" for name in ("K4", "K6", "Petersen")]
+        + [f"{stem}{ext}" for stem in stems for ext in (".graph", ".flow", ".cert.json")])
+    for stem in stems:
+        graph, flow, cert = (out / f"{stem}{ext}" for ext in (".graph", ".flow", ".cert.json"))
+        assert run("verify-flow", graph, flow) == 0
+        assert run("reverify", graph, cert) == 0
+    for name, r in (("K4", "4/1"), ("K6", "3/1"), ("Petersen", "5/1")):
+        doc = json.loads((out / f"phi_c_{name}.cert.json").read_text())
+        assert doc["certificate"]["parameters"]["r"] == r
+
+
+def report_claims(out):
+    """The claim column of a demo report, row by row."""
+    header, *rows = (out / "report.txt").read_text().splitlines()
+    width = header.index("  verdict")
+    return [row[:width].rstrip() for row in rows]
+
+
+def test_paper_demo_all_runs_the_four_scopes_in_order(tmp_path):
+    assert run("paper-demo", "--scope", "all", "--out", tmp_path / "all") == 0
+    claims = report_claims(tmp_path / "all")
+    expected = []
+    for scope in ("section-2", "section-2.1", "section-3", "appendix"):
+        assert run("paper-demo", "--scope", scope, "--out", tmp_path / scope) == 0
+        expected += report_claims(tmp_path / scope)
+    assert claims == expected and len(claims) == 4 + 10 + 5 + 4
+    assert claims[0] == "Petersen (left factor) + 2M is class 2"
+    assert claims[4] == "phi_c(K4)"
+    assert claims[14] == "M_3 degrees match the construction"
+    assert claims[19].startswith("4-coloring of J3+M exactly for the 2 triangle-free matchings")
+
+
+def test_demo_row_that_raises_is_an_error_not_a_refutation(tmp_path, monkeypatch, capsys):
     def boom():
         raise RuntimeError("internal fault")
 
-    report = cli._Report(tmp_path)
-    report.run("a verified claim", lambda: "verified")
-    report.run("a faulty claim", boom)
-    assert [v for _, v, _ in report.rows] == ["verified", "error"]
-    assert report.exit_code() == cli.EXIT_INCONCLUSIVE
-    report.run("a refuted claim", lambda: "refuted")
-    assert report.exit_code() == cli.EXIT_REFUTED
+    table = [("appendix", "a verified claim", lambda: ("verified", {"kept.txt": "kept\n"})),
+             ("appendix", "a faulty claim", boom)]
+    monkeypatch.setattr(cli, "_claims", lambda budget: table)
+    assert run("paper-demo", "--scope", "appendix", "--out", tmp_path) == cli.EXIT_INCONCLUSIVE
+    rows = (tmp_path / "report.txt").read_text().splitlines()[1:]
+    assert [row.split()[-2] for row in rows] == ["verified", "error"]
+    assert "a faulty claim: RuntimeError: internal fault" in rows[1]
+    assert (tmp_path / "kept.txt").read_text() == "kept\n"
+    assert "RuntimeError: internal fault" in capsys.readouterr().err
+    table.append(("appendix", "a refuted claim", lambda: ("refuted", {})))
+    assert run("paper-demo", "--scope", "appendix", "--out", tmp_path) == cli.EXIT_REFUTED

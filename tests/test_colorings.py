@@ -74,7 +74,14 @@ def test_chromatic_index_petersen_plus_matchings():
 def test_chromatic_index_reports_refutations():
     result = chromatic_index(families.petersen())
     assert result.refuted == (3,)
-    assert result.method in ("backtracking", "one-factor-peeling")
+    assert result.method in ("backtracking", "matching-cover")
+
+
+def test_chromatic_index_names_the_search_that_decided_it():
+    # K4 is 3-colored by the matching cover of a 3-regular graph; Petersen's
+    # 4 colors on a 3-regular graph come from backtracking
+    assert chromatic_index(families.complete_graph(4)).method == "matching-cover"
+    assert chromatic_index(families.petersen()).method == "backtracking"
 
 
 def test_reverify_chromatic_index_re_runs_the_search():

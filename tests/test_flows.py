@@ -34,6 +34,7 @@ from _oracles import (
     _rat_oracle,
     add_circuit_flow,
     add_circuits_oracle,
+    bipartite_regular_flow_oracle,
 )
 
 
@@ -363,6 +364,36 @@ def test_bipartite_regular_flow_rejects_odd_cycle():
         bipartite_regular_flow(cycle_graph(5), 1)
     with pytest.raises(FlowError):
         bipartite_regular_flow(cycle_graph(6), 1)  # 2-regular, not 3-regular
+
+
+@st.composite
+def regular_bipartite(draw):
+    """(t, g): g the union of 2t+1 random perfect matchings between two sides
+    of 1 to 5 vertices, so parallel edges and several components occur."""
+    t, side = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    edges = [(f"e{j}.{i}", f"a{i}", f"b{b}")
+             for j in range(2 * t + 1) for i, b in enumerate(draw(st.permutations(range(side))))]
+    return t, Multigraph([f"a{i}" for i in range(side)] + [f"b{i}" for i in range(side)], edges)
+
+
+def out_minus_in(flow):
+    excess = Counter()
+    for tail, head in flow.orientation.values():
+        excess[tail] += 1
+        excess[head] -= 1
+    return excess
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_bipartite())
+def test_bipartite_regular_flow_matches_the_factorization_oracle(case):
+    t, g = case
+    a_side, b_side = flows.bipartite_sides(g)
+    flow, oracle = bipartite_regular_flow(g, t), bipartite_regular_flow_oracle(g, t)
+    for f in (flow, oracle):
+        assert f.r == Fraction(2 * t + 1, t)
+        assert flows.flow_violation(g, f) is None
+        assert out_minus_in(f) == {**{a: 1 for a in a_side}, **{b: -1 for b in b_side}}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
