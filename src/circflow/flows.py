@@ -435,10 +435,11 @@ def matched_flow_witness(g: Multigraph, flow: RationalFlow, matching: Sequence[s
     each matching edge are split t from white to black, t-1 back; with that
     imbalance the circulation at the bound value is feasible whenever the
     bipartition valuation is balanced, which the verified flow guarantees.
-    H = g + (2t-2)M is not built: the circulation runs on g's indexed view
-    with the copies' arcs after g's edges, in the edge order of
-    ``add_matching_copies(g, M, 2t-2)`` and with its copy ids, so the
-    max-flow takes the same paths and the flow is the one found on H.
+    H = g + (2t-2)M is not built: the 2-factor is walked on g's indexed view,
+    and the circulation runs on it with the copies' arcs after g's edges, in
+    the edge order of ``add_matching_copies(g, M, 2t-2)`` and with its copy
+    ids, so the max-flow takes the same paths and the flow is the one found
+    on H.
     """
     t = int(t)
     m = list(matching)
@@ -446,28 +447,38 @@ def matched_flow_witness(g: Multigraph, flow: RationalFlow, matching: Sequence[s
     copies = matching_copy_ids(g, m, 2 * t - 2)
     r_target = valuations.bound_formula(flow.r, t)
 
-    dirs: dict[str, tuple[str, str]] = {}
-    m_set, seen = set(m), set()
-    for walk in g.vertices:  # walk each cycle of the 2-factor g - M
-        while walk not in seen:
-            seen.add(walk)
-            eid = next((e for e in g.incident_edges(walk) if not (e in dirs or e in m_set)), None)
-            if eid is None:  # M is not perfect: the coverage check below fails
-                break
-            dirs[eid] = (walk, g.edge(eid).other(walk))
-            walk = dirs[eid][1]
-    for eid, ids in zip(m, copies):
-        e = g.edge(eid)
-        white, black = (e.u, e.v) if e.u in bip.white else (e.v, e.u)
-        for idx, ceid in enumerate([eid, *ids]):
-            dirs[ceid] = (white, black) if idx < t else (black, white)
-
     view = g.indexed
-    edge_ids = view.edge_ids + tuple(c for ids in copies for c in ids)
-    if len(dirs) != len(edge_ids):  # dirs holds only ids of edge_ids
+    names, edge_ids = view.vertices, view.edge_ids
+    m_set = set(m)
+    m_index = {eid: i for i, eid in enumerate(edge_ids) if eid in m_set}
+    ends: list[tuple[int, int] | None] = [None] * len(edge_ids)  # each edge's (tail, head)
+    for eid in m:  # white to black, so the walk below passes them by
+        a, b = view.ends[m_index[eid]]
+        ends[m_index[eid]] = (a, b) if names[a] in bip.white else (b, a)
+    dirs: dict[str, tuple[str, str]] = {}
+    walked = [False] * len(names)
+    for walk in range(len(names)):  # walk each cycle of the 2-factor g - M
+        while not walked[walk]:
+            walked[walk] = True
+            for e in view.incident[walk]:
+                if ends[e] is None:
+                    break
+            else:  # M is not perfect: the coverage check below fails
+                break
+            a, b = view.ends[e]
+            head = b if a == walk else a
+            ends[e] = (walk, head)
+            dirs[edge_ids[e]] = (names[walk], names[head])
+            walk = head
+    if None in ends:
         raise FlowError("orientation does not cover the graph")
-    pos = view.pos
-    ends = [(pos[tail], pos[head]) for tail, head in map(dirs.__getitem__, edge_ids)]
+    for eid, ids in zip(m, copies):
+        white, black = ends[m_index[eid]]
+        forward, back = (names[white], names[black]), (names[black], names[white])
+        for idx, ceid in enumerate([eid, *ids]):
+            dirs[ceid] = forward if idx < t else back
+        ends += [(white, black)] * (t - 1) + [(black, white)] * (t - 1)
+    edge_ids += tuple(c for ids in copies for c in ids)
     ok, witness = _circulation(view.vertices, edge_ids, ends, dirs, r_target)
     if not ok:
         raise FlowError(f"balancedness violated at X={sorted(witness)!r}: no flow at the bound value")

@@ -6,8 +6,9 @@ construction; all operations return new graphs, and the derived graphs
 (subgraphs, relabelings, matching copies) are built in time linear in
 |V| + |E|.  Each graph caches its content hash and the
 integer-indexed view its solvers share.  The module also holds the one
-max-flow kernel, on integer node ids and capacities: flows and valuations
-scale their rational capacities by one common denominator.
+max-flow kernel, a Dinic that augments along Edmonds-Karp's own paths, on
+integer node ids and capacities: flows and valuations scale their rational
+capacities by one common denominator.
 
 ``Multigraph.__init__`` is the one constructor and the one place a graph is
 validated.  It checks all vertex ids in one pass, and all edge ids in
@@ -341,12 +342,24 @@ def perfect_matchings(g: Multigraph) -> list[frozenset[str]]:
 # -- maximum flow ------------------------------------------------------------
 
 def _max_flow(n: int, arcs: list[tuple[int, int, int]]) -> tuple[int, list[int], set[int]]:
-    """Edmonds-Karp with integer capacities on nodes 0..n+1: the caller's n
-    nodes, then the source n and the sink n+1.
-
-    Each BFS scans a node's arcs in the order given, so the augmenting paths
-    are fixed by the arc list.  Returns (value, per-arc flow,
+    """Maximum flow with integer capacities on nodes 0..n+1: the caller's n
+    nodes, then the source n and the sink n+1.  Returns (value, per-arc flow,
     residual-reachable set from the source).
+
+    Dinic's phases, taking Edmonds-Karp's own augmenting paths.  Edmonds-Karp
+    augments along its BFS-tree path: the lexicographically first shortest
+    path, with each node's arcs ranked by their order in ``arcs``.  A phase
+    runs one BFS that keeps, at each node it expands, the arcs with residual
+    capacity into the next level, in that order; it stops before expanding
+    the sink's level, so the other nodes at that level keep no arcs and are
+    dead ends.  A depth-first walk over the kept arcs with a current-arc
+    pointer per node finds that same first path, and again after each
+    augmentation: the reverse arcs an augmentation opens run one level down,
+    so the shortest paths left are the kept ones it did not saturate, and
+    every arc a pointer has passed is saturated or leads to a dead end.  The
+    walk resumes at the tail of the first saturated arc.  The BFS that cannot
+    reach the sink runs to the end and gives the reachable set, so values,
+    per-arc flows and reachable sets are Edmonds-Karp's.
     """
     source, sink = n, n + 1
     out: list[list[int]] = [[] for _ in range(n + 2)]
@@ -359,27 +372,54 @@ def _max_flow(n: int, arcs: list[tuple[int, int, int]]) -> tuple[int, list[int],
         residual += (c, 0)
     total = 0
     while True:
-        prev: list[int | None] = [None] * (n + 2)  # the arc each node was reached by
-        prev[source] = -1
+        level = [-1] * (n + 2)
+        level[source] = 0
+        level_arcs: list[Sequence[int]] = [()] * (n + 2)  # the kept arcs of each expanded node
         queue = [source]
         for u in queue:
-            if prev[sink] is not None:
+            if level[u] == level[sink]:
                 break
+            up = level[u] + 1
+            keep = level_arcs[u] = []
             for a in out[u]:
-                if prev[head[a]] is None and residual[a] > 0:
-                    prev[head[a]] = a
-                    queue.append(head[a])
-        if prev[sink] is None:
-            return total, residual[1::2], {v for v, a in enumerate(prev) if a is not None}
-        path, v = [], sink
-        while v != source:
-            path.append(prev[v])
-            v = head[prev[v] ^ 1]
-        bottleneck = min(residual[a] for a in path)
-        for a in path:
-            residual[a] -= bottleneck
-            residual[a ^ 1] += bottleneck
-        total += bottleneck
+                if residual[a]:
+                    v = head[a]
+                    if level[v] < 0:
+                        level[v] = up
+                        queue.append(v)
+                        keep.append(a)
+                    elif level[v] == up:
+                        keep.append(a)
+        if level[sink] < 0:
+            return total, residual[1::2], {v for v, lv in enumerate(level) if lv >= 0}
+        current = [0] * (n + 2)
+        path: list[int] = []
+        u = source
+        while True:
+            kept, i, end = level_arcs[u], current[u], len(level_arcs[u])
+            while i < end and not residual[kept[i]]:
+                i += 1
+            current[u] = i
+            if i == end:  # a dead end: retreat and pass the arc that led here
+                if not path:
+                    break
+                u = head[path.pop() ^ 1]
+                current[u] += 1
+                continue
+            a = kept[i]
+            path.append(a)
+            u = head[a]
+            if u == sink:
+                bottleneck = min(residual[a] for a in path)
+                cut = -1
+                for j, a in enumerate(path):
+                    residual[a] -= bottleneck
+                    residual[a ^ 1] += bottleneck
+                    if cut < 0 and not residual[a]:
+                        cut = j
+                total += bottleneck
+                u = head[path[cut] ^ 1]  # resume at the tail of the first saturated arc
+                del path[cut:]
 
 
 # -- structural operations -------------------------------------------------

@@ -20,6 +20,8 @@ Endpoint queries compare ``frozenset`` pairs of ends, and the girth is found
 by breadth-first search on vertex names, as they once were.
 The flow on a regular bipartite graph comes from a 1-factorization peeled by
 Kuhn augmenting paths, as it once did.
+The maximum flow is Edmonds-Karp, one full breadth-first search for every
+augmenting path, as it once was.
 """
 
 import hashlib
@@ -35,7 +37,6 @@ from circflow.multigraph import (
     Multigraph,
     _check_token,
     _matchings_of,
-    _max_flow,
     add_matching_copies,
     canonical_serialize,
 )
@@ -348,6 +349,48 @@ def add_circuits_oracle(flow, circuits, amount, r):
     return replace(sum_signed_circuits(flow, circuits, amount), r=Fraction(r))
 
 
+def max_flow_oracle(n, arcs):
+    """Edmonds-Karp with integer capacities on nodes 0..n+1: the caller's n
+    nodes, then the source n and the sink n+1: the oracle.
+
+    Each BFS scans a node's arcs in the order given, so the augmenting paths
+    are fixed by the arc list.  Returns (value, per-arc flow,
+    residual-reachable set from the source).
+    """
+    source, sink = n, n + 1
+    out: list[list[int]] = [[] for _ in range(n + 2)]
+    head: list[int] = []  # arc 2i is arcs[i], arc 2i+1 its reverse
+    residual: list[int] = []
+    for u, v, c in arcs:
+        out[u].append(len(head))
+        out[v].append(len(head) + 1)
+        head += (v, u)
+        residual += (c, 0)
+    total = 0
+    while True:
+        prev: list[int | None] = [None] * (n + 2)  # the arc each node was reached by
+        prev[source] = -1
+        queue = [source]
+        for u in queue:
+            if prev[sink] is not None:
+                break
+            for a in out[u]:
+                if prev[head[a]] is None and residual[a] > 0:
+                    prev[head[a]] = a
+                    queue.append(head[a])
+        if prev[sink] is None:
+            return total, residual[1::2], {v for v, a in enumerate(prev) if a is not None}
+        path, v = [], sink
+        while v != source:
+            path.append(prev[v])
+            v = head[prev[v] ^ 1]
+        bottleneck = min(residual[a] for a in path)
+        for a in path:
+            residual[a] -= bottleneck
+            residual[a ^ 1] += bottleneck
+        total += bottleneck
+
+
 def _violating_subset_oracle(g, k, unit):
     """A vertex set X with |k(X)| * unit > |cut(X)|, or None, by one minimum
     cut with the ``Fraction`` unit a/b cleared by b: the oracle."""
@@ -363,7 +406,7 @@ def _violating_subset_oracle(g, k, unit):
             positive += w
         elif w < 0:
             arcs.append((v, n + 1, -w))
-    value, _, reachable = _max_flow(n, arcs)
+    value, _, reachable = max_flow_oracle(n, arcs)
     return sorted(view.vertices[v] for v in reachable if v < n) if positive > value else None
 
 

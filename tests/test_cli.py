@@ -323,6 +323,17 @@ def test_paper_demo_section2_1_verifies_every_flow(tmp_path):
         assert doc["certificate"]["parameters"]["r"] == r
 
 
+def test_paper_demo_builds_only_the_chosen_scope(tmp_path, monkeypatch):
+    """The appendix claim texts enumerate perfect matchings; no other scope does."""
+    def no_matchings(g):
+        raise AssertionError("perfect matchings enumerated outside the appendix")
+
+    monkeypatch.setattr(cli, "perfect_matchings", no_matchings)
+    assert run("paper-demo", "--scope", "section-2.1", "--out", tmp_path) == 0
+    with pytest.raises(AssertionError, match="outside the appendix"):
+        run("paper-demo", "--scope", "appendix", "--out", tmp_path)
+
+
 def report_claims(out):
     """The claim column of a demo report, row by row."""
     header, *rows = (out / "report.txt").read_text().splitlines()
@@ -350,7 +361,7 @@ def test_demo_row_that_raises_is_an_error_not_a_refutation(tmp_path, monkeypatch
 
     table = [("appendix", "a verified claim", lambda: ("verified", {"kept.txt": "kept\n"})),
              ("appendix", "a faulty claim", boom)]
-    monkeypatch.setattr(cli, "_claims", lambda budget: table)
+    monkeypatch.setattr(cli, "_claims", lambda budget, scope: table)
     assert run("paper-demo", "--scope", "appendix", "--out", tmp_path) == cli.EXIT_INCONCLUSIVE
     rows = (tmp_path / "report.txt").read_text().splitlines()[1:]
     assert [row.split()[-2] for row in rows] == ["verified", "error"]

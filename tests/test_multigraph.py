@@ -1,10 +1,12 @@
+import sys
 from collections import deque
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from circflow import families, mp_coloring
+from circflow import families, flows, mp_coloring, valuations
 from circflow.colorings import write_coloring
 from circflow.multigraph import (
     GraphError,
@@ -34,6 +36,7 @@ from _oracles import (
     edges_between_oracle,
     girth_oracle,
     matchings_of_oracle,
+    max_flow_oracle,
     max_multiplicity_oracle,
     mp_prime_by_expansion,
     mp_tilde_by_expansion,
@@ -293,7 +296,7 @@ def test_endpoint_queries_and_girth_match_their_oracles(g):
         assert girth(g) == 2
 
 
-# -- the integer max-flow kernel against the exact rational Edmonds-Karp --------
+# -- the max-flow kernel (Dinic along Edmonds-Karp's paths) against Edmonds-Karp --
 
 
 def _fraction_max_flow(nodes, arcs, source, sink):
@@ -358,6 +361,71 @@ def test_integer_max_flow_matches_rational_oracle(net):
     assert Fraction(value, den) == want_value
     assert [Fraction(f, den) for f in arc_flow] == want_flow
     assert {name[v] for v in reachable} == want_reachable
+
+
+@st.composite
+def larger_network(draw):
+    """Up to 12 inner nodes and 40 arcs: self-loops, zero capacities, arcs
+    into the source and out of the sink, and parallel copies of drawn arcs.
+    At least 2n arcs, so that a phase often augments along several paths and
+    resumes inside the last one."""
+    n = draw(st.integers(0, 12))
+    node = st.integers(0, n + 1)
+    arcs = draw(st.lists(st.tuples(node, node, st.integers(0, 9)), min_size=2 * n, max_size=30))
+    if arcs:
+        copies = draw(st.lists(st.tuples(st.sampled_from(arcs), st.integers(0, 9)), max_size=10))
+        for (u, v, _), c in copies:
+            arcs.insert(draw(st.integers(0, len(arcs))), (u, v, c))
+    return n, arcs
+
+
+@given(larger_network())
+# one phase, two augmentations: s-a-b-t saturates a-b, and the walk resumes at a
+@example((3, [(3, 0, 5), (0, 1, 1), (0, 2, 1), (1, 4, 5), (2, 4, 5)]))
+# the resumed walk at a meets the dead end c, retreats to s and takes s-d-b-t
+@example((4, [(4, 0, 2), (4, 3, 1), (0, 1, 1), (0, 2, 1), (3, 1, 1), (1, 5, 2), (2, 0, 1)]))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_max_flow_matches_edmonds_karp_on_larger_networks(net):
+    n, arcs = net
+    assert _max_flow(n, arcs) == max_flow_oracle(n, arcs)
+
+
+@st.composite
+def hamiltonian_cubic(draw):
+    """A Hamiltonian cycle on 4-10 vertices plus a perfect matching M, which
+    may double a cycle edge: a small bridgeless cubic multigraph, and M."""
+    n = draw(st.sampled_from([4, 6, 8, 10]))
+    perm = draw(st.permutations(range(n)))
+    pairs = [(i, (i + 1) % n) for i in range(n)] + [perm[i:i + 2] for i in range(0, n, 2)]
+    edges = [(f"e{i}", f"v{a}", f"v{b}") for i, (a, b) in enumerate(pairs)]
+    g = Multigraph(draw(st.permutations([f"v{v}" for v in range(n)])), edges)
+    return g, [f"e{i}" for i in range(n, n + n // 2)]
+
+
+@given(hamiltonian_cubic())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_max_flow_matches_edmonds_karp_on_the_flow_networks(gm):
+    """The networks of phi_c (the minimum cuts of ``_violating_subset``, the
+    orientation of ``_orientation_with_excess``, the witness circulation) and
+    of the matched witness circulations at t = 1, 2, 3, feasible or not."""
+    g, m = gm
+    networks = []
+
+    def record(n, arcs):
+        networks.append((sys._getframe(1).f_code.co_name, n, list(arcs)))
+        return _max_flow(n, arcs)
+
+    with patch.object(flows, "_max_flow", record), patch.object(valuations, "_max_flow", record):
+        phi = flows.circular_flow_number(g)
+        for t in (1, 2, 3):
+            try:
+                flows.matched_flow_witness(g, phi.flow, m, t)
+            except flows.FlowError:  # M need not make the valuation balanced
+                pass
+    assert {caller for caller, _, _ in networks} == {
+        "_violating_subset", "_orientation_with_excess", "_circulation"}
+    for _, n, arcs in networks:
+        assert _max_flow(n, arcs) == max_flow_oracle(n, arcs)
 
 
 _TOKEN_TEXT = st.text(st.one_of(st.sampled_from("ab&' \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0"
