@@ -13,12 +13,14 @@ scaled by one common denominator; ``verify_flow`` wraps it in a certificate,
 and checks that want only the verdict call it directly.  The circular flow
 number comes from the balanced-valuation search in ``valuations``; its
 witness is an orientation with the optimal out-minus-in degrees, found by
-one max-flow, and the flow that ``circulation_feasible`` puts on it.
+one max-flow, and the flow that ``circulation_feasible`` puts on it.  The
+witness of the matched bound on g + (2t-2)M is no search: it is an affine
+image of g's own flow, with fixed values on the copies of M.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -205,18 +207,11 @@ def circulation_feasible(g: Multigraph, d: dict[str, tuple[str, str]], r: Fracti
     view = g.indexed
     if d.keys() != g._edges.keys():
         raise FlowError("orientation does not cover the graph")
-    ends = [_arc(g, eid, d[eid], "orientation does not cover the graph") for eid in view.edge_ids]
-    return _circulation(view.vertices, view.edge_ids, ends, d, r)
-
-
-def _circulation(vertices: Sequence[str], edge_ids: Sequence[str], ends: list[tuple[int, int]],
-                 d: dict[str, tuple[str, str]], r: Fraction):
-    """``circulation_feasible`` on arcs ``ends[i]`` = (tail, head) for the
-    edges ``edge_ids[i]`` oriented by ``d``, given to the max-flow in order."""
-    n, den = len(vertices), r.denominator
+    n, den = len(view.vertices), r.denominator
     excess = [0] * n
     arcs: list[tuple[int, int, int]] = []
-    for tail, head in ends:
+    for eid in view.edge_ids:
+        tail, head = _arc(g, eid, d[eid], "orientation does not cover the graph")
         arcs.append((tail, head, r.numerator - 2 * den))
         excess[head] += den
         excess[tail] -= den
@@ -224,11 +219,11 @@ def _circulation(vertices: Sequence[str], edge_ids: Sequence[str], ends: list[tu
     total, arc_flow, reachable = _max_flow(n, arcs)
     if total == sum(x for x in excess if x > 0):
         value_of = {f: Fraction(den + f, den) for f in set(arc_flow)}
-        values = {eid: value_of[f] for eid, f in zip(edge_ids, arc_flow)}
+        values = {eid: value_of[f] for eid, f in zip(view.edge_ids, arc_flow)}
         return True, RationalFlow(d, values, r)
     # The source side S of a minimum cut has in(S) > (r-1)out(S), since its
     # cut falls short of the excess; so V - S is the violating set.
-    return False, frozenset(vertices[v] for v in range(n) if v not in reachable)
+    return False, frozenset(view.vertices[v] for v in range(n) if v not in reachable)
 
 
 # -- circular flow number ------------------------------------------------------
@@ -429,60 +424,51 @@ def build_flower_flow(n: int) -> FlowerFlowData:
 
 
 def matched_flow_witness(g: Multigraph, flow: RationalFlow, matching: Sequence[str], t: int) -> RationalFlow:
-    """A nowhere-zero flow on g + (2t-2)M at the asymptotic bound value.
+    """A nowhere-zero flow on H = g + (2t-2)M at r' = ``bound_formula(r, t)``,
+    in closed form from the flow on the cubic graph g at r; no max-flow runs.
 
-    The 2-factor g - M is oriented cyclically and the 2t-1 parallel copies of
-    each matching edge are split t from white to black, t-1 back; with that
-    imbalance the circulation at the bound value is feasible whenever the
-    bipartition valuation is balanced, which the verified flow guarantees.
-    H = g + (2t-2)M is not built: the 2-factor is walked on g's indexed view,
-    and the circulation runs on it with the copies' arcs after g's edges, in
-    the edge order of ``add_matching_copies(g, M, 2t-2)`` and with its copy
-    ids, so the max-flow takes the same paths and the flow is the one found
-    on H.
+    The identity 1/(r'-2) = 1/(r-2) + (t-1) gives c = (r'-2)/(r-2) =
+    1/(1 + (t-1)(r-2)).  Each edge of g keeps its orientation and carries
+    1 + c(x-1), which lies in [1, r'-1] as x lies in [1, r-1].  A vertex is
+    white with in-degree 1 and black with in-degree 2.  Of the 2t-2 copies of
+    each matching edge, in ``matching_copy_ids`` order, the first t-1 run
+    white -> black at 1 and the others black -> white at r'-1.  Conservation:
+    g's edges send 1 - c more out of a white vertex than into it (and into a
+    black one than out), and 1 - c = c(t-1)(r-2) = (t-1)(r'-2) is what its
+    copies bring back.  Out - in stays +1 on white and -1 on black vertices.
+
+    M must be a perfect matching of g pairing black with white, and ``flow``
+    a valid nowhere-zero flow on g; anything else raises ``FlowError``.
     """
     t = int(t)
     m = list(matching)
-    bip = valuations.flow_to_bipartition(g, flow)
     copies = matching_copy_ids(g, m, 2 * t - 2)
-    r_target = valuations.bound_formula(flow.r, t)
-
-    view = g.indexed
-    names, edge_ids = view.vertices, view.edge_ids
-    m_set = set(m)
-    m_index = {eid: i for i, eid in enumerate(edge_ids) if eid in m_set}
-    ends: list[tuple[int, int] | None] = [None] * len(edge_ids)  # each edge's (tail, head)
-    for eid in m:  # white to black, so the walk below passes them by
-        a, b = view.ends[m_index[eid]]
-        ends[m_index[eid]] = (a, b) if names[a] in bip.white else (b, a)
-    dirs: dict[str, tuple[str, str]] = {}
-    walked = [False] * len(names)
-    for walk in range(len(names)):  # walk each cycle of the 2-factor g - M
-        while not walked[walk]:
-            walked[walk] = True
-            for e in view.incident[walk]:
-                if ends[e] is None:
-                    break
-            else:  # M is not perfect: the coverage check below fails
-                break
-            a, b = view.ends[e]
-            head = b if a == walk else a
-            ends[e] = (walk, head)
-            dirs[edge_ids[e]] = (names[walk], names[head])
-            walk = head
-    if None in ends:
+    if not g.is_regular(3):
+        raise FlowError("the matched witness is defined for cubic graphs only")
+    if flow.mode != NOWHERE_ZERO or flow_violation(g, flow) is not None:
+        raise FlowError("the matched witness needs a valid nowhere-zero flow on the graph")
+    if 2 * len(m) != g.num_vertices():
         raise FlowError("orientation does not cover the graph")
+    dirs, edges = flow.orientation, g._edges
+    indegree = Counter(head for _, head in dirs.values())  # 1 on white, 2 on black vertices
+    r, r_target = flow.r, valuations.bound_formula(flow.r, t)
+    num, den = ((r_target - 2) / (r - 2)).as_integer_ratio()  # c
+    ratios = [(x.numerator, x.denominator) for x in flow.values.values()]  # hashing a Fraction is slow
+    scaled = {(p, q): Fraction(q * den + (p - q) * num, q * den) for p, q in set(ratios)}  # 1 + c(p/q - 1)
+    orientation = dict(dirs)
+    values = dict(zip(flow.values, map(scaled.__getitem__, ratios)))
+    low, high = Fraction(1), r_target - 1
     for eid, ids in zip(m, copies):
-        white, black = ends[m_index[eid]]
-        forward, back = (names[white], names[black]), (names[black], names[white])
-        for idx, ceid in enumerate([eid, *ids]):
-            dirs[ceid] = forward if idx < t else back
-        ends += [(white, black)] * (t - 1) + [(black, white)] * (t - 1)
-    edge_ids += tuple(c for ids in copies for c in ids)
-    ok, witness = _circulation(view.vertices, edge_ids, ends, dirs, r_target)
-    if not ok:
-        raise FlowError(f"balancedness violated at X={sorted(witness)!r}: no flow at the bound value")
-    return witness
+        _, u, v = edges[eid]
+        if indegree[u] == indegree[v]:
+            raise FlowError(f"matching edge {eid!r} does not pair black with white")
+        forward = (u, v) if indegree[u] == 1 else (v, u)
+        back = forward[::-1]
+        for ceid in ids[:t - 1]:
+            orientation[ceid], values[ceid] = forward, low
+        for ceid in ids[t - 1:]:
+            orientation[ceid], values[ceid] = back, high
+    return RationalFlow(orientation, values, r_target)
 
 
 # -- flow file format -----------------------------------------------------------

@@ -196,7 +196,7 @@ class Multigraph:
         return max(counts.values(), default=0)
 
     def is_regular(self, d: int | None = None) -> bool:
-        degs = {self.degree(v) for v in self._vertices}
+        degs = set(map(len, self._incident.values()))
         if len(degs) > 1:
             return False
         if d is None:
@@ -429,15 +429,22 @@ def matching_copy_ids(g: Multigraph, matching: Sequence[str], k: int) -> list[li
     """The ids of the k copies of each edge of the matching, in matching order.
 
     The copies of edge ``e`` get the derived ids ``e@c<j>`` for the k least
-    j >= 1 whose id g lacks, so repeated application composes.  The copies
-    of distinct edges cannot collide: ``e`` is the part before the last ``@c``.
+    j >= 1 whose id g lacks, so repeated application composes: e@c1 .. e@ck
+    unless g has one of those, when the least free j are probed for.  The
+    copies of distinct edges cannot collide: ``e`` is the part before the
+    last ``@c``.
     """
     if k < 0:
         raise GraphError("copy count must be nonnegative")
     if not is_matching(g, matching):
         raise GraphError("edge set is not a matching of the graph")
-    fresh = lambda eid: (c for j in count(1) if (c := f"{eid}@c{j}") not in g._edges)
-    return [list(islice(fresh(eid), k)) for eid in matching]
+    edges, suffixes = g._edges.keys(), [f"@c{j}" for j in range(1, k + 1)]
+    fresh = lambda eid: (c for j in count(1) if (c := f"{eid}@c{j}") not in edges)
+    out = []
+    for eid in matching:
+        ids = [eid + suffix for suffix in suffixes]
+        out.append(ids if edges.isdisjoint(ids) else list(islice(fresh(eid), k)))
+    return out
 
 
 def add_matching_copies(g: Multigraph, matching: Iterable[str], k: int) -> Multigraph:

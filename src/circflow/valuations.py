@@ -19,7 +19,10 @@ no cut is run.  By Jaeger's easy direction, a flow with every value in
 [1, r'-1] on an orientation D gives |out_D(Y)| <= (r'-1)|in_D(Y)| for every
 vertex set Y, that is |cut_H(Y)| >= r'/(r'-2) * |k_D(Y)| with k_D = out - in.
 At r' = ``bound_formula(r, t)``, r'/(r'-2) = r/(r-2) + 2t-2, so a D with
-k_D = +-1 on the two colour classes proves the inequality for every Y.
+k_D = +-1 on the two colour classes proves the inequality for every Y.  That
+flow, ``flows.matched_flow_witness``, is the image of g's own flow under
+x -> 1 + c(x-1) with c = (r'-2)/(r-2), plus 1 and r'-1 on the copies of M,
+so neither producing nor checking it runs a max-flow.
 
 The circular flow number is the least r at which some k is balanced
 (Jaeger): by Hoffman, an orientation with out-minus-in degrees k carries a
@@ -283,9 +286,9 @@ def matched_bipartition_inequality_check(g: Multigraph, flow, matching: Iterable
     which proves the inequality for every Y.  The inequality always holds:
     Jaeger's easy direction on g's own flow gives
     |cut_g(Y)| >= r/(r-2)|b_Y - w_Y|, and as M pairs black with white, each
-    of the 2t-2 copies of M puts at least |b_Y - w_Y| edges in the cut.  So
-    by Hoffman that circulation exists, and a failed one is an internal
-    error, never a refutation.
+    of the 2t-2 copies of M puts at least |b_Y - w_Y| edges in the cut.  The
+    witness is the closed form of ``flows.matched_flow_witness``, so a failed
+    one is an internal error, never a refutation.
     """
     from . import flows  # deferred: flows imports this module
 

@@ -14,8 +14,9 @@ checked forward circuits, or along signed circuits without any check, by two
 separate routines, as it once was.
 The phi_c search runs on vertex names and ``Fraction`` ratios, the matched
 witness flow is found on the built graph H = g + (2t-2)M by
-``circulation_feasible``, and the canonical serialization looks up and sorts
-each edge's ends one edge at a time, as they once did.
+``circulation_feasible`` along a walk of the 2-factor g - M, the copy ids of
+a matching are probed for one at a time, and the canonical serialization
+looks up and sorts each edge's ends one edge at a time, as they once did.
 Endpoint queries compare ``frozenset`` pairs of ends, and the girth is found
 by breadth-first search on vertex names, as they once were.
 The flow on a regular bipartite graph comes from a 1-factorization peeled by
@@ -484,6 +485,20 @@ def matched_flow_witness_oracle(g, flow, matching, t):
     if not ok:
         raise FlowError(f"balancedness violated at X={sorted(witness)!r}")
     return witness
+
+
+def matching_copy_ids_oracle(g, matching, k):
+    """The k least j >= 1 with e@cj not an edge of g, for each matching edge
+    e, probed one j at a time: the oracle."""
+    out = []
+    for eid in matching:
+        ids, j = [], 0
+        while len(ids) < k:
+            j += 1
+            if not g.has_edge(f"{eid}@c{j}"):
+                ids.append(f"{eid}@c{j}")
+        out.append(ids)
+    return out
 
 
 def canonical_serialize_oracle(g):

@@ -171,9 +171,19 @@ def test_flow_and_inequality_certificate_bytes_are_pinned():
     cert = flows.verify_flow(d.graph, d.flow)
     assert cert.certificate_sha256() == "cb3f016f16f8ecc064cf5ec7ab34459b927ba8697e748dbd70f36a2840aedc23"
     j3 = flows.build_flower_flow(1)
-    cert = valuations.matched_bipartition_inequality_check(j3.graph, j3.flow, sorted(j3.matching), 2)
+    m = sorted(j3.matching)
+    cert = valuations.matched_bipartition_inequality_check(j3.graph, j3.flow, m, 2)
     assert cert.verdict == "verified"
-    assert cert.certificate_sha256() == "00b15ef8be7b182a2766e820d07ada9a1d31bf269cc35b5ca8947d89a460d521"
+    # J3 carries a 5-flow, so at t = 2 the bound is 11/4 and g's values map x -> 1 + (x-1)/4
+    edges = {eid: {"tail": a, "head": b, "value": rat(1 + (j3.flow.values[eid] - 1) / 4)}
+             for eid, (a, b) in j3.flow.orientation.items()}
+    for eid in m:
+        e = j3.graph.edge(eid)
+        white, black = (e.u, e.v) if e.u in j3.bipartition.white else (e.v, e.u)
+        edges[f"{eid}@c1"] = {"tail": white, "head": black, "value": "1/1"}
+        edges[f"{eid}@c2"] = {"tail": black, "head": white, "value": "7/4"}
+    assert cert.witness["flow"] == {"r": "11/4", "mode": "nowhere-zero", "zero_edge": None, "edges": edges}
+    assert cert.certificate_sha256() == "83774498094e42f88980a82bcea1297aec78afb060f4c508872c11713be49d52"
 
 
 def test_graph_hash_is_fresh_for_every_derived_graph():

@@ -26,6 +26,7 @@ from circflow.multigraph import (
     is_bridgeless,
     is_matching,
     is_perfect_matching,
+    matching_copy_ids,
     perfect_matchings,
     serialize,
 )
@@ -35,6 +36,8 @@ from _oracles import (
     canonical_serialize_oracle,
     edges_between_oracle,
     girth_oracle,
+    matched_flow_witness_oracle,
+    matching_copy_ids_oracle,
     matchings_of_oracle,
     max_flow_oracle,
     max_multiplicity_oracle,
@@ -116,6 +119,22 @@ def test_add_matching_copies_composes_with_identical_ids():
     staged = add_matching_copies(add_matching_copies(p, m, 1), m, 2)
     assert joint == staged
     assert {f"{eid}@c{j}" for eid in m for j in (1, 2, 3)} <= set(joint.edge_ids)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 6)), max_size=6, unique=True),
+       st.integers(0, 5))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_matching_copy_ids_match_the_probing_oracle(taken, k):
+    """Ids e@cj already in g, on edges of any ends, are skipped exactly as by
+    probing each j in turn; with none taken the ids are e@c1 .. e@ck."""
+    j3 = families.flower_snark(1).graph
+    m = ["ab0", "ab1", "dc2"]
+    g = j3.with_edges_added([(f"{m[i]}@c{j}", "a0", "b1") for i, j in taken])
+    ids = matching_copy_ids(g, m, k)
+    assert ids == matching_copy_ids_oracle(g, m, k)
+    assert add_matching_copies(g, m, k).edge_ids[g.num_edges():] == tuple(c for each in ids for c in each)
+    if not taken:
+        assert ids == [[f"{eid}@c{j}" for j in range(1, k + 1)] for eid in m]
 
 
 def test_cubic_plus_perfect_matching_regularity():
@@ -407,7 +426,8 @@ def hamiltonian_cubic(draw):
 def test_max_flow_matches_edmonds_karp_on_the_flow_networks(gm):
     """The networks of phi_c (the minimum cuts of ``_violating_subset``, the
     orientation of ``_orientation_with_excess``, the witness circulation) and
-    of the matched witness circulations at t = 1, 2, 3, feasible or not."""
+    the circulations on the built H = g + (2t-2)M at t = 1, 2, 3, feasible or
+    not."""
     g, m = gm
     networks = []
 
@@ -419,13 +439,39 @@ def test_max_flow_matches_edmonds_karp_on_the_flow_networks(gm):
         phi = flows.circular_flow_number(g)
         for t in (1, 2, 3):
             try:
-                flows.matched_flow_witness(g, phi.flow, m, t)
+                matched_flow_witness_oracle(g, phi.flow, m, t)
             except flows.FlowError:  # M need not make the valuation balanced
                 pass
     assert {caller for caller, _, _ in networks} == {
-        "_violating_subset", "_orientation_with_excess", "_circulation"}
+        "_violating_subset", "_orientation_with_excess", "circulation_feasible"}
     for _, n, arcs in networks:
         assert _max_flow(n, arcs) == max_flow_oracle(n, arcs)
+
+
+@given(hamiltonian_cubic(), st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_matched_flow_witness_agrees_with_the_circulation_on_h(gm, data):
+    """On the optimal flow of a small cubic graph, with M the complement of
+    the Hamiltonian cycle or any drawn perfect matching, the closed-form
+    witness and the circulation on the built H both give a valid flow at the
+    bound value when M pairs black with white; otherwise the closed form
+    names the first edge of M that does not."""
+    g, cycle_m = gm
+    drawn = data.draw(st.sampled_from(sorted(sorted(pm) for pm in perfect_matchings(g))))
+    flow = flows.circular_flow_number(g).flow
+    white = valuations.flow_to_bipartition(g, flow).white
+    for m in (cycle_m, drawn):
+        unpaired = [eid for eid in m if (g.edge(eid).u in white) == (g.edge(eid).v in white)]
+        for t in (1, 2, 3):
+            if unpaired:
+                with pytest.raises(flows.FlowError, match=f"matching edge '{unpaired[0]}' does not pair"):
+                    flows.matched_flow_witness(g, flow, m, t)
+                continue
+            h = add_matching_copies(g, m, 2 * t - 2)
+            for witness in (flows.matched_flow_witness(g, flow, m, t),
+                            matched_flow_witness_oracle(g, flow, m, t)):
+                assert witness.r == valuations.bound_formula(flow.r, t)
+                assert flows.verify_flow(h, witness).verdict == "verified"
 
 
 _TOKEN_TEXT = st.text(st.one_of(st.sampled_from("ab&' \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0"

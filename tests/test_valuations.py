@@ -18,6 +18,7 @@ from circflow.valuations import (
     ValuationError,
     asymptotic_bound,
     bipartition_to_flow_bound,
+    bound_formula,
     check_balanced,
     flow_to_bipartition,
     matched_bipartition_inequality_check,
@@ -574,15 +575,101 @@ def _matched_inputs(family, n):
     return data.chain.graph, data.flow, sorted(data.matching)
 
 
-@pytest.mark.parametrize("family,n", [("J", n) for n in range(1, 9)] + [("G", n) for n in range(1, 7)])
+def _closed_form_witness(g, flow, matching, t):
+    """The matched witness as stated: each edge of g keeps its orientation and
+    carries 1 + (x-1)/(1 + (t-1)(r-2)); the copies e@c1 .. e@c(t-1) run white
+    -> black at 1 and e@ct .. e@c(2t-2) black -> white at r'-1."""
+    r, r_target = flow.r, bound_formula(flow.r, t)
+    assert 1 / (r_target - 2) == 1 / (r - 2) + (t - 1)
+    c = 1 / (1 + (t - 1) * (r - 2))
+    dirs = dict(flow.orientation)
+    values = {eid: 1 + c * (x - 1) for eid, x in flow.values.items()}
+    white = flow_to_bipartition(g, flow).white
+    for eid in matching:
+        e = g.edge(eid)
+        forward = (e.u, e.v) if e.u in white else (e.v, e.u)
+        for j in range(1, 2 * t - 1):
+            copy = f"{eid}@c{j}"
+            dirs[copy], values[copy] = (forward, Fraction(1)) if j < t else (forward[::-1], r_target - 1)
+    return flows.RationalFlow(dirs, values, r_target)
+
+
+def _excess(flow):
+    out = Counter(tail for tail, _ in flow.orientation.values())
+    out.subtract(head for _, head in flow.orientation.values())
+    return out
+
+
+MATCHED_INPUTS = [("J", n) for n in range(1, 9)] + [("G", n) for n in range(1, 7)]
+MATCHED_CASES = [(t, reverse) for t in (1, 2, 3, 4) for reverse in (False, True)]
+
+
+@pytest.mark.parametrize("family,n", MATCHED_INPUTS)
 def test_matched_flow_witness_matches_the_flow_found_on_h(family, n):
+    """The witness is the closed form exactly, a valid flow on the built H,
+    and agrees with the flow the circulation finds on H wherever that flow is
+    determined: the same r', the same out - in at every vertex and the same
+    copies, oriented alike.  At t = 1 it is the input flow itself."""
     g, flow, m = _matched_inputs(family, n)
-    for t, matching in [(1, m), (2, m), (3, m), (4, m), (2, m[::-1])]:
-        fresh = flows.matched_flow_witness(g, flow, matching, t)
-        oracle = matched_flow_witness_oracle(g, flow, matching, t)
-        assert flows.write_flow(fresh) == flows.write_flow(oracle)
-        assert list(fresh.orientation.items()) == list(oracle.orientation.items())
-        assert list(fresh.values.items()) == list(oracle.values.items())
+    for t, reverse in MATCHED_CASES:
+        matching = m[::-1] if reverse else m
+        witness = flows.matched_flow_witness(g, flow, matching, t)
+        assert witness == _closed_form_witness(g, flow, matching, t)
+        h = add_matching_copies(g, matching, 2 * t - 2)
+        assert flows.verify_flow(h, witness).verdict == "verified"
+        found = matched_flow_witness_oracle(g, flow, matching, t)
+        assert witness.r == found.r and _excess(witness) == _excess(found)
+        copies = set(h.edge_ids) - set(g.edge_ids)
+        assert {c: witness.orientation[c] for c in copies} == {c: found.orientation[c] for c in copies}
+    assert flows.matched_flow_witness(g, flow, m, 1) == flow
+
+
+def test_matched_flow_witness_runs_no_max_flow(monkeypatch):
+    from circflow import multigraph, valuations
+
+    inputs = [_matched_inputs(family, n) for family, n in MATCHED_INPUTS]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the matched witness ran a max-flow")
+
+    for module in (multigraph, flows, valuations):
+        monkeypatch.setattr(module, "_max_flow", forbidden)
+    for g, flow, m in inputs:
+        for t, reverse in MATCHED_CASES:
+            matching = m[::-1] if reverse else m
+            assert flows.matched_flow_witness(g, flow, matching, t) == _closed_form_witness(g, flow, matching, t)
+
+
+def test_matched_flow_witness_rejects_an_invalid_flow():
+    import dataclasses
+
+    data = flows.build_flower_flow(2)
+    g, flow, m = data.graph, data.flow, sorted(data.matching)
+    assert flows.verify_flow(g, data.base_flow).verdict == "verified"
+    unbalanced = dict(flow.values)
+    unbalanced["aa0"] += Fraction(1, 7)
+    missing = "cd0"
+    for bad in (dataclasses.replace(flow, values=unbalanced),
+                data.base_flow,
+                dataclasses.replace(flow, orientation={e: d for e, d in flow.orientation.items() if e != missing},
+                                    values={e: x for e, x in flow.values.items() if e != missing})):
+        for t in (1, 2):
+            with pytest.raises(flows.FlowError):
+                flows.matched_flow_witness(g, bad, m, t)
+    k5 = families.complete_graph(5)
+    with pytest.raises(flows.FlowError, match="cubic graphs only"):
+        flows.matched_flow_witness(k5, flows.circular_flow_number(k5).flow, [k5.edge_ids[0]], 2)
+
+
+def test_matched_flow_witness_names_an_edge_that_does_not_pair_black_with_white():
+    data = flows.build_flower_flow(1)
+    bip = flow_to_bipartition(data.graph, data.flow)
+    same = lambda eid: bip.color(data.graph.edge(eid).u) == bip.color(data.graph.edge(eid).v)
+    pm = next(sorted(pm) for pm in perfect_matchings(data.graph) if any(map(same, pm)))
+    first = next(eid for eid in pm if same(eid))
+    for t in (1, 2, 3):
+        with pytest.raises(flows.FlowError, match=f"matching edge '{first}' does not pair black with white"):
+            flows.matched_flow_witness(data.graph, data.flow, pm, t)
 
 
 def test_matched_flow_witness_names_copies_as_add_matching_copies_does():
