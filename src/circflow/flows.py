@@ -160,12 +160,15 @@ def add_circuits(flow: RationalFlow, circuits: Iterable[Sequence[tuple[str, int]
     A circuit is a closed walk of (edge id, +1 or -1) steps: +1 runs the edge
     tail -> head and raises its value, -1 runs it head -> tail and lowers it.
     Each walk must follow its signs, close up and repeat no edge or vertex,
-    and every value of the result must be positive.
+    and every value of the result must be positive.  The walks only count
+    the net sign per edge, and each new value x + net * amount is made once
+    per distinct (x, net) from integer numerators and denominators.
     """
     amount = Fraction(amount)
     if amount <= 0:
         raise FlowError("amount must be positive")
-    dirs, values = flow.orientation, dict(flow.values)
+    dirs = flow.orientation
+    net: Counter[str] = Counter()
     for circuit in circuits:
         if len({eid for eid, _ in circuit}) != len(circuit):
             raise FlowError("circuit repeats an edge")
@@ -183,10 +186,17 @@ def add_circuits(flow: RationalFlow, circuits: Iterable[Sequence[tuple[str, int]
                 raise FlowError("circuit repeats a vertex")
             heads.add(head)
             at = head
-            values[eid] += sign * amount
+            net[eid] += sign
         if at != start:
             raise FlowError("circuit is not closed")
-    if any(v <= 0 for v in values.values()):
+    p, q = amount.numerator, amount.denominator
+    values, moved = dict(flow.values), {}
+    for eid, c in net.items():
+        a, b = values[eid].as_integer_ratio()
+        if (a, b, c) not in moved:
+            moved[a, b, c] = Fraction(a * q + c * p * b, b * q)
+        values[eid] = moved[a, b, c]
+    if any(x.numerator <= 0 for x in values.values()):
         raise FlowError("adding the circuits drove an edge to a nonpositive value")
     return RationalFlow(dirs, values, Fraction(r))
 
@@ -439,6 +449,7 @@ def matched_flow_witness(g: Multigraph, flow: RationalFlow, matching: Sequence[s
 
     M must be a perfect matching of g pairing black with white, and ``flow``
     a valid nowhere-zero flow on g; anything else raises ``FlowError``.
+    These checks come first; ``_matched_image`` is the closed form.
     """
     t = int(t)
     m = list(matching)
@@ -449,6 +460,15 @@ def matched_flow_witness(g: Multigraph, flow: RationalFlow, matching: Sequence[s
         raise FlowError("the matched witness needs a valid nowhere-zero flow on the graph")
     if 2 * len(m) != g.num_vertices():
         raise FlowError("orientation does not cover the graph")
+    return _matched_image(g, flow, m, copies, t)
+
+
+def _matched_image(g: Multigraph, flow: RationalFlow, m: Sequence[str],
+                   copies: Sequence[Sequence[str]], t: int) -> RationalFlow:
+    """``matched_flow_witness`` without its input checks: ``flow`` must be a
+    valid nowhere-zero flow on the cubic graph g and M a perfect matching with
+    the copy ids ``copies``; only a matching edge that does not pair black
+    with white raises ``FlowError``."""
     dirs, edges = flow.orientation, g._edges
     indegree = Counter(head for _, head in dirs.values())  # 1 on white, 2 on black vertices
     r, r_target = flow.r, valuations.bound_formula(flow.r, t)

@@ -10,16 +10,21 @@ max-flow kernel, a Dinic that augments along Edmonds-Karp's own paths, on
 integer node ids and capacities: flows and valuations scale their rational
 capacities by one common denominator.
 
-``Multigraph.__init__`` is the one constructor and the one place a graph is
-validated.  It checks all vertex ids in one pass, and all edge ids in
-another, as ``" ".join(ids).split() == ids``: exactly the per-token test
+``Multigraph.__init__`` is the one constructor, and ``_add_edges`` the one
+place an edge is validated.  The constructor checks all vertex ids in one
+pass, and ``_add_edges`` all edge ids in another, as
+``" ".join(ids).split() == ids``: exactly the per-token test
 ``token.split() == [token]``, run at C speed.  Only when that fails are the
 ids checked one by one, each in input order together with the checks that
 follow it, so the first ``GraphError`` raised is the one the per-id test
 would raise first.  Every edge is checked for a duplicate id, a loop and an
-unknown endpoint.  Edges are immutable ``Edge`` named tuples ``(eid, u, v)``:
-derived graphs pass their parent's ``Edge`` records on for the edges they
-keep, and build new ones only for rewired and new edges.
+unknown endpoint.  Edges are immutable ``Edge`` named tuples ``(eid, u, v)``.
+A graph with edges or vertices removed is filtered from its parent's
+checked edges and incidence lists, and a graph with edges added checks only
+the new edges against its parent's; a relabeling goes through the
+constructor again.  Either way the result, its incidence order, its content
+hash and its first error are those of the constructor on the same vertex
+and edge lists.
 """
 
 from __future__ import annotations
@@ -85,6 +90,30 @@ class IndexedView(NamedTuple):
     incident: tuple[tuple[int, ...], ...]
 
 
+def _add_edges(es: dict[str, Edge], incident: Mapping[str, list[str]],
+               edges: Iterable[tuple[str, str, str]]) -> None:
+    """Enter ``edges`` in ``es`` and in the incidence lists, each checked in
+    order for its id token, a duplicate id, a loop and an unknown endpoint;
+    ``incident`` has a list for every vertex.  The ids are token-checked in
+    one pass first, and one by one only when that pass fails."""
+    records = [e if type(e) is Edge else Edge._make(e) for e in edges]
+    check_ids = not _all_tokens([e.eid for e in records])
+    for e in records:
+        eid, u, v = e
+        if check_ids:
+            _check_token("edge", eid)
+        if eid in es:
+            raise GraphError(f"duplicate edge id {eid!r}")
+        if u == v:
+            raise GraphError(f"edge {eid!r} is a loop at {u!r}")
+        at_u, at_v = incident.get(u), incident.get(v)
+        if at_u is None or at_v is None:
+            raise GraphError(f"edge {eid!r} references unknown vertex")
+        es[eid] = e
+        at_u.append(eid)
+        at_v.append(eid)
+
+
 class Multigraph:
     """Loopless multigraph.  Parallel edges are allowed, loops are not."""
 
@@ -98,25 +127,9 @@ class Multigraph:
                 if v in seen:
                     raise GraphError(f"duplicate vertex id {v!r}")
                 seen.add(v)
-        records = [e if type(e) is Edge else Edge._make(e) for e in edges]
-        check_ids = not _all_tokens([e.eid for e in records])
-        es: dict[str, Edge] = {}
-        for e in records:
-            eid, u, v = e
-            if check_ids:
-                _check_token("edge", eid)
-            if eid in es:
-                raise GraphError(f"duplicate edge id {eid!r}")
-            if u == v:
-                raise GraphError(f"edge {eid!r} is a loop at {u!r}")
-            at_u, at_v = incident.get(u), incident.get(v)
-            if at_u is None or at_v is None:
-                raise GraphError(f"edge {eid!r} references unknown vertex")
-            es[eid] = e
-            at_u.append(eid)
-            at_v.append(eid)
         self._vertices = tuple(vs)
-        self._edges = es
+        self._edges: dict[str, Edge] = {}
+        _add_edges(self._edges, incident, edges)
         self._incident = {v: tuple(ids) for v, ids in incident.items()}
 
     @cached_property
@@ -217,25 +230,45 @@ class Multigraph:
 
     # -- derived graphs ---------------------------------------------------
 
+    @staticmethod
+    def _from_parts(vertices: tuple[str, ...], edges: dict[str, Edge],
+                    incident: dict[str, tuple[str, ...]]) -> Multigraph:
+        """A graph from checked parts: no id, loop or endpoint is checked again."""
+        g = Multigraph.__new__(Multigraph)
+        g._vertices, g._edges, g._incident = vertices, edges, incident
+        return g
+
     def with_edges_removed(self, eids: Iterable[str]) -> Multigraph:
+        """The graph without ``eids``, filtered from this graph's own parts."""
         gone = set(eids)
         for e in gone:
             self.edge(e)
-        return Multigraph(self._vertices, [e for e in self._edges.values() if e.eid not in gone])
+        return self._from_parts(
+            self._vertices, {eid: e for eid, e in self._edges.items() if eid not in gone},
+            {v: ids if gone.isdisjoint(ids) else tuple(e for e in ids if e not in gone)
+             for v, ids in self._incident.items()})
 
     def with_vertices_removed(self, vs: Iterable[str]) -> Multigraph:
+        """The graph without ``vs`` and their edges, filtered from this graph's own parts."""
         gone = set(vs)
         for v in gone:
             if v not in self._incident:
                 raise GraphError(f"unknown vertex id {v!r}")
-        return Multigraph(
-            [v for v in self._vertices if v not in gone],
-            [e for e in self._edges.values() if not (e.u in gone or e.v in gone)],
-        )
+        dropped = {eid for v in gone for eid in self._incident[v]}
+        return self._from_parts(
+            tuple(v for v in self._vertices if v not in gone),
+            {eid: e for eid, e in self._edges.items() if eid not in dropped},
+            {v: ids if dropped.isdisjoint(ids) else tuple(e for e in ids if e not in dropped)
+             for v, ids in self._incident.items() if v not in gone})
 
-    def with_edges_added(self, edges: Iterable[tuple[str, str, str]],
-                         new_vertices: Iterable[str] = ()) -> Multigraph:
-        return Multigraph([*self._vertices, *new_vertices], [*self._edges.values(), *edges])
+    def with_edges_added(self, edges: Iterable[tuple[str, str, str]]) -> Multigraph:
+        """The graph with ``edges`` after its own; only the new edges are
+        checked, against this graph's parts."""
+        es, more = dict(self._edges), {v: [] for v in self._vertices}
+        _add_edges(es, more, edges)
+        return self._from_parts(self._vertices, es, {
+            v: ids + tuple(extra) if extra else ids
+            for (v, ids), extra in zip(self._incident.items(), more.values())})
 
     def relabeled(self, vertex_map: Mapping[str, str], edge_map: Mapping[str, str] | None = None) -> Multigraph:
         """Rename vertices (and optionally edges) through total or partial maps."""

@@ -29,6 +29,11 @@ The circular flow number is the least r at which some k is balanced
 flow in [1, r-1] exactly when |k(X)| * r/(r-2) <= |cut(X)| for every X, so
 phi_c = 2q/(q-1) for the largest q(k) = min over X of |cut(X)| / |k(X)|,
 searched over k with the parity of the degrees, |k_v| < deg(v) and sum 0.
+The search keeps every set X its cuts find, as a bitmask with |cut(X)|,
+and skips a prefix of k, running no max-flow, once some kept X lies inside
+it with |cut(X)| / |k(X)| <= the best q so far: no completion of that
+prefix does better, and the best q moves only on a strict increase, so the
+value and the k found are unchanged.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .multigraph import (
     add_matching_copies,
     edge_cut,
     is_perfect_matching,
+    matching_copy_ids,
 )
 
 
@@ -134,17 +140,20 @@ def _violating_subset(view: IndexedView, k: Sequence[int], p: int, q: int) -> li
     return sorted(v for v in reachable if v < n) if positive > value else None
 
 
-def _min_ratio(view: IndexedView, k: Sequence[int], floor: tuple[int, int]) -> tuple[int, int]:
+def _min_ratio(view: IndexedView, k: Sequence[int], floor: tuple[int, int],
+               start: tuple[int, int] | None = None,
+               found: list[tuple[int, list[int]]] | None = None) -> tuple[int, int]:
     """min over X with k(X) != 0 of |cut(X)| / |k(X)| if it exceeds ``floor``,
     else some value <= floor; k sums to zero and is not all zero.  Ratios are
     lowest-terms pairs (p, q) for p/q.
 
-    Dinkelbach iteration from the least ratio deg(v) / |k_v| of one vertex
-    (picked in float order; any one X's ratio is a sound start): while a
-    minimum cut finds an X with p/q |k(X)| > |cut(X)|, p/q moves down to that
-    X's ratio, so the last p/q is the exact minimum."""
-    p, q = min(((len(at), abs(kv)) for at, kv in zip(view.incident, k) if kv),
-               key=lambda ratio: ratio[0] / ratio[1])
+    Dinkelbach iteration from ``start``, or else from the least ratio
+    deg(v) / |k_v| of one vertex (picked in float order); any one X's ratio is
+    a sound start.  While a minimum cut finds an X with p/q |k(X)| > |cut(X)|,
+    p/q moves down to that X's ratio, so the last p/q is the exact minimum.
+    Each X found is appended to ``found`` as (|cut(X)|, X)."""
+    p, q = start or min(((len(at), abs(kv)) for at, kv in zip(view.incident, k) if kv),
+                        key=lambda ratio: ratio[0] / ratio[1])
     while True:
         d = gcd(p, q)
         p, q = p // d, q // d
@@ -152,6 +161,8 @@ def _min_ratio(view: IndexedView, k: Sequence[int], floor: tuple[int, int]) -> t
             return p, q
         side = set(x)
         p, q = sum((a in side) != (b in side) for a, b in view.ends), abs(sum(k[v] for v in x))
+        if found is not None:
+            found.append((p, x))
 
 
 def _phi_c_valuation(g: Multigraph) -> tuple[Fraction, dict[str, int]]:
@@ -159,8 +170,24 @@ def _phi_c_valuation(g: Multigraph) -> tuple[Fraction, dict[str, int]]:
 
     Depth-first over k in vertex order.  k and -k give the same q, so k is
     positive on the first odd-degree vertex; a prefix whose sum can no longer
-    reach 0 is pruned, and so is a k_v with deg(v) / |k_v| <= the best q.
-    q is a lowest-terms integer pair p/q, made a ``Fraction`` once, in r."""
+    reach 0 is pruned.  q is a lowest-terms integer pair p/q, made a
+    ``Fraction`` once, in r.
+
+    Every other prune rests on one fact: q(k) is the least |cut(X)| / |k(X)|
+    over all X, so once every vertex of some X is assigned, a ratio
+    |cut(X)| / |k(X)| <= the best q bounds every completion of the prefix.
+    The best q changes only on a strict increase, so the value and the k
+    returned are those of the search without these prunes.  The sets are:
+    - single vertices: a k_v with deg(v) / |k_v| <= the best q is skipped;
+    - each X a leaf's minimum cuts find, or its complement (the same cut)
+      when X holds the last vertex, kept as (|cut(X)|, bitmask) under its
+      highest vertex and checked, with no max-flow, when that vertex is
+      assigned: k(X) = sum of c * |X & mask_c| over the masks of the
+      vertices assigned each weight c;
+    - the set that decides a leaf, whose ratio is now at most the best q:
+      the search backs up to the assignment of its highest vertex.
+    A leaf's Dinkelbach starts from the least ratio of the single vertices
+    and the kept sets checked on its path."""
     view = g.indexed
     degree = [len(at) for at in view.incident]
     n = len(degree)
@@ -170,23 +197,56 @@ def _phi_c_valuation(g: Multigraph) -> tuple[Fraction, dict[str, int]]:
     slack = [sum(max(d - 2, 0) for d in degree[i:]) for i in range(n + 1)]  # largest |k| sums
     best, best_k = (1, 1), None
     k = [0] * n
+    pool: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    masks = dict.fromkeys({kv for d in degree for kv in range(2 - d, d - 1, 2) if kv}, 0)
 
-    def search(i: int, total: int) -> None:
+    def search(i: int, total: int, least: tuple[int, int, int]) -> int:
+        """Search below k[:i]; ``least`` is the least ratio p/q of a set
+        checked on the path and that set's highest vertex h, as (p, q, h).
+        Returns the vertex whose assignment to back up to, or n."""
         nonlocal best, best_k
         if abs(total) > slack[i]:
-            return
+            return n
         if i == n:
-            p, q = _min_ratio(view, k, best)
+            found: list[tuple[int, list[int]]] = []
+            p, q = _min_ratio(view, k, best, least[:2], found)
+            h = least[2]
+            for cut, x in found:
+                x = sum(1 << v for v in x)
+                if x >> (n - 1):
+                    x ^= (1 << n) - 1
+                h = x.bit_length() - 1
+                pool[h].append((cut, x))
             if p * best[1] > best[0] * q:
                 best, best_k = (p, q), k.copy()
-            return
-        d = degree[i]
+            return h
+        d, bit = degree[i], 1 << i
         for kv in sorted(range(-d, d + 1, 2), key=abs):
             if (kv == 0 or abs(kv) * best[0] < d * best[1]) and (i != odd or kv > 0):
-                k[i] = kv
-                search(i + 1, total + kv)
+                k[i], here = kv, least
+                if kv:
+                    masks[kv] |= bit
+                    if d * here[1] < here[0] * abs(kv):
+                        here = (d, abs(kv), i)
+                jump, weighted = n, masks.items()
+                for cut, x in pool[i]:
+                    kx = 0
+                    for c, m in weighted:  # a plain loop: twice as fast as sum() here
+                        kx += c * (x & m).bit_count()
+                    kx = abs(kx)
+                    if cut * best[1] <= best[0] * kx:
+                        break
+                    if kx and cut * here[1] < here[0] * kx:
+                        here = (cut, kx, i)
+                else:
+                    jump = search(i + 1, total + kv, here)
+                if kv:
+                    masks[kv] ^= bit
+                if jump < i:
+                    return jump
+        return n
 
-    search(0, 0)
+    search(0, 0, (1, 0, n))  # 1/0: no ratio yet
     if best_k is None:
         raise ValuationError("no valuation is balanced at a finite r: the graph has a bridge")
     p, q = best
@@ -313,8 +373,8 @@ def matched_bipartition_inequality_check(g: Multigraph, flow, matching: Iterable
     start = time.monotonic()
     h = add_matching_copies(g, m, 2 * t - 2)
     params = {"t": t, "r": rat(r), "bound": rat(bound_formula(r, t)), "matching": m}
-    try:
-        witness_flow = flows.matched_flow_witness(g, flow, m, t)
+    try:  # the checks above cover every input check of flows.matched_flow_witness
+        witness_flow = flows._matched_image(g, flow, m, matching_copy_ids(g, m, 2 * t - 2), t)
     except flows.FlowError as exc:
         raise ValuationError(f"internal error: no matched flow witness ({exc})") from exc
     if flows.flow_violation(h, witness_flow) is not None:

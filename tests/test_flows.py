@@ -8,7 +8,7 @@ from math import lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from circflow import families, flows, valuations
+from circflow import blanusa, families, flows, valuations
 from circflow.certificates import Certificate
 from circflow.flows import (
     INTEGER_ONE_ZERO,
@@ -219,6 +219,17 @@ def test_add_circuits_agrees_with_the_old_circuit_paths(case):
         assert forward.values == got.values
 
 
+@pytest.mark.parametrize("family, n", [("J", n) for n in range(1, 10)] + [("G", n) for n in range(1, 8)])
+def test_flower_and_chain_flows_are_byte_identical_to_the_old_circuit_paths(family, n):
+    if family == "J":
+        data, amount, r = build_flower_flow(n), Fraction(1, n), Fraction(4 * n + 1, n)
+    else:
+        data, amount, r = blanusa.build_chain(n), Fraction(1, n + 1), Fraction(4 * n + 5, n + 1)
+    expected = add_circuits_oracle(data.base_flow, data.circuits, amount, r)
+    assert write_flow(data.flow) == write_flow(expected)
+    assert write_flow(add_circuits(data.base_flow, data.circuits, amount, r)) == write_flow(expected)
+
+
 def test_circulation_feasible_cycle():
     g, flow = directed_cycle_flow(6)
     ok, witness = circulation_feasible(g, flow.orientation, Fraction(2))
@@ -293,6 +304,13 @@ def test_circular_flow_number_with_terminal_like_vertex_ids():
     g = k4.relabeled({k4.vertices[0]: "__source__", k4.vertices[1]: "__sink__"})
     result = circular_flow_number(g)
     assert result.value == 4
+    assert verify_flow(g, result.flow).verdict == "verified"
+
+
+def test_circular_flow_number_of_j5_above_the_default_cap():
+    g = families.flower_snark(2).graph  # J5, 30 edges
+    result = circular_flow_number(g, cap=30)
+    assert result.value == Fraction(9, 2)
     assert verify_flow(g, result.flow).verdict == "verified"
 
 

@@ -540,7 +540,7 @@ def test_derived_graphs_match_the_constructor_oracle(g, data):
 
     for step in range(data.draw(st.integers(1, 4))):
         op = data.draw(st.sampled_from(
-            ["copies", "drop-edges", "drop-vertices", "relabel"]))
+            ["copies", "drop-edges", "drop-vertices", "relabel", "add-edges"]))
         if op == "copies":
             pm = data.draw(st.sampled_from([[]] + [sorted(m) for m in perfect_matchings(new)]))
             k = data.draw(st.integers(0, 2))
@@ -551,6 +551,12 @@ def test_derived_graphs_match_the_constructor_oracle(g, data):
         elif op == "drop-vertices":
             gone = some(new.vertices, max_size=2)
             calls = (new.with_vertices_removed, gone), (old.with_vertices_removed, gone)
+        elif op == "add-edges":
+            # fresh, repeated and malformed ids, loops and unknown endpoints
+            ends = st.sampled_from([*new.vertices, "w"])
+            added = data.draw(st.lists(st.tuples(st.sampled_from([*new.edge_ids, "f0", "f1", "x y", ""]),
+                                                 ends, ends), max_size=3))
+            calls = (new.with_edges_added, added), (old.with_edges_added, added)
         else:
             vmap = {v: data.draw(names) for v in some(new.vertices, max_size=2)}
             emap = {e: data.draw(names) for e in some(new.edge_ids, max_size=2)}

@@ -278,13 +278,13 @@ def test_a_failing_matched_flow_witness_is_an_internal_error(monkeypatch):
 
     data = flows.build_flower_flow(1)
     m = sorted(data.matching)
-    witness = flows.matched_flow_witness
+    witness = flows._matched_image
 
-    def broken_witness(g, flow, matching, t):
-        good = witness(g, flow, matching, t)
+    def broken_witness(g, flow, matching, copies, t):
+        good = witness(g, flow, matching, copies, t)
         return dataclasses.replace(good, values={**good.values, m[0]: Fraction(7)})
 
-    monkeypatch.setattr(flows, "matched_flow_witness", broken_witness)
+    monkeypatch.setattr(flows, "_matched_image", broken_witness)
     with pytest.raises(ValuationError, match="internal error"):
         matched_bipartition_inequality_check(data.graph, data.flow, m, 2)
 
@@ -541,14 +541,45 @@ def _phi_outcome(search, g):
     return value, list(k.items())
 
 
+def _plus_matching(g, matching, k):
+    """g + kM: the weights of a degree 3 + k vertex run over the odd |k_v| < 3 + k."""
+    return add_matching_copies(g, sorted(matching), k)
+
+
+_PETERSEN_M = perfect_matchings(families.petersen())[0]
+_J3 = flows.build_flower_flow(1)  # its matching, spokes and dc edges, avoids the triangle a0 a1 a2
+
+
 @given(phi_graphs())
 @example(families.petersen())
 @example(families.flower_snark(1).graph)
+@example(_plus_matching(families.petersen(), _PETERSEN_M, 2))
+@example(_plus_matching(families.petersen(), _PETERSEN_M, 4))
+@example(_plus_matching(_J3.graph, _J3.matching, 2))
 @settings(max_examples=400, derandomize=True, deadline=None)
 def test_phi_c_search_matches_the_fraction_oracle(g):
     from circflow.valuations import _phi_c_valuation
 
     assert _phi_outcome(_phi_c_valuation, g) == _phi_outcome(phi_c_valuation_oracle, g)
+
+
+@pytest.mark.parametrize("g, unpooled", [(families.petersen(), 143), (families.flower_snark(1).graph, 554)],
+                         ids=["petersen", "J3"])
+def test_phi_c_search_reuses_the_sets_its_cuts_find(monkeypatch, g, unpooled):
+    """Without the pool of violating sets the search runs 143 max-flows on
+    Petersen and 554 on J3; with it, at most a third of that."""
+    from circflow import valuations
+
+    calls = Counter()
+    max_flow = valuations._max_flow
+
+    def counting(*args):
+        calls["max_flow"] += 1
+        return max_flow(*args)
+
+    monkeypatch.setattr(valuations, "_max_flow", counting)
+    assert valuations._phi_c_valuation(g)[0] == 5
+    assert 0 < calls["max_flow"] <= unpooled // 3
 
 
 @given(phi_graphs(), st.data())
@@ -707,7 +738,7 @@ def test_matched_flow_witness_rejects_a_matching_that_is_not_perfect():
 def test_the_matched_check_builds_h_once_and_one_flow_witness(monkeypatch):
     data = flows.build_flower_flow(2)
     calls = Counter()
-    build, to_witness = Multigraph.with_edges_added, flows.flow_to_witness
+    build, to_witness, violation = Multigraph.with_edges_added, flows.flow_to_witness, flows.flow_violation
 
     def counting_build(self, *args, **kwargs):
         calls["H"] += 1
@@ -717,11 +748,17 @@ def test_the_matched_check_builds_h_once_and_one_flow_witness(monkeypatch):
         calls["flow_to_witness"] += 1
         return to_witness(flow)
 
+    def counting_violation(g, flow):
+        calls["flow_violation", g.num_edges()] += 1
+        return violation(g, flow)
+
     monkeypatch.setattr(Multigraph, "with_edges_added", counting_build)
     monkeypatch.setattr(flows, "flow_to_witness", counting_to_witness)
+    monkeypatch.setattr(flows, "flow_violation", counting_violation)
     cert = matched_bipartition_inequality_check(data.graph, data.flow, sorted(data.matching), 3)
     assert cert.verdict == "verified"
-    assert calls == {"H": 1, "flow_to_witness": 1}
+    # the input flow is checked once on g (30 edges) and the witness once on H (30 + 4 * 10)
+    assert calls == {"H": 1, "flow_to_witness": 1, ("flow_violation", 30): 1, ("flow_violation", 70): 1}
 
 
 def test_internal_flow_checks_build_no_certificate(monkeypatch):
