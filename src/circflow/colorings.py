@@ -5,8 +5,12 @@ parallel edges are interchangeable in a 1-factorization.  So class-1/class-2
 decisions for regular graphs cover the edge multiplicities of the simple
 support graph with Delta perfect matchings, memoizing failed multiplicity
 vectors (the matching cover); everything else is exact backtracking.  The
-cover keeps its demand in place and refutes a state with two colors left by
-the parity of its cycles, which leaves its node count unchanged.
+cover searches a support graph with multiplicities, so g + kM is searched
+on g's own support, with k more on each edge of M, and H = g + kM is built
+only where a coloring of it is returned or checked.  The cover reads its
+demand in place, and with two colors left it settles the 2-regular demand
+in closed form: odd cycles refute it, and even ones give the two factors
+the enumeration would have found, with the same node count.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ from .multigraph import (
     EdgeCut,
     Multigraph,
     _matchings_of,
+    _with_copies,
     add_matching_copies,
     edge_cut,
     is_perfect_matching,
+    matching_copy_ids,
 )
 
 PROPER = "proper"
@@ -44,13 +50,24 @@ class EdgeColoring(NamedTuple):
 
 
 def is_proper(g: Multigraph, coloring: EdgeColoring):
-    """(True, None) or (False, (vertex, edge1, edge2)) for the first clash."""
+    """(True, None) or (False, (vertex, edge1, edge2)) for the first clash.
+
+    Each vertex ORs one bit per incident color, and only a vertex with fewer
+    bits than edges is scanned for its clash; so is every vertex when a
+    color outside 0..|E| would make the masks wide."""
     colors = coloring.colors
-    if set(colors) != set(g.edge_ids):
+    if colors.keys() != g._edges.keys():
         raise ColoringError("coloring does not cover exactly the edges of the graph")
-    for v in g.vertices:
+    narrow = not colors or 0 <= min(colors.values()) and max(colors.values()) <= len(colors)
+    for v, ids in g._incident.items():
+        if narrow:
+            mask = 0
+            for eid in ids:
+                mask |= 1 << colors[eid]
+            if mask.bit_count() == len(ids):
+                continue
         seen: dict[int, str] = {}
-        for eid in g.incident_edges(v):
+        for eid in ids:
             c = colors[eid]
             if c in seen:
                 return False, (v, seen[c], eid)
@@ -67,18 +84,22 @@ def _check_palette(colors: dict[str, int], palette: int) -> None:
 
 
 def sees_odd_violation(g: Multigraph, coloring: EdgeColoring):
-    """First (vertex, color, count) with an even count, or None."""
+    """First (vertex, color, count) with an even count, or None.
+
+    Each vertex XORs one bit per incident color, so its mask is the full
+    palette exactly when every count is odd."""
     colors, palette = coloring.colors, coloring.palette
-    if set(colors) != set(g.edge_ids):
+    if colors.keys() != g._edges.keys():
         raise ColoringError("coloring does not cover exactly the edges of the graph")
     _check_palette(colors, palette)
-    for v in g.vertices:
-        counts = [0] * palette
-        for eid in g.incident_edges(v):
-            counts[colors[eid]] += 1
-        for c, cnt in enumerate(counts):
-            if cnt % 2 == 0:
-                return (v, c, cnt)
+    full = (1 << palette) - 1
+    for v, ids in g._incident.items():
+        mask = 0
+        for eid in ids:
+            mask ^= 1 << colors[eid]
+        if mask != full:
+            c = (~mask & (mask + 1)).bit_length() - 1  # the lowest even count
+            return (v, c, sum(colors[eid] == c for eid in ids))
     return None
 
 
@@ -98,63 +119,68 @@ class _Deadline:
             raise SearchBudgetExceeded("search budget exhausted")
 
 
-def _matching_cover(h: Multigraph, deadline: _Deadline) -> dict[str, int] | None:
-    """A proper d-edge-coloring of the d-regular multigraph h, or None.
+def _matching_cover(g: Multigraph, deadline: _Deadline, m: Sequence[str] = (),
+                    copies: Sequence[Sequence[str]] = ()) -> dict[str, int] | None:
+    """A proper d-edge-coloring of the d-regular multigraph H = g + kM, or None.
 
-    Such a coloring is a 1-factorization.  Parallel edges are interchangeable,
-    so the search runs on h's simple support graph and covers the multiplicity
-    of every support edge with d perfect matchings.  The state is the list of
-    multiplicities still in demand, kept in place: a step subtracts its
-    matching, recurses and adds the matching back.  Each step takes a perfect
-    matching through the lowest-index support edge still in demand, and a
-    state that failed once is not searched again.  With two colors left the
-    demand graph is 2-regular, a demand of 2 being a 2-cycle, and it has a
-    perfect matching exactly when every cycle is even; a state with an odd
-    cycle fails at once, as the enumeration would have found no matching
-    there, so the node count is the same.  Color c goes to the c-th matching
-    and, within each support edge, to the parallel edges of h in their order.
+    ``copies`` are ``matching_copy_ids(g, m, k)``; without them H is g.  The
+    search runs on g's simple support graph: each class of parallel edges,
+    in order of first appearance, is one support edge whose multiplicity is
+    the size of the class, and the class of an edge of M gains its copies.
+    Color c goes to the c-th factor and, within each class, to its ids in
+    H's order: g's edges in g order, then e@c1 .. e@ck.
     """
-    view = h.indexed
-    copies: dict[tuple[int, int], list[int]] = {}
-    for e, (a, b) in enumerate(view.ends):
-        copies.setdefault((a, b) if a < b else (b, a), []).append(e)
-    support = list(copies.values())
-    ends = list(copies)
-    at: list[list[tuple[int, int]]] = [[] for _ in view.vertices]
+    view = g.indexed
+    classes: dict[tuple[int, int], list[str]] = {}
+    for eid, (a, b) in zip(view.edge_ids, view.ends):
+        classes.setdefault((a, b) if a < b else (b, a), []).append(eid)
+    for eid, ids in zip(m, copies):
+        e = g._edges[eid]
+        a, b = view.pos[e.u], view.pos[e.v]
+        classes[(a, b) if a < b else (b, a)].extend(ids)
+    factors = _cover(len(view.vertices), list(classes),
+                     [len(ids) for ids in classes.values()], deadline)
+    if factors is None:
+        return None
+    unused = [iter(ids) for ids in classes.values()]
+    return {next(unused[s]): c for c, pm in enumerate(factors) for s in pm}
+
+
+def _cover(n: int, ends: Sequence[tuple[int, int]], need: list[int],
+           deadline: _Deadline) -> list[list[int]] | None:
+    """d perfect matchings of the simple graph on n vertices with the edges
+    ``ends``, each (lower, higher), that use edge s ``need[s]`` times; or None.
+
+    The demand is kept in place, and the enumeration reads it as its live-edge
+    test.  Each step takes a perfect matching through the lowest-index edge
+    still in demand, and a state that failed once is not searched again.
+    With two colors left the demand graph is 2-regular, a demand of 2 being a
+    2-cycle, and ``_two_factors`` settles it, counting the two nodes the
+    recursion would have visited.  The memo is skipped there: such a state
+    fails exactly when it has an odd cycle, which the walk finds as fast.
+    """
+    at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for s, (a, b) in enumerate(ends):
         at[a].append((s, b))
         at[b].append((s, a))
-    need = [len(ids) for ids in support]
     failed: set[tuple[int, ...]] = set()
-
-    def odd_cycle(inc: list[list[tuple[int, int]]]) -> bool:
-        """Whether the 2-regular demand graph ``inc`` has an odd cycle."""
-        seen = [False] * len(inc)
-        for start in range(len(inc)):
-            v, prev, length = start, -1, 0
-            while not seen[v]:
-                seen[v] = True
-                length += 1
-                w = inc[v][0][1]
-                v, prev = (inc[v][-1][1] if w == prev else w), v
-            if length % 2:
-                return True
-        return False
 
     def cover(left: int) -> list[list[int]] | None:
         deadline.tick()
         pivot = next((s for s, k in enumerate(need) if k), None)
         if pivot is None:
             return []
+        if left == 2:
+            found = _two_factors(at, ends, need, pivot)
+            if found is not None:
+                deadline.tick()
+                deadline.tick()
+            return found
         key = tuple(need)
         if key in failed:
             return None
-        inc = [[(s, w) for s, w in at_v if need[s]] for at_v in at]
-        if left == 2 and odd_cycle(inc):
-            failed.add(key)
-            return None
         a, b = ends[pivot]
-        for pm in _matchings_of(inc, 1 << a | 1 << b, deadline.poll):
+        for pm in _matchings_of(at, 1 << a | 1 << b, deadline.poll, need):
             pm.append(pivot)
             for s in pm:
                 need[s] -= 1
@@ -166,13 +192,50 @@ def _matching_cover(h: Multigraph, deadline: _Deadline) -> dict[str, int] | None
         failed.add(key)
         return None
 
-    if len(view.vertices) % 2 and support:
+    if n % 2 and ends:
         return None  # odd order: no perfect matching exists
-    factors = cover(len(view.incident[0]) if support else 0)  # d colors to place
-    if factors is None:
-        return None
-    unused = [iter(ids) for ids in support]
-    return {view.edge_ids[next(unused[s])]: c for c, pm in enumerate(factors) for s in pm}
+    return cover(sum(need[s] for s, _ in at[0]) if ends else 0)  # d colors to place
+
+
+def _two_factors(at: Sequence[Sequence[tuple[int, int]]], ends: Sequence[tuple[int, int]],
+                 need: Sequence[int], pivot: int) -> list[list[int]] | None:
+    """The last two factors of a 2-regular demand, or None if it has an odd
+    cycle: what the enumeration through ``pivot``, and the one-color node
+    after it, would return.
+
+    The enumeration matches the lowest free vertex next, so each factor
+    lists its edges by their lower ends, its own pivot last, and the first
+    factor alternates from the pivot on the pivot's cycle, and from the
+    first live option at the lowest vertex on every other cycle.  The walk
+    goes round the cycles in that order, and an edge joins the factor of the
+    parity of its step; the factors are built only once every cycle is even.
+    """
+    n = len(at)
+    out = [-1] * n  # 2 * (the edge the walk leaves a vertex by) + the step's parity
+    a, b = ends[pivot]
+    out[a] = 2 * pivot
+    v, came, length = b, pivot, 1
+    for start in range(n + 1):  # the pivot's cycle, then each vertex in turn
+        while out[v] < 0:
+            for s, w in at[v]:
+                if need[s] and s != came:
+                    break
+            else:  # a demand of 2: back along the same edge
+                s, w = came, sum(ends[came]) - v
+            out[v] = 2 * s + (length & 1)
+            length += 1
+            v, came = w, s
+        if length & 1:
+            return None
+        v, came, length = start, -1, 0
+    factors = [[-1] * n, [-1] * n]  # the edge of each factor at its lower end
+    for x in out:
+        factors[x & 1][ends[x >> 1][0]] = x >> 1
+    one, two = ([s for s in lower if s >= 0] for lower in factors)
+    for pm, own in ((one, pivot), (two, min(two))):
+        pm.remove(own)
+        pm.append(own)
+    return [one, two]
 
 
 def _backtrack_coloring(g: Multigraph, k: int, deadline: _Deadline,
@@ -392,9 +455,10 @@ def class_property(g: Multigraph, matching: Iterable[str], which: int,
 
     H = g + (2t-2)M is (2t+1)-regular, so it is class 1 exactly when the
     matching cover finds 2t+1 perfect matchings of g that use each edge of
-    g - M once and each edge of M 2t-1 times.  Only the listed t are
-    decided; the certificate records explicitly that the quantification
-    over all t is out of reach of the test.
+    g - M once and each edge of M 2t-1 times; the cover runs on g with
+    those multiplicities, and H is built only to check a coloring it found.
+    Only the listed t are decided; the certificate records explicitly that
+    the quantification over all t is out of reach of the test.
     """
     if which not in (1, 2):
         raise ColoringError("which must be 1 or 2")
@@ -409,17 +473,16 @@ def class_property(g: Multigraph, matching: Iterable[str], which: int,
     for t in t_range:
         if t < 1:
             raise ColoringError("t must be positive")
-        h = add_matching_copies(g, m, 2 * t - 2)
-        degree = 2 * t + 1
+        copies = matching_copy_ids(g, m, 2 * t - 2)
         deadline = _Deadline(budget_s)
         try:
-            colors = _matching_cover(h, deadline)
+            colors = _matching_cover(g, deadline, m, copies)
         except SearchBudgetExceeded:
             per_t.append({"t": t, "status": "budget-exhausted"})
             continue
         entry = {"t": t, "class": 1 if colors is not None else 2, "nodes": deadline.nodes}
         if colors is not None:
-            ok, clash = is_proper(h, EdgeColoring(colors, degree))
+            ok, clash = is_proper(_with_copies(g, m, copies), EdgeColoring(colors, 2 * t + 1))
             if not ok:
                 raise ColoringError(f"internal error: bad factorization: {clash}")
             entry["coloring"] = colors
@@ -444,8 +507,8 @@ def reverify_class_property(cert: Certificate, g: Multigraph) -> bool:
     """A declined prover run claims nothing, so its verdict must be
     inconclusive.  Otherwise the per-t entries must list exactly the tested
     range and give the recorded verdict; class-1 entries re-check the
-    recorded coloring, and class-2 entries re-run the matching cover, which
-    must find no coloring."""
+    recorded coloring on H = g + (2t-2)M, and class-2 entries re-run the
+    matching cover on g, which must find no coloring."""
     if "declined" in cert.witness:
         return cert.verdict == "inconclusive"
     params, per_t = cert.parameters, cert.witness["per_t"]
@@ -457,14 +520,16 @@ def reverify_class_property(cert: Certificate, g: Multigraph) -> bool:
         if entry.get("status") == "budget-exhausted":
             continue
         t = int(entry["t"])
-        h = add_matching_copies(g, m, 2 * t - 2)
+        copies = matching_copy_ids(g, m, 2 * t - 2)
         if entry["class"] == 1:
+            h = _with_copies(g, m, copies)
             coloring = EdgeColoring({e: int(c) for e, c in entry["coloring"].items()},
                                     2 * t + 1)
             if coloring.colors.keys() != h._edges.keys() or not is_proper(h, coloring)[0] \
                     or len(set(coloring.colors.values())) > 2 * t + 1:
                 return False
-        elif entry["class"] != 2 or _matching_cover(h, _Deadline(None)) is not None:
+        elif entry["class"] != 2 \
+                or _matching_cover(g, _Deadline(None), m, copies) is not None:
             return False
     return True
 

@@ -3,6 +3,7 @@
 J_{2n+1} + M is 4-regular, so a proper 4-edge-coloring of it is a
 1-factorization, and the matching cover of ``colorings`` decides one exactly:
 it either returns a coloring or refutes every coloring by exhaustion.  The
+cover searches J_{2n+1}'s cached support graph with demand 2 on M.  The
 appendix claims a coloring for every 1-factor M; the cover refutes it for the
 six J_3 one-factors that use a triangle edge.
 
@@ -27,7 +28,7 @@ from .colorings import (
     _matching_cover,
     is_proper,
 )
-from .multigraph import Multigraph, add_matching_copies, is_perfect_matching
+from .multigraph import GraphError, Multigraph, _with_copies, matching_copy_ids
 
 GADGET_SCHEMA = "circflow-flower-gadget/1"
 _GADGET_RESOURCE = "flower_gadget.json"
@@ -171,20 +172,29 @@ def load_gadget_table() -> dict[str, dict | None]:
 
 
 def flower_plus_m_coloring(n: int, matching: Iterable[str]) -> tuple[Multigraph, EdgeColoring]:
-    """A verified proper 4-edge-coloring of J_{2n+1} + M for a 1-factor M.
+    """A verified proper 4-edge-coloring of H = J_{2n+1} + M for a 1-factor M.
 
+    The matching cover runs on J_{2n+1}'s own support, with demand 2 on M
+    and 1 elsewhere, and names the colors through M's copy ids, so H is
+    built only once a coloring is found, to be checked and returned.
     Raises ``FlowerColoringCounterexample`` when no proper 4-coloring exists
     (which happens for the six J_3 one-factors using a triangle edge).
     """
     g = families.flower_snark(n).graph
-    m = frozenset(matching)
-    if not is_perfect_matching(g, m):
+    m = sorted(frozenset(matching))
+    try:
+        copies = matching_copy_ids(g, m, 1)
+    except GraphError:
+        for eid in m:
+            g.edge(eid)  # an unknown id is reported as such
+        copies = None
+    if copies is None or 2 * len(m) != g.num_vertices():
         raise ColoringError("the added edge set must be a perfect matching")
-    h = add_matching_copies(g, sorted(m), 1)
-    colors = _matching_cover(h, _Deadline(None))
+    colors = _matching_cover(g, _Deadline(None), m, copies)
     if colors is None:
         raise FlowerColoringCounterexample(
             f"J_{2 * n + 1} plus this 1-factor admits no proper 4-edge-coloring")
+    h = _with_copies(g, m, copies)
     coloring = EdgeColoring(colors, 4)
     ok, clash = is_proper(h, coloring)
     if not ok:

@@ -319,11 +319,14 @@ def is_perfect_matching(g: Multigraph, eids: Iterable[str]) -> bool:
 
 
 def _matchings_of(inc: Sequence[Sequence[tuple[int, int]]], covered: int,
-                  poll: Callable[[], object] | None = None) -> Iterator[list[int]]:
+                  poll: Callable[[], object] | None = None,
+                  live: Sequence[int] | None = None) -> Iterator[list[int]]:
     """Perfect matchings of the vertices outside the bitmask ``covered``.
 
     ``inc[v]`` lists the (edge index, other end) pairs at vertex ``v`` in
-    incidence order.  The lowest uncovered vertex is always matched next, so
+    incidence order.  With ``live``, only the edges e with a nonzero
+    ``live[e]`` are used, so a caller can keep one set of lists and vary
+    the edges.  The lowest uncovered vertex is always matched next, so
     the matchings come out in one fixed order; each is a fresh list of edge
     indices, which the caller may keep or extend.  The search is depth-first
     on an explicit stack, one frame per matched vertex (its covered mask and
@@ -336,6 +339,8 @@ def _matchings_of(inc: Sequence[Sequence[tuple[int, int]]], covered: int,
     if covered == full:
         yield []
         return
+    if live is None:
+        live = [1] * (1 + max((e for at in inc for e, _ in at), default=-1))
     chosen: list[int] = []  # chosen[d]: the edge that matched frame d's vertex
     frames = 0
     v = (~covered & (covered + 1)).bit_length() - 1
@@ -343,7 +348,7 @@ def _matchings_of(inc: Sequence[Sequence[tuple[int, int]]], covered: int,
     while stack:
         covered, options = stack[-1]
         for e, w in options:
-            if not covered >> w & 1:
+            if not covered >> w & 1 and live[e]:
                 break
         else:
             stack.pop()
@@ -484,7 +489,12 @@ def add_matching_copies(g: Multigraph, matching: Iterable[str], k: int) -> Multi
     """The multigraph g + k*M: after g's edges, the k copies of each matching
     edge in matching order, with the ids of ``matching_copy_ids``."""
     m = list(matching)
-    copies = matching_copy_ids(g, m, k)
+    return _with_copies(g, m, matching_copy_ids(g, m, k))
+
+
+def _with_copies(g: Multigraph, m: Sequence[str], copies: Sequence[Sequence[str]]) -> Multigraph:
+    """g with ``copies[i]`` added as parallels of ``m[i]``, the ids from
+    ``matching_copy_ids(g, m, k)``, which has checked them."""
     return g.with_edges_added([(c, e.u, e.v) for eid, ids in zip(m, copies)
                                for e in (g._edges[eid],) for c in ids])
 

@@ -23,6 +23,8 @@ The flow on a regular bipartite graph comes from a 1-factorization peeled by
 Kuhn augmenting paths, as it once did.
 The maximum flow is Edmonds-Karp, one full breadth-first search for every
 augmenting path, as it once was.
+A coloring is checked proper, or seeing odd, by a dict or a count list per
+vertex over all vertices, as it once was.
 """
 
 import hashlib
@@ -555,6 +557,40 @@ def matching_cover_oracle(h, deadline):
         return None
     unused = [iter(ids) for ids in support]
     return {view.edge_ids[next(unused[s])]: c for c, pm in enumerate(factors) for s in pm}
+
+
+def is_proper_oracle(g, coloring):
+    """is_proper with a seen-color dict at every vertex: the oracle."""
+    colors = coloring.colors
+    if set(colors) != set(g.edge_ids):
+        raise ColoringError("coloring does not cover exactly the edges of the graph")
+    for v in g.vertices:
+        seen = {}
+        for eid in g.incident_edges(v):
+            c = colors[eid]
+            if c in seen:
+                return False, (v, seen[c], eid)
+            seen[c] = eid
+    return True, None
+
+
+def sees_odd_violation_oracle(g, coloring):
+    """sees_odd_violation with a count list at every vertex: the oracle."""
+    colors, palette = coloring.colors, coloring.palette
+    if set(colors) != set(g.edge_ids):
+        raise ColoringError("coloring does not cover exactly the edges of the graph")
+    bad = next((e for e, c in colors.items() if not 0 <= c < palette), None)
+    if bad is not None:
+        raise ColoringError(f"edge {bad!r} has color {colors[bad]}, "
+                            f"outside the palette 0..{palette - 1}")
+    for v in g.vertices:
+        counts = [0] * palette
+        for eid in g.incident_edges(v):
+            counts[colors[eid]] += 1
+        for c, cnt in enumerate(counts):
+            if cnt % 2 == 0:
+                return (v, c, cnt)
+    return None
 
 
 def edges_between_oracle(g, u, v):

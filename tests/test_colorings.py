@@ -28,8 +28,7 @@ from circflow.multigraph import (
     perfect_matchings,
 )
 
-import _oracles
-from _oracles import matching_cover_oracle
+from _oracles import is_proper_oracle, matching_cover_oracle, sees_odd_violation_oracle
 
 
 def test_is_proper_basics():
@@ -422,44 +421,193 @@ def test_matching_cover_agrees_with_its_oracle_on_flowers(n):
     assert sum(f is None for f in found) == (6 if n == 1 else 0)
 
 
-def _odd_cycle(inc):
-    """Whether the 2-regular graph of the incidence lists ``inc`` has an odd
-    cycle: a breadth-first 2-coloring fails."""
-    side = [None] * len(inc)
-    for root in range(len(inc)):
-        if side[root] is None:
-            side[root], queue = 0, [root]
-            for v in queue:
-                for _, w in inc[v]:
-                    if side[w] is None:
-                        side[w] = 1 - side[v]
-                        queue.append(w)
-                    elif side[w] == side[v]:
-                        return True
-    return False
+def _petersen_plus(k):
+    p = families.petersen()
+    return add_matching_copies(p, sorted(perfect_matchings(p)[0]), k)
 
 
-@pytest.mark.parametrize("make", [families.petersen, lambda: families.flower_snark(2).graph],
-                         ids=["Petersen", "J5"])
-def test_two_colors_left_with_an_odd_cycle_enumerate_nothing(monkeypatch, make):
-    # the graph is simple and cubic, so a call whose demand graph is
-    # 2-regular comes from a node with two colors left
-    g = make()
-    enumerations = []
+def _j5_plus_m():
+    j5 = families.flower_snark(2).graph
+    return add_matching_copies(j5, sorted(perfect_matchings(j5)[0]), 1)
 
-    def counting(inc, covered, poll=None):
-        if all(len(at_v) == 2 for at_v in inc):
-            enumerations.append(_odd_cycle(inc))
-        return _matchings_of(inc, covered, poll)
 
-    assert _same_cover(g) is None  # a snark: no 3-edge-coloring
-    monkeypatch.setattr(_oracles, "_matchings_of", counting)
-    matching_cover_oracle(g, colorings._Deadline(None))
-    assert enumerations and all(enumerations)  # every such node of a snark is odd
-    enumerations.clear()
+@pytest.mark.parametrize("make", [
+    families.petersen, lambda: families.flower_snark(2).graph, _j5_plus_m,
+    lambda: _petersen_plus(2)], ids=["Petersen", "J5", "J5+M", "Petersen+2M"])
+def test_the_cover_never_enumerates_with_two_colors_left(monkeypatch, make):
+    # every vertex of a state with c colors left has demand c, so the
+    # demand at vertex 0 tells the colors left of each enumeration
+    h = make()
+    demands, closed = [], []
+    two_factors = colorings._two_factors
+
+    def counting(inc, covered, poll=None, live=None):
+        demands.append(sum(1 if live is None else live[e] for e, _ in inc[0]))
+        return _matchings_of(inc, covered, poll, live)
+
+    def counted_closed_form(*args):
+        closed.append(args)
+        return two_factors(*args)
+
     monkeypatch.setattr(colorings, "_matchings_of", counting)
-    colorings._matching_cover(g, colorings._Deadline(None))
-    assert enumerations == []
+    monkeypatch.setattr(colorings, "_two_factors", counted_closed_form)
+    _same_cover(h)
+    assert demands and closed  # the cover enumerated, and reached two colors
+    assert 2 not in demands
+
+
+@st.composite
+def two_regular_demand(draw):
+    """A 2-regular multigraph as a list of (u, v) edges on vertices 0..n-1:
+    disjoint cycles, a 2-cycle being a doubled edge, some of them odd, with
+    the vertices and the edge order shuffled."""
+    lengths = draw(st.lists(st.sampled_from([2, 2, 3, 4, 4, 5, 6, 8]), min_size=1, max_size=4))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n = sum(lengths)
+    order = list(range(n))
+    rng.shuffle(order)
+    edges, i = [], 0
+    for length in lengths:
+        cycle = order[i:i + length]
+        i += length
+        edges += [(cycle[j], cycle[(j + 1) % length]) for j in range(length)]
+    rng.shuffle(edges)
+    return n, edges, rng
+
+
+def _enumerated_two(n, ends, need, pivot):
+    """The two factors the enumeration finds through ``pivot`` and then
+    through the lowest edge still in demand, or None."""
+    need = list(need)
+    factors = []
+    for own in (pivot, None):
+        inc = [[] for _ in range(n)]
+        for s, (a, b) in enumerate(ends):
+            if need[s]:
+                inc[a].append((s, b))
+                inc[b].append((s, a))
+        own = next(s for s, k in enumerate(need) if k) if own is None else own
+        a, b = ends[own]
+        pm = next(_matchings_of(inc, 1 << a | 1 << b), None)
+        if pm is None:
+            return None
+        pm.append(own)
+        for s in pm:
+            need[s] -= 1
+        factors.append(pm)
+    return factors
+
+
+@given(two_regular_demand())
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_two_factors_equal_the_enumeration(case):
+    n, edges, rng = case
+    classes = {}
+    for u, v in edges:
+        classes[(min(u, v), max(u, v))] = classes.get((min(u, v), max(u, v)), 0) + 1
+    ends, need = list(classes), list(classes.values())
+    at = [[] for _ in range(n)]
+    for s, (a, b) in enumerate(ends):
+        at[a].append((s, b))
+        at[b].append((s, a))
+    pivot = rng.randrange(len(ends))
+    expected = _enumerated_two(n, ends, need, pivot)
+    assert colorings._two_factors(at, ends, need, pivot) == expected
+    assert (expected is None) == any(length % 2 for length in _cycle_lengths(n, edges))
+
+
+def _cycle_lengths(n, edges):
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, lengths = set(), []
+    for root in range(n):
+        if root not in seen:
+            stack, size = [root], 0
+            seen.add(root)
+            while stack:
+                v = stack.pop()
+                size += 1
+                for w in adj[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            lengths.append(size)
+    return lengths
+
+
+@given(two_regular_demand())
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_the_cover_of_a_two_regular_graph_agrees_with_its_oracle(case):
+    # the root has two colors left: the closed form's factors, their order
+    # and the two nodes it counts for the recursion
+    n, edges, _ = case
+    h = Multigraph([f"v{i}" for i in range(n)],
+                   [(f"e{k}", f"v{u}", f"v{v}") for k, (u, v) in enumerate(edges)])
+    _same_cover(h)
+
+
+PINNED_CLASS = [
+    ("Petersen", lambda: (families.petersen(), sorted(perfect_matchings(families.petersen())[0])),
+     [1, 2, 3], "a5f6ca46cd5273a99c4e70bf90dbda7857b6039b52bdca1fae0cd5f8dc4af6bb"),
+    ("J5", lambda: (families.flower_snark(2).graph,
+                    [f"ab{i}" for i in range(5)] + [f"dc{i}" for i in range(5)]),
+     [1, 2], "7321c6b588561be22f1919c2679f0f10d1bcb3413125e79acef073227765ee38"),
+    ("G1", lambda: (lambda c: (c.chain.graph, sorted(c.matching)))(blanusa.build_chain(1)),
+     [1], "98b69fecce08592047527496153fd74055bf56c6cc479d0d0f33bafe35e69b83"),
+]
+
+
+@pytest.mark.parametrize("name,make,ts,sha", PINNED_CLASS, ids=[c[0] for c in PINNED_CLASS])
+def test_class_property_certificates_are_pinned(name, make, ts, sha):
+    g, m = make()
+    cert = class_property(g, m, 2, ts)
+    assert cert.certificate_sha256() == sha
+    assert reverify(cert, g)
+
+
+def _outcome(check, g, coloring):
+    try:
+        return check(g, coloring)
+    except ColoringError as exc:
+        return str(exc)
+
+
+@given(cubic_with_matching(), st.sampled_from([0, 1, 2]),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(-1, 9)), max_size=3))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_coloring_checks_agree_with_their_oracles(case, k, recolor):
+    """Proper colorings of g + kM (or a round-robin one where none exists),
+    with up to three edges recolored: clashes, even counts, colors outside
+    the palette and, for is_proper, colors beyond the mask width."""
+    g, m = case
+    h = add_matching_copies(g, m, k)
+    palette = 3 + k
+    colors = colorings._matching_cover(h, colorings._Deadline(None)) \
+        or {e: i % palette for i, e in enumerate(h.edge_ids)}
+    ids = list(colors)
+    for i, c in recolor:
+        colors[ids[i % len(ids)]] = c if c < 9 else 10 ** 6
+    coloring = EdgeColoring(colors, palette)
+    assert _outcome(is_proper, h, coloring) == _outcome(is_proper_oracle, h, coloring)
+    assert _outcome(colorings.sees_odd_violation, h, coloring) \
+        == _outcome(sees_odd_violation_oracle, h, coloring)
+
+
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 12)), max_size=3))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_sees_odd_violation_agrees_with_its_oracle_on_m3_prime(recolor):
+    data = mp_coloring.mp_prime_coloring(1)
+    g, colors = data.family.graph, dict(data.coloring.colors)
+    ids = list(colors)
+    for i, c in recolor:
+        colors[ids[i % len(ids)]] = c
+    coloring = EdgeColoring(colors, data.coloring.palette, data.coloring.mode)
+    found = colorings.sees_odd_violation(g, coloring)
+    assert found == sees_odd_violation_oracle(g, coloring)
+    if colors == data.coloring.colors:
+        assert found is None
 
 
 def test_the_cover_still_stops_on_time_in_a_long_enumeration():

@@ -1,14 +1,16 @@
 import pytest
 
 from circflow import families
-from circflow.colorings import is_proper
+from circflow.colorings import ColoringError, _Deadline, is_proper
 from circflow.flower_coloring import (
     FlowerColoringCounterexample,
     build_gadget_table,
     flower_plus_m_coloring,
     load_gadget_table,
 )
-from circflow.multigraph import add_matching_copies, perfect_matchings
+from circflow.multigraph import GraphError, add_matching_copies, perfect_matchings
+
+from _oracles import matching_cover_oracle
 
 
 def brute_force_4_colorable(g):
@@ -114,8 +116,34 @@ def test_j9_all_matchings():
 
 
 def test_rejects_non_matching():
-    with pytest.raises(Exception):
-        flower_plus_m_coloring(2, ["ab0", "ab1"])
+    # ab0 and ab1 are disjoint, ab0 and bc0 share b0: not perfect, not a matching
+    not_perfect = "the added edge set must be a perfect matching"
+    for matching, error, message in [
+            (["zz"], GraphError, "unknown edge id 'zz'"),
+            (["ab0", "ab1"], ColoringError, not_perfect),
+            (["ab0", "ab0"], ColoringError, not_perfect),
+            ([], ColoringError, not_perfect),
+            (["ab0", "bc0"], ColoringError, not_perfect)]:
+        with pytest.raises(error, match=f"^{message}$") as info:
+            flower_plus_m_coloring(2, matching)
+        assert type(info.value) is error
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_colorings_equal_the_oracle_cover_of_h(n):
+    """The search on J_{2n+1}'s support names its colors as the oracle's
+    cover of the built H = J_{2n+1} + M does, in the same dict order."""
+    g = families.flower_snark(n).graph
+    for pm in perfect_matchings(g):
+        h = add_matching_copies(g, sorted(pm), 1)
+        expected = matching_cover_oracle(h, _Deadline(None))
+        if expected is None:
+            with pytest.raises(FlowerColoringCounterexample):
+                flower_plus_m_coloring(n, sorted(pm))
+            continue
+        got_h, coloring = flower_plus_m_coloring(n, sorted(pm))
+        assert got_h == h and list(got_h.edge_ids) == list(h.edge_ids)
+        assert list(coloring.colors.items()) == list(expected.items())
 
 
 def test_theorem_matching_always_succeeds():
