@@ -221,6 +221,8 @@ def _two_factors(at: Sequence[Sequence[tuple[int, int]]], ends: Sequence[tuple[i
                 if need[s] and s != came:
                     break
             else:  # a demand of 2: back along the same edge
+                if came < 0:
+                    return None  # no live edge at v: the graph was not regular
                 s, w = came, sum(ends[came]) - v
             out[v] = 2 * s + (length & 1)
             length += 1

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -459,8 +460,8 @@ def test_the_cover_never_enumerates_with_two_colors_left(monkeypatch, make):
 @st.composite
 def two_regular_demand(draw):
     """A 2-regular multigraph as a list of (u, v) edges on vertices 0..n-1:
-    disjoint cycles, a 2-cycle being a doubled edge, some of them odd, with
-    the vertices and the edge order shuffled."""
+    disjoint cycles of the drawn lengths, a 2-cycle being a doubled edge,
+    with the vertices and the edge order shuffled."""
     lengths = draw(st.lists(st.sampled_from([2, 2, 3, 4, 4, 5, 6, 8]), min_size=1, max_size=4))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     n = sum(lengths)
@@ -472,7 +473,7 @@ def two_regular_demand(draw):
         i += length
         edges += [(cycle[j], cycle[(j + 1) % length]) for j in range(length)]
     rng.shuffle(edges)
-    return n, edges, rng
+    return n, edges, lengths, rng
 
 
 def _enumerated_two(n, ends, need, pivot):
@@ -501,10 +502,8 @@ def _enumerated_two(n, ends, need, pivot):
 @given(two_regular_demand())
 @settings(max_examples=400, derandomize=True, deadline=None)
 def test_two_factors_equal_the_enumeration(case):
-    n, edges, rng = case
-    classes = {}
-    for u, v in edges:
-        classes[(min(u, v), max(u, v))] = classes.get((min(u, v), max(u, v)), 0) + 1
+    n, edges, lengths, rng = case
+    classes = Counter((min(u, v), max(u, v)) for u, v in edges)
     ends, need = list(classes), list(classes.values())
     at = [[] for _ in range(n)]
     for s, (a, b) in enumerate(ends):
@@ -513,28 +512,7 @@ def test_two_factors_equal_the_enumeration(case):
     pivot = rng.randrange(len(ends))
     expected = _enumerated_two(n, ends, need, pivot)
     assert colorings._two_factors(at, ends, need, pivot) == expected
-    assert (expected is None) == any(length % 2 for length in _cycle_lengths(n, edges))
-
-
-def _cycle_lengths(n, edges):
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen, lengths = set(), []
-    for root in range(n):
-        if root not in seen:
-            stack, size = [root], 0
-            seen.add(root)
-            while stack:
-                v = stack.pop()
-                size += 1
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            lengths.append(size)
-    return lengths
+    assert (expected is None) == any(length % 2 for length in lengths)
 
 
 @given(two_regular_demand())
@@ -542,10 +520,16 @@ def _cycle_lengths(n, edges):
 def test_the_cover_of_a_two_regular_graph_agrees_with_its_oracle(case):
     # the root has two colors left: the closed form's factors, their order
     # and the two nodes it counts for the recursion
-    n, edges, _ = case
+    n, edges, _, _ = case
     h = Multigraph([f"v{i}" for i in range(n)],
                    [(f"e{k}", f"v{u}", f"v{v}") for k, (u, v) in enumerate(edges)])
     _same_cover(h)
+
+
+def test_the_cover_refutes_a_vertex_without_demand_at_two_colors():
+    # not regular: a and b have a double edge, c and d nothing
+    g = Multigraph(["a", "b", "c", "d"], [("e1", "a", "b"), ("e2", "a", "b")])
+    assert colorings._matching_cover(g, colorings._Deadline(None)) is None
 
 
 PINNED_CLASS = [
