@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import families
-from .flows import FlowError, INTEGER_ONE_ZERO, RationalFlow, add_circuits, flow_violation
+from .flows import FlowError, INTEGER_ONE_ZERO, RationalFlow, _integer_value, add_circuits, flow_violation
 from .multigraph import (
     Multigraph,
     girth,
@@ -70,7 +70,7 @@ class BlanusaSeed(NamedTuple):
     def base_flow(self) -> RationalFlow:
         return RationalFlow(
             dict(self.orientation),
-            {e: Fraction(v) for e, v in self.values.items()},
+            {e: _integer_value(v) for e, v in self.values.items()},
             Fraction(4), INTEGER_ONE_ZERO, self.zero_edge,
         )
 
@@ -568,7 +568,7 @@ def build_chain(n: int) -> ChainFlowData:
     x, ce = seed.x, seed.c_edges
     graph, matching = seed.graph, seed.matching
     dirs: dict[str, tuple[str, str]] = dict(seed.orientation)
-    vals: dict[str, Fraction] = {e: Fraction(v) for e, v in seed.values.items()}
+    vals: dict[str, Fraction] = {e: _integer_value(v) for e, v in seed.values.items()}
 
     circuits: list[tuple[str, ...]] = [seed.circuit_a, seed.circuit_b]
     special = 0  # index of the circuit containing the marked path
@@ -599,7 +599,7 @@ def build_chain(n: int) -> ChainFlowData:
             if graph.has_edge(em_k[eid]):
                 t, h = seed.orientation[eid]
                 dirs[em_k[eid]] = (vm_k[h], vm_k[t]) if flip else (vm_k[t], vm_k[h])
-                vals[em_k[eid]] = Fraction(seed.values[eid])
+                vals[em_k[eid]] = _integer_value(seed.values[eid])
 
         # the joins take x4, x5, x7, x8 of copy k-1 to x8, y0, y1, x2 of copy
         # k; each keeps the removed edge's value and in/out sense at its end

@@ -8,9 +8,13 @@ which checks every circuit it is given.
 
 All arithmetic is exact: values are ``fractions.Fraction``, cut counts are
 integers, and max-flows run on capacities scaled to integers.  A flow is
-checked by ``flow_violation``, the one integer pass, with r and every value
-scaled by one common denominator; ``verify_flow`` wraps it in a certificate,
-and checks that want only the verdict call it directly.  The circular flow
+checked by ``flow_violation``: each distinct value object is scaled once to
+an integer over the common denominator of r and the values, and conservation
+is an integer sum per vertex id, with no indexed view of the graph.  A flow
+has few distinct values, so the witness and the flow file likewise render
+each value object once, and a witness is read back with one ``Fraction`` per
+distinct string.  ``verify_flow`` wraps the check in a certificate, and
+checks that want only the verdict call it directly.  The circular flow
 number comes from the balanced-valuation search in ``valuations``; its
 witness is an orientation with the optimal out-minus-in degrees, found by
 one max-flow, and the flow that ``circulation_feasible`` puts on it.  The
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import valuations
 from .certificates import Certificate, make_certificate, rat, read_records, unrat
@@ -42,6 +46,17 @@ NOWHERE_ZERO = "nowhere-zero"
 INTEGER_ONE_ZERO = "integer-4-flow-one-zero"
 
 PHI_C_EDGE_CAP = 18
+
+
+# The values 0..3 of an integer 4-flow, one object each, so that a base flow
+# holds at most four distinct value objects.
+_INTEGER_VALUES = {v: Fraction(v) for v in range(4)}
+
+
+def _integer_value(v: int) -> Fraction:
+    """``Fraction(v)``, the shared object when v is a value of an integer 4-flow."""
+    x = _INTEGER_VALUES.get(v)
+    return Fraction(v) if x is None else x
 
 
 class FlowError(ValueError):
@@ -69,26 +84,41 @@ class RationalFlow:
             raise FlowError(f"unknown flow mode {self.mode!r}")
 
 
+def _rendered(flow: RationalFlow) -> Iterator[tuple[str, tuple[str, str], str]]:
+    """Each edge id in order with its (tail, head) and its value as ``rat``
+    text.  A flow has few distinct values, often shared by many edges, and
+    hashing a ``Fraction`` is slow: the text is made once per value object,
+    found by ``id``.  Equal values held as separate objects get equal text."""
+    values, text = flow.values, {}
+    for eid, pair in sorted(flow.orientation.items()):
+        x = values[eid]
+        s = text.get(id(x))
+        if s is None:
+            s = text[id(x)] = rat(x)
+        yield eid, pair, s
+
+
 def flow_to_witness(flow: RationalFlow) -> dict:
+    r = rat(flow.r)
     return {
-        "r": rat(flow.r),
+        "r": r,
         "mode": flow.mode,
         "zero_edge": flow.zero_edge,
-        "edges": {
-            eid: {"tail": t, "head": h, "value": rat(flow.values[eid])}
-            for eid, (t, h) in sorted(flow.orientation.items())
-        },
+        "edges": {eid: {"tail": t, "head": h, "value": x} for eid, (t, h), x in _rendered(flow)},
     }
 
 
 def flow_from_witness(g: Multigraph, witness: dict) -> RationalFlow:
     dirs = {}
     values = {}
-    parse = cache(unrat)  # a flow has few distinct values; Fraction is immutable
+    parsed: dict[str, Fraction] = {}  # one Fraction per distinct string; Fraction is immutable
     for eid, rec in witness["edges"].items():
         g.edge(eid)
         dirs[eid] = (rec["tail"], rec["head"])
-        values[eid] = parse(rec["value"])
+        x = parsed.get(rec["value"])
+        if x is None:
+            x = parsed[rec["value"]] = unrat(rec["value"])
+        values[eid] = x
     return RationalFlow(dirs, values, unrat(witness["r"]),
                         witness.get("mode", NOWHERE_ZERO), witness.get("zero_edge"))
 
@@ -107,37 +137,52 @@ def _arc(g: Multigraph, eid: str, pair: tuple[str, str], error: str) -> tuple[in
 def flow_violation(g: Multigraph, flow: RationalFlow) -> dict | None:
     """Exact validity check, None or the violation: conservation everywhere,
     values in [1, r-1].  In the intermediate integer mode the flagged edge
-    must carry exactly 0 and every other edge an integer in [1, 3].  One
-    integer pass decides it: with r and every value scaled by D, the least
-    common multiple of their denominators, conservation is an integer sum at
-    each vertex and the window is D <= x <= (r-1)D.  A violation names every
+    must carry exactly 0 and every other edge an integer in [1, 3].
+
+    A flow has few distinct values, so each distinct value object, found
+    by ``id``, is read and scaled once: with D the least common multiple of
+    the denominators of r and the values, value x becomes the integer xD.
+    Conservation is then an integer sum per vertex id, needing no indexed
+    view of the graph, and the window is D <= xD <= (r-1)D.  This is exact
+    whether or not equal values share one object, since equal values scale
+    to equal integers: sharing only saves work.  A violation names every
     unbalanced vertex, or else the first edge out of the window in
-    ``flow.values`` order.
+    ``flow.values`` order, found after conservation by a scan for the
+    out-of-window objects.
     """
-    view, dirs, values = g.indexed, flow.orientation, flow.values
-    if not dirs.keys() == values.keys() == g._edges.keys():
+    dirs, values, edges = flow.orientation, flow.values, g._edges
+    if not dirs.keys() == values.keys() == edges.keys():
         raise FlowError("flow does not cover exactly the edges of the graph")
-    den = lcm(flow.r.denominator, *{x.denominator for x in values.values()})
-    if flow.mode == INTEGER_ONE_ZERO:
-        zero, hi, step = flow.zero_edge, 3 * den, den
-    else:
-        zero, hi, step = None, flow.r.numerator * (den // flow.r.denominator) - den, 1
-    net = [0] * len(view.vertices)
-    bad = None
-    for eid, val in values.items():
-        tail, head = _arc(g, eid, dirs[eid], "orientation endpoints disagree with the graph")
-        x = val.numerator * (den // val.denominator)
+    vals = list(values.values())
+    ids = list(map(id, vals))  # hashing a Fraction is slow: each value object is found by id
+    distinct = dict(zip(ids, vals))
+    den = lcm(flow.r.denominator, *{x.denominator for x in distinct.values()})
+    scaled = {i: x.numerator * (den // x.denominator) for i, x in distinct.items()}
+    net = dict.fromkeys(g._vertices, 0)
+    for eid, i in zip(values, ids):
+        pair, (_, u, v) = dirs[eid], edges[eid]
+        tail, head = pair[0], pair[1]
+        if not (tail == u and head == v or tail == v and head == u):
+            raise FlowError("orientation endpoints disagree with the graph")
+        x = scaled[i]
         net[tail] -= x
         net[head] += x
-        if bad is None and (x != 0 if eid == zero else not den <= x <= hi or x % step):
-            bad = eid
 
-    unbalanced = sorted(view.vertices[v] for v, x in enumerate(net) if x)
+    unbalanced = sorted(v for v, x in net.items() if x)
     if unbalanced:
         return {"conservation_at": unbalanced}
-    if flow.mode == INTEGER_ONE_ZERO and zero not in g._edges:
-        raise FlowError("integer mode requires a flagged zero edge")
-    return None if bad is None else {"edge": bad, "value": rat(values[bad])}
+    if flow.mode == INTEGER_ONE_ZERO:
+        zero, hi, step = flow.zero_edge, 3 * den, den
+        if zero not in edges:
+            raise FlowError("integer mode requires a flagged zero edge")
+    else:
+        zero, hi, step = None, flow.r.numerator * (den // flow.r.denominator) - den, 1
+    out = {i for i, x in scaled.items() if not den <= x <= hi or x % step}
+    if out or zero is not None:  # the zero edge must carry 0, which is out of the window
+        for eid, i in zip(values, ids):
+            if scaled[i] if eid == zero else i in out:
+                return {"edge": eid, "value": rat(values[eid])}
+    return None
 
 
 def verify_flow(g: Multigraph, flow: RationalFlow) -> Certificate:
@@ -378,7 +423,7 @@ def build_flower_flow(n: int) -> FlowerFlowData:
 
     def put(eid: str, tail: str, head: str, value: int) -> None:
         dirs[eid] = (tail, head)
-        vals[eid] = Fraction(value)
+        vals[eid] = _INTEGER_VALUES[value]
 
     put("ab0", "a0", "b0", 0)
     put("bc0", "b0", "c0", 2)
@@ -500,8 +545,7 @@ def write_flow(flow: RationalFlow) -> str:
     lines = [FLOW_HEADER, f"r {rat(flow.r)}", f"mode {flow.mode}"]
     if flow.zero_edge is not None:
         lines.append(f"zero-edge {flow.zero_edge}")
-    for eid, (tail, head) in sorted(flow.orientation.items()):
-        lines.append(f"{eid} {tail} {head} {rat(flow.values[eid])}")
+    lines += [f"{eid} {tail} {head} {x}" for eid, (tail, head), x in _rendered(flow)]
     return "\n".join(lines) + "\n"
 
 

@@ -51,7 +51,7 @@ from .multigraph import (
     IndexedView,
     Multigraph,
     _max_flow,
-    add_matching_copies,
+    _with_copies,
     edge_cut,
     is_perfect_matching,
     matching_copy_ids,
@@ -371,10 +371,11 @@ def matched_bipartition_inequality_check(g: Multigraph, flow, matching: Iterable
             raise ValuationError(f"matching edge {eid!r} does not pair black with white")
 
     start = time.monotonic()
-    h = add_matching_copies(g, m, 2 * t - 2)
+    copies = matching_copy_ids(g, m, 2 * t - 2)
+    h = _with_copies(g, m, copies)
     params = {"t": t, "r": rat(r), "bound": rat(bound_formula(r, t)), "matching": m}
     try:  # the checks above cover every input check of flows.matched_flow_witness
-        witness_flow = flows._matched_image(g, flow, m, matching_copy_ids(g, m, 2 * t - 2), t)
+        witness_flow = flows._matched_image(g, flow, m, copies, t)
     except flows.FlowError as exc:
         raise ValuationError(f"internal error: no matched flow witness ({exc})") from exc
     if flows.flow_violation(h, witness_flow) is not None:

@@ -23,6 +23,10 @@ The flow on a regular bipartite graph comes from a 1-factorization peeled by
 Kuhn augmenting paths, as it once did.
 The maximum flow is Edmonds-Karp, one full breadth-first search for every
 augmenting path, as it once was.
+A flow is checked on the graph's integer-indexed view, with every edge's
+value scaled and its ends looked up one edge at a time; it is written, and
+turned into a certificate witness, with one ``rat`` per edge, and a witness
+is read back through a fresh ``functools.cache`` per call, as it once was.
 A coloring is checked proper, or seeing odd, by a dict or a count list per
 vertex over all vertices, as it once was.
 """
@@ -30,10 +34,22 @@ vertex over all vertices, as it once was.
 import hashlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
+from math import lcm
 
 from circflow import families, mp_coloring
 from circflow.colorings import PROPER, ColoringError, EdgeColoring
-from circflow.flows import NOWHERE_ZERO, FlowError, RationalFlow, bipartite_sides, circulation_feasible
+from circflow.certificates import rat, unrat
+from circflow.flows import (
+    FLOW_HEADER,
+    INTEGER_ONE_ZERO,
+    NOWHERE_ZERO,
+    FlowError,
+    RationalFlow,
+    _arc,
+    bipartite_sides,
+    circulation_feasible,
+)
 from circflow.multigraph import (
     FORMAT_HEADER,
     GraphError,
@@ -675,3 +691,68 @@ def bipartite_regular_flow_oracle(g, t):
             dirs[eid] = (a, b) if forward else (b, a)
             values[eid] = Fraction(1) if forward else Fraction(t + 1, t)
     return RationalFlow(dirs, values, Fraction(2 * t + 1, t))
+
+
+def flow_violation_oracle(g, flow):
+    """The flow check on g's indexed view, each edge's value scaled and its
+    ends looked up by ``_arc`` one edge at a time: the oracle."""
+    view, dirs, values = g.indexed, flow.orientation, flow.values
+    if not dirs.keys() == values.keys() == g._edges.keys():
+        raise FlowError("flow does not cover exactly the edges of the graph")
+    den = lcm(flow.r.denominator, *{x.denominator for x in values.values()})
+    if flow.mode == INTEGER_ONE_ZERO:
+        zero, hi, step = flow.zero_edge, 3 * den, den
+    else:
+        zero, hi, step = None, flow.r.numerator * (den // flow.r.denominator) - den, 1
+    net = [0] * len(view.vertices)
+    bad = None
+    for eid, val in values.items():
+        tail, head = _arc(g, eid, dirs[eid], "orientation endpoints disagree with the graph")
+        x = val.numerator * (den // val.denominator)
+        net[tail] -= x
+        net[head] += x
+        if bad is None and (x != 0 if eid == zero else not den <= x <= hi or x % step):
+            bad = eid
+
+    unbalanced = sorted(view.vertices[v] for v, x in enumerate(net) if x)
+    if unbalanced:
+        return {"conservation_at": unbalanced}
+    if flow.mode == INTEGER_ONE_ZERO and zero not in g._edges:
+        raise FlowError("integer mode requires a flagged zero edge")
+    return None if bad is None else {"edge": bad, "value": rat(values[bad])}
+
+
+def flow_to_witness_oracle(flow):
+    """The witness with one ``rat`` per edge: the oracle."""
+    return {
+        "r": rat(flow.r),
+        "mode": flow.mode,
+        "zero_edge": flow.zero_edge,
+        "edges": {
+            eid: {"tail": t, "head": h, "value": rat(flow.values[eid])}
+            for eid, (t, h) in sorted(flow.orientation.items())
+        },
+    }
+
+
+def flow_from_witness_oracle(g, witness):
+    """The witness read through a fresh ``functools.cache`` of ``unrat``: the oracle."""
+    dirs = {}
+    values = {}
+    parse = cache(unrat)
+    for eid, rec in witness["edges"].items():
+        g.edge(eid)
+        dirs[eid] = (rec["tail"], rec["head"])
+        values[eid] = parse(rec["value"])
+    return RationalFlow(dirs, values, unrat(witness["r"]),
+                        witness.get("mode", NOWHERE_ZERO), witness.get("zero_edge"))
+
+
+def write_flow_oracle(flow):
+    """The flow file with one ``rat`` per edge: the oracle."""
+    lines = [FLOW_HEADER, f"r {rat(flow.r)}", f"mode {flow.mode}"]
+    if flow.zero_edge is not None:
+        lines.append(f"zero-edge {flow.zero_edge}")
+    for eid, (tail, head) in sorted(flow.orientation.items()):
+        lines.append(f"{eid} {tail} {head} {rat(flow.values[eid])}")
+    return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -25,7 +26,7 @@ from circflow.flows import (
     verify_flow,
     write_flow,
 )
-from circflow.multigraph import Multigraph, bridges, perfect_matchings
+from circflow.multigraph import Multigraph, add_matching_copies, bridges, perfect_matchings
 
 from _oracles import (
     DirectedCircuit,
@@ -35,6 +36,10 @@ from _oracles import (
     add_circuit_flow,
     add_circuits_oracle,
     bipartite_regular_flow_oracle,
+    flow_from_witness_oracle,
+    flow_to_witness_oracle,
+    flow_violation_oracle,
+    write_flow_oracle,
 )
 
 
@@ -481,6 +486,17 @@ def test_base_flower_flow_integer_mode():
     assert zeros == ["ab0"] == [data.base_flow.zero_edge]
 
 
+@pytest.mark.parametrize("x", [Fraction(1), Fraction(3), Fraction(5, 2), Fraction(4)])
+def test_the_flagged_edge_is_out_of_the_window_unless_zero(x):
+    """The flagged edge fails at any value but 0, in the window or out of it,
+    before the unflagged edge that shares its value object."""
+    g = Multigraph(["a", "b"], [("e0", "a", "b"), ("e1", "b", "a")])
+    flow = RationalFlow({"e0": ("a", "b"), "e1": ("b", "a")}, {"e0": x, "e1": x},
+                        Fraction(4), INTEGER_ONE_ZERO, "e0")
+    assert flows.flow_violation(g, flow) == {"edge": "e0", "value": _rat_oracle(x)}
+    assert flows.flow_violation(g, flow) == flow_violation_oracle(g, flow)
+
+
 @st.composite
 def bridgeless_multigraphs(draw):
     """A random loopless bridgeless multigraph on at most 6 vertices and 9
@@ -573,7 +589,7 @@ def _verify_flow_oracle(g, flow):
     return cert({}, "verified")
 
 
-FLOW_FAULTS = ("off-balance", "low", "high", "missing", "extra", "endpoints", "zero-edge")
+FLOW_FAULTS = ("off-balance", "low", "high", "missing", "extra", "endpoints", "zero-edge", "zero-twin")
 
 
 @st.composite
@@ -581,7 +597,10 @@ def flow_cases(draw):
     """A random loopless multigraph that is a union of directed cycles, each
     carrying one value, with a flow that is valid or has up to two faults:
     off balance at random vertices, outside the window at either end, a
-    missing or extra edge, wrong endpoints, or (integer mode) a bad zero edge.
+    missing or extra edge, wrong endpoints, a second edge at the zero edge's
+    value, or (integer mode) a flag on a missing edge or on a cycle edge.
+    Equal values are one object per cycle, one object per value over the
+    whole flow, a fresh object per edge, or a random mix of the last two.
     Edge, vertex and value orders are shuffled independently."""
     n = draw(st.integers(2, 6))
     vs = [f"v{i}" for i in range(n)]
@@ -610,13 +629,19 @@ def flow_cases(draw):
         a, b = draw(st.permutations(vs))[:2]
         dirs["z"], values["z"], zero_edge = (a, b), Fraction(0), "z"
         if "zero-edge" in faults:
-            zero_edge = draw(st.sampled_from([None, "nope", "e0"]))
+            zero_edge = draw(st.sampled_from([None, "nope", "e0", "e0 alone"]))
+            if zero_edge == "e0 alone":  # the flag moves to a cycle edge, and z goes
+                del dirs["z"], values["z"]
+                zero_edge = "e0"
         r = Fraction(4)
     else:
         r = max(cycle_values) + 1 + draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2)]))
         if "high" in faults:
             r = draw(st.sampled_from([r - draw(st.fractions(Fraction(1, 7), 1, max_denominator=7)),
                                       max(cycle_values) + 1 - step]))
+    if "zero-twin" in faults:  # only the flagged edge may carry 0
+        a, b = draw(st.permutations(vs))[:2]
+        dirs["y"], values["y"] = (a, b), values.get("z", Fraction(0))
     g = Multigraph(draw(st.permutations(vs)),
                    draw(st.permutations([(eid, *draw(st.permutations(pair))) for eid, pair in dirs.items()])))
     if "off-balance" in faults:
@@ -633,6 +658,13 @@ def flow_cases(draw):
         eid = draw(st.sampled_from(sorted(dirs)))
         tail, head = dirs[eid]
         dirs[eid] = draw(st.sampled_from([(tail, tail), (head, "nowhere"), (tail, vs[-1]), (vs[0], head)]))
+    sharing = draw(st.sampled_from(["cycle", "pooled", "fresh", "mixed"]))
+    pool = {}
+    for eid, x in values.items():
+        if sharing == "pooled" or sharing == "mixed" and draw(st.booleans()):
+            values[eid] = pool.setdefault(x, x)
+        elif sharing != "cycle":
+            values[eid] = Fraction(x.numerator, x.denominator)
     dirs = dict(draw(st.permutations(list(dirs.items()))))
     values = dict(draw(st.permutations(list(values.items()))))
     mode = INTEGER_ONE_ZERO if integer else flows.NOWHERE_ZERO
@@ -652,3 +684,50 @@ def _flow_outcome(check, g, flow):
 def test_verify_flow_matches_the_fraction_oracle(case):
     g, flow = case
     assert _flow_outcome(verify_flow, g, flow) == _flow_outcome(_verify_flow_oracle, g, flow)
+
+
+def _pass_outcome(fn, *args):
+    """What a flow-pass function gave: its exception's type and message, or
+    its result as JSON text in its own key order, a flow as its fields."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(out, RationalFlow):
+        return (list(out.orientation.items()), [(eid, type(x), x) for eid, x in out.values.items()],
+                out.r, out.mode, out.zero_edge)
+    return json.dumps(out)
+
+
+@given(flow_cases(), st.booleans())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_flow_pass_matches_the_per_edge_oracles(case, reread):
+    """The per-distinct-value pass gives the per-edge pass's violation, in its
+    key order, the same witness and flow file text, and the same flow read
+    back, or the same exception, however the flow shares its value objects."""
+    g, flow = case
+    assert _pass_outcome(flows.flow_violation, g, flow) == _pass_outcome(flow_violation_oracle, g, flow)
+    assert _pass_outcome(flows.flow_to_witness, flow) == _pass_outcome(flow_to_witness_oracle, flow)
+    assert _pass_outcome(write_flow, flow) == _pass_outcome(write_flow_oracle, flow)
+    try:
+        witness = flow_to_witness_oracle(flow)
+    except KeyError:
+        return  # the orientation names an edge the values lack
+    if reread:  # every value string its own object, as a certificate file reads back
+        witness = json.loads(json.dumps(witness))
+    back = _pass_outcome(flows.flow_from_witness, g, witness)
+    assert back == _pass_outcome(flow_from_witness_oracle, g, witness)
+    if isinstance(back, tuple) and len(back) == 5:  # each distinct string is parsed once
+        parsed = flows.flow_from_witness(g, witness).values.values()
+        assert len(set(map(id, parsed))) == len({rec["value"] for rec in witness["edges"].values()})
+
+
+def test_verify_flow_builds_no_indexed_view():
+    data = build_flower_flow(2)
+    m = sorted(data.matching)
+    witness = flows.matched_flow_witness(data.graph, data.flow, m, 2)
+    h = add_matching_copies(data.graph, m, 2)
+    assert verify_flow(h, witness).verdict == "verified"
+    bad = replace(witness, values={**witness.values, m[0]: Fraction(2)})
+    assert verify_flow(h, bad).verdict == "refuted"
+    assert "indexed" not in vars(h)
