@@ -99,9 +99,8 @@ def _rendered(flow: RationalFlow) -> Iterator[tuple[str, tuple[str, str], str]]:
 
 
 def flow_to_witness(flow: RationalFlow) -> dict:
-    r = rat(flow.r)
     return {
-        "r": r,
+        "r": rat(flow.r),
         "mode": flow.mode,
         "zero_edge": flow.zero_edge,
         "edges": {eid: {"tail": t, "head": h, "value": x} for eid, (t, h), x in _rendered(flow)},

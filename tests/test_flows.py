@@ -688,14 +688,15 @@ def test_verify_flow_matches_the_fraction_oracle(case):
 
 def _pass_outcome(fn, *args):
     """What a flow-pass function gave: its exception's type and message, or
-    its result as JSON text in its own key order, a flow as its fields."""
+    its result as JSON text in its own key order, a flow as its fields and
+    its number of distinct value objects."""
     try:
         out = fn(*args)
     except Exception as exc:
         return type(exc), str(exc)
     if isinstance(out, RationalFlow):
         return (list(out.orientation.items()), [(eid, type(x), x) for eid, x in out.values.items()],
-                out.r, out.mode, out.zero_edge)
+                len(set(map(id, out.values.values()))), out.r, out.mode, out.zero_edge)
     return json.dumps(out)
 
 
@@ -704,7 +705,8 @@ def _pass_outcome(fn, *args):
 def test_flow_pass_matches_the_per_edge_oracles(case, reread):
     """The per-distinct-value pass gives the per-edge pass's violation, in its
     key order, the same witness and flow file text, and the same flow read
-    back, or the same exception, however the flow shares its value objects."""
+    back with one object per distinct value string, or the same exception,
+    however the flow shares its value objects."""
     g, flow = case
     assert _pass_outcome(flows.flow_violation, g, flow) == _pass_outcome(flow_violation_oracle, g, flow)
     assert _pass_outcome(flows.flow_to_witness, flow) == _pass_outcome(flow_to_witness_oracle, flow)
@@ -715,11 +717,7 @@ def test_flow_pass_matches_the_per_edge_oracles(case, reread):
         return  # the orientation names an edge the values lack
     if reread:  # every value string its own object, as a certificate file reads back
         witness = json.loads(json.dumps(witness))
-    back = _pass_outcome(flows.flow_from_witness, g, witness)
-    assert back == _pass_outcome(flow_from_witness_oracle, g, witness)
-    if isinstance(back, tuple) and len(back) == 5:  # each distinct string is parsed once
-        parsed = flows.flow_from_witness(g, witness).values.values()
-        assert len(set(map(id, parsed))) == len({rec["value"] for rec in witness["edges"].values()})
+    assert _pass_outcome(flows.flow_from_witness, g, witness) == _pass_outcome(flow_from_witness_oracle, g, witness)
 
 
 def test_verify_flow_builds_no_indexed_view():
