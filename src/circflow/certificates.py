@@ -6,6 +6,13 @@ verdict, and enough metadata to re-check the claim later.  The canonical
 JSON form excludes volatile metadata (elapsed time) so that identical
 claims with identical witnesses serialize byte-identically.
 
+A certificate file (``*.cert.json``, written by ``Certificate.to_json``) is
+one line of compact JSON, ``{"certificate":<canonical>,"meta":{"elapsed_s":
+<seconds>}}``, where ``<canonical>`` is exactly ``canonical_bytes()``, the
+bytes that ``certificate_sha256()`` hashes.  Readers parse the file as JSON
+and must not depend on its whitespace: files written with ``indent=2`` by
+earlier versions carry the same JSON value and read the same.
+
 Producers must pass canonical data: str keys, lists, ints, strs, None and
 rationals as ``rat`` strings.  Nothing re-normalizes it, so a certificate
 reads back equal to the one written, and ``json.dumps`` raises on a
@@ -50,7 +57,14 @@ def rat(x: Fraction | int) -> str:
 
 
 def unrat(s: str) -> Fraction:
-    num, _, den = s.partition("/")
+    """The rational that ``rat`` renders as ``s``: an optional ``-``, ASCII
+    digits and an optional ``/`` and ASCII digits, so a bare integer reads too.
+    Raises ``ValueError`` on anything else and on a zero denominator."""
+    num, sep, den = s.partition("/")
+    # int() alone also takes spaces, "_", "+" and non-ASCII digits
+    if not (s.isascii() and (num.isdigit() or num[:1] == "-" and num[1:].isdigit())
+            and (den.isdigit() or not sep)):
+        raise ValueError(f"malformed rational {s!r}")
     d = int(den or 1)
     if d == 0:
         raise ValueError(f"rational {s!r} has a zero denominator")
@@ -118,23 +132,37 @@ class Certificate:
             "prover_version": self.prover_version,
         }
 
+    def _canonical_text(self) -> str:
+        # ASCII, since json.dumps escapes the rest
+        return json.dumps(self.canonical_payload(), sort_keys=True, separators=(",", ":"))
+
     def canonical_bytes(self) -> bytes:
-        return json.dumps(self.canonical_payload(), sort_keys=True, separators=(",", ":")).encode()
+        return self._canonical_text().encode()
 
     def certificate_sha256(self) -> str:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
     def to_json(self) -> str:
-        doc = {"certificate": self.canonical_payload(), "meta": {"elapsed_s": self.elapsed_s}}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        """The certificate file: ``{"certificate":...,"meta":{"elapsed_s":...}}``
+        and a newline, on one line.  Its ``certificate`` member is the text of
+        ``canonical_bytes()`` byte for byte, so the payload is encoded once, by
+        the C encoder.  Readers must not depend on the whitespace."""
+        return ('{"certificate":' + self._canonical_text()
+                + ',"meta":{"elapsed_s":' + json.dumps(self.elapsed_s) + "}}\n")
 
 
 def certificate_from_json(text: str) -> Certificate:
+    """The certificate in a certificate file, whatever its whitespace.  A
+    missing ``meta`` or ``meta.elapsed_s`` reads as 0 s; an ``elapsed_s``
+    that is not a JSON number raises ``CertificateError``."""
     doc = json.loads(text)
     try:
         body = doc["certificate"]
         if body["schema"] != SCHEMA_VERSION:
             raise CertificateError(f"unsupported schema {body['schema']!r}")
+        elapsed = doc.get("meta", {}).get("elapsed_s", 0.0)
+        if type(elapsed) is not float and type(elapsed) is not int:
+            raise CertificateError(f"meta.elapsed_s is not a number: {elapsed!r}")
         return Certificate(
             kind=body["kind"],
             graph_sha256=body["graph_sha256"],
@@ -142,7 +170,7 @@ def certificate_from_json(text: str) -> Certificate:
             witness=body["witness"],
             verdict=body["verdict"],
             prover_version=body["prover_version"],
-            elapsed_s=float(doc.get("meta", {}).get("elapsed_s", 0.0)),
+            elapsed_s=float(elapsed),
         )
     except KeyError as exc:
         raise CertificateError(f"missing certificate field {exc}") from exc

@@ -318,14 +318,20 @@ def bound_formula(r: Fraction, t: int) -> Fraction:
     """2 + 2(r-2) / (r + (2t-3)(r-2)), the flow value granted to g + (2t-2)M.
 
     Algebraically this is the r' with r'/(r'-2) = r/(r-2) + 2t - 2; it is
-    meaningful for any r > 2 (and collapses to r itself at t = 1).
+    meaningful for any r > 2 (and collapses to r itself at t = 1).  With
+    r = a/b and d = a - 2b it is (2D + 2d)/D for D = a + (2t-3)d, one
+    ``Fraction`` built from integers.
     """
-    r = Fraction(r)
-    if r <= 2:
+    if type(r) is not Fraction:
+        r = Fraction(r)
+    a, b = r.numerator, r.denominator
+    d = a - 2 * b  # r - 2 = d/b
+    if d <= 0:
         raise ValuationError("the bound formula requires r > 2")
     if t < 1:
         raise ValuationError("t must be a positive integer")
-    return 2 + 2 * (r - 2) / (r + (2 * t - 3) * (r - 2))
+    den = a + (2 * t - 3) * d  # r + (2t-3)(r-2) = den/b, and den >= 2b
+    return Fraction(2 * den + 2 * d, den)
 
 
 def asymptotic_bound(r: Fraction, t: int) -> Fraction:
