@@ -29,9 +29,13 @@ turned into a certificate witness, with one ``rat`` per edge, and a witness
 is read back through a fresh ``functools.cache`` per call, as it once was.
 A coloring is checked proper, or seeing odd, by a dict or a count list per
 vertex over all vertices, as it once was.
+A certificate file is written by a second, pure-Python encode with
+``indent=2``, and the flow value granted to g + (2t-2)M is computed by six
+``Fraction`` operations, as they once were.
 """
 
 import hashlib
+import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
@@ -756,3 +760,19 @@ def write_flow_oracle(flow):
     for eid, (tail, head) in sorted(flow.orientation.items()):
         lines.append(f"{eid} {tail} {head} {rat(flow.values[eid])}")
     return "\n".join(lines) + "\n"
+
+
+def to_json_oracle(cert):
+    """The certificate file encoded a second time with ``indent=2``: the oracle."""
+    doc = {"certificate": cert.canonical_payload(), "meta": {"elapsed_s": cert.elapsed_s}}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def bound_formula_oracle(r, t):
+    """2 + 2(r-2) / (r + (2t-3)(r-2)) in ``Fraction`` arithmetic: the oracle."""
+    r = Fraction(r)
+    if r <= 2:
+        raise ValuationError("the bound formula requires r > 2")
+    if t < 1:
+        raise ValuationError("t must be a positive integer")
+    return 2 + 2 * (r - 2) / (r + (2 * t - 3) * (r - 2))

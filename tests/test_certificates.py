@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from unittest import mock
@@ -24,7 +25,7 @@ from circflow.multigraph import (
     serialize,
 )
 
-from _oracles import _graph_hash_oracle, _rat_oracle
+from _oracles import _graph_hash_oracle, _rat_oracle, to_json_oracle
 
 
 def test_rational_strings():
@@ -32,6 +33,49 @@ def test_rational_strings():
     assert rat(4) == "4/1"
     assert unrat("9/2") == Fraction(9, 2)
     assert unrat("7") == Fraction(7)
+    assert unrat("-9/2") == Fraction(-9, 2)
+    assert unrat("-7") == Fraction(-7)
+    assert unrat("6/4") == Fraction(3, 2)
+    with pytest.raises(ValueError, match="zero denominator"):
+        unrat("3/0")
+
+
+@pytest.mark.parametrize("s", ["3/", "/3", "1_0/3", " 3/2", "3/2 ", "3/2\n", "\u0663/\u0662", "+3/2",
+                               "3/-2", "-3/-2", "3.5", "3/2/1", "", "-", "0x3", "3e2"])
+def test_unrat_reads_only_the_rat_grammar(s):
+    with pytest.raises(ValueError, match="malformed rational"):
+        unrat(s)
+
+
+@pytest.mark.parametrize("value", ["3/", "1_0/3", "\u0663/1"])
+def test_a_certificate_with_a_malformed_rational_is_not_read_as_one(value):
+    # each value once read as 3, 10/3 or 3, and the certificate reverified
+    k4 = families.complete_graph(4)
+    text = flows.phi_c_certificate(k4, flows.circular_flow_number(k4)).to_json()
+    doc = text.replace('"value":"3/1"', '"value":%s' % json.dumps(value), 1)
+    assert doc != text
+    cert = certificate_from_json(doc)
+    with pytest.raises(ValueError, match="malformed rational"):
+        reverify(cert, k4)
+
+
+@pytest.mark.parametrize("elapsed", ['"x"', "[1]", "null", "true", "{}"])
+def test_a_non_numeric_elapsed_time_is_a_certificate_error(elapsed):
+    k4 = families.complete_graph(4)
+    text = flows.phi_c_certificate(k4, flows.circular_flow_number(k4), elapsed_s=1.5).to_json()
+    doc = text.replace('"elapsed_s":1.5', '"elapsed_s":' + elapsed)
+    assert doc != text
+    with pytest.raises(CertificateError, match="meta.elapsed_s is not a number"):
+        certificate_from_json(doc)
+
+
+@pytest.mark.parametrize("meta,elapsed", [('{"elapsed_s":2}', 2.0), ('{"elapsed_s":1e-3}', 0.001),
+                                          ("{}", 0.0)])
+def test_a_numeric_or_missing_elapsed_time_reads(meta, elapsed):
+    k4 = families.complete_graph(4)
+    text = flows.phi_c_certificate(k4, flows.circular_flow_number(k4), elapsed_s=1.5).to_json()
+    cert = certificate_from_json(text.replace('{"elapsed_s":1.5}', meta))
+    assert type(cert.elapsed_s) is float and cert.elapsed_s == elapsed
 
 
 def test_round_trip_and_canonical_bytes():
@@ -58,10 +102,11 @@ def test_reverify_detects_tampered_value():
     k4 = families.complete_graph(4)
     result = flows.circular_flow_number(k4)
     cert = flows.phi_c_certificate(k4, result)
-    doc = cert.to_json().replace('"value": "4/1"', '"value": "4/1"')
+    text = cert.to_json()
+    doc = text.replace('"value":"3/1"', '"value":"17/1"', 1)
+    assert doc != text
     tampered = certificate_from_json(doc)
-    edge = next(iter(tampered.witness["flow"]["edges"]))
-    tampered.witness["flow"]["edges"][edge]["value"] = "17/1"
+    assert sum(e["value"] == "17/1" for e in tampered.witness["flow"]["edges"].values()) == 1
     assert not reverify(tampered, k4)
 
 
@@ -304,11 +349,25 @@ EVERY_CERTIFICATE = [
 def test_every_certificate_reads_back_as_written(kind, verdict, make):
     cert, g = make()
     assert (cert.kind, cert.verdict) == (kind, verdict)
-    back = certificate_from_json(cert.to_json())
+    text = cert.to_json()
+    back = certificate_from_json(text)
     assert back == cert
-    assert back.to_json() == cert.to_json()
+    assert back.to_json() == text
     assert back.canonical_bytes() == cert.canonical_bytes()
     assert reverify(back, g)
+    # the file holds the JSON value the indent=2 encoder wrote, and its
+    # certificate member is the canonical text that the hash covers
+    oracle = to_json_oracle(cert)
+    assert json.loads(text) == json.loads(oracle)
+    head, tail = '{"certificate":', ',"meta":'
+    assert text.startswith(head) and text.endswith("}\n")
+    member = text[len(head):text.rindex(tail)]
+    assert member == cert.canonical_bytes().decode()
+    assert hashlib.sha256(member.encode()).hexdigest() == cert.certificate_sha256()
+    # a file in the indent=2 layout reads as the same certificate and reverifies
+    old = certificate_from_json(oracle)
+    assert old == cert and old.to_json() == text
+    assert reverify(old, g)
 
 
 def _forged_parity():

@@ -4,8 +4,11 @@ from pathlib import Path
 import pytest
 
 from circflow import cli, families, flows
+from circflow.certificates import certificate_from_json
 from circflow.cli import main
 from circflow.multigraph import deserialize, serialize
+
+from _oracles import to_json_oracle
 
 
 def run(*argv):
@@ -226,6 +229,20 @@ def test_reverify_command(tmp_path):
     other = tmp_path / "k6.graph"
     run("construct", "--family", "complete", "--m", 6, "--out", other)
     assert run("reverify", other, cert) == cli.EXIT_USAGE
+
+
+def test_reverify_reads_a_certificate_in_the_indent_2_layout(tmp_path, capsys):
+    graph = tmp_path / "k4.graph"
+    run("construct", "--family", "complete", "--m", 4, "--out", graph)
+    cert = tmp_path / "k4.cert.json"
+    run("flow-number", graph, "--out", cert)
+    written = certificate_from_json(cert.read_text())
+    old = to_json_oracle(written)
+    assert old != cert.read_text() and "\n  " in old
+    cert.write_text(old)
+    capsys.readouterr()
+    assert run("reverify", graph, cert) == 0
+    assert capsys.readouterr().out == "reproduced\n"
 
 
 @pytest.mark.parametrize("edit", [

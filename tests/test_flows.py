@@ -456,6 +456,24 @@ def test_flow_file_round_trip():
     assert verify_flow(data.graph, back).verdict == "verified"
 
 
+@pytest.mark.parametrize("line,message", [
+    ("aa1 a1 a2 3/", "malformed rational"),
+    ("aa1 a1 a2 1_0/3", "malformed rational"),
+    ("aa1 a1 a2 \u0663/1", "malformed rational"),
+    ("aa1 a1 a2 3/1\u0660", "malformed rational"),
+    ("aa1 a1 a2 3/0", "zero denominator"),
+    ("r 5/", "malformed rational"),
+])
+def test_a_flow_file_value_outside_the_rat_grammar_is_refused(line, message):
+    # all but the zero denominator once read as 3, 10/3, 3, 3/10 or 5
+    text = write_flow(build_flower_flow(1).flow)
+    old = "r 5/1" if line.startswith("r ") else "aa1 a1 a2 3/1"
+    edited = text.replace(old, line)
+    assert edited != text
+    with pytest.raises(ValueError, match=message):
+        read_flow(edited)
+
+
 # SHA-256 of write_flow for (flow, base_flow) of build_flower_flow(n)
 FLOWER_FLOW_SHA256 = {
     1: ("227e9a0e403dd168418d75fd658221cddd161548f8466cac91b9aa9e86d08dad",

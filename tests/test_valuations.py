@@ -25,7 +25,12 @@ from circflow.valuations import (
     valuation_from_bipartition,
 )
 
-from _oracles import matched_flow_witness_oracle, min_ratio_oracle, phi_c_valuation_oracle
+from _oracles import (
+    bound_formula_oracle,
+    matched_flow_witness_oracle,
+    min_ratio_oracle,
+    phi_c_valuation_oracle,
+)
 
 
 def k33():
@@ -226,6 +231,36 @@ def test_asymptotic_bound_decreasing_along_the_flow_sequence():
         values = [asymptotic_bound(Fraction(4 * n + 1, n), t) for n in (2, 3, 4, 5)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert all(v > 2 + Fraction(2, 2 * t - 1) for v in values)
+
+
+BOUND_GRID = [4 + Fraction(1, n) for n in range(1, 9)] + [Fraction(5, 2), Fraction(7, 3), Fraction(3)]
+
+
+@pytest.mark.parametrize("r", BOUND_GRID, ids=str)
+def test_bound_formula_matches_the_fraction_oracle_on_the_grid(r):
+    for t in range(1, 6):
+        got = bound_formula(r, t)
+        assert type(got) is Fraction and got == bound_formula_oracle(r, t)
+        if r.denominator == 1:  # an int r reads as the same Fraction
+            assert bound_formula(int(r), t) == got
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-40, 200), st.integers(1, 60), st.integers(-2, 40))
+@example(2, 1, 1)
+@example(4, 2, 3)
+@example(3, 2, 2)
+@example(9, 2, 0)
+def test_bound_formula_matches_the_fraction_oracle(num, den, t):
+    r = Fraction(num, den)
+    try:
+        want = bound_formula_oracle(r, t)
+    except ValuationError as exc:
+        with pytest.raises(ValuationError, match=f"^{exc}$"):
+            bound_formula(r, t)
+    else:
+        got = bound_formula(r, t)
+        assert type(got) is Fraction and got == want
 
 
 @pytest.mark.parametrize("n,t", [(1, 2), (1, 3), (2, 2), (2, 3)])
