@@ -18,15 +18,21 @@ rationals as ``rat`` strings.  Nothing re-normalizes it, so a certificate
 reads back equal to the one written, and ``json.dumps`` raises on a
 ``Fraction`` or a set.  ``reverify`` re-checks a ``phi-c-value`` by its
 witness flow only, so the claimed value is not re-checked as a lower bound.
+
+Two fields may be deferred, so that a check whose caller reads only the
+verdict costs no more than the check: ``make_certificate`` always defers
+``graph_sha256`` (the graph's cached hash) and defers ``witness`` when the
+producer passes a function that makes it.  Each is made on its first read,
+which every serializer, hash and ``reverify`` does, and is then fixed: the
+certificate holds it like a field it was built with.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from .multigraph import GraphError, Multigraph
 
@@ -105,21 +111,72 @@ def graph_hash(g: Multigraph) -> str:
     return g.content_sha256
 
 
-@dataclass
 class Certificate:
+    """One claim about one graph: ``Certificate(kind, graph_sha256,
+    parameters, witness, verdict, prover_version, elapsed_s)``, each field a
+    plain attribute.  Equal when every field is equal; unhashable, as its
+    fields are mutable.
+
+    A certificate from ``make_certificate`` defers ``graph_sha256``, and its
+    ``witness`` too when the producer passed a function.  A deferred field is
+    an unset slot, so ``__getattr__`` runs only for it: its first read makes
+    it, and the slot then holds it like any other field, fixed from then on.
+    ``==``, ``repr``, ``to_json``, the canonical bytes, the hash and
+    ``reverify`` read every field they show, so they make what is deferred.
+    """
+
     kind: str
     graph_sha256: str
     parameters: dict[str, Any]
     witness: dict[str, Any]
     verdict: str
-    prover_version: str = PROVER_VERSION
-    elapsed_s: float = 0.0
+    prover_version: str
+    elapsed_s: float
+    __slots__ = ("kind", "graph_sha256", "parameters", "witness", "verdict", "prover_version",
+                 "elapsed_s", "_graph", "_render")
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in CLAIM_KINDS:
-            raise CertificateError(f"unknown claim kind {self.kind!r}")
-        if self.verdict not in VERDICTS:
-            raise CertificateError(f"unknown verdict {self.verdict!r}")
+    def __init__(self, kind: str, graph_sha256: str, parameters: dict[str, Any],
+                 witness: dict[str, Any], verdict: str, prover_version: str = PROVER_VERSION,
+                 elapsed_s: float = 0.0) -> None:
+        if kind not in CLAIM_KINDS:
+            raise CertificateError(f"unknown claim kind {kind!r}")
+        if verdict not in VERDICTS:
+            raise CertificateError(f"unknown verdict {verdict!r}")
+        self.kind = kind
+        self.graph_sha256 = graph_sha256
+        self.parameters = parameters
+        self.witness = witness
+        self.verdict = verdict
+        self.prover_version = prover_version
+        self.elapsed_s = elapsed_s
+
+    def __getattr__(self, name: str) -> Any:
+        # only a slot left unset gets here: a deferred field, made once and kept
+        if name == "graph_sha256":
+            self.graph_sha256 = self._graph.content_sha256
+            del self._graph
+            return self.graph_sha256
+        if name == "witness":
+            self.witness = self._render()
+            del self._render
+            return self.witness
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def _values(self) -> tuple:
+        return (self.kind, self.graph_sha256, self.parameters, self.witness, self.verdict,
+                self.prover_version, self.elapsed_s)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return (f"Certificate(kind={self.kind!r}, graph_sha256={self.graph_sha256!r}, "
+                f"parameters={self.parameters!r}, witness={self.witness!r}, "
+                f"verdict={self.verdict!r}, prover_version={self.prover_version!r}, "
+                f"elapsed_s={self.elapsed_s!r})")
 
     def canonical_payload(self) -> dict[str, Any]:
         return {
@@ -133,8 +190,10 @@ class Certificate:
         }
 
     def _canonical_text(self) -> str:
-        # ASCII, since json.dumps escapes the rest
-        return json.dumps(self.canonical_payload(), sort_keys=True, separators=(",", ":"))
+        # ASCII, since json.dumps escapes the rest; canonical data is a tree, so
+        # the encoder's cycle check is skipped (a cycle ends in RecursionError)
+        return json.dumps(self.canonical_payload(), sort_keys=True, separators=(",", ":"),
+                          check_circular=False)
 
     def canonical_bytes(self) -> bytes:
         return self._canonical_text().encode()
@@ -179,8 +238,22 @@ def certificate_from_json(text: str) -> Certificate:
 
 
 def make_certificate(kind: str, g: Multigraph, parameters: dict[str, Any],
-                     witness: dict[str, Any], verdict: str, elapsed_s: float = 0.0) -> Certificate:
-    return Certificate(kind, graph_hash(g), parameters, witness, verdict, elapsed_s=elapsed_s)
+                     witness: dict[str, Any] | Callable[[], dict[str, Any]], verdict: str,
+                     elapsed_s: float = 0.0) -> Certificate:
+    """A certificate about ``g``.  Its ``graph_sha256`` is deferred: it is
+    ``graph_hash(g)``, read when first wanted, which an immutable graph gives
+    the same at any time.  ``witness`` is the witness itself, or a function of
+    no arguments that makes it, called once, when ``witness`` is first read.
+    Such a function must not fail, and must not depend on anything the caller
+    may change afterwards: the producer checks and copies what it needs first.
+    """
+    cert = Certificate(kind, "", parameters, witness, verdict, elapsed_s=elapsed_s)
+    del cert.graph_sha256
+    cert._graph = g
+    if callable(witness):
+        del cert.witness
+        cert._render = witness
+    return cert
 
 
 def reverify(cert: Certificate, g: Multigraph) -> bool:
@@ -202,8 +275,9 @@ def reverify(cert: Certificate, g: Multigraph) -> bool:
     class-property coloring that misses an edge or names one the graph
     lacks.  Producers must pass canonical data, which is re-checked here as
     it was made (``json.dumps`` raises on a ``Fraction`` or a set).  Raises
-    ``CertificateError`` on hash mismatch, an unknown claim kind or a
-    witness of the wrong shape.
+    ``CertificateError`` on hash mismatch, an unknown claim kind, a witness
+    of the wrong shape, or a field that does not read as its type: a
+    rational that ``unrat`` refuses or an integer that ``int`` refuses.
     """
     if cert.graph_sha256 != graph_hash(g):
         raise CertificateError("graph hash mismatch: certificate does not describe this graph")
@@ -234,5 +308,9 @@ def reverify(cert: Certificate, g: Multigraph) -> bool:
         if kind == "inequality-check":
             return valuations.reverify_inequality(cert, g)
     except (LookupError, TypeError, AttributeError) as exc:
+        raise CertificateError(f"malformed certificate: {exc!r}") from exc
+    except ValueError as exc:
+        if type(exc) is not ValueError:  # a check's own error, such as FlowError
+            raise
         raise CertificateError(f"malformed certificate: {exc!r}") from exc
     raise CertificateError(f"unknown claim kind version {kind!r}")

@@ -628,6 +628,12 @@ def write_coloring(coloring: EdgeColoring) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_integer(s: str) -> bool:
+    """Is ``s`` an optional ``-`` and ASCII digits, as ``str`` writes an int?
+    ``int()`` alone also takes ``+``, ``_`` and non-ASCII digits."""
+    return s.isascii() and (s.isdigit() or s[:1] == "-" and s[1:].isdigit())
+
+
 def read_coloring(text: str) -> EdgeColoring:
     header: dict[str, str | None] = {"palette": None, "mode": None}
     colors: dict[str, int] = {}
@@ -637,9 +643,13 @@ def read_coloring(text: str) -> EdgeColoring:
         try:
             colors[eid] = parsed[c]
         except KeyError:
+            if not _is_integer(c):
+                raise ColoringError(f"edge {eid!r} has malformed color {c!r}") from None
             colors[eid] = parsed[c] = int(c)
     if header["palette"] is None:
         raise ColoringError("coloring file missing its palette header")
+    if not _is_integer(header["palette"]):
+        raise ColoringError(f"malformed palette {header['palette']!r}")
     palette, mode = int(header["palette"]), header["mode"] or PROPER
     if mode not in (PROPER, SEES_ODD):
         raise ColoringError(f"unknown coloring mode {mode!r}")

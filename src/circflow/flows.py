@@ -13,13 +13,15 @@ an integer over the common denominator of r and the values, and conservation
 is an integer sum per vertex id, with no indexed view of the graph.  A flow
 has few distinct values, so the witness and the flow file likewise render
 each value object once, and a witness is read back with one ``Fraction`` per
-distinct string.  ``verify_flow`` wraps the check in a certificate, and
-checks that want only the verdict call it directly.  The circular flow
-number comes from the balanced-valuation search in ``valuations``; its
-witness is an orientation with the optimal out-minus-in degrees, found by
-one max-flow, and the flow that ``circulation_feasible`` puts on it.  The
-witness of the matched bound on g + (2t-2)M is no search: it is an affine
-image of g's own flow, with fixed values on the copies of M.
+distinct string.  ``verify_flow`` runs the check at once and returns a
+certificate whose witness, rendered from a snapshot of the flow, and graph
+hash are made only when first read; checks that want only the verdict call
+``flow_violation`` directly.  The circular flow number comes from the
+balanced-valuation search in ``valuations``; its witness is an orientation
+with the optimal out-minus-in degrees, found by one max-flow, and the flow
+that ``circulation_feasible`` puts on it.  The witness of the matched bound
+on g + (2t-2)M is no search: it is an affine image of g's own flow, with
+fixed values on the copies of M.
 """
 
 from __future__ import annotations
@@ -185,11 +187,32 @@ def flow_violation(g: Multigraph, flow: RationalFlow) -> dict | None:
 
 
 def verify_flow(g: Multigraph, flow: RationalFlow) -> Certificate:
-    """``flow_violation`` as a ``flow-valid`` certificate carrying the flow."""
+    """``flow_violation`` as a ``flow-valid`` certificate carrying the flow.
+
+    The check runs now and raises what it raises now.  The certificate's
+    witness and graph hash are deferred (``make_certificate``): the witness
+    renders a snapshot of the flow, with its own copies of the ``orientation``
+    and ``values`` dicts, when ``witness`` is first read, as ``to_json`` and
+    the hashes do.  So a caller that reads only the verdict renders nothing,
+    and one that edits the flow afterwards does not change the certificate.
+    The check reads only the first two items of each (tail, head), so each
+    pair is unpacked here, as the render will, and one of the wrong length
+    raises now.  Rendering then cannot fail: the edge ids are the graph's,
+    each pair holds the ends of its edge, and ``rat`` takes every rational
+    value that the check could scale.
+    """
     violation = flow_violation(g, flow)
-    witness = {"flow": flow_to_witness(flow)}
-    if violation is not None:
-        witness["violation"] = violation
+    for _tail, _head in flow.orientation.values():
+        pass
+    snapshot = RationalFlow(dict(flow.orientation), dict(flow.values), flow.r, flow.mode,
+                            flow.zero_edge)
+
+    def witness() -> dict:
+        rendered = {"flow": flow_to_witness(snapshot)}
+        if violation is not None:
+            rendered["violation"] = violation
+        return rendered
+
     return make_certificate("flow-valid", g, {"r": rat(flow.r), "mode": flow.mode}, witness,
                             "verified" if violation is None else "refuted")
 

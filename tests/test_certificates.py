@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -47,16 +48,30 @@ def test_unrat_reads_only_the_rat_grammar(s):
         unrat(s)
 
 
-@pytest.mark.parametrize("value", ["3/", "1_0/3", "\u0663/1"])
-def test_a_certificate_with_a_malformed_rational_is_not_read_as_one(value):
-    # each value once read as 3, 10/3 or 3, and the certificate reverified
-    k4 = families.complete_graph(4)
-    text = flows.phi_c_certificate(k4, flows.circular_flow_number(k4)).to_json()
-    doc = text.replace('"value":"3/1"', '"value":%s' % json.dumps(value), 1)
+@pytest.mark.parametrize("kind,value", [
+    pytest.param("phi-c-value", "3/", id="3/"),
+    pytest.param("phi-c-value", "1_0/3", id="1_0/3"),
+    pytest.param("phi-c-value", "\u0663/1", id="\u0663/1"),
+    pytest.param("balanced", "1_3/1", id="balanced-1_3/1"),
+    pytest.param("inequality-check", "x", id="inequality-x"),
+])
+def test_a_certificate_with_a_malformed_rational_is_not_read_as_one(kind, value, tmp_path):
+    # the flow values once read as 3, 10/3 or 3 and the certificate reverified;
+    # each rational here once escaped reverify as a bare ValueError
+    cert, g = {"phi-c-value": _phi_c, "balanced": lambda: _balanced(Fraction(4), K4_K),
+               "inequality-check": _inequality}[kind]()
+    old = {"phi-c-value": '"value":"3/1"', "balanced": '"r":"4/1"',
+           "inequality-check": '"bound":%s' % json.dumps(cert.parameters.get("bound"))}[kind]
+    text = cert.to_json()
+    doc = text.replace(old, old[:old.index(":") + 1] + json.dumps(value), 1)
     assert doc != text
-    cert = certificate_from_json(doc)
-    with pytest.raises(ValueError, match="malformed rational"):
-        reverify(cert, k4)
+    back = certificate_from_json(doc)
+    message = f"malformed certificate: {ValueError(f'malformed rational {value!r}')!r}"
+    with pytest.raises(CertificateError, match=f"^{re.escape(message)}$"):
+        reverify(back, g)
+    (tmp_path / "g.graph").write_text(serialize(g))
+    (tmp_path / "c.cert.json").write_text(doc)
+    assert cli.main(["reverify", str(tmp_path / "g.graph"), str(tmp_path / "c.cert.json")]) == cli.EXIT_USAGE
 
 
 @pytest.mark.parametrize("elapsed", ['"x"', "[1]", "null", "true", "{}"])

@@ -386,6 +386,14 @@ def test_coloring_file_round_trip():
     (("e1 0", "e1 2\ne1 0"), "edge 'e1' appears twice"),
     (("palette 3", "palette 5\npalette 3"), "header 'palette' appears twice"),
     (("mode proper", "mode proper\nmode sees-odd"), "header 'mode' appears twice"),
+    # int() alone read the first three as color 1 and the fourth as palette 4
+    (("e1 0", "e1 +1"), "edge 'e1' has malformed color '\\+1'"),
+    (("e1 0", "e1 \u0661"), "edge 'e1' has malformed color '\u0661'"),
+    (("e1 0", "e1 0_1"), "edge 'e1' has malformed color '0_1'"),
+    (("palette 3", "palette +4"), "malformed palette '\\+4'"),
+    (("e1 0", "e1 x"), "edge 'e1' has malformed color 'x'"),
+    (("palette 3", "palette four"), "malformed palette 'four'"),
+    (("e2 1", "e2 -"), "edge 'e2' has malformed color '-'"),
 ])
 def test_malformed_coloring_files_are_rejected(edit, message):
     text = "circflow-coloring v1\npalette 3\nmode proper\ne1 0\ne2 1\n"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from circflow import blanusa, families, flows, valuations
-from circflow.certificates import Certificate
+from circflow.certificates import Certificate, certificate_from_json
 from circflow.flows import (
     INTEGER_ONE_ZERO,
     BridgedGraphError,
@@ -689,19 +689,34 @@ def flow_cases(draw):
     return g, RationalFlow(dirs, values, r, mode, zero_edge)
 
 
-def _flow_outcome(check, g, flow):
+def _flow_outcome(check, g, flow, after=None):
+    """The verdict and hash of ``check(g, flow)``, or its exception's type
+    and message; ``after`` runs between the check and the hash."""
     try:
         cert = check(g, flow)
     except Exception as exc:
         return type(exc), str(exc)
+    if after is not None:
+        after()
     return cert.verdict, cert.certificate_sha256()
 
 
-@given(flow_cases())
+def _edit_flow(flow):
+    """Reverse every edge, give each the value 1/2 and add an edge."""
+    flow.orientation.update((eid, pair[::-1]) for eid, pair in list(flow.orientation.items()))
+    flow.values.update(dict.fromkeys(flow.values, Fraction(1, 2)))
+    flow.orientation["added"], flow.values["added"] = ("a", "b"), Fraction(1)
+
+
+@given(flow_cases(), st.booleans())
 @settings(max_examples=600, derandomize=True, deadline=None)
-def test_verify_flow_matches_the_fraction_oracle(case):
+def test_verify_flow_matches_the_fraction_oracle(case, edit):
+    """Also when the flow's dicts change after ``verify_flow`` returns and
+    before its deferred witness is rendered: the certificate keeps the flow
+    as it was checked."""
     g, flow = case
-    assert _flow_outcome(verify_flow, g, flow) == _flow_outcome(_verify_flow_oracle, g, flow)
+    expected = _flow_outcome(_verify_flow_oracle, g, flow)
+    assert _flow_outcome(verify_flow, g, flow, (lambda: _edit_flow(flow)) if edit else None) == expected
 
 
 def _pass_outcome(fn, *args):
@@ -738,12 +753,36 @@ def test_flow_pass_matches_the_per_edge_oracles(case, reread):
     assert _pass_outcome(flows.flow_from_witness, g, witness) == _pass_outcome(flow_from_witness_oracle, g, witness)
 
 
-def test_verify_flow_builds_no_indexed_view():
+def test_verify_flow_builds_no_indexed_view(monkeypatch):
+    """Nor the graph hash, nor the witness, until the certificate is read."""
     data = build_flower_flow(2)
     m = sorted(data.matching)
     witness = flows.matched_flow_witness(data.graph, data.flow, m, 2)
     h = add_matching_copies(data.graph, m, 2)
-    assert verify_flow(h, witness).verdict == "verified"
+    rendered, render = [], flows.flow_to_witness
+    monkeypatch.setattr(flows, "flow_to_witness", lambda flow: rendered.append(flow) or render(flow))
+    good = verify_flow(h, witness)
+    assert good.verdict == "verified"
     bad = replace(witness, values={**witness.values, m[0]: Fraction(2)})
-    assert verify_flow(h, bad).verdict == "refuted"
-    assert "indexed" not in vars(h)
+    refuted = verify_flow(h, bad)
+    assert refuted.verdict == "refuted"
+    assert "indexed" not in vars(h) and "content_sha256" not in vars(h)
+    assert rendered == []
+    assert good.witness == {"flow": render(witness)} and len(rendered) == 1
+    assert good.witness is good.witness and len(rendered) == 1
+    text = refuted.to_json()
+    assert len(rendered) == 2 and vars(h)["content_sha256"] == refuted.graph_sha256
+    # an unread deferred certificate equals its own file read back, and is unhashable
+    assert certificate_from_json(text) == verify_flow(h, bad)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(verify_flow(h, bad))
+    assert len(rendered) == 3 and "indexed" not in vars(h)
+
+
+def test_verify_flow_raises_at_the_call_what_its_witness_would_raise():
+    # the check reads only the first two items of each (tail, head)
+    k4 = families.complete_graph(4)
+    flow = flows.circular_flow_number(k4).flow
+    triples = {eid: (*pair, pair[0]) for eid, pair in flow.orientation.items()}
+    with pytest.raises(ValueError, match=r"^too many values to unpack \(expected 2\)$"):
+        verify_flow(k4, replace(flow, orientation=triples))

@@ -37,7 +37,9 @@ def test_the_rule_flags_test_and_benchmark_modules(tmp_path):
 
 
 def test_importing_the_cli_leaves_traceback_unloaded():
-    probe = "import sys, circflow.cli; print('traceback' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
-    assert done.stdout == "False\n"
+    """And importing ``circflow.certificates`` leaves ``dataclasses`` unloaded."""
+    for module, absent in (("circflow.cli", "traceback"), ("circflow.certificates", "dataclasses")):
+        probe = f"import sys, {module}; print({absent!r} in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+        assert done.stdout == "False\n", module
