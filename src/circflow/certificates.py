@@ -62,14 +62,18 @@ def rat(x: Fraction | int) -> str:
     return "%d/%d" % x.as_integer_ratio()
 
 
+def is_integer_text(s: str) -> bool:
+    """Is ``s`` an optional ``-`` and ASCII digits, as ``str`` writes an int?
+    ``int()`` alone also takes spaces, ``_``, ``+`` and non-ASCII digits."""
+    return s.isascii() and (s.isdigit() or s[:1] == "-" and s[1:].isdigit())
+
+
 def unrat(s: str) -> Fraction:
     """The rational that ``rat`` renders as ``s``: an optional ``-``, ASCII
     digits and an optional ``/`` and ASCII digits, so a bare integer reads too.
     Raises ``ValueError`` on anything else and on a zero denominator."""
     num, sep, den = s.partition("/")
-    # int() alone also takes spaces, "_", "+" and non-ASCII digits
-    if not (s.isascii() and (num.isdigit() or num[:1] == "-" and num[1:].isdigit())
-            and (den.isdigit() or not sep)):
+    if not (is_integer_text(num) and (den.isascii() and den.isdigit() or not sep)):
         raise ValueError(f"malformed rational {s!r}")
     d = int(den or 1)
     if d == 0:
@@ -111,6 +115,9 @@ def graph_hash(g: Multigraph) -> str:
     return g.content_sha256
 
 
+_FIELDS = ("kind", "graph_sha256", "parameters", "witness", "verdict", "prover_version", "elapsed_s")
+
+
 class Certificate:
     """One claim about one graph: ``Certificate(kind, graph_sha256,
     parameters, witness, verdict, prover_version, elapsed_s)``, each field a
@@ -132,8 +139,7 @@ class Certificate:
     verdict: str
     prover_version: str
     elapsed_s: float
-    __slots__ = ("kind", "graph_sha256", "parameters", "witness", "verdict", "prover_version",
-                 "elapsed_s", "_graph", "_render")
+    __slots__ = (*_FIELDS, "_graph", "_render")
     __hash__ = None
 
     def __init__(self, kind: str, graph_sha256: str, parameters: dict[str, Any],
@@ -164,8 +170,7 @@ class Certificate:
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def _values(self) -> tuple:
-        return (self.kind, self.graph_sha256, self.parameters, self.witness, self.verdict,
-                self.prover_version, self.elapsed_s)
+        return tuple(getattr(self, name) for name in _FIELDS)
 
     def __eq__(self, other: Any) -> bool:
         if other.__class__ is not self.__class__:
@@ -173,10 +178,7 @@ class Certificate:
         return self._values() == other._values()
 
     def __repr__(self) -> str:
-        return (f"Certificate(kind={self.kind!r}, graph_sha256={self.graph_sha256!r}, "
-                f"parameters={self.parameters!r}, witness={self.witness!r}, "
-                f"verdict={self.verdict!r}, prover_version={self.prover_version!r}, "
-                f"elapsed_s={self.elapsed_s!r})")
+        return f"Certificate({', '.join(f'{name}={getattr(self, name)!r}' for name in _FIELDS)})"
 
     def canonical_payload(self) -> dict[str, Any]:
         return {

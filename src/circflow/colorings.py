@@ -18,7 +18,13 @@ from __future__ import annotations
 import time
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .certificates import Certificate, graph_hash, make_certificate, read_records
+from .certificates import (
+    Certificate,
+    graph_hash,
+    is_integer_text,
+    make_certificate,
+    read_records,
+)
 from .families import MDotProduct
 from .multigraph import (
     EdgeCut,
@@ -628,12 +634,6 @@ def write_coloring(coloring: EdgeColoring) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _is_integer(s: str) -> bool:
-    """Is ``s`` an optional ``-`` and ASCII digits, as ``str`` writes an int?
-    ``int()`` alone also takes ``+``, ``_`` and non-ASCII digits."""
-    return s.isascii() and (s.isdigit() or s[:1] == "-" and s[1:].isdigit())
-
-
 def read_coloring(text: str) -> EdgeColoring:
     header: dict[str, str | None] = {"palette": None, "mode": None}
     colors: dict[str, int] = {}
@@ -643,12 +643,12 @@ def read_coloring(text: str) -> EdgeColoring:
         try:
             colors[eid] = parsed[c]
         except KeyError:
-            if not _is_integer(c):
+            if not is_integer_text(c):
                 raise ColoringError(f"edge {eid!r} has malformed color {c!r}") from None
             colors[eid] = parsed[c] = int(c)
     if header["palette"] is None:
         raise ColoringError("coloring file missing its palette header")
-    if not _is_integer(header["palette"]):
+    if not is_integer_text(header["palette"]):
         raise ColoringError(f"malformed palette {header['palette']!r}")
     palette, mode = int(header["palette"]), header["mode"] or PROPER
     if mode not in (PROPER, SEES_ODD):
