@@ -17,7 +17,8 @@ Producers must pass canonical data: str keys, lists, ints, strs, None and
 rationals as ``rat`` strings.  Nothing re-normalizes it, so a certificate
 reads back equal to the one written, and ``json.dumps`` raises on a
 ``Fraction`` or a set.  ``reverify`` re-checks a ``phi-c-value`` by its
-witness flow only, so the claimed value is not re-checked as a lower bound.
+witness flow only, a nowhere-zero flow at the claimed value, so the value
+is re-checked as an upper bound and not as a lower bound.
 
 Two fields may be deferred, so that a check whose caller reads only the
 verdict costs no more than the check: ``make_certificate`` always defers
@@ -68,17 +69,23 @@ def is_integer_text(s: str) -> bool:
     return s.isascii() and (s.isdigit() or s[:1] == "-" and s[1:].isdigit())
 
 
-def unrat(s: str) -> Fraction:
-    """The rational that ``rat`` renders as ``s``: an optional ``-``, ASCII
-    digits and an optional ``/`` and ASCII digits, so a bare integer reads too.
-    Raises ``ValueError`` on anything else and on a zero denominator."""
+def rat_terms(s: str) -> tuple[int, int]:
+    """The numerator and denominator that ``s`` writes, as written: ``s`` is
+    an optional ``-``, ASCII digits and an optional ``/`` and ASCII digits,
+    so a bare integer reads too, with denominator 1.  Raises ``ValueError``
+    on anything else and on a zero denominator."""
     num, sep, den = s.partition("/")
     if not (is_integer_text(num) and (den.isascii() and den.isdigit() or not sep)):
         raise ValueError(f"malformed rational {s!r}")
     d = int(den or 1)
     if d == 0:
         raise ValueError(f"rational {s!r} has a zero denominator")
-    return Fraction(int(num), d)
+    return int(num), d
+
+
+def unrat(s: str) -> Fraction:
+    """The rational that ``rat`` renders as ``s``, read by ``rat_terms``."""
+    return Fraction(*rat_terms(s))
 
 
 def read_records(text: str, header: str, head: dict[str, str | None], width: int,
@@ -264,15 +271,20 @@ def reverify(cert: Certificate, g: Multigraph) -> bool:
     Positive verdicts are reproduced by re-running witness verification.
     Class-2 entries of class-property certificates re-run the matching
     cover, and a chromatic index above the maximum degree re-runs the search
-    one color short.  A ``phi-c-value`` certificate re-checks only its
-    witness flow, an upper bound: the claimed value is not re-derived as a
-    lower bound.  A verified ``inequality-check`` is re-checked by its
-    witness flow on H alone, which proves the inequality for every vertex
-    set, so it runs no minimum cut; a refuted one counts the cut of the Y it
-    names.  A refuted ``flow-valid`` certificate must name the violation
-    that ``flows.flow_violation`` re-derives from its flow.  A witness that
-    the re-check rejects as input is not reproduced: a flow that misses an
-    edge of the graph or names an edge it lacks, an inequality matching with
+    one color short.  A ``phi-c-value``, a verified ``balanced`` and a
+    verified ``inequality-check`` certificate are re-checked by counting on
+    their witness flow, with ``flows.witness_excess``: it must be a
+    nowhere-zero flow at the certificate's value, with no zero edge, and no
+    max-flow or cut runs.  For ``phi-c-value`` that flow is an upper bound
+    only: the claimed value is not re-derived as a lower bound.  A balanced
+    flow must have out - in = k, and proves the inequality for every vertex
+    set (see ``valuations.reverify_balanced``), as the matched flow on H
+    does with out - in = +-1 on the colour classes.  A refuted ``balanced``
+    or ``inequality-check`` certificate counts the cut of the set it names.
+    A refuted ``flow-valid`` certificate must name the violation that
+    ``flows.flow_violation`` re-derives from its flow.  A witness that the
+    re-check rejects as input is not reproduced: a flow that misses an edge
+    of the graph or names an edge it lacks, an inequality matching with
     such an edge, a parity coloring that is not proper, a chromatic-index or
     class-property coloring that misses an edge or names one the graph
     lacks.  Producers must pass canonical data, which is re-checked here as
@@ -288,17 +300,21 @@ def reverify(cert: Certificate, g: Multigraph) -> bool:
 
     kind = cert.kind
     try:
-        if kind in ("flow-valid", "phi-c-value"):
+        if kind == "flow-valid":
             try:
                 flow = flows.flow_from_witness(g, cert.witness["flow"])
                 violation = flows.flow_violation(g, flow)
             except (GraphError, flows.FlowError):
                 return False  # the witness is not a flow on the edges of g
-            if kind == "phi-c-value" and violation is None:
-                return unrat(cert.parameters["r"]) == flow.r
-            if kind == "flow-valid" and violation != cert.witness.get("violation"):
+            if violation != cert.witness.get("violation"):
                 return False
             return (violation is None) == (cert.verdict == "verified")
+        if kind == "phi-c-value":
+            try:
+                excess = flows.witness_excess(g, cert.witness["flow"], unrat(cert.parameters["r"]))
+            except (GraphError, flows.FlowError):
+                return False  # the witness is not a flow on the edges of g
+            return excess is not None and cert.verdict == "verified"
         if kind == "chromatic-index":
             return colorings.reverify_chromatic_index(cert, g)
         if kind == "class-property":

@@ -16,12 +16,14 @@ each value object once, and a witness is read back with one ``Fraction`` per
 distinct string.  ``verify_flow`` runs the check at once and returns a
 certificate whose witness, rendered from a snapshot of the flow, and graph
 hash are made only when first read; checks that want only the verdict call
-``flow_violation`` directly.  The circular flow number comes from the
-balanced-valuation search in ``valuations``; its witness is an orientation
-with the optimal out-minus-in degrees, found by one max-flow, and the flow
-that ``circulation_feasible`` puts on it.  The witness of the matched bound
-on g + (2t-2)M is no search: it is an affine image of g's own flow, with
-fixed values on the copies of M.
+``flow_violation`` directly.  A re-check that needs only to accept a
+witness as a nowhere-zero flow at r, and its out - in, reads and checks the
+records in one pass with ``witness_excess``, making no ``RationalFlow``.
+The circular flow number comes from the balanced-valuation search in
+``valuations``; its witness is an orientation with the optimal out-minus-in
+degrees, found by one max-flow, and the flow that ``circulation_feasible``
+puts on it.  The witness of the matched bound on g + (2t-2)M is no search:
+it is an affine image of g's own flow, with fixed values on the copies of M.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from math import lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import valuations
-from .certificates import Certificate, make_certificate, rat, read_records, unrat
+from .certificates import Certificate, make_certificate, rat, rat_terms, read_records, unrat
 from .multigraph import (
     Multigraph,
     _max_flow,
@@ -186,6 +188,67 @@ def flow_violation(g: Multigraph, flow: RationalFlow) -> dict | None:
     return None
 
 
+def witness_excess(g: Multigraph, witness: dict, r: Fraction) -> dict[str, int] | None:
+    """Out - in at every vertex of g, in vertex order, under the flow that
+    ``witness`` records, if that is a nowhere-zero flow on g at r; else None.
+
+    This is ``flow_from_witness``, ``flow_violation`` and a count of out - in,
+    with their outcome and their exception on every witness, made in one
+    pass over the records with no ``RationalFlow`` and no ``Fraction`` per
+    value.  Each record is read as ``flow_from_witness`` reads it: an edge id
+    g lacks raises ``GraphError``, a missing field ``KeyError`` and a
+    malformed rational ``ValueError``.  Each distinct value string is scaled
+    once, as ``flow_violation`` scales a value, to an integer over a common
+    denominator D, which grows, and rescales what is summed, when a string
+    brings a new denominator.  A record whose ends are its edge's adds its
+    value and its out - in to its ends' sums.  Then r, the mode and the zero
+    edge are read: an unknown mode raises ``FlowError``, and another r, the
+    integer mode or a zero edge gives None.  Records for other edges than
+    g's, or with other ends, raise ``FlowError``.  Last, an unbalanced vertex
+    or a value outside [D, (r-1)D] gives None.
+    """
+    edges, records = g._edges, witness["edges"]
+    net = dict.fromkeys(g._vertices, 0)  # the values in, less out, times den
+    excess = net.copy()
+    scaled: dict[str, int] = {}  # value string -> value times den
+    den, ends_agree = r.denominator, True
+    for eid, rec in records.items():
+        e = edges.get(eid)
+        if e is None:
+            g.edge(eid)  # raises GraphError
+        tail, head, s = rec["tail"], rec["head"], rec["value"]
+        x = scaled.get(s)
+        if x is None:
+            p, q = rat_terms(s)
+            if den % q:
+                step = lcm(den, q) // den
+                den *= step
+                net = {v: y * step for v, y in net.items()}
+                scaled = {t: y * step for t, y in scaled.items()}
+            x = scaled[s] = p * (den // q)
+        _, u, v = e
+        if tail == u and head == v or tail == v and head == u:
+            net[tail] -= x
+            net[head] += x
+            excess[tail] += 1
+            excess[head] -= 1
+        else:
+            ends_agree = False
+    witness_r, mode = unrat(witness["r"]), witness.get("mode", NOWHERE_ZERO)
+    if mode not in (NOWHERE_ZERO, INTEGER_ONE_ZERO):
+        raise FlowError(f"unknown flow mode {mode!r}")
+    if witness_r != r or mode != NOWHERE_ZERO or witness.get("zero_edge") is not None:
+        return None
+    if len(records) != len(edges):  # every id is g's and appears once
+        raise FlowError("flow does not cover exactly the edges of the graph")
+    if not ends_agree:
+        raise FlowError("orientation endpoints disagree with the graph")
+    hi = r.numerator * (den // r.denominator) - den
+    if any(net.values()) or not all(den <= x <= hi for x in scaled.values()):
+        return None
+    return excess
+
+
 def verify_flow(g: Multigraph, flow: RationalFlow) -> Certificate:
     """``flow_violation`` as a ``flow-valid`` certificate carrying the flow.
 
@@ -311,23 +374,27 @@ class PhiCResult(NamedTuple):
     flow: RationalFlow
 
 
-def _orientation_with_excess(g: Multigraph, k: Mapping[str, int]) -> dict[str, tuple[str, str]]:
-    """An orientation with out-degree minus in-degree k[v] at every vertex v.
+def _orientation_with_excess(g: Multigraph,
+                             k: Mapping[str, int]) -> dict[str, tuple[str, str]] | None:
+    """An orientation with out-degree minus in-degree k[v] at every vertex v,
+    or None when there is none; k must have the parity of the degrees.
 
     From u -> v on every edge, one max-flow with unit capacities reverses
     the edges it uses, each moving 2 of out-minus-in from u to v; it
-    saturates (Hakimi) when k has the parity of the degrees and
-    |k(X)| <= |cut(X)| for every X."""
+    saturates (Hakimi) exactly when |k(X)| <= |cut(X)| for every X."""
     view = g.indexed
     n = len(view.vertices)
-    half = [(sum(1 if g.edge(eid).u == v else -1 for eid in g.incident_edges(v)) - k[v]) // 2
-            for v in view.vertices]
+    excess = [-k[v] for v in view.vertices]  # u -> v everywhere, less the excess wanted
+    for a, b in view.ends:
+        excess[a] += 1
+        excess[b] -= 1
+    half = [x // 2 for x in excess]
     arcs = [(a, b, 1) for a, b in view.ends]
     arcs += [(n, v, x) for v, x in enumerate(half) if x > 0]
     arcs += [(v, n + 1, -x) for v, x in enumerate(half) if x < 0]
     total, arc_flow, _ = _max_flow(n, arcs)
     if total != sum(x for x in half if x > 0):
-        raise FlowError("internal error: no orientation has the required degree excess")
+        return None
     return {e.eid: (e.v, e.u) if arc_flow[i] else (e.u, e.v) for i, e in enumerate(g.edges())}
 
 
@@ -351,7 +418,10 @@ def circular_flow_number(g: Multigraph, cap: int = PHI_C_EDGE_CAP) -> PhiCResult
         comp_value, comp_k = valuations._phi_c_valuation(sub)
         value = max(value, comp_value)
         k.update(comp_k)
-    ok, witness = circulation_feasible(g, _orientation_with_excess(g, k), value)
+    d = _orientation_with_excess(g, k)
+    if d is None:
+        raise FlowError("internal error: no orientation has the required degree excess")
+    ok, witness = circulation_feasible(g, d, value)
     if not ok:
         raise FlowError("internal error: optimal orientation rejected its own flow value")
     if flow_violation(g, witness) is not None:
@@ -404,6 +474,8 @@ def bipartite_regular_flow(g: Multigraph, t: int) -> RationalFlow:
         raise FlowError("graph is not bipartite")
     a_side = sides[0]
     dirs = _orientation_with_excess(g, {v: 1 if v in a_side else -1 for v in g.vertices})
+    if dirs is None:
+        raise FlowError("internal error: no orientation has the required degree excess")
     forward, backward = Fraction(1), Fraction(t + 1, t)
     values = {eid: forward if tail in a_side else backward for eid, (tail, _) in dirs.items()}
     flow = RationalFlow(dirs, values, Fraction(2 * t + 1, t))

@@ -5,9 +5,14 @@ k_v = deg(v) mod 2, subject to |sum over X| <= |cut(X)| for every vertex
 subset.  For cubic graphs with an all-positive nowhere-zero flow the
 natural valuation is +-r/(r-2) according to the in-degree bipartition.
 
-A balanced inequality over all vertex subsets is decided exactly by one s-t
-minimum cut through the one max-flow kernel, ``multigraph._max_flow``: the
-largest excess of w(X) - |cut(X)| over all X; X and V - X have opposite
+A verified balanced inequality over all vertex subsets, like the matched
+inequality below, is proved by its witness flow: by Hoffman and Jaeger (last
+paragraph), k is balanced at r exactly when an orientation with out - in = k
+carries a flow with every value in [1, r-1].  ``check_balanced`` finds one
+with two max-flows, and its re-check counts: that flow's values, its
+conservation and its out - in.  A refutation comes from the cut: one s-t
+minimum cut through the one max-flow kernel, ``multigraph._max_flow``, finds
+the largest excess of w(X) - |cut(X)| over all X; X and V - X have opposite
 weights and the same cut, so weights that sum to zero need no second cut.
 The least balancing r of a valuation follows by Dinkelbach iteration over
 such cuts.  These searches run on vertex-index lists with every ratio a
@@ -256,11 +261,18 @@ def _phi_c_valuation(g: Multigraph) -> tuple[Fraction, dict[str, int]]:
 def check_balanced(g: Multigraph, omega: BalancedValuation) -> Certificate:
     """Verify |sum over X of omega| <= |cut(X)| on every vertex subset X.
 
-    X = V(G) needs the weights to sum to zero; every other X is covered by
-    one minimum cut.  A verified certificate records the 2^n - 1 nonempty
-    subsets the verdict covers; a refuted one names the least X of the
-    largest excess of omega(X) - |cut(X)|.
+    X = V(G) needs the weights to sum to zero.  Then, by Hoffman and Jaeger,
+    the inequality holds for every X exactly when some orientation with
+    out - in = k carries a flow with every value in [1, r-1] (see the module
+    docstring), and then every such orientation does: one max-flow finds an
+    orientation (``flows._orientation_with_excess``), one more a flow on it
+    (``flows.circulation_feasible``).  A verified certificate records the
+    2^n - 1 nonempty subsets the verdict covers and that flow, rendered when
+    the witness is first read.  Otherwise one minimum cut names the least X
+    of the largest excess of omega(X) - |cut(X)|, as the refuted witness.
     """
+    from . import flows  # deferred: flows imports this module
+
     for v in g.vertices:
         if v not in omega.k:
             raise ValuationError(f"valuation misses vertex {v!r}")
@@ -277,25 +289,66 @@ def check_balanced(g: Multigraph, omega: BalancedValuation) -> Certificate:
         return make_certificate("balanced", g, params,
                                 {"violating_subset": sorted(order), "total_k": sum(k)},
                                 "refuted")
+    d = flows._orientation_with_excess(g, omega.k)
+    if d is not None:
+        feasible, flow = flows.circulation_feasible(g, d, omega.r)
+        if feasible:
+            subsets = (1 << len(order)) - 1
+            return make_certificate(
+                "balanced", g, params,
+                lambda: {"subsets_checked": subsets, "flow": flows.flow_to_witness(flow)},
+                "verified")
     subset = _violating_subset(g.indexed, k, *omega.unit.as_integer_ratio())
     if subset is None:
-        return make_certificate("balanced", g, params, {"subsets_checked": (1 << len(order)) - 1},
-                                "verified")
+        raise ValuationError("internal error: no flow balances the valuation, yet no cut violates it")
     return make_certificate("balanced", g, params,
                             {"violating_subset": sorted(order[v] for v in subset)}, "refuted")
 
 
 def reverify_balanced(cert: Certificate, g: Multigraph) -> bool:
-    """Re-run ``check_balanced``: it must reach the same verdict with the same
-    witness, so a refuted certificate must name the least X of the largest
-    excess.  A valuation that ``check_balanced`` rejects fails."""
-    try:
-        omega = BalancedValuation(unrat(cert.parameters["r"]),
-                                  {v: int(k) for v, k in cert.parameters["k"].items()})
-        fresh = check_balanced(g, omega)
-    except ValuationError:
+    """Re-check a ``balanced`` certificate by counting; no max-flow runs.
+
+    Both verdicts need r > 2, checked first.  A verified certificate needs
+    k on exactly g's vertices and a witness of two fields:
+    ``subsets_checked`` = 2^n - 1, and a flow that ``flows.witness_excess``
+    accepts as a nowhere-zero flow on g at r with out - in = k.  A witness
+    with no flow, as earlier versions wrote, is malformed.  By Jaeger's easy
+    direction that flow proves the
+    inequality for every X (see the module docstring).  A refuted one needs
+    k on exactly g's vertices with the parity of the degrees, and a nonempty,
+    sorted list X of distinct vertices with |k(X)| * r/(r-2) > |cut(X)|,
+    counted, and ``total_k`` = k(X) exactly when X = V(G).  Any violating X
+    reproduces, not only the least one that ``check_balanced`` names.
+    """
+    from . import flows  # deferred
+
+    r = unrat(cert.parameters["r"])
+    if r <= 2:
         return False
-    return fresh.verdict == cert.verdict and fresh.witness == cert.witness
+    k = {v: int(kv) for v, kv in cert.parameters["k"].items()}
+    if cert.verdict == "verified":
+        subsets, flow = cert.witness["subsets_checked"], cert.witness["flow"]
+        if len(cert.witness) != 2 or subsets != (1 << g.num_vertices()) - 1:
+            return False
+        try:
+            return flows.witness_excess(g, flow, r) == k
+        except (GraphError, flows.FlowError):
+            return False  # the witness is not a flow on the edges of g
+    if cert.verdict != "refuted" or len(k) != g.num_vertices():
+        return False
+    if any(not g.has_vertex(v) or kv % 2 != g.degree(v) % 2 for v, kv in k.items()):
+        return False
+    x = cert.witness["violating_subset"]
+    if type(x) is not list or not x or x != sorted(set(x)) or not all(map(g.has_vertex, x)):
+        return False
+    kx = sum(k[v] for v in x)
+    # only X = V(G), with its empty cut, violates when k does not sum to zero
+    if cert.witness != ({"violating_subset": x, "total_k": kx} if len(x) == len(k)
+                        else {"violating_subset": x}):
+        return False
+    side = set(x)
+    cut = sum((e.u in side) != (e.v in side) for e in g.edges())
+    return abs(kx) * r > cut * (r - 2)
 
 
 def bipartition_to_flow_bound(g: Multigraph, bip: Bipartition):
@@ -397,10 +450,11 @@ def reverify_inequality(cert: Certificate, h: Multigraph) -> bool:
     """Both verdicts need a black side that M pairs with the white side.  A
     refuted certificate must carry a subset Y that, with that black side,
     violates |cut_H(Y)| >= (r/(r-2) + 2t-2)|b_Y - w_Y|.  A verified one must
-    carry the bound formula's value at (r, t) and a nowhere-zero flow on H
-    at that value, whose orientation has out - in = +1 on one colour class
-    and -1 on the other: that flow proves the inequality for every Y (see
-    the module docstring), so no cut is run."""
+    carry the bound formula's value at (r, t) and a witness flow that
+    ``flows.witness_excess`` accepts as a nowhere-zero flow on H at that
+    value, with out - in = +1 on one colour class and -1 on the other: that
+    flow proves the inequality for every Y (see the module docstring), so
+    the re-check only counts, and no cut or max-flow is run."""
     from . import flows  # deferred
 
     black = set(cert.witness.get("black", ()))
@@ -410,8 +464,8 @@ def reverify_inequality(cert: Certificate, h: Multigraph) -> bool:
         return False
     if 2 * len(black) != h.num_vertices() or not black <= set(h.vertices):
         return False
-    if any(not h.has_edge(eid) or (h.edge(eid).u in black) == (h.edge(eid).v in black)
-           for eid in m):
+    edges = h._edges
+    if any((e := edges.get(eid)) is None or (e.u in black) == (e.v in black) for eid in m):
         return False
     if cert.verdict == "refuted":
         subset = set(cert.witness["violating_subset"])
@@ -425,13 +479,8 @@ def reverify_inequality(cert: Certificate, h: Multigraph) -> bool:
     if bound != bound_formula(r, t):
         return False
     try:
-        flow = flows.flow_from_witness(h, cert.witness["flow"])
-        if flow.r != bound or flow.mode != flows.NOWHERE_ZERO:
-            return False
-        if flows.flow_violation(h, flow) is not None:
-            return False
+        excess = flows.witness_excess(h, cert.witness["flow"], bound)
     except (GraphError, flows.FlowError):
         return False  # the witness is not a flow on the edges of h
-    excess = Counter(tail for tail, _ in flow.orientation.values())  # out - in
-    excess.subtract(head for _, head in flow.orientation.values())
-    return {excess[v] if v in black else -excess[v] for v in h.vertices} in ({1}, {-1})
+    return excess is not None and \
+        {x if v in black else -x for v, x in excess.items()} in ({1}, {-1})

@@ -29,6 +29,9 @@ turned into a certificate witness, with one ``rat`` per edge, and a witness
 is read back through a fresh ``functools.cache`` per call, as it once was.
 A coloring is checked proper, or seeing odd, by a dict or a count list per
 vertex over all vertices, as it once was.
+A witness flow is re-checked by reading it into a ``RationalFlow`` with
+``flow_from_witness``, checking it with ``flow_violation`` and counting its
+out - in with a ``Counter``, as it once was.
 A certificate file is written by a second, pure-Python encode with
 ``indent=2``, and the flow value granted to g + (2t-2)M is computed by six
 ``Fraction`` operations, as they once were.
@@ -36,6 +39,7 @@ A certificate file is written by a second, pure-Python encode with
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
@@ -53,6 +57,8 @@ from circflow.flows import (
     _arc,
     bipartite_sides,
     circulation_feasible,
+    flow_from_witness,
+    flow_violation,
 )
 from circflow.multigraph import (
     FORMAT_HEADER,
@@ -724,6 +730,20 @@ def flow_violation_oracle(g, flow):
     if flow.mode == INTEGER_ONE_ZERO and zero not in g._edges:
         raise FlowError("integer mode requires a flagged zero edge")
     return None if bad is None else {"edge": bad, "value": rat(values[bad])}
+
+
+def witness_excess_oracle(g, witness, r):
+    """Out - in per vertex of a witness flow that is nowhere-zero on g at r,
+    else None, through ``flow_from_witness``, ``flow_violation`` and a
+    ``Counter``: the oracle."""
+    flow = flow_from_witness(g, witness)
+    if flow.r != r or flow.mode != NOWHERE_ZERO or flow.zero_edge is not None:
+        return None
+    if flow_violation(g, flow) is not None:
+        return None
+    out = Counter(tail for tail, _ in flow.orientation.values())
+    out.subtract(head for _, head in flow.orientation.values())
+    return {v: out[v] for v in g.vertices}
 
 
 def flow_to_witness_oracle(flow):

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circflow import cli, colorings, families, flows, valuations
+from circflow import cli, colorings, families, flows, multigraph, valuations
 from circflow.certificates import (
     Certificate,
     CertificateError,
@@ -403,7 +403,72 @@ def _forged_flow():
     return cert, d.graph
 
 
-@pytest.mark.parametrize("forge", [_forged_parity, _forged_flow], ids=["parity", "flow"])
+def _forged_phi_c_zero_edge():
+    # phi_c(K4) claimed as 2 (it is 4) by an integer 4-flow with the zero edge v3v4
+    k4 = families.complete_graph(4)
+    arcs = {"v1v2": ("v2", "v1", 2), "v1v3": ("v1", "v3", 1), "v1v4": ("v1", "v4", 1),
+            "v2v3": ("v3", "v2", 1), "v2v4": ("v4", "v2", 1), "v3v4": ("v3", "v4", 0)}
+    flow = {"r": "2/1", "mode": flows.INTEGER_ONE_ZERO, "zero_edge": "v3v4",
+            "edges": {eid: {"tail": t, "head": h, "value": rat(x)} for eid, (t, h, x) in arcs.items()}}
+    return make_certificate("phi-c-value", k4, {"r": "2/1"}, {"flow": flow}, "verified"), k4
+
+
+def _verified_balanced(name):
+    """K4 at r = 4, or Petersen at 5 with its flow's bipartition: verified."""
+    if name == "K4":
+        return _balanced(Fraction(4), K4_K)
+    p = families.petersen()
+    flow = flows.circular_flow_number(p).flow
+    omega = valuations.valuation_from_bipartition(p, valuations.flow_to_bipartition(p, flow), flow.r)
+    return valuations.check_balanced(p, omega), p
+
+
+def _first_record(cert):
+    edges = cert.witness["flow"]["edges"]
+    return edges[min(edges)]
+
+
+def _value_at_r(cert):
+    _first_record(cert)["value"] = cert.parameters["r"]
+
+
+def _tail_and_head_swapped(cert):
+    rec = _first_record(cert)
+    rec["tail"], rec["head"] = rec["head"], rec["tail"]
+
+
+def _k_moved_by_two(cert):
+    k = cert.parameters["k"]
+    k[min(k)] += 2
+
+
+def _r_edited(cert):
+    cert.parameters["r"] = rat(unrat(cert.parameters["r"]) + 1)
+
+
+def _subsets_edited(cert):
+    cert.witness["subsets_checked"] -= 1
+
+
+def _field_added(cert):
+    cert.witness["violating_subset"] = ["v1"]
+
+
+def _forged_balanced(name, edit):
+    def forge():
+        cert, g = _verified_balanced(name)
+        edit(cert)
+        return cert, g
+    return forge
+
+
+@pytest.mark.parametrize("forge", [
+    _forged_parity, _forged_flow, _forged_phi_c_zero_edge,
+    _forged_balanced("Petersen", _value_at_r), _forged_balanced("K4", _tail_and_head_swapped),
+    _forged_balanced("Petersen", _k_moved_by_two), _forged_balanced("K4", _r_edited),
+    _forged_balanced("Petersen", _subsets_edited), _forged_balanced("K4", _field_added),
+], ids=["parity", "flow", "phi-c-zero-edge", "balanced-value-at-r", "balanced-swapped",
+        "balanced-k", "balanced-r", "balanced-subsets", "balanced-extra-field"])
 def test_a_witness_the_recheck_rejects_is_not_reproduced(forge, tmp_path, capsys):
     cert, g = forge()
     assert cert.verdict == "verified"
@@ -414,6 +479,30 @@ def test_a_witness_the_recheck_rejects_is_not_reproduced(forge, tmp_path, capsys
     capsys.readouterr()
     assert cli.main(["reverify", str(graph), str(path)]) == cli.EXIT_REFUTED
     assert capsys.readouterr().out == "NOT reproduced\n"
+
+
+def test_a_verified_balanced_certificate_without_its_flow_is_malformed():
+    # the witness that earlier versions wrote, with no flow to re-check
+    cert, g = _balanced(Fraction(4), K4_K)
+    del cert.witness["flow"]
+    assert cert.witness == {"subsets_checked": 15}
+    with pytest.raises(CertificateError, match=re.escape("malformed certificate: KeyError('flow')")):
+        reverify(certificate_from_json(cert.to_json()), g)
+
+
+def test_reverify_of_the_jaeger_witnesses_runs_no_max_flow(monkeypatch):
+    made = [_balanced(Fraction(4), K4_K), _balanced(Fraction(3), K4_K),
+            _balanced(Fraction(4), {**K4_K, "v4": 1}), _inequality(), _phi_c()]
+    assert [cert.verdict for cert, _ in made] == ["verified", "refuted", "refuted", "verified", "verified"]
+    files = [(cert.to_json(), g) for cert, g in made]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reverify ran a max-flow")
+
+    for module in (multigraph, flows, valuations):
+        monkeypatch.setattr(module, "_max_flow", forbidden)
+    for text, g in files:
+        assert reverify(certificate_from_json(text), g)
 
 
 def test_a_phi_c_bound_certificate_is_refused(tmp_path, capsys):

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from circflow import cli, families, flows
-from circflow.certificates import certificate_from_json
+from circflow.certificates import certificate_from_json, rat, unrat
 from circflow.cli import main
 from circflow.multigraph import deserialize, serialize
 
@@ -122,6 +122,19 @@ def test_check_balanced_command(tmp_path):
     assert run("check-balanced", graph, val) == 0
     back = cli.read_valuation(val.read_text())
     assert back.k == omega.k and back.r == omega.r
+    # the certificate carries its witness flow, which reverify re-checks
+    cert = tmp_path / "k4.cert.json"
+    assert run("check-balanced", graph, val, "--out", cert) == 0
+    assert run("reverify", graph, cert) == 0
+    doc = json.loads(cert.read_text())
+    edges = doc["certificate"]["witness"]["flow"]["edges"]
+    first = edges[min(edges)]
+    first["value"] = rat(unrat(first["value"]) + 1)  # conservation fails at its ends
+    cert.write_text(json.dumps(doc))
+    assert run("reverify", graph, cert) == cli.EXIT_REFUTED
+    del doc["certificate"]["witness"]["flow"]
+    cert.write_text(json.dumps(doc))
+    assert run("reverify", graph, cert) == cli.EXIT_USAGE
 
 
 @pytest.mark.parametrize("r", ["1", "3/2", "2"])

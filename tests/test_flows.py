@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from circflow import blanusa, families, flows, valuations
-from circflow.certificates import Certificate, certificate_from_json
+from circflow.certificates import Certificate, certificate_from_json, rat
 from circflow.flows import (
     INTEGER_ONE_ZERO,
     BridgedGraphError,
@@ -39,6 +40,7 @@ from _oracles import (
     flow_from_witness_oracle,
     flow_to_witness_oracle,
     flow_violation_oracle,
+    witness_excess_oracle,
     write_flow_oracle,
 )
 
@@ -786,3 +788,119 @@ def test_verify_flow_raises_at_the_call_what_its_witness_would_raise():
     triples = {eid: (*pair, pair[0]) for eid, pair in flow.orientation.items()}
     with pytest.raises(ValueError, match=r"^too many values to unpack \(expected 2\)$"):
         verify_flow(k4, replace(flow, orientation=triples))
+
+
+# -- the witness re-check by counting ------------------------------------------
+
+
+def _random_cubic(rng, n):
+    """A random bridgeless loopless cubic multigraph on n vertices."""
+    while True:  # configuration model, rejecting loops and bridges
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        pairs = [stubs[i:i + 2] for i in range(0, 3 * n, 2)]
+        if all(u != v for u, v in pairs):
+            g = Multigraph([f"v{i}" for i in range(n)],
+                           [(f"e{i}", f"v{u}", f"v{v}") for i, (u, v) in enumerate(pairs)])
+            if not bridges(g):
+                return g
+
+
+WITNESS_MUTATIONS = ["none", "value-at-r", "value-zero", "reversed", "wrong-end", "dropped", "extra",
+                     "witness-r", "asked-r", "integer-mode", "zero-edge", "unknown-mode",
+                     "malformed-value", "malformed-r", "missing-field"]
+
+
+@st.composite
+def witness_cases(draw):
+    """A random cubic graph on 4-8 vertices with its phi_c witness flow, or
+    g + (2t-2)M with the matched witness on it when some perfect matching
+    pairs the flow's black and white vertices; the r it is asked at, and
+    the witness as a certificate reads it back, with one mutation."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    g = _random_cubic(rng, draw(st.sampled_from([4, 6, 8])))
+    flow = circular_flow_number(g).flow
+    if draw(st.booleans()):
+        black = valuations.flow_to_bipartition(g, flow).black
+        pairing = [sorted(pm) for pm in perfect_matchings(g)
+                   if all((g.edge(e).u in black) != (g.edge(e).v in black) for e in pm)]
+        if pairing:
+            m, t = rng.choice(pairing), draw(st.integers(1, 3))
+            flow = flows.matched_flow_witness(g, flow, m, t)
+            g = add_matching_copies(g, m, 2 * t - 2)
+    witness = json.loads(json.dumps(flows.flow_to_witness(flow)))
+    edges, r = witness["edges"], flow.r
+    eid = rng.choice(sorted(edges))
+    mutation = draw(st.sampled_from(WITNESS_MUTATIONS))
+    if mutation == "value-at-r":
+        edges[eid]["value"] = witness["r"]
+    elif mutation == "value-zero":
+        edges[eid]["value"] = "0/1"
+    elif mutation == "reversed":
+        edges[eid]["tail"], edges[eid]["head"] = edges[eid]["head"], edges[eid]["tail"]
+    elif mutation == "wrong-end":
+        edges[eid]["head"] = min(set(g.vertices) - {g.edge(eid).u, g.edge(eid).v})
+    elif mutation == "dropped":
+        del edges[eid]
+    elif mutation == "extra":
+        edges["ghost"] = dict(edges[eid])
+    elif mutation == "witness-r":
+        witness["r"] = rat(r + Fraction(1, 3))
+    elif mutation == "asked-r":
+        r += 1
+    elif mutation == "integer-mode":
+        witness["mode"] = INTEGER_ONE_ZERO
+    elif mutation == "zero-edge":
+        witness["zero_edge"] = eid
+    elif mutation == "unknown-mode":
+        witness["mode"] = "modular"
+    elif mutation == "malformed-value":
+        edges[eid]["value"] = "1_0/3"
+    elif mutation == "malformed-r":
+        witness["r"] = "x"
+    elif mutation == "missing-field":
+        del edges[eid]["head"]
+    return g, witness, r
+
+
+def _excess_outcome(fn, g, witness, r):
+    """The out - in dict as its items in order, or the exception's type."""
+    try:
+        out = fn(g, witness, r)
+    except Exception as exc:
+        return type(exc)
+    return out if out is None else list(out.items())
+
+
+@given(witness_cases())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_witness_excess_matches_the_rational_flow_oracle(case):
+    g, witness, r = case
+    assert _excess_outcome(flows.witness_excess, g, witness, r) == \
+        _excess_outcome(witness_excess_oracle, g, witness, r)
+
+
+def test_witness_excess_reads_an_unreduced_value_and_rescales_its_sums():
+    # denominators 1, 3 and 6 arrive in that order, so the sums are rescaled twice
+    g, flow = directed_cycle_flow(3, Fraction(7, 2))
+    witness = flows.flow_to_witness(flow)
+    for eid, value in zip(sorted(witness["edges"]), ("2/1", "6/3", "12/6")):
+        witness["edges"][eid]["value"] = value
+    assert flows.witness_excess(g, witness, Fraction(7, 2)) == dict.fromkeys(g.vertices, 0)
+    witness["edges"][min(witness["edges"])]["value"] = "13/6"
+    assert flows.witness_excess(g, witness, Fraction(7, 2)) is None
+    assert witness_excess_oracle(g, witness, Fraction(7, 2)) is None
+
+
+@pytest.mark.parametrize("value, ok", [("1/1", True), ("5/2", True), ("1/2", False), ("0/1", False),
+                                       ("-1/1", False), ("8/3", False)])
+def test_witness_excess_keeps_a_balanced_value_inside_the_window(value, ok):
+    # every edge of a directed 3-cycle carries the same value, so each vertex
+    # balances and only the window [1, r-1] = [1, 5/2] decides
+    g, flow = directed_cycle_flow(3, Fraction(7, 2))
+    witness = flows.flow_to_witness(flow)
+    for rec in witness["edges"].values():
+        rec["value"] = value
+    expected = dict.fromkeys(g.vertices, 0) if ok else None
+    assert flows.witness_excess(g, witness, Fraction(7, 2)) == expected
+    assert witness_excess_oracle(g, witness, Fraction(7, 2)) == expected

@@ -26,6 +26,7 @@ from circflow.valuations import (
 )
 
 from _oracles import (
+    _violating_subset_oracle,
     bound_formula_oracle,
     matched_flow_witness_oracle,
     min_ratio_oracle,
@@ -109,14 +110,28 @@ def test_check_balanced_minimal_proper_violation():
     assert reverify(cert, g)
 
 
+def assert_balanced_by_its_flow(g, cert, omega):
+    """A verified balanced certificate covers every nonempty subset, and its
+    witness flow is a valid nowhere-zero flow on g at r with out - in = k."""
+    assert set(cert.witness) == {"subsets_checked", "flow"}
+    assert cert.witness["subsets_checked"] == 2 ** g.num_vertices() - 1
+    flow = flows.flow_from_witness(g, cert.witness["flow"])
+    assert (flow.r, flow.mode, flow.zero_edge) == (omega.r, flows.NOWHERE_ZERO, None)
+    assert flows.verify_flow(g, flow).verdict == "verified"
+    out = Counter(tail for tail, _ in flow.orientation.values())
+    out.subtract(head for _, head in flow.orientation.values())
+    assert {v: out[v] for v in g.vertices} == omega.k
+
+
 def test_check_balanced_blanusa_g2_at_its_least_value():
     # 34 vertices: 13/3 is the least r balancing G2's flow bipartition
     chain = blanusa.build_chain(2)
     g = chain.chain.graph
     bip = flow_to_bipartition(g, chain.flow)
-    cert = check_balanced(g, valuation_from_bipartition(g, bip, Fraction(13, 3)))
+    omega = valuation_from_bipartition(g, bip, Fraction(13, 3))
+    cert = check_balanced(g, omega)
     assert cert.verdict == "verified"
-    assert cert.witness == {"subsets_checked": 2 ** 34 - 1}
+    assert_balanced_by_its_flow(g, cert, omega)
     refuted = check_balanced(g, valuation_from_bipartition(g, bip, Fraction(43, 10)))
     assert refuted.verdict == "refuted"
     assert reverify(refuted, g)
@@ -154,6 +169,42 @@ def test_reverify_rejects_forged_violating_subset(subset):
     assert cert.witness == {"violating_subset": ["v1", "v2"]} and reverify(cert, k4)
     forged = make_certificate("balanced", k4, params, {"violating_subset": subset}, "refuted")
     assert not reverify(forged, k4)
+
+
+@pytest.mark.parametrize("k", [{**K4_K, "v1": 2, "v2": 0}, {"v1": 1, "v2": 1, "v3": -2},
+                               {**K4_K, "v5": 0}], ids=["parity", "missing", "stray"])
+def test_reverify_rejects_a_refuted_valuation_that_check_balanced_refuses(k):
+    # X = {v1, v2} has |k(X)| * 3 = 6 > |cut(X)| = 4 in each, but k_v1 = 2 has
+    # the wrong parity, v4 has no weight, or v5 is no vertex of K4
+    k4 = families.complete_graph(4)
+    with pytest.raises(ValuationError):
+        check_balanced(k4, BalancedValuation(Fraction(3), k))
+    cert = make_certificate("balanced", k4, {"r": "3/1", "k": k},
+                            {"violating_subset": ["v1", "v2"]}, "refuted")
+    assert not reverify(cert, k4)
+
+
+def test_reverify_of_a_refutation_by_the_whole_vertex_set():
+    # weights that do not sum to zero fail at X = V(G), whose cut is empty
+    k4 = families.complete_graph(4)
+    k = {**K4_K, "v4": 1}
+    cert = check_balanced(k4, BalancedValuation(Fraction(4), k))
+    everything = ["v1", "v2", "v3", "v4"]
+    assert cert.witness == {"violating_subset": everything, "total_k": 2} and reverify(cert, k4)
+    for witness in ({"violating_subset": everything, "total_k": 4}, {"violating_subset": everything},
+                    {"violating_subset": ["v1", "v2"], "total_k": 2}):
+        assert not reverify(make_certificate("balanced", k4, cert.parameters, witness, "refuted"), k4)
+
+
+def test_reverify_accepts_any_violating_subset():
+    # X = {v3, v4} breaks the inequality as X = {v1, v2} does; check_balanced
+    # names the least X of the largest excess, {v1, v2}, and either reproduces
+    k4 = families.complete_graph(4)
+    params = {"r": "3/1", "k": K4_K}
+    other = make_certificate("balanced", k4, params, {"violating_subset": ["v3", "v4"]}, "refuted")
+    assert reverify(other, k4)
+    assert not reverify(make_certificate("balanced", k4, params, {"violating_subset": ["v4", "v3"]},
+                                         "refuted"), k4)
 
 
 def test_bipartition_to_flow_bound_k33():
@@ -517,7 +568,7 @@ def test_valuations_agree_with_subset_enumeration(case, t):
     assert cert.verdict == ("verified" if balanced else "refuted")
     assert reverify(cert, g)
     if balanced:
-        assert cert.witness == {"subsets_checked": 2 ** g.num_vertices() - 1}
+        assert_balanced_by_its_flow(g, cert, omega)
 
     least = min(ratios.values())
     assert bipartition_to_flow_bound(g, bip) == (2 * least / (least - 1) if least > 1 else NO_FINITE_R)
@@ -596,6 +647,37 @@ def test_phi_c_search_matches_the_fraction_oracle(g):
     from circflow.valuations import _phi_c_valuation
 
     assert _phi_outcome(_phi_c_valuation, g) == _phi_outcome(phi_c_valuation_oracle, g)
+
+
+@given(phi_graphs(), st.data())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_check_balanced_matches_the_minimum_cut_oracle(g, data):
+    """k is the out - in of an orientation that leaves each edge from the
+    end with the lower out - in so far, ties broken at random, and in half
+    the cases up to two pairs of vertices are then moved by +2 and -2.  The
+    certificate is verified, with a flow whose out - in is k, exactly when
+    the cut oracle finds no violating set, and is otherwise refuted with the
+    set the oracle finds; both reverify."""
+    vs = g.vertices
+    k = dict.fromkeys(vs, 0)
+    for e in g.edges():
+        flip = k[e.u] > k[e.v] if k[e.u] != k[e.v] else data.draw(st.booleans())
+        tail, head = (e.v, e.u) if flip else (e.u, e.v)
+        k[tail] += 1
+        k[head] -= 1
+    for a, b in data.draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=2)
+                          if data.draw(st.booleans()) else st.just([])):
+        k[a] += 2
+        k[b] -= 2
+    omega = BalancedValuation(2 + data.draw(st.fractions(Fraction(1, 7), 8, max_denominator=7)), k)
+    cert = check_balanced(g, omega)
+    violating = _violating_subset_oracle(g, k, omega.unit)
+    if violating is None:
+        assert cert.verdict == "verified"
+        assert_balanced_by_its_flow(g, cert, omega)
+    else:
+        assert (cert.verdict, cert.witness) == ("refuted", {"violating_subset": violating})
+    assert reverify(cert, g)
 
 
 @pytest.mark.parametrize("g, unpooled", [(families.petersen(), 143), (families.flower_snark(1).graph, 554)],
