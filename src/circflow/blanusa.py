@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import families
 from .flows import FlowError, INTEGER_ONE_ZERO, RationalFlow, _integer_value, add_circuits, flow_violation
@@ -38,11 +38,6 @@ from .multigraph import (
     perfect_matchings,
 )
 from . import valuations
-
-# Stop the integer 4-flow search after this many flows per marked circuit,
-# and the directed-cycle listing after this many cycles through the zero edge.
-_MAX_FLOWS = 64
-_MAX_CYCLES = 50000
 
 
 class SeedSearchError(RuntimeError):
@@ -250,8 +245,9 @@ def _nine_cycles(g: Multigraph) -> list[tuple[str, ...]]:
 
 
 def _integer_flows(g: Multigraph, forced: dict[str, tuple[tuple[str, str] | None, set[int]]],
-                   zero_edge: str):
-    """Integer 4-flow search: yields (orientation dict, value dict).
+                   zero_edge: str) -> Iterator[tuple[dict[str, tuple[str, str]], dict[str, int]]]:
+    """Integer 4-flow search: yields (orientation dict, value dict), lazily
+    and depth-first, each a fresh pair of dicts.
 
     ``forced`` maps edge ids to (direction or None, allowed values).  The zero
     edge is assigned value 0 with a placeholder direction.
@@ -274,7 +270,6 @@ def _integer_flows(g: Multigraph, forced: dict[str, tuple[tuple[str, str] | None
 
     assigned: dict[str, tuple[str, str, int]] = {}
     remaining: dict[str, int] = {v: g.degree(v) for v in g.vertices}
-    results = []
 
     def net(v: str) -> int:
         total = 0
@@ -322,55 +317,45 @@ def _integer_flows(g: Multigraph, forced: dict[str, tuple[tuple[str, str] | None
                 best, best_key = e.eid, key
         return best
 
-    def rec() -> bool:
-        if len(results) >= _MAX_FLOWS:
-            return True
+    def rec():
         eid = choose()
         if eid is None:
-            results.append((
-                {e: (a[0], a[1]) for e, a in assigned.items()},
-                {e: a[2] for e, a in assigned.items()},
-            ))
-            return len(results) >= _MAX_FLOWS
+            yield ({e: (a[0], a[1]) for e, a in assigned.items()},
+                   {e: a[2] for e, a in assigned.items()})
+            return
         for choice in candidates[eid]:
             touched = place(eid, choice)
             if all(consistent(v) for v in touched):
-                if rec():
-                    return True
+                yield from rec()
             unplace(eid)
-        return False
 
-    rec()
-    return results
+    return rec()
 
 
 def _directed_cycles_through(g: Multigraph, dirs: dict[str, tuple[str, str]],
-                             arc: tuple[str, str, str]) -> list[tuple[str, ...]]:
-    """Simple directed cycles containing the arc (eid, tail, head)."""
+                             arc: tuple[str, str, str]) -> Iterator[tuple[str, ...]]:
+    """Simple directed cycles containing the arc (eid, tail, head), lazily
+    and depth-first."""
     eid0, tail0, head0 = arc
     out_edges: dict[str, list[str]] = {v: [] for v in g.vertices}
     for eid, (t, _h) in dirs.items():
         out_edges[t].append(eid)
-    cycles: list[tuple[str, ...]] = []
 
-    def dfs(v: str, path: list[str], seen: set[str]) -> None:
-        if len(cycles) >= _MAX_CYCLES:
-            return
+    def dfs(v: str, path: list[str], seen: set[str]) -> Iterator[tuple[str, ...]]:
         for eid in out_edges[v]:
             if eid == eid0:
                 continue
             w = dirs[eid][1]
             if w == tail0:
-                cycles.append(tuple([eid0] + path + [eid]))
+                yield tuple([eid0] + path + [eid])
             elif w not in seen:
                 seen.add(w)
                 path.append(eid)
-                dfs(w, path, seen)
+                yield from dfs(w, path, seen)
                 path.pop()
                 seen.remove(w)
 
-    dfs(head0, [], {head0, tail0})
-    return cycles
+    return dfs(head0, [], {head0, tail0})
 
 
 def _directed_path(g: Multigraph, dirs: dict[str, tuple[str, str]],
@@ -473,20 +458,18 @@ def _finish_seed(g, matching, x, ce, y0, y1, dirs, vals, dp_record):
     for zdir in ((x[0], x[1]), (x[1], x[0])):
         full_dirs = dict(dirs)
         full_dirs[ce[0]] = zdir
-        cycles = _directed_cycles_through(g, full_dirs, (ce[0], zdir[0], zdir[1]))
-        a_candidates = []
-        b_candidates = []
-        for cyc in cycles:
+        a = b = None  # the first A-circuit and the first B-circuit
+        for cyc in _directed_cycles_through(g, full_dirs, (ce[0], zdir[0], zdir[1])):
             cset = set(cyc)
             if path_edges <= cset:
-                if all(vals[eid] != 3 or eid in (ce[5], ce[6]) for eid in cyc):
-                    a_candidates.append(cyc)
-            elif not (cset & path_edges):
-                b_candidates.append(cyc)
-        if not a_candidates or not b_candidates:
+                if a is None and all(vals[eid] != 3 or eid in (ce[5], ce[6]) for eid in cyc):
+                    a = cyc
+            elif b is None and not (cset & path_edges):
+                b = cyc
+            if a is not None and b is not None:
+                break
+        else:
             continue
-        a = a_candidates[0]
-        b = b_candidates[0]
         seed = BlanusaSeed(
             graph=g, matching=matching, x=x, c_edges=ce, y0=y0, y1=y1,
             orientation=full_dirs, values=vals, zero_edge=ce[0],

@@ -27,7 +27,7 @@ from typing import Callable
 
 from . import blanusa, colorings, families, flower_coloring, flows, mp_coloring, valuations
 from .certificates import certificate_from_json, rat, read_records, reverify, unrat
-from .multigraph import Multigraph, deserialize, perfect_matchings, serialize
+from .multigraph import Multigraph, SearchBudgetExceeded, deserialize, perfect_matchings, serialize
 
 EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
@@ -58,14 +58,6 @@ def _read_ids(path: str) -> list[str]:
         if line and not line.startswith("#"):
             out.append(line)
     return out
-
-
-def write_valuation(omega: valuations.BalancedValuation) -> str:
-    lines = [VALUATION_HEADER, f"r {rat(omega.r)}"]
-    unit = omega.unit
-    for v, k in sorted(omega.k.items()):
-        lines.append(f"{v} {rat(k * unit)}")
-    return "\n".join(lines) + "\n"
 
 
 def read_valuation(text: str) -> valuations.BalancedValuation:
@@ -100,7 +92,7 @@ def _cmd_construct(args) -> int:
     elif fam == "flower":
         g = families.flower_snark(args.n).graph
     elif fam == "blanusa-chain":
-        g = families.blanusa_chain(args.n).graph
+        g = blanusa.build_chain(args.n).chain.graph
     elif fam == "mp":
         g = families.mp_graph(args.p, args.stage).graph
     else:
@@ -117,11 +109,11 @@ def _cmd_flow_number(args) -> int:
     g = _read_graph(args.graph)
     t0 = time.monotonic()
     try:
-        result = flows.circular_flow_number(g, cap=args.cap)
+        result = flows.circular_flow_number(g, budget_s=args.budget)
     except flows.BridgedGraphError as exc:
         print(f"refuted: {exc}")
         return EXIT_REFUTED
-    except flows.SizeCapExceeded as exc:
+    except SearchBudgetExceeded as exc:
         print(f"inconclusive: {exc}")
         return EXIT_INCONCLUSIVE
     cert = flows.phi_c_certificate(g, result, time.monotonic() - t0)
@@ -249,8 +241,11 @@ def _cert_row(name: str, make, *args) -> _Row:
     return cert.verdict, {name: cert.to_json()}
 
 
-def _phi_c_row(name: str, g: Multigraph, want: Fraction) -> _Row:
-    result = flows.circular_flow_number(g)
+def _phi_c_row(name: str, g: Multigraph, want: Fraction, budget: float | None) -> _Row:
+    try:
+        result = flows.circular_flow_number(g, budget_s=budget)
+    except SearchBudgetExceeded:
+        return "inconclusive", {}
     return _verdict(result.value == want), {
         f"phi_c_{name}.cert.json": flows.phi_c_certificate(g, result).to_json()}
 
@@ -374,7 +369,7 @@ def _section_2_claims(budget: float | None) -> list[tuple[str, Callable[[], _Row
 
 
 def _section_2_1_claims(budget: float | None) -> list[tuple[str, Callable[[], _Row]]]:
-    rows = [(f"phi_c({name})", partial(_phi_c_row, name, g, want))
+    rows = [(f"phi_c({name})", partial(_phi_c_row, name, g, want, budget))
             for name, g, want in (("K4", families.complete_graph(4), Fraction(4)),
                                   ("K6", families.complete_graph(6), Fraction(3)),
                                   ("Petersen", families.petersen(), Fraction(5)))]
@@ -437,6 +432,9 @@ def _cmd_paper_demo(args) -> int:
 
 # -- parser -----------------------------------------------------------------------
 
+_BUDGET_HELP = ("wall-clock seconds for the whole call, checked every 512 search nodes; "
+                "a search it cuts short reads inconclusive")
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="circflow",
@@ -455,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("flow-number", help="exact circular flow number")
     c.add_argument("graph")
-    c.add_argument("--cap", type=int, default=flows.PHI_C_EDGE_CAP)
+    c.add_argument("--budget", type=float, help=_BUDGET_HELP)
     c.add_argument("--out")
     c.set_defaults(fn=_cmd_flow_number)
 
@@ -476,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("chromatic-index", help="exact chromatic index")
     c.add_argument("graph")
-    c.add_argument("--budget", type=float)
+    c.add_argument("--budget", type=float, help=_BUDGET_HELP)
     c.add_argument("--out")
     c.set_defaults(fn=_cmd_chromatic_index)
 
@@ -495,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--matching", required=True)
     c.add_argument("--which", type=int, required=True, choices=[1, 2])
     c.add_argument("--t-range", default="1,2")
-    c.add_argument("--budget", type=float)
+    c.add_argument("--budget", type=float, help=_BUDGET_HELP)
     c.add_argument("--out")
     c.set_defaults(fn=_cmd_class_property)
 
@@ -513,7 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("paper-demo", help="regenerate and verify the headline artifacts")
     c.add_argument("--scope", default="all", choices=["all", *_SCOPES])
     c.add_argument("--out", required=True)
-    c.add_argument("--budget", type=float, default=1800.0)
+    c.add_argument("--budget", type=float, default=1800.0,
+                   help="wall-clock seconds for each search a row runs, checked every 512 "
+                        "search nodes; a row it cuts short reads inconclusive")
     c.set_defaults(fn=_cmd_paper_demo)
 
     c = sub.add_parser("reverify", help="re-check a certificate against its graph")

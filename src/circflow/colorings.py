@@ -29,6 +29,8 @@ from .families import MDotProduct
 from .multigraph import (
     EdgeCut,
     Multigraph,
+    SearchBudgetExceeded,
+    _Deadline,
     _matchings_of,
     _with_copies,
     add_matching_copies,
@@ -42,10 +44,6 @@ SEES_ODD = "sees-odd"
 
 
 class ColoringError(ValueError):
-    pass
-
-
-class SearchBudgetExceeded(ColoringError):
     pass
 
 
@@ -107,22 +105,6 @@ def sees_odd_violation(g: Multigraph, coloring: EdgeColoring):
             c = (~mask & (mask + 1)).bit_length() - 1  # the lowest even count
             return (v, c, sum(colors[eid] == c for eid in ids))
     return None
-
-
-class _Deadline:
-    def __init__(self, seconds: float | None):
-        self.t_end = None if seconds is None else time.monotonic() + seconds
-        self.nodes = 0
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes % 512 == 0:
-            self.poll()
-
-    def poll(self) -> None:
-        """Raise once the budget is spent; counts nothing."""
-        if self.t_end is not None and time.monotonic() > self.t_end:
-            raise SearchBudgetExceeded("search budget exhausted")
 
 
 def _matching_cover(g: Multigraph, deadline: _Deadline, m: Sequence[str] = (),
@@ -467,6 +449,10 @@ def class_property(g: Multigraph, matching: Iterable[str], which: int,
     those multiplicities, and H is built only to check a coloring it found.
     Only the listed t are decided; the certificate records explicitly that
     the quantification over all t is out of reach of the test.
+
+    ``budget_s`` is wall-clock seconds for the whole call, over every t,
+    checked every 512 search nodes.  Each t it leaves undecided reads
+    ``budget-exhausted``, and each decided t records its own node count.
     """
     if which not in (1, 2):
         raise ColoringError("which must be 1 or 2")
@@ -478,17 +464,19 @@ def class_property(g: Multigraph, matching: Iterable[str], which: int,
     start = time.monotonic()
     t_range = [int(t) for t in t_range]
     per_t = []
+    deadline = _Deadline(budget_s)
     for t in t_range:
         if t < 1:
             raise ColoringError("t must be positive")
         copies = matching_copy_ids(g, m, 2 * t - 2)
-        deadline = _Deadline(budget_s)
+        before = deadline.nodes
         try:
+            deadline.poll()  # a t begun after the budget ran out is not searched
             colors = _matching_cover(g, deadline, m, copies)
         except SearchBudgetExceeded:
             per_t.append({"t": t, "status": "budget-exhausted"})
             continue
-        entry = {"t": t, "class": 1 if colors is not None else 2, "nodes": deadline.nodes}
+        entry = {"t": t, "class": 1 if colors is not None else 2, "nodes": deadline.nodes - before}
         if colors is not None:
             ok, clash = is_proper(_with_copies(g, m, copies), EdgeColoring(colors, 2 * t + 1))
             if not ok:

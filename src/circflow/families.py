@@ -184,15 +184,6 @@ def m_dot_product(g1: Multigraph, m1: Sequence[str], g2: Multigraph, m2: Sequenc
                        frozenset(m2), xy)
 
 
-# -- Blanusa chain (construction lives in blanusa.py) --------------------------
-
-
-def blanusa_chain(n: int):
-    from . import blanusa  # deferred: blanusa builds on flows
-
-    return blanusa.build_chain(n).chain
-
-
 # -- the M_p family -------------------------------------------------------------
 
 MP_BASE = "base"

@@ -24,11 +24,10 @@ from .colorings import (
     ColoringError,
     EdgeColoring,
     _backtrack_coloring,
-    _Deadline,
     _matching_cover,
     is_proper,
 )
-from .multigraph import GraphError, Multigraph, _with_copies, matching_copy_ids
+from .multigraph import GraphError, Multigraph, _Deadline, _with_copies, matching_copy_ids
 
 GADGET_SCHEMA = "circflow-flower-gadget/1"
 _GADGET_RESOURCE = "flower_gadget.json"

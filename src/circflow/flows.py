@@ -39,6 +39,7 @@ from . import valuations
 from .certificates import Certificate, make_certificate, rat, rat_terms, read_records, unrat
 from .multigraph import (
     Multigraph,
+    _Deadline,
     _max_flow,
     bridges,
     connected_components,
@@ -48,9 +49,6 @@ from .multigraph import (
 
 NOWHERE_ZERO = "nowhere-zero"
 INTEGER_ONE_ZERO = "integer-4-flow-one-zero"
-
-PHI_C_EDGE_CAP = 18
-
 
 # The values 0..3 of an integer 4-flow, one object each, so that a base flow
 # holds at most four distinct value objects.
@@ -69,10 +67,6 @@ class FlowError(ValueError):
 
 class BridgedGraphError(FlowError):
     """Bridged graphs admit no nowhere-zero flow at all."""
-
-
-class SizeCapExceeded(FlowError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -398,24 +392,25 @@ def _orientation_with_excess(g: Multigraph,
     return {e.eid: (e.v, e.u) if arc_flow[i] else (e.u, e.v) for i, e in enumerate(g.edges())}
 
 
-def circular_flow_number(g: Multigraph, cap: int = PHI_C_EDGE_CAP) -> PhiCResult:
+def circular_flow_number(g: Multigraph, budget_s: float | None = None) -> PhiCResult:
     """Exact circular flow number with a verified optimal witness flow.
 
     Each component's value and out-minus-in degrees come from
-    ``valuations._phi_c_valuation``; errors on bridged graphs and on graphs
-    above the edge cap.
+    ``valuations._phi_c_valuation``.  Raises ``BridgedGraphError`` on a
+    bridged graph.  ``budget_s`` is wall-clock seconds for the whole call,
+    over every component, checked every 512 search nodes; when it runs out
+    the search raises ``multigraph.SearchBudgetExceeded``.
     """
     bridge_ids = bridges(g)
     if bridge_ids:
         raise BridgedGraphError(f"graph has bridges {sorted(bridge_ids)!r}: no nowhere-zero flow exists")
-    if g.num_edges() > cap:
-        raise SizeCapExceeded(f"|E|={g.num_edges()} exceeds the search cap {cap}")
 
+    deadline = _Deadline(budget_s)
     value = Fraction(2)
     k: dict[str, int] = {}
     for comp in connected_components(g):
         sub = Multigraph(sorted(comp), [e for e in g.edges() if e.u in comp])
-        comp_value, comp_k = valuations._phi_c_valuation(sub)
+        comp_value, comp_k = valuations._phi_c_valuation(sub, deadline)
         value = max(value, comp_value)
         k.update(comp_k)
     d = _orientation_with_excess(g, k)
@@ -502,8 +497,9 @@ def build_flower_flow(n: int) -> FlowerFlowData:
 
     Starts from the integer 4-flow with the single zero edge a0-b0 and adds
     value 1/n along n circuits with ``add_circuits``; circuit j leaves the
-    spoke layer at the 3-valued edge d(2j-1)-b(2j-1), so those edges stay
-    within the cap.
+    spoke layer at the 3-valued edge d(2j-1)-b(2j-1), which lies on that
+    circuit alone, so those edges carry 3 + 1/n, the window's upper end
+    r - 1, and no more.
     """
     from .families import flower_snark  # deferred: families has no flow needs
 

@@ -44,20 +44,6 @@ def k4p_factorization_labels(t: int) -> list[list[tuple]]:
     return out
 
 
-def k4p_one_factorization(t: int) -> list[frozenset[str]]:
-    """The same factorization as edge-id sets of complete_graph(4p)."""
-    p = 2 * t + 1
-    to_j = families.lemma_to_construction_label(p)
-    out = []
-    for matching in k4p_factorization_labels(t):
-        ids = []
-        for a, b in matching:
-            ja, jb = sorted((to_j[a], to_j[b]))
-            ids.append(f"v{ja}v{jb}")
-        out.append(frozenset(ids))
-    return out
-
-
 def factor_color_of_pair(t: int, a, b) -> int:
     """Factorization color of the K_{4p} edge between two labels."""
     mod = 8 * t + 3

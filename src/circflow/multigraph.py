@@ -8,7 +8,9 @@ construction; all operations return new graphs, and the derived graphs
 integer-indexed view its solvers share.  The module also holds the one
 max-flow kernel, a Dinic that augments along Edmonds-Karp's own paths, on
 integer node ids and capacities: flows and valuations scale their rational
-capacities by one common denominator.
+capacities by one common denominator.  And it holds ``_Deadline``, the one
+wall-clock budget that bounds every search: the matching cover, the
+backtracker and the circular-flow-number search.
 
 ``Multigraph.__init__`` is the one constructor, and ``_add_edges`` the one
 place an edge is validated.  The constructor checks all vertex ids in one
@@ -30,6 +32,7 @@ and edge lists.
 from __future__ import annotations
 
 import hashlib
+import time
 from bisect import bisect_left
 from functools import cached_property
 from itertools import count, islice
@@ -316,6 +319,31 @@ def is_matching(g: Multigraph, eids: Iterable[str]) -> bool:
 def is_perfect_matching(g: Multigraph, eids: Iterable[str]) -> bool:
     ids = set(eids)
     return is_matching(g, ids) and 2 * len(ids) == g.num_vertices()
+
+
+class SearchBudgetExceeded(RuntimeError):
+    """A search ran past its wall-clock budget."""
+
+
+class _Deadline:
+    """A search's budget in wall-clock seconds from now, or None for no
+    limit, and the count of its nodes.  ``tick`` counts one node and checks
+    the clock every 512 nodes, so a search may run up to 511 nodes past the
+    budget; one budget may span several searches."""
+
+    def __init__(self, seconds: float | None):
+        self.t_end = None if seconds is None else time.monotonic() + seconds
+        self.nodes = 0
+
+    def tick(self) -> None:
+        self.nodes += 1
+        if self.nodes % 512 == 0:
+            self.poll()
+
+    def poll(self) -> None:
+        """Raise ``SearchBudgetExceeded`` once the budget is spent; counts nothing."""
+        if self.t_end is not None and time.monotonic() > self.t_end:
+            raise SearchBudgetExceeded("search budget exhausted")
 
 
 def _matchings_of(inc: Sequence[Sequence[tuple[int, int]]], covered: int,

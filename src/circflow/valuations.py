@@ -55,6 +55,7 @@ from .multigraph import (
     GraphError,
     IndexedView,
     Multigraph,
+    _Deadline,
     _max_flow,
     _with_copies,
     edge_cut,
@@ -170,7 +171,7 @@ def _min_ratio(view: IndexedView, k: Sequence[int], floor: tuple[int, int],
             found.append((p, x))
 
 
-def _phi_c_valuation(g: Multigraph) -> tuple[Fraction, dict[str, int]]:
+def _phi_c_valuation(g: Multigraph, deadline: _Deadline) -> tuple[Fraction, dict[str, int]]:
     """The least r at which some k gives a balanced valuation, with that k.
 
     Depth-first over k in vertex order.  k and -k give the same q, so k is
@@ -192,7 +193,11 @@ def _phi_c_valuation(g: Multigraph) -> tuple[Fraction, dict[str, int]]:
     - the set that decides a leaf, whose ratio is now at most the best q:
       the search backs up to the assignment of its highest vertex.
     A leaf's Dinkelbach starts from the least ratio of the single vertices
-    and the kept sets checked on its path."""
+    and the kept sets checked on its path.
+
+    Each search node ticks ``deadline``, which checks its wall-clock budget
+    every 512 nodes and raises ``multigraph.SearchBudgetExceeded`` once the
+    budget is spent."""
     view = g.indexed
     degree = [len(at) for at in view.incident]
     n = len(degree)
@@ -210,6 +215,7 @@ def _phi_c_valuation(g: Multigraph) -> tuple[Fraction, dict[str, int]]:
         checked on the path and that set's highest vertex h, as (p, q, h).
         Returns the vertex whose assignment to back up to, or n."""
         nonlocal best, best_k
+        deadline.tick()
         if abs(total) > slack[i]:
             return n
         if i == n:

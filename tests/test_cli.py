@@ -24,10 +24,20 @@ def test_construct_and_flow_number(tmp_path):
     assert doc["certificate"]["parameters"]["r"] == "4/1"
 
 
-def test_flow_number_cap_and_bridge(tmp_path):
-    graph = tmp_path / "j5.graph"
-    run("construct", "--family", "flower", "--n", 2, "--out", graph)
-    assert run("flow-number", graph) == cli.EXIT_INCONCLUSIVE
+def test_construct_blanusa_chain_command(tmp_path):
+    for n, order in ((1, 18), (2, 34)):
+        graph = tmp_path / f"g{n}.graph"
+        assert run("construct", "--family", "blanusa-chain", "--n", n, "--out", graph) == 0
+        g = deserialize(graph.read_text())
+        assert g.num_vertices() == order and g.is_regular(3)
+
+
+def test_flow_number_budget_and_bridge(tmp_path, capsys):
+    graph = tmp_path / "j7.graph"
+    run("construct", "--family", "flower", "--n", 3, "--out", graph)
+    capsys.readouterr()
+    assert run("flow-number", graph, "--budget", 0.05) == cli.EXIT_INCONCLUSIVE
+    assert capsys.readouterr().out.startswith("inconclusive: ")
     bridge = tmp_path / "path.graph"
     bridge.write_text("circflow-graph v1\nvertex a\nvertex b\nedge e a b\n")
     assert run("flow-number", bridge) == cli.EXIT_REFUTED
@@ -109,19 +119,15 @@ def test_class_property_command(tmp_path):
 
 
 def test_check_balanced_command(tmp_path):
-    from circflow import valuations
-
     k4 = families.complete_graph(4)
-    flow = flows.circular_flow_number(k4).flow
-    bip = valuations.flow_to_bipartition(k4, flow)
-    omega = valuations.valuation_from_bipartition(k4, bip, flow.r)
     graph = tmp_path / "k4.graph"
     graph.write_text(serialize(k4))
     val = tmp_path / "k4.valuation"
-    val.write_text(cli.write_valuation(omega))
+    # the valuation of K4's optimal 4-flow: weight k_v * r/(r-2) = 2 k_v
+    val.write_text("circflow-valuation v1\nr 4/1\nv1 -2/1\nv2 2/1\nv3 2/1\nv4 -2/1\n")
     assert run("check-balanced", graph, val) == 0
     back = cli.read_valuation(val.read_text())
-    assert back.k == omega.k and back.r == omega.r
+    assert back.k == {"v1": -1, "v2": 1, "v3": 1, "v4": -1} and back.r == 4
     # the certificate carries its witness flow, which reverify re-checks
     cert = tmp_path / "k4.cert.json"
     assert run("check-balanced", graph, val, "--out", cert) == 0
@@ -362,6 +368,20 @@ def test_paper_demo_builds_only_the_chosen_scope(tmp_path, monkeypatch):
     assert run("paper-demo", "--scope", "section-2.1", "--out", tmp_path) == 0
     with pytest.raises(AssertionError, match="outside the appendix"):
         run("paper-demo", "--scope", "appendix", "--out", tmp_path)
+
+
+def test_paper_demo_phi_c_row_that_runs_out_is_inconclusive(tmp_path):
+    from unittest import mock
+
+    from circflow import valuations
+    from circflow.multigraph import SearchBudgetExceeded
+
+    with mock.patch.object(valuations, "_phi_c_valuation", side_effect=SearchBudgetExceeded):
+        code = run("paper-demo", "--scope", "section-2.1", "--out", tmp_path)
+    assert code == cli.EXIT_INCONCLUSIVE
+    rows = (tmp_path / "report.txt").read_text().splitlines()[1:]
+    assert [row.split()[-2] for row in rows] == ["inconclusive"] * 3 + ["verified"] * 7
+    assert not list(tmp_path.glob("phi_c_*"))
 
 
 def report_claims(out):

@@ -151,6 +151,28 @@ def test_chromatic_index_budget_stops_a_long_matching_enumeration():
     assert time.monotonic() - start < 3
 
 
+def test_class_property_budget_covers_the_whole_call():
+    """One budget for every t.  It runs out inside t = 1, where refuting the
+    snark J21 means enumerating about 2^20 perfect matchings, so t = 2 and
+    t = 3, which alone take about 0.2 s, are not searched either."""
+    g = families.flower_snark(10).graph
+    m = sorted(e for e in g.edge_ids if e.startswith(("ab", "dc")))
+    start = time.monotonic()
+    cert = class_property(g, m, 1, [1, 2, 3], budget_s=0.1)
+    assert time.monotonic() - start < 2
+    assert cert.witness["per_t"] == [{"t": t, "status": "budget-exhausted"} for t in (1, 2, 3)]
+    assert cert.verdict == "inconclusive" and reverify(cert, g)
+
+
+def test_class_property_records_each_t_with_its_own_node_count():
+    p = families.petersen()
+    pm = sorted(perfect_matchings(p)[0])
+    whole = class_property(p, pm, 2, [1, 2, 3], budget_s=60)
+    assert [e["nodes"] for e in whole.witness["per_t"]] == [3, 9, 15]
+    assert whole.witness["per_t"] == [class_property(p, pm, 2, [t]).witness["per_t"][0]
+                                      for t in (1, 2, 3)]
+
+
 def test_parity_lemma_vertex_and_four_cuts():
     k4 = families.complete_graph(4)
     result = chromatic_index(k4)

@@ -183,11 +183,3 @@ def test_triangle_label_bijection():
         got = [{fwd[a], fwd[b], fwd[c]} for a, b, c in mp_triangles(p)]
         assert all(tri in lemma_triples for tri in got)
         assert len(got) == len(lemma_triples)
-
-
-def test_blanusa_chain_via_families():
-    chain = families.blanusa_chain(1)
-    assert chain.graph.num_vertices() == 18
-    assert chain.graph.is_regular(3)
-    chain2 = families.blanusa_chain(2)
-    assert chain2.graph.num_vertices() == 34

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -17,7 +18,6 @@ from circflow.flows import (
     BridgedGraphError,
     FlowError,
     RationalFlow,
-    SizeCapExceeded,
     add_circuits,
     bipartite_regular_flow,
     build_flower_flow,
@@ -27,7 +27,13 @@ from circflow.flows import (
     verify_flow,
     write_flow,
 )
-from circflow.multigraph import Multigraph, add_matching_copies, bridges, perfect_matchings
+from circflow.multigraph import (
+    Multigraph,
+    SearchBudgetExceeded,
+    add_matching_copies,
+    bridges,
+    perfect_matchings,
+)
 
 from _oracles import (
     DirectedCircuit,
@@ -314,20 +320,30 @@ def test_circular_flow_number_with_terminal_like_vertex_ids():
     assert verify_flow(g, result.flow).verdict == "verified"
 
 
-def test_circular_flow_number_of_j5_above_the_default_cap():
-    g = families.flower_snark(2).graph  # J5, 30 edges
-    result = circular_flow_number(g, cap=30)
+@pytest.mark.parametrize("make", [lambda: families.flower_snark(2).graph,
+                                  lambda: blanusa.build_chain(1).chain.graph], ids=["J5", "G1"])
+def test_circular_flow_number_of_j5_and_g1(make):
+    """phi_c(J5) = 4 + 1/2 (Lukot'ka) and phi_c(G1) = 4 + 1/2 (Goedgebeur,
+    Mattiolo and Mazzuoccolo), from the default call, with no budget."""
+    g = make()
+    result = circular_flow_number(g)
     assert result.value == Fraction(9, 2)
-    assert verify_flow(g, result.flow).verdict == "verified"
+    cert = verify_flow(g, result.flow)
+    assert cert.verdict == "verified" and cert.parameters["r"] == "9/2"
 
 
-def test_circular_flow_number_bridge_and_cap_errors():
+def test_circular_flow_number_bridge_error():
     path = Multigraph(["a", "b"], [("e", "a", "b")])
     with pytest.raises(BridgedGraphError):
         circular_flow_number(path)
-    big = families.flower_snark(2).graph  # 30 edges
-    with pytest.raises(SizeCapExceeded):
-        circular_flow_number(big)
+
+
+def test_circular_flow_number_budget_runs_out_on_j7():
+    g = families.flower_snark(3).graph  # J7: its search takes over a second
+    start = time.monotonic()
+    with pytest.raises(SearchBudgetExceeded):
+        circular_flow_number(g, budget_s=0.05)
+    assert time.monotonic() - start < 1
 
 
 def test_odd_cut_lower_bound_invariant():

@@ -10,11 +10,10 @@ from circflow.mp_coloring import (
     derive_triangle_pattern,
     factor_color_of_pair,
     k4p_factorization_labels,
-    k4p_one_factorization,
     mp_prime_coloring,
     mp_tilde_coloring,
 )
-from circflow.multigraph import is_perfect_matching, serialize
+from circflow.multigraph import serialize
 
 
 def test_k4p_factorization_t1_first_matching():
@@ -35,14 +34,14 @@ def test_k4p_factorization_t1_shift():
 @pytest.mark.parametrize("t", [1, 2])
 def test_k4p_factorization_partitions_edges(t):
     p = 2 * t + 1
-    k = families.complete_graph(4 * p)
-    factors = k4p_one_factorization(t)
+    labels = list(range(8 * t + 3)) + [INF]  # the 4p vertices of K_{4p}
+    factors = [[frozenset(pair) for pair in matching] for matching in k4p_factorization_labels(t)]
     assert len(factors) == 4 * p - 1
-    for f in factors:
-        assert is_perfect_matching(k, f)
+    for f in factors:  # each a perfect matching of K_{4p}: 2p pairs covering every label
+        assert len(f) == 2 * p and set().union(*f) == set(labels)
     union = set().union(*factors)
     assert len(union) == sum(len(f) for f in factors)  # pairwise disjoint
-    assert union == set(k.edge_ids)
+    assert union == {frozenset(pair) for pair in itertools.combinations(labels, 2)}
 
 
 def test_factor_color_is_consistent_with_matchings():

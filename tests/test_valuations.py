@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from circflow import blanusa, families, flows
 from circflow.certificates import make_certificate, rat, reverify
-from circflow.multigraph import Multigraph, add_matching_copies, perfect_matchings
+from circflow.multigraph import Multigraph, _Deadline, add_matching_copies, perfect_matchings
 from circflow.valuations import (
     NO_FINITE_R,
     BalancedValuation,
@@ -646,7 +646,10 @@ _J3 = flows.build_flower_flow(1)  # its matching, spokes and dc edges, avoids th
 def test_phi_c_search_matches_the_fraction_oracle(g):
     from circflow.valuations import _phi_c_valuation
 
-    assert _phi_outcome(_phi_c_valuation, g) == _phi_outcome(phi_c_valuation_oracle, g)
+    def search(h):
+        return _phi_c_valuation(h, _Deadline(None))
+
+    assert _phi_outcome(search, g) == _phi_outcome(phi_c_valuation_oracle, g)
 
 
 @given(phi_graphs(), st.data())
@@ -695,7 +698,7 @@ def test_phi_c_search_reuses_the_sets_its_cuts_find(monkeypatch, g, unpooled):
         return max_flow(*args)
 
     monkeypatch.setattr(valuations, "_max_flow", counting)
-    assert valuations._phi_c_valuation(g)[0] == 5
+    assert valuations._phi_c_valuation(g, _Deadline(None))[0] == 5
     assert 0 < calls["max_flow"] <= unpooled // 3
 
 
